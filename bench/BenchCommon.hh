@@ -116,9 +116,7 @@ hasArg(int argc, char **argv, const std::string &name)
  * spec (specs/<specName>, overridable with spec=PATH), apply any
  * numeric CLI overrides into the spec base (e.g. trials=, bits=),
  * run it on the parallel sweep engine (threads=N, 0 = all cores)
- * and write the aggregated JSON to out=PATH. resume=PREV.json
- * restarts from a previous output, exactly like `qcarch sweep
- * --resume` — the emitted document is byte-identical either way.
+ * and write the aggregated JSON to out=PATH.
  *
  * The bench binaries and `qcarch sweep specs/<specName>` are the
  * same computation by construction: one spec, one engine.
@@ -133,8 +131,6 @@ runSweepBench(
     const std::string specPath = argString(
         argc, argv, "spec", std::string(QC_SPEC_DIR "/") + specName);
     const std::string out = argString(argc, argv, "out", defaultOut);
-    const std::string resumePath =
-        argString(argc, argv, "resume", "");
 
     SweepSpec spec;
     try {
@@ -153,23 +149,16 @@ runSweepBench(
         SweepOptions options;
         options.threads = static_cast<int>(
             argValue(argc, argv, "threads", 0));
-        options.checkpointPath = out;
         options.progress = [](const SweepProgress &p) {
             std::cerr << "\r[" << p.done << "/" << p.total << "]"
                       << (p.done == p.total ? "\n" : "")
                       << std::flush;
         };
-        Json resumeDoc;
-        if (!resumePath.empty()) {
-            resumeDoc = Json::loadFile(resumePath);
-            options.resume = &resumeDoc;
-        }
 
         const SweepReport report = runSweep(spec, options);
         report.doc.saveFile(out);
         std::cout << "wrote " << report.points << " sweep points ("
                   << report.executed << " executed, "
-                  << report.resumed << " resumed, "
                   << report.cacheHits << " cached) to " << out
                   << " in " << fmtFixed(report.wallSeconds, 1)
                   << " s\n";

@@ -11,21 +11,26 @@
  *    pre-PR-5 behaviour. Results must be bit-identical between the
  *    modes; the JSON records both rates and the parity check.
  *
- *  - **Resume.** A sweep run fresh, then re-run with its own output
- *    as the `--resume` document: every point must be served from
- *    the file (executed == 0) and the merged document must be
- *    byte-identical to the fresh one. The JSON records the skip
- *    accounting and the determinism check.
+ *  - **Resume.** A sweep run, then re-run against the same
+ *    temporary result store (how `qcarch sweep` resumes): every
+ *    point must be served from the store (executed == 0) and the
+ *    re-run's document must be byte-identical to the first. The
+ *    JSON records the skip accounting ("resumed" counts store
+ *    hits) and the determinism check.
  *
  * Usage: bench_sweep_resume [points=N] [out=PATH]
  */
 
 #include <chrono>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "BenchCommon.hh"
+#include "hoard/Hoard.hh"
 
 namespace {
 
@@ -108,14 +113,24 @@ main(int argc, char **argv)
         {"field": "codeLevel", "values": [1, 2]}
       ]
     })"));
-    const SweepReport fresh = runSweep(spec);
-    SweepOptions resumeOptions;
-    resumeOptions.resume = &fresh.doc;
-    const SweepReport resumed = runSweep(spec, resumeOptions);
+    const std::string storeDir =
+        (std::filesystem::temp_directory_path()
+         / ("bench_sweep_resume-" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(storeDir);
+    SweepReport fresh, resumed;
+    {
+        HoardStore store(storeDir);
+        SweepOptions storeOptions;
+        storeOptions.hoard = &store;
+        fresh = runSweep(spec, storeOptions);
+        resumed = runSweep(spec, storeOptions);
+    }
+    std::filesystem::remove_all(storeDir);
     const bool resumeIdentical =
         fresh.doc.dump() == resumed.doc.dump();
-    std::cout << resumed.points << " points resumed: "
-              << resumed.resumed << " from file, "
+    std::cout << resumed.points << " points re-run: "
+              << resumed.hoardHits << " from the store, "
               << resumed.executed << " executed, document "
               << (resumeIdentical ? "byte-identical" : "DIFFERS")
               << "\n";
@@ -137,7 +152,7 @@ main(int argc, char **argv)
     resume.set("points",
                static_cast<std::int64_t>(resumed.points));
     resume.set("resumed",
-               static_cast<std::int64_t>(resumed.resumed));
+               static_cast<std::int64_t>(resumed.hoardHits));
     resume.set("executed",
                static_cast<std::int64_t>(resumed.executed));
     resume.set("byte_identical", resumeIdentical);

@@ -3,11 +3,11 @@
  * Fuzz the serve protocol's file parsers — the surfaces a hostile
  * or torn coordination directory hits. The input is three
  * NUL-separated sections: a lease file body, a queue-entry
- * document, and a shard-delta document.
+ * document, and a shard-done marker document.
  *
  *  - Lease::read must return false (never throw) on anything that
  *    is not a well-formed lease;
- *  - ShardDescriptor/ShardDelta::fromJson must reject-whole: false
+ *  - ShardDescriptor/ShardMarker::fromJson must reject-whole: false
  *    with the output untouched semantics the merge loop assumes,
  *    never a partially filled struct behind a true, never an
  *    exception.
@@ -55,19 +55,20 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
                                "accepted negative attempt");
             }
         } else {
-            qc::ShardDelta delta;
-            if (qc::ShardDelta::fromJson(doc, delta)) {
-                QC_FUZZ_ASSERT(!delta.id.empty(),
-                               "accepted delta with empty id");
-                // Accepted deltas round-trip: the coordinator
-                // re-serializes merged state.
-                qc::ShardDelta again;
+            qc::ShardMarker marker;
+            if (qc::ShardMarker::fromJson(doc, marker)) {
+                QC_FUZZ_ASSERT(!marker.id.empty()
+                                   && !marker.owner.empty(),
+                               "accepted marker with empty id/owner");
+                // Accepted markers round-trip: what a worker
+                // writes is what the coordinator reads.
+                qc::ShardMarker again;
                 QC_FUZZ_ASSERT(
-                    qc::ShardDelta::fromJson(delta.toJson(), again),
-                    "accepted delta's toJson() was rejected");
-                QC_FUZZ_ASSERT(again.points.size()
-                                   == delta.points.size(),
-                               "delta round-trip changed points");
+                    qc::ShardMarker::fromJson(marker.toJson(), again),
+                    "accepted marker's toJson() was rejected");
+                QC_FUZZ_ASSERT(again.failed.size()
+                                   == marker.failed.size(),
+                               "marker round-trip changed failures");
             }
         }
     }

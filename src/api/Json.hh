@@ -16,8 +16,8 @@
  * convention of the inner simulation layers.
  *
  * The parser is the trust boundary for every file the process does
- * not control (resume documents, serve protocol files, hoard
- * objects, sweep specs), so it enforces two hard resource bounds:
+ * not control (serve protocol files, hoard objects, sweep specs),
+ * so it enforces two hard resource bounds:
  * documents larger than kMaxDocumentBytes and nesting deeper than
  * kMaxParseDepth are parse errors, never allocations or stack
  * frames. Untrusted-input callers that must not throw use the

@@ -9,8 +9,8 @@
  * metadata — the failure mode plain write-then-rename leaves open,
  * because the rename can reach disk before the data does).
  *
- * Used by the sweep engine's checkpoint commits and by the serve
- * coordinator/worker for checkpoint documents and shard deltas.
+ * Used for sweep and serve output documents, hoard objects and the
+ * serve protocol's queue entries and shard-done markers.
  */
 
 #ifndef QC_COMMON_DURABLE_FILE_HH

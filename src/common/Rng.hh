@@ -101,15 +101,6 @@ class Rng
         return Rng((*this)() ^ 0xd2b74407b1ce6e93ull);
     }
 
-    /**
-     * One 64-bit word whose bits are independent Bernoulli(p) draws
-     * (bit t = trial t), consuming ~1-2 raw outputs for small p
-     * instead of 64. See BernoulliWord for the sampling scheme; this
-     * convenience form re-derives the per-p constants on every call,
-     * so hot loops should hold a BernoulliWord instead.
-     */
-    std::uint64_t bernoulliMask(double p);
-
   private:
     static constexpr std::uint64_t
     rotl(std::uint64_t v, int k)
@@ -296,13 +287,6 @@ class RareBernoulliStream
     Mode mode_ = Mode::Never;
     std::uint64_t gap_ = 0;
 };
-
-inline std::uint64_t
-Rng::bernoulliMask(double p)
-{
-    BernoulliWord sampler(p);
-    return sampler.next(*this);
-}
 
 } // namespace qc
 

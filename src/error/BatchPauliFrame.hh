@@ -26,13 +26,11 @@
  * correction-stage discards) run in lockstep — finished trials are
  * simply dropped from the mask while stragglers loop again.
  *
- * Error injection comes in two flavours: the original per-word
- * BernoulliWord form (one uniform draw per *word*), and the
- * RareBernoulliStream form the batch engine now uses (one uniform
+ * Error injection draws from a RareBernoulliStream (one uniform
  * draw per *hit*, O(1) skip over hit-free injection sites). The
- * stream form always advances over all words_ regardless of the
- * mask — masked-out hits are discarded, they draw no Pauli kind —
- * so the RNG stream is a pure function of the injection sequence.
+ * stream always advances over all words_ regardless of the mask —
+ * masked-out hits are discarded, they draw no Pauli kind — so the
+ * RNG stream is a pure function of the injection sequence.
  */
 
 #ifndef QC_ERROR_BATCH_PAULI_FRAME_HH
@@ -219,67 +217,10 @@ class BatchPauliFrameT
 
     /**
      * Uniform non-identity Pauli with probability p on qubit q, per
-     * masked trial. One Bernoulli word per mask word; the Pauli kind
-     * is drawn per hit trial (hits are rare at physical rates).
-     * Mask-all-zero words are skipped, so the RNG stream depends on
-     * the mask — kept for the original engine's stream and tests.
-     */
-    void
-    inject1q(Rng &rng, BernoulliWord &p, int q, const Word *m)
-    {
-        Word *xq = x(q);
-        Word *zq = z(q);
-        for (int w = 0; w < words_; ++w) {
-            if (!m[w])
-                continue;
-            Word hit = p.next(rng) & m[w];
-            while (hit) {
-                const int t = __builtin_ctzll(hit);
-                hit &= hit - 1;
-                const int pauli =
-                    static_cast<int>(rng.below(3)) + 1;
-                if (pauli & 1)
-                    xq[w] ^= Word{1} << t;
-                if (pauli & 2)
-                    zq[w] ^= Word{1} << t;
-            }
-        }
-    }
-
-    /** Uniform non-identity two-qubit Pauli, per masked trial. */
-    void
-    inject2q(Rng &rng, BernoulliWord &p, int a, int b, const Word *m)
-    {
-        Word *xa = x(a);
-        Word *za = z(a);
-        Word *xb = x(b);
-        Word *zb = z(b);
-        for (int w = 0; w < words_; ++w) {
-            if (!m[w])
-                continue;
-            Word hit = p.next(rng) & m[w];
-            while (hit) {
-                const int t = __builtin_ctzll(hit);
-                hit &= hit - 1;
-                const int pauli =
-                    static_cast<int>(rng.below(15)) + 1;
-                if (pauli & 1)
-                    xa[w] ^= Word{1} << t;
-                if (pauli & 2)
-                    za[w] ^= Word{1} << t;
-                if (pauli & 4)
-                    xb[w] ^= Word{1} << t;
-                if (pauli & 8)
-                    zb[w] ^= Word{1} << t;
-            }
-        }
-    }
-
-    /**
-     * Stream-sampled single-qubit injection: the stream advances
-     * over all wordsPerQubit() words unconditionally (one uniform
-     * draw per hit bit, none otherwise); hits outside the mask are
-     * dropped without drawing a Pauli kind.
+     * masked trial: the stream advances over all wordsPerQubit()
+     * words unconditionally (one uniform draw per hit bit, none
+     * otherwise); hits outside the mask are dropped without drawing
+     * a Pauli kind.
      */
     void
     inject1q(Rng &rng, RareBernoulliStream &p, int q, const Word *m)
@@ -301,7 +242,7 @@ class BatchPauliFrameT
         });
     }
 
-    /** Stream-sampled two-qubit injection (see inject1q). */
+    /** Uniform non-identity two-qubit Pauli (see inject1q). */
     void
     inject2q(Rng &rng, RareBernoulliStream &p, int a, int b,
              const Word *m)

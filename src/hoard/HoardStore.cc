@@ -10,8 +10,6 @@
 #include "common/DurableFile.hh"
 #include "hoard/HoardKey.hh"
 #include "serve/Lease.hh"
-#include "serve/Protocol.hh"
-#include "sweep/SweepPlan.hh"
 
 namespace qc {
 
@@ -233,8 +231,8 @@ bool
 HoardStore::store(const std::string &runner, const Json &config,
                   const Json &result)
 {
-    // Error results always re-run (matching resume semantics); a
-    // transient failure must not poison the persistent store.
+    // Error results always re-run: a transient failure must not
+    // poison the persistent store.
     if (result.isObject() && result.has("error"))
         return false;
     const std::string key = hoardKeyHash(runner, config);
@@ -426,54 +424,6 @@ HoardStore::gc(std::uint64_t maxBytes, double maxAgeDays)
     }
     writeIndex(kept);
     return report;
-}
-
-std::size_t
-HoardStore::ingestServe(const std::string &serveDir)
-{
-    const ServeDir dir(serveDir);
-    const Json manifest = Json::loadFile(dir.manifest());
-    const Json *specJson = manifest.find("spec");
-    if (!specJson) {
-        throw std::invalid_argument(
-            "serve manifest " + dir.manifest()
-            + " carries no spec");
-    }
-    const SweepSpec spec = SweepSpec::fromJson(*specJson);
-    const SweepPlan plan = SweepPlan::expand(spec);
-    std::size_t ingested = 0;
-    std::error_code ec;
-    std::vector<std::string> deltaPaths;
-    for (fs::directory_iterator it(dir.resultDir(), ec), end;
-         !ec && it != end; it.increment(ec)) {
-        if (it->is_regular_file(ec))
-            deltaPaths.push_back(it->path().string());
-    }
-    std::sort(deltaPaths.begin(), deltaPaths.end());
-    for (const std::string &path : deltaPaths) {
-        ShardDelta delta;
-        try {
-            if (!ShardDelta::fromJson(Json::loadFile(path), delta))
-                continue; // malformed: same tolerance as merge
-        } catch (const std::exception &) {
-            continue; // torn commit: skip, never throw
-        }
-        for (const DeltaPoint &point : delta.points) {
-            if (point.failed
-                || point.index >= plan.points.size())
-                continue;
-            // The same skew guard the coordinator's merge applies:
-            // a delta from a different expansion must not publish.
-            if (point.configHash
-                != hexConfigHash(plan.hashes[point.index]))
-                continue;
-            if (store(spec.runner,
-                      plan.points[point.index].config,
-                      point.result))
-                ++ingested;
-        }
-    }
-    return ingested;
 }
 
 Json

@@ -145,9 +145,9 @@ class HoardStore final : public ResultCache
      * Publish a computed result. Returns true if a new object was
      * written; false for duplicates (idempotent — the existing
      * object is left untouched) and for error results, which are
-     * never cached ({"error": ...} must always re-run, matching
-     * resume semantics). Thread-safe; safe against concurrent
-     * publishers of the same key.
+     * never cached ({"error": ...} must always re-run).
+     * Thread-safe; safe against concurrent publishers of the same
+     * key.
      */
     bool store(const std::string &runner, const Json &config,
                const Json &result) override;
@@ -175,19 +175,6 @@ class HoardStore final : public ResultCache
      * Unreadable objects sort oldest, so they evict first.
      */
     HoardGcReport gc(std::uint64_t maxBytes, double maxAgeDays);
-
-    /**
-     * Ingest leftover shard deltas from a `qcarch serve`
-     * coordination directory (deltas the coordinator crashed
-     * before merging): expands the manifest's spec, cross-checks
-     * each delta point's config_hash against the plan, and
-     * publishes every non-failed point. Returns the number of new
-     * objects. Throws std::invalid_argument if `serveDir` has no
-     * readable manifest; malformed/torn delta files and mismatched
-     * points are skipped (the same tolerance the coordinator's
-     * merge applies).
-     */
-    std::size_t ingestServe(const std::string &serveDir);
 
     /** Store statistics as a JSON document (for `qcarch hoard
      *  stat`): object/byte totals, per-runner counts, index and

@@ -86,24 +86,19 @@ listJsonFiles(const std::string &dir)
     return out;
 }
 
-/** Refuse to checkpoint onto directories/sockets/etc (same guard
- *  as the sweep engine: a mistyped --out should fail loudly). */
+/** Refuse an --out that a durable write-then-rename would clobber
+ *  (a directory, a device): fail before any work, not after it. */
 void
-checkCheckpointTarget(const std::string &path)
+checkOutTarget(const std::string &path)
 {
     std::error_code ec;
     const fs::file_status status = fs::symlink_status(path, ec);
     if (!ec && fs::exists(status) && !fs::is_regular_file(status)) {
         throw std::runtime_error(
-            "checkpoint path " + path
+            "output path " + path
             + " exists and is not a regular file");
     }
 }
-
-struct ShardState
-{
-    ShardDescriptor desc;
-};
 
 class Coordinator
 {
@@ -117,14 +112,12 @@ class Coordinator
 
     CoordinatorReport run()
     {
-        checkCheckpointTarget(options_.outPath);
-        resumeFromCheckpoint();
+        checkOutTarget(options_.outPath);
         prepareDirs();
-        mergeLeftoverDeltas();
+        recoverFromStore();
         publishQueue();
         publishManifest();
         loop();
-        report_.resumed = assembler_.resumedCount();
         report_.failed = assembler_.failedPoints();
         return report_;
     }
@@ -141,48 +134,31 @@ class Coordinator
     {
         fs::create_directories(dir_.queueDir());
         fs::create_directories(dir_.leaseDir());
-        fs::create_directories(dir_.resultDir());
+        fs::create_directories(dir_.markerDir());
         // A leftover done marker would make fresh workers exit
         // immediately.
         std::remove(dir_.doneMarker().c_str());
     }
 
-    void resumeFromCheckpoint()
-    {
-        std::error_code ec;
-        if (!fs::exists(options_.outPath, ec)
-            || fs::file_size(options_.outPath, ec) == 0)
-            return;
-        // Throws on foreign/edited documents — same contract as
-        // `qcarch sweep --resume` (docs/SWEEPS.md).
-        assembler_.applyResume(Json::loadFile(options_.outPath));
-        log_("resumed %zu unique points from %s",
-             assembler_.resumedCount(), options_.outPath.c_str());
-    }
-
     /**
-     * Deltas committed while no coordinator was running (or not
-     * yet merged when it died) are the crash-recovery record:
-     * merge them before building the new queue, then checkpoint
-     * and delete them so the restart is idempotent.
+     * The restart path, and a no-op on a fresh directory: every
+     * point an earlier generation's workers published is in the
+     * store, so one fetch pass over the pending points recovers
+     * them all. Leftover markers, queue entries and leases belong
+     * to that generation: the queue is rebuilt from what is still
+     * pending, and an orphaned lease would only block a shard no
+     * live worker owns.
      */
-    void mergeLeftoverDeltas()
+    void recoverFromStore()
     {
-        const std::vector<std::string> files =
-            listJsonFiles(dir_.resultDir());
-        for (const std::string &file : files)
-            mergeDelta(file, /*startup=*/true);
-        if (!files.empty()) {
-            checkpoint();
-            for (const std::string &file : files)
-                std::remove(file.c_str());
-            log_("recovered %zu leftover delta file(s)",
-                 files.size());
+        for (std::size_t index : assembler_.pending()) {
+            if (fetchInto(index))
+                ++report_.recovered;
         }
-        // Stale queue entries and leases belong to the previous
-        // generation; the queue is rebuilt from what is still
-        // pending, and orphaned leases would only block shards a
-        // still-running old worker no longer owns.
+        const std::vector<std::string> markers =
+            listJsonFiles(dir_.markerDir());
+        for (const std::string &file : markers)
+            std::remove(file.c_str());
         for (const std::string &file :
              listJsonFiles(dir_.queueDir()))
             std::remove(file.c_str());
@@ -190,6 +166,22 @@ class Coordinator
         for (const auto &entry :
              fs::directory_iterator(dir_.leaseDir(), ec))
             std::remove(entry.path().string().c_str());
+        log_("recovered %zu point(s) from the store, discarded %zu "
+             "leftover marker(s)",
+             report_.recovered, markers.size());
+    }
+
+    /** Merge the stored result of one canonical index; false on a
+     *  miss (never published, or quarantined as damaged). */
+    bool fetchInto(std::size_t index)
+    {
+        Json result;
+        if (!options_.store->fetch(
+                assembler_.spec().runner,
+                assembler_.plan().points[index].config, result))
+            return false;
+        return assembler_.setResult(index, std::move(result),
+                                    /*failed=*/false);
     }
 
     void publishQueue()
@@ -215,7 +207,7 @@ class Coordinator
                                 pending.begin() + end);
             writeFileDurable(dir_.queueEntry(desc.id),
                              desc.toJson().dump(2) + "\n");
-            shards_[desc.id] = ShardState{desc};
+            shards_[desc.id] = desc;
         }
         log_("queued %zu shard(s) of <= %zu point(s) "
              "(%zu pending of %zu unique)",
@@ -252,15 +244,12 @@ class Coordinator
 
     void loop()
     {
-        auto lastCheckpoint = std::chrono::steady_clock::now();
-        bool dirty = false;
         while (true) {
             if (options_.stopRequested && options_.stopRequested()) {
-                checkpoint();
                 writeFileDurable(dir_.doneMarker(),
                                  "interrupted\n");
-                log_("stop requested: checkpoint written, "
-                     "%zu unique point(s) still pending",
+                log_("stop requested: %zu unique point(s) still "
+                     "pending; finished points are in the store",
                      assembler_.pending().size());
                 report_.interrupted = true;
                 report_.exitCode = kInterruptedExit;
@@ -268,44 +257,29 @@ class Coordinator
             }
 
             for (const std::string &file :
-                 listJsonFiles(dir_.resultDir())) {
-                if (processed_.count(file))
-                    continue;
-                processed_.insert(file);
-                if (mergeDelta(file, /*startup=*/false))
-                    dirty = true;
-            }
+                 listJsonFiles(dir_.markerDir()))
+                mergeMarker(file);
 
             reclaimStaleLeases();
 
-            const auto now = std::chrono::steady_clock::now();
-            const double since =
-                std::chrono::duration<double>(now - lastCheckpoint)
-                    .count();
-            if (dirty && since >= options_.checkpointSeconds) {
-                checkpoint();
-                lastCheckpoint = now;
-                dirty = false;
-            }
-
-            // The CI coordinator-crash leg: die only after the
-            // K-th merged point is durably checkpointed, so the
-            // restart must recover exactly the rest.
+            // The CI coordinator-crash leg: die after the K-th
+            // merged point. Every merged point is in the store, so
+            // the restart must recover exactly these.
             if (options_.fault.is("crash-at-point")
                 && report_.executed
                        >= static_cast<std::size_t>(
-                           options_.fault.param())) {
-                checkpoint();
+                           options_.fault.param()))
                 options_.fault.fire("crash-at-point");
-            }
 
             if (assembler_.complete()) {
-                checkpoint();
+                writeFileDurable(options_.outPath,
+                                 assembler_.document().dump(2)
+                                     + "\n");
                 writeFileDurable(dir_.doneMarker(), "complete\n");
-                log_("sweep complete: %zu executed, %zu resumed, "
-                     "%zu duplicate point(s), %zu rejected "
-                     "delta(s), %zu reclaim(s)",
-                     report_.executed, assembler_.resumedCount(),
+                log_("sweep complete: %zu executed, %zu recovered, "
+                     "%zu duplicate marker(s), %zu rejected "
+                     "marker(s), %zu reclaim(s)",
+                     report_.executed, report_.recovered,
                      report_.duplicates, report_.rejected,
                      report_.reclaimedExpired
                          + report_.reclaimedDead);
@@ -317,101 +291,114 @@ class Coordinator
         }
     }
 
-    /** Returns true iff at least one new point merged. */
-    bool mergeDelta(const std::string &file, bool startup)
+    void reject(const std::string &file)
     {
-        Json json;
-        try {
-            json = Json::loadFile(file);
-        } catch (const std::exception &) {
-            log_("rejected torn delta %s (unparsable; deleted)",
-                 file.c_str());
-            std::remove(file.c_str());
-            ++report_.rejected;
-            return false;
-        }
-        ShardDelta delta;
-        if (!ShardDelta::fromJson(json, delta)) {
-            log_("rejected malformed delta %s (deleted)",
-                 file.c_str());
-            std::remove(file.c_str());
-            ++report_.rejected;
-            return false;
-        }
-
-        const SweepPlan &plan = assembler_.plan();
-        for (const DeltaPoint &point : delta.points) {
-            const bool canonical =
-                point.index < plan.points.size()
-                && plan.canonical[point.index] == point.index;
-            if (!canonical
-                || point.configHash
-                       != hexConfigHash(plan.hashes[point.index])) {
-                log_("rejected conflicting delta %s (point %zu "
-                     "config_hash mismatch; deleted)",
-                     file.c_str(), point.index);
-                std::remove(file.c_str());
-                ++report_.rejected;
-                return false;
-            }
-        }
-
-        bool mergedAny = false;
-        for (const DeltaPoint &point : delta.points) {
-            if (assembler_.setResult(point.index, point.result,
-                                     point.failed)) {
-                ++report_.executed;
-                mergedAny = true;
-            } else {
-                ++report_.duplicates;
-                if (!startup) {
-                    log_("duplicate point %zu in %s "
-                         "(already merged; idempotent)",
-                         point.index, file.c_str());
-                }
-            }
-        }
-        if (!startup)
-            finishShardBookkeeping(delta);
-        return mergedAny;
+        std::remove(file.c_str());
+        ++report_.rejected;
     }
 
-    void finishShardBookkeeping(const ShardDelta &delta)
+    /** Check one committed marker in, then delete it: the store,
+     *  not the marker, is the durable record of the points. */
+    void mergeMarker(const std::string &file)
     {
-        auto it = shards_.find(delta.id);
-        if (it == shards_.end())
-            return; // previous-generation shard; content merged
-        std::vector<std::size_t> &indices = it->second.desc.indices;
-        std::set<std::size_t> covered;
-        for (const DeltaPoint &point : delta.points)
-            covered.insert(point.index);
-        indices.erase(std::remove_if(indices.begin(), indices.end(),
-                                     [&](std::size_t index) {
-                                         return covered.count(
-                                             index);
-                                     }),
-                      indices.end());
+        ShardMarker marker;
+        bool parsed = false;
+        try {
+            parsed = ShardMarker::fromJson(Json::loadFile(file),
+                                           marker);
+        } catch (const std::exception &) {
+            log_("rejected torn marker %s (unparsable; deleted)",
+                 file.c_str());
+            reject(file);
+            return;
+        }
+        if (!parsed) {
+            log_("rejected malformed marker %s (deleted)",
+                 file.c_str());
+            reject(file);
+            return;
+        }
+        auto it = shards_.find(marker.id);
+        if (it == shards_.end() && committed_.count(marker.id)) {
+            log_("duplicate marker %s (shard already merged; "
+                 "idempotent)",
+                 file.c_str());
+            std::remove(file.c_str());
+            ++report_.duplicates;
+            return;
+        }
+        // The lease is the commit fence: a marker counts only while
+        // its owner holds a pending shard of this generation. One
+        // whose lease was reclaimed, or that a worker committed for
+        // an earlier generation's queue, is stale — whatever it
+        // finished is in the store, where the shard's current owner
+        // fetches it.
+        LeaseInfo holder;
+        if (it == shards_.end()
+            || !Lease::read(dir_.lease(marker.id), holder)
+            || holder.nonce != marker.owner) {
+            log_("rejected stale marker %s (owner %s holds no lease "
+                 "on a pending shard; deleted)",
+                 file.c_str(), marker.owner.c_str());
+            reject(file);
+            return;
+        }
+        ShardDescriptor &desc = it->second;
+        std::map<std::size_t, std::string> failed;
+        for (const FailedPoint &point : marker.failed) {
+            if (std::find(desc.indices.begin(), desc.indices.end(),
+                          point.index)
+                == desc.indices.end()) {
+                log_("rejected conflicting marker %s (point %zu is "
+                     "not in %s; deleted)",
+                     file.c_str(), point.index, desc.id.c_str());
+                reject(file);
+                return;
+            }
+            failed[point.index] = point.error;
+        }
+
+        std::vector<std::size_t> missing;
+        for (std::size_t index : desc.indices) {
+            const auto error = failed.find(index);
+            if (error != failed.end()) {
+                Json result = Json::object();
+                result.set("error", error->second);
+                assembler_.setResult(index, std::move(result),
+                                     /*failed=*/true);
+                ++report_.executed;
+            } else if (fetchInto(index)) {
+                ++report_.executed;
+            } else {
+                missing.push_back(index);
+            }
+        }
+        std::remove(file.c_str());
+
         // The committing worker leaves its lease in place as a
         // commit fence; removing it is this function's job, and
-        // only AFTER the queue entry reflects the delta — so no
+        // only AFTER the queue entry reflects the marker — so no
         // worker can re-acquire the shard from a stale descriptor
-        // and recompute committed points.
-        if (delta.partial && !indices.empty()) {
-            ShardDescriptor &desc = it->second.desc;
+        // and redo merged points.
+        if (!missing.empty()) {
+            desc.indices = std::move(missing);
             ++desc.attempt;
             writeFileDurable(dir_.queueEntry(desc.id),
                              desc.toJson().dump(2) + "\n");
             std::remove(dir_.lease(desc.id).c_str());
-            log_("partial delta for %s: %zu point(s) re-queued "
-                 "(attempt %d)",
-                 desc.id.c_str(), indices.size(), desc.attempt);
+            log_("%s marker for %s: %zu point(s) missing from the "
+                 "store, re-queued (attempt %d)",
+                 marker.partial ? "partial" : "short",
+                 desc.id.c_str(), desc.indices.size(),
+                 desc.attempt);
             return;
         }
-        std::remove(dir_.queueEntry(delta.id).c_str());
-        std::remove(dir_.lease(delta.id).c_str());
+        std::remove(dir_.queueEntry(desc.id).c_str());
+        std::remove(dir_.lease(desc.id).c_str());
         log_("shard %s committed (%zu point(s) by %s)",
-             delta.id.c_str(), delta.points.size(),
-             delta.owner.c_str());
+             desc.id.c_str(), desc.indices.size(),
+             marker.owner.c_str());
+        committed_.insert(desc.id);
         shards_.erase(it);
     }
 
@@ -420,7 +407,7 @@ class Coordinator
         const std::int64_t now = nowEpochMs();
         // Iterate over a name snapshot: reclaiming mutates shards_.
         std::vector<std::string> ids;
-        for (const auto &[id, state] : shards_)
+        for (const auto &[id, desc] : shards_)
             ids.push_back(id);
         for (const std::string &id : ids)
             reclaimIfStale(id, now);
@@ -428,18 +415,15 @@ class Coordinator
 
     void reclaimIfStale(const std::string &id, std::int64_t now)
     {
-        // A delta that landed after this iteration's merge scan
+        // A marker that landed after this iteration's merge scan
         // must be merged before any reclaim decision: reclaiming a
-        // committed-but-unmerged shard would re-queue points the
-        // next merge is about to cover (crash-after-commit leaves
-        // exactly this state: delta on disk, owner dead, lease
-        // held).
+        // committed-but-unmerged shard would discard its marker as
+        // stale (crash-after-commit leaves exactly this state:
+        // marker on disk, owner dead, lease held).
         for (const std::string &file :
-             listJsonFiles(dir_.resultDir())) {
-            const std::string name =
-                fs::path(file).filename().string();
-            if (name.rfind(id + ".", 0) == 0
-                && !processed_.count(file))
+             listJsonFiles(dir_.markerDir())) {
+            if (fs::path(file).filename().string().rfind(id + ".", 0)
+                == 0)
                 return;
         }
         const std::string leasePath = dir_.lease(id);
@@ -477,9 +461,9 @@ class Coordinator
         auto it = shards_.find(id);
         if (it == shards_.end())
             return;
-        // Drop committed indices first: a shard whose delta landed
-        // before its owner died must not re-execute any point.
-        ShardDescriptor &desc = it->second.desc;
+        // Drop merged indices first: a shard whose points landed
+        // before its owner died must not re-execute any of them.
+        ShardDescriptor &desc = it->second;
         std::vector<std::size_t> remaining;
         for (std::size_t index : desc.indices) {
             if (!assembler_.has(index))
@@ -501,7 +485,7 @@ class Coordinator
         if (!Lease::steal(leasePath,
                           dir_.leaseDir() + "/.reclaim-" + id)) {
             // The owner released it in this instant — it committed
-            // after all; the delta scan will finish the shard.
+            // after all; the marker scan will finish the shard.
             return;
         }
         if (expired)
@@ -509,14 +493,15 @@ class Coordinator
         else
             ++report_.reclaimedDead;
         if (dropped > 0 && !desc.indices.empty()) {
-            log_("reclaimed %s for %s: dropped %zu committed "
+            log_("reclaimed %s for %s: dropped %zu merged "
                  "point(s), re-queued %zu (attempt %d)",
                  reason, id.c_str(), dropped, desc.indices.size(),
                  desc.attempt);
         } else if (desc.indices.empty()) {
             log_("reclaimed %s for %s: shard already fully "
-                 "committed, not re-queued",
+                 "merged, not re-queued",
                  reason, id.c_str());
+            committed_.insert(id);
             shards_.erase(id);
         } else {
             log_("reclaimed %s for %s: re-queued %zu point(s) "
@@ -526,18 +511,12 @@ class Coordinator
         }
     }
 
-    void checkpoint()
-    {
-        writeFileDurable(options_.outPath,
-                         assembler_.document().dump(2) + "\n");
-    }
-
     CoordinatorOptions options_;
     ServeDir dir_;
     SweepAssembler assembler_;
     ServeLog log_;
-    std::map<std::string, ShardState> shards_;
-    std::set<std::string> processed_;
+    std::map<std::string, ShardDescriptor> shards_; ///< pending
+    std::set<std::string> committed_; ///< this generation's, merged
     CoordinatorReport report_;
 };
 
@@ -552,6 +531,8 @@ runCoordinator(const SweepSpec &spec,
     if (options.dir.empty())
         throw std::invalid_argument(
             "coordinator needs a coordination directory");
+    if (!options.store)
+        throw std::invalid_argument("coordinator needs a result store");
     Coordinator coordinator(spec, options);
     return coordinator.run();
 }

@@ -22,7 +22,7 @@ bool
 knownKind(const std::string &kind)
 {
     return kind == "crash-before-commit"
-           || kind == "crash-after-commit" || kind == "torn-delta"
+           || kind == "crash-after-commit" || kind == "torn-marker"
            || kind == "stale-heartbeat"
            || kind == "crash-before-hoard-publish"
            || kind == "crash-after-hoard-publish"
@@ -34,7 +34,7 @@ knownKind(const std::string &kind)
 const char *
 FaultInjector::validSpecs()
 {
-    return "crash-before-commit, crash-after-commit, torn-delta, "
+    return "crash-before-commit, crash-after-commit, torn-marker, "
            "stale-heartbeat, crash-before-hoard-publish, "
            "crash-after-hoard-publish, slow-worker=MS, "
            "crash-at-point=K";

@@ -8,11 +8,12 @@
  * place crashes at the exact protocol points the recovery story
  * claims to survive:
  *
- *   crash-before-commit   worker: delta written + fsync'd, process
- *                         dies before the rename publishes it
- *   crash-after-commit    worker: delta renamed into results/,
+ *   crash-before-commit   worker: shard-done marker written +
+ *                         fsync'd, process dies before the rename
+ *                         publishes it
+ *   crash-after-commit    worker: marker renamed into results/,
  *                         process dies before releasing its lease
- *   torn-delta            worker: half the delta bytes are renamed
+ *   torn-marker           worker: half the marker bytes are renamed
  *                         into results/ (simulating a non-durable
  *                         commit), then the process dies
  *   stale-heartbeat       worker: acquires its lease, then never
@@ -22,8 +23,8 @@
  *   slow-worker=MS        worker: sleeps MS milliseconds before
  *                         each point (widens race windows)
  *   crash-at-point=K      sweep/serve: the process dies immediately
- *                         after the K-th point is finished (and,
- *                         with checkpointing on, checkpointed)
+ *                         after the K-th point is finished (and in
+ *                         the result store)
  *   crash-before-hoard-publish
  *                         hoard store: the object's bytes are
  *                         durably on disk as a temp, the process
@@ -51,7 +52,7 @@ class FaultInjector
   public:
     /** Exit code of an injected crash (documented in qcarch
      *  --help; distinct from 0/1/2 usage codes and the
-     *  interrupted-with-checkpoint code 3). */
+     *  interrupted code 3). */
     static constexpr int kExitCode = 42;
 
     /** The faults `parse` accepts, for error messages and docs. */
@@ -82,7 +83,7 @@ class FaultInjector
     /**
      * Crash (exit kExitCode, after flushing a stderr note) iff
      * armed with `kind`. The crash sites call this inline:
-     * fire("crash-before-commit") between the delta fsync and its
+     * fire("crash-before-commit") between the marker fsync and its
      * rename, etc.
      */
     void fire(const std::string &kind) const;

@@ -19,10 +19,10 @@
  *
  * Races that slip the window (an owner renewing in the same
  * instant its lease is reclaimed) are tolerated one layer up:
- * workers re-verify ownership immediately before publishing a
- * delta, and the coordinator's merge accepts idempotent duplicate
- * results (config_hash-checked), so the worst case is wasted work,
- * never a wrong document.
+ * workers re-verify ownership immediately before committing a
+ * marker, the coordinator rejects markers whose owner no longer
+ * holds the lease, and every point comes from the validated result
+ * store, so the worst case is wasted work, never a wrong document.
  */
 
 #ifndef QC_SERVE_LEASE_HH

@@ -20,12 +20,10 @@ readString(const Json &json, const char *key, std::string &out)
 }
 
 bool
-readOptionalBool(const Json &json, const char *key, bool &out)
+readBool(const Json &json, const char *key, bool &out)
 {
     const Json *value = json.find(key);
-    if (!value)
-        return true; // absent: keep the default
-    if (!value->isBool())
+    if (!value || !value->isBool())
         return false;
     out = value->asBool();
     return true;
@@ -83,55 +81,44 @@ ShardDescriptor::fromJson(const Json &json, ShardDescriptor &out)
 }
 
 Json
-ShardDelta::toJson() const
+ShardMarker::toJson() const
 {
-    Json pointsJson = Json::array();
-    for (const DeltaPoint &point : points) {
+    Json failedJson = Json::array();
+    for (const FailedPoint &point : failed) {
         Json p = Json::object();
         p.set("index", static_cast<std::uint64_t>(point.index));
-        p.set("config_hash", point.configHash);
-        p.set("failed", point.failed);
-        p.set("result", point.result);
-        pointsJson.push(std::move(p));
+        p.set("error", point.error);
+        failedJson.push(std::move(p));
     }
     Json j = Json::object();
     j.set("id", id);
     j.set("owner", owner);
     j.set("partial", partial);
-    j.set("points", std::move(pointsJson));
+    j.set("failed", std::move(failedJson));
     return j;
 }
 
 bool
-ShardDelta::fromJson(const Json &json, ShardDelta &out)
+ShardMarker::fromJson(const Json &json, ShardMarker &out)
 {
-    const Json *points = json.find("points");
-    if (!points || !points->isArray())
+    const Json *failed = json.find("failed");
+    if (!failed || !failed->isArray())
         return false;
-    if (!readString(json, "id", out.id))
+    if (!readString(json, "id", out.id)
+        || !readString(json, "owner", out.owner)
+        || !readBool(json, "partial", out.partial))
         return false;
-    out.owner.clear();
-    if (json.find("owner")
-        && !readString(json, "owner", out.owner))
-        return false;
-    out.partial = false;
-    if (!readOptionalBool(json, "partial", out.partial))
-        return false;
-    out.points.clear();
-    for (std::size_t i = 0; i < points->size(); ++i) {
-        const Json *p = points->find(i);
-        const Json *index = p->find("index");
-        const Json *result = p->find("result");
-        DeltaPoint point;
-        if (!index || !result || !index->asIndex(point.index)
-            || !readString(*p, "config_hash", point.configHash))
+    out.failed.clear();
+    for (std::size_t i = 0; i < failed->size(); ++i) {
+        const Json *entry = failed->find(i);
+        const Json *index = entry->find("index");
+        FailedPoint point;
+        if (!index || !index->asIndex(point.index)
+            || !readString(*entry, "error", point.error))
             return false;
-        if (!readOptionalBool(*p, "failed", point.failed))
-            return false;
-        point.result = *result;
-        out.points.push_back(std::move(point));
+        out.failed.push_back(std::move(point));
     }
-    return !out.id.empty();
+    return !out.id.empty() && !out.owner.empty();
 }
 
 } // namespace qc

@@ -3,9 +3,11 @@
  * The on-disk protocol `qcarch serve` (coordinator) and `qcarch
  * work` (workers) speak, OpenISR-style: the coordinator expands a
  * sweep spec into point *shards* (parcels), workers check a shard
- * out under a time-limited exclusive lease, compute it, and check
- * the result back in as a durable *delta* the coordinator merges
- * into the single checkpoint document.
+ * out under a time-limited exclusive lease, publish every computed
+ * point to the shared result store, and check the shard back in
+ * with a small durable *marker*. The coordinator builds the
+ * document by fetching from the store; the lease only decides who
+ * owns a shard, and the store holds all data.
  *
  * Everything lives under one coordination directory:
  *
@@ -15,12 +17,14 @@
  *     DIR/queue/          one descriptor per uncommitted shard:
  *                         {"id", "indices": [plan indices],
  *                          "attempt"} — rewritten (attempt+1,
- *                         committed indices dropped) when a lease
- *                         is reclaimed or a partial delta lands
+ *                         merged indices dropped) when a lease is
+ *                         reclaimed or a marker leaves points
+ *                         missing
  *     DIR/leases/         at-most-one-owner checkouts (Lease.hh)
- *     DIR/results/        committed shard deltas (atomic+durable
- *                         rename; the coordinator's crash-recovery
- *                         record)
+ *     DIR/results/        committed shard-done markers (atomic +
+ *                         durable rename)
+ *     DIR/hoard/          the result store every worker publishes
+ *                         to (a HoardStore, opened by the CLI)
  *     DIR/done            written by the coordinator on exit:
  *                         "complete" or "interrupted"; workers
  *                         exit when it appears
@@ -30,10 +34,11 @@
  *
  * Shard indices refer to the deterministic SweepPlan expansion of
  * the manifest's spec, which both sides compute independently —
- * the protocol never ships configurations, only indices, and every
- * delta point carries its config_hash so a mismatched expansion
- * (version skew, edited spec) is rejected at merge time instead of
- * corrupting the document.
+ * the protocol never ships configurations or results, only
+ * indices. The store keys every result by its full configuration
+ * and validates it on every fetch, so a skewed expansion or a
+ * damaged object reads as a miss (and a recompute), never as a
+ * wrong point in the document.
  */
 
 #ifndef QC_SERVE_PROTOCOL_HH
@@ -60,7 +65,8 @@ struct ServeDir
     std::string manifest() const { return root + "/manifest.json"; }
     std::string queueDir() const { return root + "/queue"; }
     std::string leaseDir() const { return root + "/leases"; }
-    std::string resultDir() const { return root + "/results"; }
+    std::string markerDir() const { return root + "/results"; }
+    std::string hoard() const { return root + "/hoard"; }
     std::string doneMarker() const { return root + "/done"; }
     std::string logFile() const { return root + "/log"; }
 
@@ -72,14 +78,13 @@ struct ServeDir
     {
         return leaseDir() + "/" + shardId + ".lease";
     }
-    /** Delta names carry the committing worker's nonce so a
+    /** Marker names carry the committing worker's nonce so a
      *  partial commit and a later completion of the same shard
-     *  never collide (each delta file is immutable once renamed
-     *  in). */
-    std::string result(const std::string &shardId,
+     *  never collide (each marker is immutable once renamed in). */
+    std::string marker(const std::string &shardId,
                        const std::string &nonce) const
     {
-        return resultDir() + "/" + shardId + "." + nonce + ".json";
+        return markerDir() + "/" + shardId + "." + nonce + ".json";
     }
 };
 
@@ -106,26 +111,29 @@ struct ShardDescriptor
     static bool fromJson(const Json &json, ShardDescriptor &out);
 };
 
-/** One computed point inside a delta. */
-struct DeltaPoint
+/** A shard point whose runner threw: error results are never
+ *  stored, so they ride in the marker instead. */
+struct FailedPoint
 {
-    std::size_t index = 0;  ///< canonical plan index
-    std::string configHash; ///< hexConfigHash of the plan config
-    bool failed = false;    ///< result is {"error": ...}
-    Json result;            ///< runner metrics (or the error)
+    std::size_t index = 0; ///< canonical plan index
+    std::string error;     ///< the runner's message
 };
 
-/** A committed shard delta. */
-struct ShardDelta
+/**
+ * A committed shard-done marker: the owner finished the shard (or,
+ * when `partial`, drained out of it), and every point it computed
+ * without error is in the store.
+ */
+struct ShardMarker
 {
     std::string id;
     std::string owner;    ///< committing worker's lease nonce
     bool partial = false; ///< a drain cut the shard short
-    std::vector<DeltaPoint> points;
+    std::vector<FailedPoint> failed;
 
     Json toJson() const;
     /** False on malformed/torn content. */
-    static bool fromJson(const Json &json, ShardDelta &out);
+    static bool fromJson(const Json &json, ShardMarker &out);
 };
 
 } // namespace qc

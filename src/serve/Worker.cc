@@ -174,6 +174,7 @@ class Worker
         }
         const SweepSpec spec = SweepSpec::fromJson(*specJson);
         plan_ = SweepPlan::expand(spec);
+        runnerKey_ = spec.runner;
         runner_ = &SweepRunnerRegistry::instance().get(spec.runner);
         note(options_, "joined %s: sweep \"%s\", %zu point(s), "
                        "lease %.1fs",
@@ -302,9 +303,10 @@ class Worker
             std::this_thread::sleep_for(dawdle);
         }
 
-        ShardDelta delta;
-        delta.id = desc.id;
-        delta.owner = nonce_;
+        ShardMarker marker;
+        marker.id = desc.id;
+        marker.owner = nonce_;
+        std::size_t finished = 0;
         bool lost = false;
         {
             Heartbeat heartbeat(leasePath, mine, suppressHeartbeat);
@@ -314,104 +316,110 @@ class Worker
                     break;
                 }
                 if (stopRequested()) {
-                    delta.partial = true;
+                    marker.partial = true;
                     break;
                 }
                 options_.fault.maybeSleep();
-                delta.points.push_back(computePoint(index));
+                finishPoint(index, marker);
+                ++finished;
             }
             lost = lost || heartbeat.lost();
         }
         if (lost) {
             ++report_.abandoned;
             note(options_,
-                 "lost the lease on %s mid-compute; abandoning "
-                 "%zu computed point(s)",
-                 desc.id.c_str(), delta.points.size());
+                 "lost the lease on %s mid-compute; abandoning it "
+                 "(%zu finished point(s) stay in the store)",
+                 desc.id.c_str(), finished);
             return false;
         }
-        if (delta.partial && delta.points.empty()) {
-            // Drained before computing anything: just put the
+        if (marker.partial && finished == 0) {
+            // Drained before finishing anything: just put the
             // shard back.
             Lease::release(leasePath, nonce_);
             report_.interrupted = true;
             report_.exitCode = kInterruptedExit;
             return false;
         }
-        return commit(desc, leasePath, delta);
+        return commit(desc, leasePath, marker, finished);
     }
 
-    DeltaPoint computePoint(std::size_t index)
+    /**
+     * Fetch one point from the store, or compute and publish it —
+     * the single-shot engine's read-through/write-behind, so a
+     * point any earlier owner published is never computed again.
+     * Error results are never stored; they ride in the marker. A
+     * publish that throws propagates: a worker that cannot persist
+     * its points must not commit a marker for them.
+     */
+    void finishPoint(std::size_t index, ShardMarker &marker)
     {
-        DeltaPoint point;
-        point.index = index;
-        point.configHash = hexConfigHash(plan_.hashes[index]);
+        const Json &config = plan_.points[index].config;
+        Json result;
+        if (options_.store->fetch(runnerKey_, config, result))
+            return;
         try {
-            point.result = runner_->runPoint(
-                plan_.points[index].config, context_);
+            result = runner_->runPoint(config, context_);
         } catch (const std::exception &error) {
-            Json failure = Json::object();
-            failure.set("error", std::string(error.what()));
-            point.result = std::move(failure);
-            point.failed = true;
+            marker.failed.push_back({index, error.what()});
+            return;
         }
-        return point;
+        options_.store->store(runnerKey_, config, result);
     }
 
     bool commit(const ShardDescriptor &desc,
-                const std::string &leasePath, ShardDelta &delta)
+                const std::string &leasePath,
+                const ShardMarker &marker, std::size_t finished)
     {
-        // Re-verify ownership immediately before publishing: if
+        // Re-verify ownership immediately before committing: if
         // the lease was reclaimed (and possibly re-acquired) while
-        // we computed, our delta must not race the new owner's.
+        // we computed, our marker must not race the new owner's.
         LeaseInfo current;
         if (!Lease::read(leasePath, current)
             || current.nonce != nonce_) {
             ++report_.abandoned;
             note(options_,
-                 "no longer own %s at commit time; abandoning "
-                 "%zu point(s)",
-                 desc.id.c_str(), delta.points.size());
+                 "no longer own %s at commit time; abandoning it "
+                 "(%zu finished point(s) stay in the store)",
+                 desc.id.c_str(), finished);
             return false;
         }
 
-        const std::string resultPath =
-            dir_.result(desc.id, nonce_);
-        const std::string body = delta.toJson().dump(2) + "\n";
+        const std::string markerPath = dir_.marker(desc.id, nonce_);
+        const std::string body = marker.toJson().dump(2) + "\n";
         const std::string tmpSuffix = ".tmp-" + nonce_;
 
-        if (options_.fault.is("torn-delta")) {
+        if (options_.fault.is("torn-marker")) {
             // Publish half the bytes, then die: the coordinator
             // must reject the torn file and re-queue via lease
             // reclamation.
-            writeFileTorn(resultPath, body, body.size() / 2,
+            writeFileTorn(markerPath, body, body.size() / 2,
                           tmpSuffix);
-            options_.fault.fire("torn-delta");
+            options_.fault.fire("torn-marker");
         }
         if (options_.fault.is("crash-before-commit")) {
             // Write + fsync the temp file but never rename it in:
             // the published name must not appear.
-            writeFileDurable(resultPath + tmpSuffix, body,
+            writeFileDurable(markerPath + tmpSuffix, body,
                              ".partial");
             options_.fault.fire("crash-before-commit");
         }
 
-        writeFileDurable(resultPath, body, tmpSuffix);
+        writeFileDurable(markerPath, body, tmpSuffix);
         options_.fault.fire("crash-after-commit");
         // Deliberately NO lease release here: the lease doubles as
         // the commit fence. Until the coordinator has merged the
-        // delta and removed (or rewritten) the queue entry, the
+        // marker and removed (or rewritten) the queue entry, the
         // lease file keeps other workers from re-acquiring the
-        // shard from the stale descriptor and recomputing
-        // committed points; the coordinator removes the lease
-        // together with its queue bookkeeping.
+        // shard from the stale descriptor; the coordinator removes
+        // the lease together with its queue bookkeeping.
 
         ++report_.shards;
-        report_.points += delta.points.size();
+        report_.points += finished;
         note(options_, "committed %s%s (%zu point(s))",
-             desc.id.c_str(), delta.partial ? " [partial]" : "",
-             delta.points.size());
-        if (delta.partial) {
+             desc.id.c_str(), marker.partial ? " [partial]" : "",
+             finished);
+        if (marker.partial) {
             report_.interrupted = true;
             report_.exitCode = kInterruptedExit;
         }
@@ -424,6 +432,7 @@ class Worker
     std::mt19937 jitter_;
     double ttlSeconds_ = 30.0;
     SweepPlan plan_;
+    std::string runnerKey_;
     const SweepRunner *runner_ = nullptr;
     SweepContext context_;
     bool staleDone_ = false;
@@ -439,6 +448,8 @@ runWorker(const WorkerOptions &options)
     if (options.dir.empty())
         throw std::invalid_argument(
             "worker needs a --coordinator directory");
+    if (!options.store)
+        throw std::invalid_argument("worker needs a result store");
     Worker worker(options);
     return worker.run();
 }

@@ -1,12 +1,10 @@
 #include "sweep/SweepEngine.hh"
 
 #include <chrono>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "common/DurableFile.hh"
 #include "common/Mutex.hh"
 #include "sweep/SweepPlan.hh"
 #include "sweep/WorkStealingPool.hh"
@@ -15,263 +13,168 @@ namespace qc {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
+/** How one unique point got its result. */
+struct PointOutcome
+{
+    bool failed = false;      ///< the runner threw
+    bool hoarded = false;     ///< fetched from the result store
+    bool published = false;   ///< newly written to the store
+    std::string publishError; ///< non-empty: the publish threw
+};
 
 /**
  * The engine's shared mutable state during the parallel phase:
- * result slots, checkpoint writes and progress ticks, serialized
+ * result slots, store accounting and progress ticks, serialized
  * under one annotated mutex. Pool workers call commit(); the main
- * thread calls finalCheckpoint()/replayTick() after the pool has
- * drained (still through the lock — cheap, and it keeps the
- * annotations unconditional).
+ * thread calls memoTick()/account() after the pool has drained
+ * (still through the lock — cheap, and it keeps the annotations
+ * unconditional).
  *
- * Checkpoint-before-tick ordering is part of the engine contract:
+ * Publish-before-tick ordering is part of the engine contract:
  * `qcarch sweep`'s crash-at-point fault relies on the K-th executed
- * point being durably checkpointed before its progress tick fires.
+ * point being in the store before its progress tick fires.
  */
 class PointSink
 {
   public:
-    PointSink(SweepAssembler &assembler, const SweepPlan &plan,
-              const SweepOptions &options,
-              std::string checkpointPath,
-              SteadyClock::time_point start)
-        : assembler_(&assembler), plan_(plan), options_(options),
-          checkpointPath_(std::move(checkpointPath)),
-          lastCheckpoint_(start)
+    PointSink(SweepAssembler &assembler, const SweepOptions &options)
+        : assembler_(&assembler), options_(options)
     {
     }
 
-    /** Lands one executed result: slot write, periodic checkpoint,
-     *  progress tick — atomically with respect to other commits.
-     *  `published` marks results newly written to the hoard. */
-    void commit(std::size_t index, Json result, bool failed,
-                bool published = false) QC_EXCLUDES(mutex_)
-    {
-        MutexLock lock(mutex_);
-        assembler_->setResult(index, std::move(result), failed);
-        if (published)
-            ++hoardStored_;
-        checkpoint(/*force=*/false);
-        tick(index, /*cached=*/false, /*resumed=*/false,
-             /*hoarded=*/false);
-    }
-
-    /** Lands a result served from the hoard cache (read-through
-     *  hit): identical to commit() except for accounting and the
-     *  progress flag — the document cannot tell them apart. */
-    void commitHoarded(std::size_t index, Json result)
-        QC_EXCLUDES(mutex_)
+    /** Lands one unique point: slot write, store accounting,
+     *  progress tick — atomically with respect to other commits. */
+    void commit(std::size_t index, Json result,
+                const PointOutcome &outcome) QC_EXCLUDES(mutex_)
     {
         MutexLock lock(mutex_);
         assembler_->setResult(index, std::move(result),
-                              /*failed=*/false);
-        ++hoardHits_;
-        checkpoint(/*force=*/false);
-        tick(index, /*cached=*/false, /*resumed=*/false,
-             /*hoarded=*/true);
+                              outcome.failed);
+        hoardHits_ += outcome.hoarded ? 1 : 0;
+        hoardStored_ += outcome.published ? 1 : 0;
+        if (!outcome.publishError.empty() && hoardFailed_++ == 0)
+            hoardError_ = outcome.publishError;
+        tick(index, /*cached=*/false, outcome.hoarded);
     }
 
-    std::size_t hoardHits() const QC_EXCLUDES(mutex_)
+    /** Progress tick for a memo duplicate of a landed point. */
+    void memoTick(std::size_t index) QC_EXCLUDES(mutex_)
     {
         MutexLock lock(mutex_);
-        return hoardHits_;
+        tick(index, /*cached=*/true, /*hoarded=*/false);
     }
 
-    std::size_t hoardStored() const QC_EXCLUDES(mutex_)
+    /** Copy the store accounting into `report`. */
+    void account(SweepReport &report) const QC_EXCLUDES(mutex_)
     {
         MutexLock lock(mutex_);
-        return hoardStored_;
-    }
-
-    /** The end-of-run checkpoint: leaves the file equal to the
-     *  final document (or, after a drain, to a resumable one). */
-    void finalCheckpoint() QC_EXCLUDES(mutex_)
-    {
-        MutexLock lock(mutex_);
-        checkpoint(/*force=*/true);
-    }
-
-    /** Progress tick for a point satisfied without executing
-     *  (memo duplicate or resume replay). */
-    void replayTick(std::size_t index, bool cached, bool resumed)
-        QC_EXCLUDES(mutex_)
-    {
-        MutexLock lock(mutex_);
-        tick(index, cached, resumed, /*hoarded=*/false);
+        report.hoardHits = hoardHits_;
+        report.hoardStored = hoardStored_;
+        report.hoardFailed = hoardFailed_;
+        report.hoardError = hoardError_;
     }
 
   private:
-    /**
-     * Crash durability: atomically AND durably replace the
-     * checkpoint file — the temp file and its directory are
-     * fsync'd around the rename, so neither a kill nor a power
-     * loss can leave a torn or empty-but-renamed checkpoint.
-     * Finished results are write-once, so snapshotting the
-     * document under the lock is race-free. Best-effort: a failed
-     * write leaves the previous checkpoint and the sweep carries
-     * on.
-     */
-    void checkpoint(bool force) QC_REQUIRES(mutex_)
-    {
-        if (checkpointPath_.empty())
-            return;
-        const auto now = SteadyClock::now();
-        if (!force
-            && std::chrono::duration<double>(now - lastCheckpoint_)
-                       .count()
-                   < options_.checkpointSeconds)
-            return;
-        lastCheckpoint_ = now;
-        try {
-            writeFileDurable(checkpointPath_,
-                             assembler_->document().dump(2) + "\n");
-        } catch (const std::exception &) {
-        }
-    }
-
-    void tick(std::size_t index, bool cached, bool resumed,
-              bool hoarded) QC_REQUIRES(mutex_)
+    void tick(std::size_t index, bool cached, bool hoarded)
+        QC_REQUIRES(mutex_)
     {
         if (!options_.progress)
             return;
         SweepProgress progress;
         progress.done = ++done_;
-        progress.total = plan_.points.size();
-        progress.point = &plan_.points[index];
+        progress.total = assembler_->plan().points.size();
+        progress.point = &assembler_->plan().points[index];
         progress.cached = cached;
-        progress.resumed = resumed;
         progress.hoarded = hoarded;
         options_.progress(progress);
     }
 
     mutable Mutex mutex_;
     SweepAssembler *const assembler_ QC_PT_GUARDED_BY(mutex_);
-    const SweepPlan &plan_;
     const SweepOptions &options_;
-    const std::string checkpointPath_;
-    SteadyClock::time_point lastCheckpoint_ QC_GUARDED_BY(mutex_);
     std::size_t done_ QC_GUARDED_BY(mutex_) = 0;
     std::size_t hoardHits_ QC_GUARDED_BY(mutex_) = 0;
     std::size_t hoardStored_ QC_GUARDED_BY(mutex_) = 0;
+    std::size_t hoardFailed_ QC_GUARDED_BY(mutex_) = 0;
+    std::string hoardError_ QC_GUARDED_BY(mutex_);
 };
-
-/**
- * Checkpoints replace the target wholesale (write-then-rename),
- * which would clobber a device node, pipe or symlink handed in as
- * the output path (`--out /dev/null`): only checkpoint onto a
- * regular file or a not-yet-existing path.
- */
-std::string
-safeCheckpointPath(const std::string &requested)
-{
-    if (requested.empty())
-        return requested;
-    std::error_code ec;
-    const std::filesystem::file_status status =
-        std::filesystem::symlink_status(requested, ec);
-    if (!ec && std::filesystem::exists(status)
-        && !std::filesystem::is_regular_file(status))
-        return "";
-    return requested;
-}
 
 } // namespace
 
 SweepReport
 runSweep(const SweepSpec &spec, const SweepOptions &options)
 {
-    const auto t0 = SteadyClock::now();
+    const auto t0 = std::chrono::steady_clock::now();
 
-    // The assembler owns expansion, dedup, resume replay and
-    // document aggregation — the same layer `qcarch serve` builds
-    // its merged document through, which is why the two paths are
-    // byte-identical by construction.
+    // The assembler owns expansion, dedup and document aggregation
+    // — the same layer `qcarch serve` builds its merged document
+    // through, which is why the two paths are byte-identical by
+    // construction.
     SweepAssembler assembler(spec);
     const SweepPlan &plan = assembler.plan();
-    if (options.resume)
-        assembler.applyResume(*options.resume);
-    const std::vector<std::size_t> toRun = assembler.pending();
 
     SweepReport report;
     report.points = plan.points.size();
     report.cacheMisses = plan.unique.size();
     report.cacheHits = plan.points.size() - plan.unique.size();
-    report.resumed = assembler.resumedCount();
-    report.executed = toRun.size();
 
     SweepContext context;
-    PointSink sink(assembler, plan, options,
-                   safeCheckpointPath(options.checkpointPath), t0);
-
+    PointSink sink(assembler, options);
     WorkStealingPool pool(options.threads);
     pool.run(
-        toRun.size(),
+        plan.unique.size(),
         [&](std::size_t task) {
-            const std::size_t index = toRun[task];
-            // Read-through: a valid hoard object replaces the
-            // computation outright. The stored result is the
-            // runner's own metrics JSON, so the document is
-            // byte-identical either way.
-            if (options.hoard) {
-                Json stored;
-                if (options.hoard->fetch(
-                        spec.runner, plan.points[index].config,
-                        stored)) {
-                    sink.commitHoarded(index, std::move(stored));
-                    return;
-                }
-            }
+            const std::size_t index = plan.unique[task];
+            const Json &config = plan.points[index].config;
+            PointOutcome outcome;
             Json result;
-            bool failed = false;
+            // Read-through: a valid stored object replaces the
+            // computation outright. It is the runner's own metrics
+            // JSON, so the document is byte-identical either way.
+            if (options.hoard
+                && options.hoard->fetch(spec.runner, config, result)) {
+                outcome.hoarded = true;
+                sink.commit(index, std::move(result), outcome);
+                return;
+            }
             try {
-                result = assembler.runner().runPoint(
-                    plan.points[index].config, context);
+                result = assembler.runner().runPoint(config, context);
             } catch (const std::exception &e) {
                 result = Json::object();
                 result.set("error", e.what());
-                failed = true;
+                outcome.failed = true;
             }
-            // Write-behind: publish before the commit tick so the
+            // Write-behind, before the commit tick, so the
             // crash-at-point fault (which fires inside the tick)
-            // proves "ticked ⇒ both checkpointed and hoarded".
-            bool published = false;
-            if (options.hoard && !failed) {
-                published = options.hoard->store(
-                    spec.runner, plan.points[index].config,
-                    result);
+            // proves "ticked ⇒ stored". A publish that throws costs
+            // only this point's crash durability, never the point.
+            if (options.hoard && !outcome.failed) {
+                try {
+                    outcome.published =
+                        options.hoard->store(spec.runner, config, result);
+                } catch (const std::exception &e) {
+                    outcome.publishError = e.what();
+                }
             }
-            sink.commit(index, std::move(result), failed,
-                        published);
+            sink.commit(index, std::move(result), outcome);
         },
         options.stopRequested);
-    // Leave the checkpoint file equal to the final document, so a
-    // kill between here and the caller's own write still resumes
-    // to a complete sweep. After a requested stop this is the
-    // "final checkpoint" the drain contract promises: every
-    // finished point saved, every pending point a resumable stub.
-    sink.finalCheckpoint();
-    report.interrupted = assembler.pending().size();
-    std::vector<char> wasRun(plan.points.size(), 0);
-    for (std::size_t index : toRun)
-        wasRun[index] = 1;
-    for (std::size_t i = 0; i < plan.points.size(); ++i) {
-        const std::size_t canon = plan.canonical[i];
-        if (canon != i)
-            sink.replayTick(i, /*cached=*/true,
-                            assembler.replayed(canon));
-        else if (!wasRun[i])
-            sink.replayTick(i, /*cached=*/false, /*resumed=*/true);
-    }
-    report.failed = assembler.failedPoints();
-    report.hoardHits = sink.hoardHits();
-    report.hoardStored = sink.hoardStored();
-    report.executed -= report.hoardHits;
 
-    report.doc = assembler.document();
-    report.wallSeconds =
-        std::chrono::duration<double>(SteadyClock::now() - t0)
-            .count();
+    // Memo duplicates tick once their canonical point has landed.
+    for (std::size_t i = 0; i < plan.points.size(); ++i) {
+        if (plan.canonical[i] != i && assembler.has(plan.canonical[i]))
+            sink.memoTick(i);
+    }
+    sink.account(report);
+    report.interrupted = assembler.pending().size();
+    report.executed =
+        plan.unique.size() - report.interrupted - report.hoardHits;
+    report.failed = assembler.failedPoints();
+    if (report.interrupted == 0)
+        report.doc = assembler.document();
+    report.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
     return report;
 }
 

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <string>
 
 #include "sweep/ResultCache.hh"
 #include "sweep/SweepRunner.hh"
@@ -46,8 +47,7 @@ struct SweepProgress
     /** The point that just finished. */
     const SweepPoint *point = nullptr;
     bool cached = false;   ///< satisfied from the memo cache
-    bool resumed = false;  ///< satisfied from the resume document
-    bool hoarded = false;  ///< satisfied from the hoard cache
+    bool hoarded = false;  ///< satisfied from the result store
 };
 
 /** Execution knobs; the spec itself stays machine-independent. */
@@ -61,60 +61,32 @@ struct SweepOptions
     std::function<void(const SweepProgress &)> progress;
 
     /**
-     * A previous sweep output to resume from (`qcarch sweep
-     * --resume`): points whose configuration already appears in it
-     * — matched by the full canonical config of the resume
-     * document's own spec expansion, with the stored config_hash
-     * cross-checked — are served from the stored results instead
-     * of re-executing. Stored points carrying an {"error": ...}
-     * are re-run. The aggregated document is byte-identical to a
-     * fresh single-shot run of the same spec: resume accounting is
-     * reported only out-of-band in SweepReport. The document must
-     * come from the same runner (and engine version); malformed or
-     * truncated documents throw std::invalid_argument. Not owned;
-     * must outlive runSweep.
-     */
-    const Json *resume = nullptr;
-
-    /**
-     * Crash durability: when non-empty, the engine periodically
-     * writes the aggregated document to this path during the run
-     * (atomic write-then-rename, so a kill never leaves torn
-     * JSON). Not-yet-computed points are recorded as
-     * {"error": "interrupted: ..."} stubs, which a later `resume`
-     * of the same file re-runs — so a killed sweep restarts from
-     * exactly the points it finished. `qcarch sweep --out X`
-     * checkpoints to X. The final checkpoint equals the final
-     * document.
-     */
-    std::string checkpointPath;
-
-    /** Minimum seconds between checkpoint writes (0 = write after
-     *  every completed point). */
-    double checkpointSeconds = 5.0;
-
-    /**
      * Graceful-drain hook, polled between points (a running point
      * always completes). When it returns true the pool stops
-     * taking new work, a final checkpoint is written (pending
-     * points as "interrupted" stubs a later resume re-runs), and
-     * runSweep returns with SweepReport::interrupted counting the
-     * undone points. `qcarch sweep` wires its SIGINT/SIGTERM flag
-     * here. May be empty.
+     * taking new work and runSweep returns without a document,
+     * with SweepReport::interrupted counting the undone points.
+     * Every finished point is already in `hoard`, so re-running
+     * against the same store computes only the rest. `qcarch
+     * sweep` wires its SIGINT/SIGTERM flag here. May be empty.
      */
     std::function<bool()> stopRequested;
 
     /**
-     * Optional persistent result cache (`qcarch sweep --hoard`,
-     * docs/HOARD.md). When set, each unique point is first looked
-     * up in the cache (read-through, from the pool workers) and
-     * each newly computed non-error result is published back
-     * (write-behind). Hits are byte-identical to cold computation
-     * by construction — the stored object is the runner's own
-     * metrics JSON — so the document never depends on the cache
-     * state. The production implementation is HoardStore, injected
-     * by the CLI; the engine sees only the ResultCache interface.
-     * Not owned; must outlive runSweep. Thread-safe.
+     * The result store, and the sweep's only persistence (`qcarch
+     * sweep --hoard DIR` or the private `<out>.hoard/` store,
+     * docs/HOARD.md). Each unique point is first looked up
+     * (read-through, from the pool workers); each newly computed
+     * non-error result is published back before its progress tick,
+     * so a crash after the K-th tick leaves K points in the store
+     * and a re-run executes only the rest. Hits are byte-identical
+     * to cold computation by construction — the stored object is
+     * the runner's own metrics JSON — so the document never depends
+     * on the store's state. A publish that throws (a full disk)
+     * costs only that point's crash durability: the point still
+     * lands in the document and counts in SweepReport::hoardFailed.
+     * The production implementation is HoardStore, injected by the
+     * CLI; the engine sees only the ResultCache interface. Not
+     * owned; must outlive runSweep. Thread-safe.
      */
     ResultCache *hoard = nullptr;
 };
@@ -122,30 +94,35 @@ struct SweepOptions
 /** Outcome of one sweep run. */
 struct SweepReport
 {
-    Json doc;                   ///< the aggregated document
+    /** The aggregated document; Null when a drain interrupted the
+     *  run (a partial document is never emitted). */
+    Json doc;
     std::size_t points = 0;     ///< expanded point count
     std::size_t cacheHits = 0;  ///< points served from the memo
     std::size_t cacheMisses = 0;///< unique points (memo misses)
-    std::size_t resumed = 0;    ///< unique points from the resume doc
-    /** Unique points actually run (hoard hits excluded). */
+    /** Unique points actually run (store hits excluded). */
     std::size_t executed = 0;
     std::size_t failed = 0;     ///< points that threw (see "error")
-    /** Unique points served from the hoard cache. */
+    /** Unique points served from the result store. */
     std::size_t hoardHits = 0;
-    /** Newly computed points published to the hoard cache. */
+    /** Newly computed points published to the result store. */
     std::size_t hoardStored = 0;
-    /** Unique points left undone by a stopRequested drain; the doc
-     *  holds "interrupted" stubs for them (0 = ran to completion). */
+    /** Computed points whose publish threw: in the document, but
+     *  not in the store. */
+    std::size_t hoardFailed = 0;
+    std::string hoardError; ///< the first failed publish's message
+    /** Unique points left undone by a stopRequested drain
+     *  (0 = ran to completion). */
     std::size_t interrupted = 0;
     double wallSeconds = 0;     ///< not part of doc (determinism)
 };
 
 /**
  * Expand and execute a sweep. Spec-shape problems (unknown runner
- * or axis fields, zip mismatches), zero-point specs and malformed
- * resume documents throw std::invalid_argument; per-point
- * execution errors are recorded on the point as {"error": message}
- * and counted in SweepReport::failed.
+ * or axis fields, zip mismatches) and zero-point specs throw
+ * std::invalid_argument; per-point execution errors are recorded
+ * on the point as {"error": message} and counted in
+ * SweepReport::failed.
  */
 SweepReport runSweep(const SweepSpec &spec,
                      const SweepOptions &options = {});

@@ -1,25 +1,10 @@
 #include "sweep/SweepPlan.hh"
 
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 
 namespace qc {
-
-namespace {
-
-/** Reuse key: a point is the same point iff both its merged
- *  configuration and its axis assignment match. Config alone is
- *  not enough for byte-identity: the aggregated object interleaves
- *  assignment keys with runner metrics, so a config-equal point
- *  whose assignment moved (axis <-> base across spec edits) must
- *  re-execute rather than replay a differently-shaped object. */
-std::string
-reuseKey(const SweepPoint &point)
-{
-    return point.config.dump(0) + '\n' + point.assignment.dump(0);
-}
-
-} // namespace
 
 std::string
 hexConfigHash(std::uint64_t hash)
@@ -65,57 +50,6 @@ SweepPlan::expand(const SweepSpec &spec)
     return plan;
 }
 
-std::map<std::string, const Json *>
-buildResumeIndex(const Json &doc, const std::string &runner)
-{
-    if (!doc.isObject() || !doc.has("spec") || !doc.has("points")
-        || !doc.at("points").isArray()) {
-        throw std::invalid_argument(
-            "resume document is not a sweep output (expected an "
-            "object with \"spec\" and \"points\")");
-    }
-    const SweepSpec prior = SweepSpec::fromJson(doc.at("spec"));
-    if (prior.runner != runner) {
-        throw std::invalid_argument(
-            "resume document was produced by runner \""
-            + prior.runner + "\" but this sweep uses \"" + runner
-            + "\"");
-    }
-    const std::vector<SweepPoint> priorPoints = prior.expand();
-    const Json &stored = doc.at("points");
-    if (stored.size() != priorPoints.size()) {
-        throw std::invalid_argument(
-            "resume document is truncated or edited: \"points\" "
-            "holds "
-            + std::to_string(stored.size())
-            + " entries but its spec expands to "
-            + std::to_string(priorPoints.size()));
-    }
-
-    std::map<std::string, const Json *> out;
-    for (std::size_t j = 0; j < priorPoints.size(); ++j) {
-        const Json &point = stored.at(j);
-        if (!point.isObject()) {
-            throw std::invalid_argument(
-                "resume document point " + std::to_string(j)
-                + " is not an object");
-        }
-        if (point.has("error"))
-            continue;
-        const std::string expected =
-            hexConfigHash(priorPoints[j].config.hash());
-        if (!point.has("config_hash")
-            || point.at("config_hash") != Json(expected)) {
-            throw std::invalid_argument(
-                "resume document point " + std::to_string(j)
-                + " has a config_hash mismatch (file edited, or "
-                  "produced by an incompatible engine version)");
-        }
-        out.emplace(reuseKey(priorPoints[j]), &point);
-    }
-    return out;
-}
-
 SweepAssembler::SweepAssembler(const SweepSpec &spec)
     : spec_(spec),
       runner_(&SweepRunnerRegistry::instance().get(spec.runner)),
@@ -124,65 +58,18 @@ SweepAssembler::SweepAssembler(const SweepSpec &spec)
     results_.resize(plan_.points.size());
     haveResult_.assign(plan_.points.size(), 0);
     resultFailed_.assign(plan_.points.size(), 0);
-    replayed_.resize(plan_.points.size());
-    isReplayed_.assign(plan_.points.size(), 0);
     pendingCount_ = plan_.unique.size();
-}
-
-void
-SweepAssembler::applyResume(const Json &resumeDoc)
-{
-    const std::map<std::string, const Json *> prior =
-        buildResumeIndex(resumeDoc, spec_.runner);
-    for (std::size_t i = 0; i < plan_.points.size(); ++i) {
-        auto it = prior.find(reuseKey(plan_.points[i]));
-        if (it != prior.end()) {
-            replayed_[i] = *it->second; // copied: doc may be local
-            isReplayed_[i] = 1;
-        }
-    }
-    // A unique config still needs execution if any of its points
-    // was not replayed (a replayed duplicate does not cover a
-    // non-replayed sibling — the sibling needs the raw metrics).
-    std::vector<char> needRun(plan_.points.size(), 0);
-    for (std::size_t i = 0; i < plan_.points.size(); ++i) {
-        if (!isReplayed_[i] && !haveResult_[plan_.canonical[i]])
-            needRun[plan_.canonical[i]] = 1;
-    }
-    std::size_t pendingNow = 0;
-    for (std::size_t index : plan_.unique)
-        pendingNow += needRun[index];
-    resumed_ = pendingCount_ - pendingNow;
-    pendingCount_ = pendingNow;
 }
 
 std::vector<std::size_t>
 SweepAssembler::pending() const
 {
-    std::vector<char> needRun(plan_.points.size(), 0);
-    for (std::size_t i = 0; i < plan_.points.size(); ++i) {
-        if (!isReplayed_[i] && !haveResult_[plan_.canonical[i]])
-            needRun[plan_.canonical[i]] = 1;
-    }
     std::vector<std::size_t> out;
     for (std::size_t index : plan_.unique) {
-        if (needRun[index])
+        if (!haveResult_[index])
             out.push_back(index);
     }
     return out;
-}
-
-bool
-SweepAssembler::has(std::size_t canonicalIndex) const
-{
-    if (haveResult_[canonicalIndex])
-        return true;
-    // Covered if every expansion of this config was replayed.
-    for (std::size_t i = 0; i < plan_.points.size(); ++i) {
-        if (plan_.canonical[i] == canonicalIndex && !isReplayed_[i])
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -195,7 +82,7 @@ SweepAssembler::setResult(std::size_t canonicalIndex, Json result,
             "setResult: " + std::to_string(canonicalIndex)
             + " is not a canonical point index");
     }
-    if (has(canonicalIndex))
+    if (haveResult_[canonicalIndex])
         return false;
     results_[canonicalIndex] = std::move(result);
     haveResult_[canonicalIndex] = 1;
@@ -208,39 +95,32 @@ std::size_t
 SweepAssembler::failedPoints() const
 {
     std::size_t failed = 0;
-    for (std::size_t i = 0; i < plan_.points.size(); ++i) {
-        if (!isReplayed_[i] && resultFailed_[plan_.canonical[i]])
-            ++failed;
-    }
+    for (std::size_t i = 0; i < plan_.points.size(); ++i)
+        failed += resultFailed_[plan_.canonical[i]];
     return failed;
 }
 
 Json
 SweepAssembler::document() const
 {
+    if (!complete()) {
+        throw std::logic_error(
+            "sweep document requested with "
+            + std::to_string(pendingCount_)
+            + " unique point(s) still pending");
+    }
     // One flat object per point — the axis assignment first, then
     // the runner's metrics (runner keys win on collision, e.g.
-    // "trials" rounded up to a full batch); replayed points emit
-    // their stored object verbatim; pending points are recorded as
-    // {"error": "interrupted..."} stubs that a later resume
-    // re-runs.
+    // "trials" rounded up to a full batch).
     Json pointsJson = Json::array();
     for (std::size_t i = 0; i < plan_.points.size(); ++i) {
-        if (isReplayed_[i]) {
-            pointsJson.push(replayed_[i]);
-            continue;
-        }
-        const std::size_t canon = plan_.canonical[i];
+        const Json &result = results_[plan_.canonical[i]];
         Json point = Json::object();
         for (const auto &[field, value] :
              plan_.points[i].assignment.items())
             point.set(field, value);
-        if (!haveResult_[canon]) {
-            point.set("error",
-                      "interrupted: point not computed before "
-                      "this checkpoint");
-        } else if (results_[canon].isObject()) {
-            for (const auto &[key, value] : results_[canon].items())
+        if (result.isObject()) {
+            for (const auto &[key, value] : result.items())
                 point.set(key, value);
         }
         point.set("config_hash", hexConfigHash(plan_.hashes[i]));

@@ -4,9 +4,8 @@
  * executor. A SweepPlan is the deterministic expansion of a spec
  * plus its config-dedup structure; a SweepAssembler owns the plan,
  * collects per-unique-point results from any source — the
- * in-process pool (runSweep), a resume document (PR 5 replay), or
- * shard deltas streamed back by `qcarch work` processes — and
- * emits the aggregated document.
+ * in-process pool (runSweep) or the points `qcarch serve` fetches
+ * from its result store — and emits the aggregated document.
  *
  * This layer is what makes the distributed path's headline
  * guarantee cheap to keep: `qcarch serve` + N workers and a
@@ -20,7 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -68,62 +66,37 @@ class SweepAssembler
     const SweepSpec &spec() const { return spec_; }
     const SweepRunner &runner() const { return *runner_; }
 
-    /**
-     * Replay stored points from a previous output of the same
-     * runner (`--resume`, or a coordinator restarted on its own
-     * partial checkpoint): points matched by canonical config +
-     * axis assignment (config_hash cross-checked) adopt the stored
-     * object verbatim, so the final document is byte-identical to
-     * a fresh run. Stored {"error": ...} points — including
-     * "interrupted" checkpoint stubs — are skipped so they re-run.
-     * Throws std::invalid_argument on malformed/truncated/edited
-     * documents (see docs/SWEEPS.md).
-     */
-    void applyResume(const Json &resumeDoc);
-
-    /** Unique (canonical) indices still needing execution, in
+    /** Unique (canonical) indices still needing a result, in
      *  order. Shrinks as results arrive. */
     std::vector<std::size_t> pending() const;
 
-    /** True once the canonical index has a result (or every point
-     *  of its config was replayed by applyResume). */
-    bool has(std::size_t canonicalIndex) const;
+    /** True once the canonical index has a result. */
+    bool has(std::size_t canonicalIndex) const
+    {
+        return haveResult_[canonicalIndex] != 0;
+    }
 
     /**
      * Store the runner's metrics (or {"error": ...}) for one
      * canonical index. `failed` marks points that threw. Returns
      * false (and changes nothing) if the index already has a
-     * result — the idempotent-duplicate case when a reclaimed
-     * shard was also committed by its presumed-dead owner.
+     * result.
      */
     bool setResult(std::size_t canonicalIndex, Json result,
                    bool failed);
 
     bool complete() const { return pendingCount_ == 0; }
 
-    /** True if the expanded point adopted a stored object from
-     *  applyResume. */
-    bool replayed(std::size_t pointIndex) const
-    {
-        return isReplayed_[pointIndex] != 0;
-    }
-
-    /** Unique points adopted from the resume document. */
-    std::size_t resumedCount() const { return resumed_; }
-
     /** Expanded points whose result carries {"error": ...} (memo
-     *  duplicates of a failed point included; replayed points never
-     *  count). Meaningful once complete. */
+     *  duplicates of a failed point included). */
     std::size_t failedPoints() const;
 
     /**
      * The aggregated document: one flat object per expanded point
      * (assignment, then runner metrics, then config_hash), document
-     * metadata, spec provenance, cache accounting. Pending points
-     * are recorded as {"error": "interrupted: ..."} stubs a later
-     * resume re-runs, so the document is valid at any moment — the
-     * checkpoint, the final output and the serve-side merged
-     * document are all this one function.
+     * metadata, spec provenance, cache accounting. Single-shot
+     * output and the serve-side merged document are both this one
+     * function. Throws std::logic_error unless complete().
      */
     Json document() const;
 
@@ -134,22 +107,8 @@ class SweepAssembler
     std::vector<Json> results_;      ///< by canonical index
     std::vector<char> haveResult_;   ///< by canonical index
     std::vector<char> resultFailed_; ///< by canonical index
-    std::vector<Json> replayed_;     ///< by point index; Null = none
-    std::vector<char> isReplayed_;   ///< by point index
     std::size_t pendingCount_ = 0;
-    std::size_t resumed_ = 0;
 };
-
-/**
- * Index a resume document's stored points by the reuse key of its
- * own spec expansion (canonical config + axis assignment). Stored
- * points carrying {"error": ...} are omitted so resume retries
- * them. Returned pointers alias `doc`. Throws std::invalid_argument
- * on malformed, truncated or edited documents and on runner
- * mismatch.
- */
-std::map<std::string, const Json *>
-buildResumeIndex(const Json &doc, const std::string &runner);
 
 } // namespace qc
 

@@ -37,10 +37,15 @@ CASES = [
      ["sweep", "spec.json", "--threads", "4x"], 2, True),
     ("sweep --threads negative",
      ["sweep", "spec.json", "--threads", "-2"], 2, True),
-    ("sweep --checkpoint-seconds negative",
-     ["sweep", "spec.json", "--checkpoint-seconds", "-1"], 2, True),
-    ("sweep --checkpoint-seconds nan",
-     ["sweep", "spec.json", "--checkpoint-seconds", "nan"], 2, True),
+    # Removed flags are unknown flags now: resuming means re-running
+    # against the result store, which has no knob.
+    ("sweep --resume (removed)",
+     ["sweep", "spec.json", "--resume", "prev.json"], 2, True),
+    ("sweep --checkpoint-seconds (removed)",
+     ["sweep", "spec.json", "--checkpoint-seconds", "0"], 2, True),
+    ("serve --checkpoint-seconds (removed)",
+     ["serve", "spec.json", "--out", "o.json",
+      "--checkpoint-seconds", "0"], 2, True),
     ("sweep bad --fault spec",
      ["sweep", "spec.json", "--fault", "bogus"], 2, True),
     ("serve without --out", ["serve", "spec.json"], 2, True),
@@ -61,8 +66,8 @@ CASES = [
      2, True),
     ("hoard gc bad --max-bytes",
      ["hoard", "gc", "d", "--max-bytes", "lots"], 2, True),
-    ("hoard ingest without --serve", ["hoard", "ingest", "d"], 2,
-     True),
+    ("hoard ingest (removed)",
+     ["hoard", "ingest", "d", "--serve", "s"], 2, True),
     ("hoard stat with extra positional", ["hoard", "stat", "a", "b"],
      2, True),
     ("list with no subcommand", ["list"], 2, True),

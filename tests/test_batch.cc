@@ -26,7 +26,7 @@ namespace qc {
 namespace {
 
 // ---------------------------------------------------------------
-// BernoulliWord / Rng::bernoulliMask.
+// BernoulliWord.
 // ---------------------------------------------------------------
 
 TEST(BernoulliWord, EdgeProbabilities)
@@ -38,8 +38,6 @@ TEST(BernoulliWord, EdgeProbabilities)
         EXPECT_EQ(never.next(rng), 0u);
         EXPECT_EQ(always.next(rng), ~std::uint64_t{0});
     }
-    EXPECT_EQ(rng.bernoulliMask(0.0), 0u);
-    EXPECT_EQ(rng.bernoulliMask(1.0), ~std::uint64_t{0});
 }
 
 TEST(BernoulliWord, MeanMatchesPAcrossScales)
@@ -193,7 +191,7 @@ TEST(BatchPauliFrame, InjectionRespectsMaskAndProbability)
 {
     BatchPauliFrame frame(2, 1);
     Rng rng(5);
-    BernoulliWord certain(1.0);
+    RareBernoulliStream certain(1.0);
     const std::uint64_t mask = 0xAAAAAAAAAAAAAAAAull;
 
     frame.inject1q(rng, certain, 0, &mask);
@@ -215,7 +213,8 @@ TEST(BatchPauliFrame, InjectionRespectsMaskAndProbability)
     // Rare-injection rate sanity (also exercised by the estimate
     // equivalence tests below).
     frame.clear();
-    BernoulliWord pctw(0.01);
+    RareBernoulliStream pctw(0.01);
+    pctw.reset(rng);
     const std::uint64_t all = ~std::uint64_t{0};
     int faults = 0;
     const int rounds = 20000;

@@ -7,9 +7,9 @@
  * round trips, the corruption matrix (truncated / bit-flipped /
  * wrong-version / orphaned-index / torn-write objects each
  * quarantined and transparently recomputed, output byte-identical
- * to a cold run), eviction order, concurrent sweeps sharing one
- * store, idempotent duplicate publishes, and ingest of leftover
- * serve shard deltas.
+ * to a cold run, a tampered result never replayed), eviction
+ * order, concurrent sweeps sharing one store, and idempotent
+ * duplicate publishes.
  */
 
 #include <gtest/gtest.h>
@@ -28,8 +28,6 @@
 #include "common/Clock.hh"
 #include "common/DurableFile.hh"
 #include "hoard/Hoard.hh"
-#include "serve/Lease.hh"
-#include "serve/Protocol.hh"
 #include "sweep/Sweep.hh"
 
 namespace qc {
@@ -709,6 +707,38 @@ TEST(HoardCorruption, ObjectRenamedOntoWrongKeyIsRejected)
     ASSERT_TRUE(hoard.fetch("mc-prep", configA, fetched));
 }
 
+TEST(HoardCorruption, TamperedMakespanIsQuarantinedNotReplayed)
+{
+    // A killed `qcarch sweep specs/ci_smoke.json --out out.json`
+    // leaves its finished points in the private store
+    // out.json.hoard/. Double one stored makespan_ms — a hand edit
+    // that keeps the object well-formed — and re-run: the digest
+    // no longer matches, so the object is quarantined and the point
+    // recomputed. The doubled value never reaches the document.
+    ScratchDir dir("qc_hoard_tamper");
+    const SweepSpec spec = SweepSpec::load(std::string(QC_SPEC_DIR)
+                                           + "/ci_smoke.json");
+    const std::string root = dir.file("out.json.hoard");
+    const SweepReport cold = hoardedRun(spec, root);
+    ASSERT_EQ(cold.hoardStored, 4u);
+
+    HoardStore hoard(root);
+    const std::vector<HoardObjectInfo> objects = hoard.list();
+    ASSERT_EQ(objects.size(), 4u);
+    Json object = Json::loadFile(objects[0].path);
+    Json result = object.at("result");
+    result.set("makespan_ms",
+               2 * result.at("makespan_ms").asDouble());
+    object.set("result", result);
+    object.saveFile(objects[0].path);
+
+    const SweepReport rerun = hoardedRun(spec, root);
+    EXPECT_EQ(rerun.hoardHits, 3u);
+    EXPECT_EQ(rerun.executed, 1u);
+    EXPECT_EQ(rerun.doc.dump(), cold.doc.dump());
+    EXPECT_FALSE(fs::is_empty(root + "/quarantine"));
+}
+
 // ---------------------------------------------------------------
 // Eviction
 // ---------------------------------------------------------------
@@ -810,87 +840,6 @@ TEST(HoardConcurrency, TwoSweepsShareOneStore)
     HoardStore hoard(dir.file("store"));
     EXPECT_EQ(hoard.verify().quarantined, 0u);
     EXPECT_EQ(hoard.list().size(), 4u);
-}
-
-// ---------------------------------------------------------------
-// Serve-delta ingest
-// ---------------------------------------------------------------
-
-TEST(HoardIngest, LeftoverServeDeltasWarmTheStore)
-{
-    // A coordinator crash can leave committed deltas that never
-    // merged. Build that wreckage by hand: a manifest plus one
-    // delta holding two computed points (and one failed point and
-    // one skew-mismatched point, both of which must be skipped),
-    // plus a torn delta file.
-    ScratchDir dir("qc_hoard_ingest");
-    const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
-    const SweepPlan plan = SweepPlan::expand(spec);
-    const Json cold = coldDocument(spec);
-
-    const std::string serveRoot = dir.file("coord");
-    const ServeDir serve(serveRoot);
-    fs::create_directories(serve.resultDir());
-    Json manifest = Json::object();
-    manifest.set("generation", 1);
-    manifest.set("lease_seconds", 30.0);
-    manifest.set("runner", spec.runner);
-    manifest.set("spec", spec.toJson());
-    manifest.saveFile(serve.manifest());
-
-    const SweepRunner &runner =
-        SweepRunnerRegistry::instance().get(spec.runner);
-    SweepContext context;
-    ShardDelta delta;
-    delta.id = shardId(0);
-    delta.owner = Lease::makeNonce();
-    for (std::size_t index : {std::size_t{0}, std::size_t{1}}) {
-        DeltaPoint point;
-        point.index = index;
-        point.configHash = hexConfigHash(plan.hashes[index]);
-        point.result =
-            runner.runPoint(plan.points[index].config, context);
-        delta.points.push_back(std::move(point));
-    }
-    DeltaPoint failedPoint;
-    failedPoint.index = 2;
-    failedPoint.configHash = hexConfigHash(plan.hashes[2]);
-    failedPoint.failed = true;
-    failedPoint.result = parse(R"({"error": "boom"})");
-    delta.points.push_back(std::move(failedPoint));
-    DeltaPoint skewed; // expansion skew: wrong config_hash
-    skewed.index = 3;
-    skewed.configHash = std::string(16, '0');
-    skewed.result = parse(R"({"rate": 0.5})");
-    delta.points.push_back(std::move(skewed));
-    writeFileDurable(serve.result(delta.id, delta.owner),
-                     delta.toJson().dump(2) + "\n");
-    // And a torn delta, which ingest must skip, not choke on.
-    writeAll(serve.result(shardId(1), "torn"),
-             delta.toJson().dump(2).substr(0, 40));
-
-    HoardStore hoard(dir.file("store"));
-    EXPECT_EQ(hoard.ingestServe(serveRoot), 2u);
-    // Re-ingest is idempotent.
-    EXPECT_EQ(hoard.ingestServe(serveRoot), 0u);
-
-    // The two ingested points hit; the other two compute.
-    const SweepReport warm =
-        hoardedRun(spec, dir.file("store"));
-    EXPECT_EQ(warm.hoardHits, 2u);
-    EXPECT_EQ(warm.executed, 2u);
-    EXPECT_EQ(warm.doc.dump(), cold.dump());
-
-    HoardStore checked(dir.file("store"));
-    EXPECT_EQ(checked.verify().quarantined, 0u);
-}
-
-TEST(HoardIngest, MissingManifestThrows)
-{
-    ScratchDir dir("qc_hoard_ingest_bad");
-    HoardStore hoard(dir.file("store"));
-    EXPECT_THROW(hoard.ingestServe(dir.file("nowhere")),
-                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------

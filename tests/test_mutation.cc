@@ -10,11 +10,11 @@
  *    misses with the mutant quarantined out of the object path —
  *    never a third outcome, and never a silently different
  *    result.
- *  - Serve shard deltas: for every mutant of a committed delta
- *    file, the coordinator's leftover-delta recovery merges the
- *    whole delta or rejects the whole delta — never a strict
- *    subset of its points. (The validate-all-then-merge-all shape
- *    of Coordinator::mergeDelta is exactly what this pins down.)
+ *  - Worker-published results: for every mutant of an object a
+ *    `qcarch work` worker published, a restarted coordinator's
+ *    fetch either recovers the original result or quarantines the
+ *    mutant so the point is recomputed — and the served document
+ *    stays byte-identical to single-shot output either way.
  *
  * These complement the corruption matrix in test_hoard.cc: that
  * enumerates known damage modes, this sweeps the full single-byte
@@ -26,7 +26,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -152,88 +154,129 @@ TEST(MutationRobustness, HoardObjectEveryByteMutation)
 }
 
 // ---------------------------------------------------------------
-// Serve shard deltas
+// Worker-published results
 // ---------------------------------------------------------------
 
-/** 4-point mc-prep spec; the delta under test commits points 0
- *  and 1, the other two stay pending (the coordinator is stopped
- *  before any worker could run them). */
+/** A deterministic, instant runner: the property under test is
+ *  the store/serve path, so recomputes should cost nothing. */
+class EchoRunner : public SweepRunner
+{
+  public:
+    std::string name() const override { return "test-echo"; }
+    std::string description() const override
+    {
+        return "test-only: y = 2x";
+    }
+    std::vector<std::string> fields() const override
+    {
+        return {"x"};
+    }
+    Json runPoint(const Json &config, SweepContext &) const override
+    {
+        Json result = Json::object();
+        const Json *x = config.find("x");
+        result.set("y", 2 * (x ? x->asDouble() : 0.0));
+        return result;
+    }
+};
+
+/** 4-point spec; a served run publishes every point through a
+ *  worker, then one of those objects is mutated byte by byte. */
 const char *const kSpec = R"({
   "name": "mutation_serve",
-  "runner": "mc-prep",
-  "base": {"trials": 2000, "seed": 11},
-  "axes": [
-    {"field": "strategy", "values": ["basic", "verify_and_correct"]},
-    {"field": "pGate", "values": [1e-4, 1e-3]}
-  ]
+  "runner": "test-echo",
+  "axes": [{"field": "x", "values": [1, 2, 3, 4]}]
 })";
 
-TEST(MutationRobustness, ServeDeltaMergesWholeOrRejectsWhole)
+/** One served run over `dir`: coordinator and worker threads, each
+ *  with its own handle on DIR/hoard. A restart on the same `dir`
+ *  recovers every published point from the store first. */
+CoordinatorReport
+serve(const SweepSpec &spec, const std::string &dir)
 {
+    CoordinatorOptions options;
+    options.outPath = dir + "/out.json";
+    options.dir = dir + "/serve";
+    options.pollMs = 1;
+    options.quiet = true;
+    const ServeDir serveDir(options.dir);
+    // The previous run's done marker would send the worker home
+    // before the restarted coordinator clears it.
+    std::remove(serveDir.doneMarker().c_str());
+    HoardStore coordinatorStore(serveDir.hoard());
+    options.store = &coordinatorStore;
+    std::thread worker([&] {
+        HoardStore workerStore(serveDir.hoard());
+        WorkerOptions work;
+        work.dir = options.dir;
+        work.store = &workerStore;
+        work.pollMs = 1;
+        work.backoffMaxMs = 2;
+        work.maxIdleSeconds = 60;
+        work.quiet = true;
+        runWorker(work);
+    });
+    const CoordinatorReport report = runCoordinator(spec, options);
+    worker.join();
+    return report;
+}
+
+TEST(MutationRobustness, WorkerPublishedObjectEveryByteMutation)
+{
+    SweepRunnerRegistry::instance().add(
+        "test-echo", std::make_shared<EchoRunner>());
     const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
-    const SweepPlan plan = SweepPlan::expand(spec);
-    const SweepRunner &runner =
-        SweepRunnerRegistry::instance().get(spec.runner);
-    SweepContext context;
-
-    ShardDelta delta;
-    delta.id = shardId(0);
-    delta.owner = "mutation-owner";
-    for (std::size_t index : {std::size_t{0}, std::size_t{1}}) {
-        DeltaPoint point;
-        point.index = index;
-        point.configHash = hexConfigHash(plan.hashes[index]);
-        point.result =
-            runner.runPoint(plan.points[index].config, context);
-        delta.points.push_back(std::move(point));
-    }
-    const std::string original = delta.toJson().dump(0) + "\n";
-
+    const std::string golden = runSweep(spec).doc.dump(2) + "\n";
     ScratchDir dir("qc_mut_serve");
-    std::size_t merged = 0, rejected = 0, iteration = 0;
+    ASSERT_EQ(serve(spec, dir.path).executed, 4u);
+    ASSERT_EQ(readAll(dir.file("out.json")), golden);
+
+    const SweepPlan plan = SweepPlan::expand(spec);
+    const std::string root = ServeDir(dir.file("serve")).hoard();
+    const std::string objectPath = HoardStore(root).objectPath(
+        HoardStore::keyFor(spec.runner, plan.points[0].config));
+    const std::string original = readAll(objectPath);
+    ASSERT_FALSE(original.empty());
+
+    std::size_t hits = 0, recomputed = 0;
     for (std::size_t at = 0; at < original.size(); ++at) {
         std::string mutant = original;
         mutant[at] = static_cast<char>(
             static_cast<unsigned char>(mutant[at]) ^ 0x01);
+        fs::create_directories(fs::path(objectPath).parent_path());
+        writeAll(objectPath, mutant);
 
-        const std::string sub =
-            dir.file("m" + std::to_string(iteration++));
-        CoordinatorOptions options;
-        options.outPath = sub + "/out.json";
-        options.dir = sub + "/serve";
-        options.pollMs = 1;
-        options.checkpointSeconds = 0;
-        options.quiet = true;
-        options.stopRequested = [] { return true; };
-        const ServeDir serveDir(options.dir);
-        fs::create_directories(serveDir.resultDir());
-        writeAll(serveDir.result(delta.id, delta.owner), mutant);
-
-        const CoordinatorReport report =
-            runCoordinator(spec, options);
-        EXPECT_EQ(report.exitCode, kInterruptedExit);
-        EXPECT_TRUE(report.executed == 0
-                    || report.executed == delta.points.size())
-            << "byte " << at << ": PARTIAL merge of "
-            << report.executed << "/" << delta.points.size()
-            << " points from one delta";
-        if (report.executed == delta.points.size()) {
-            ++merged;
+        // The restarted coordinator fetches the mutant: either it
+        // validates (and then must carry the original result) or
+        // it is quarantined and the worker recomputes the point.
+        const CoordinatorReport report = serve(spec, dir.path);
+        EXPECT_EQ(readAll(dir.file("out.json")), golden)
+            << "byte " << at << ": served document differs";
+        if (report.recovered == 4) {
+            ++hits;
+            EXPECT_EQ(readAll(objectPath), mutant) << "byte " << at;
         } else {
-            ++rejected;
-            EXPECT_GE(report.rejected, 1u)
+            ++recomputed;
+            EXPECT_EQ(report.recovered, 3u) << "byte " << at;
+            EXPECT_EQ(report.executed, 1u) << "byte " << at;
+            EXPECT_NE(readAll(objectPath), mutant)
                 << "byte " << at
-                << ": zero points merged but the delta was not "
-                   "counted rejected";
+                << ": a rejected mutant stayed on the fetch path";
         }
-        fs::remove_all(sub);
     }
     // Both arms must be exercised for the property to mean
-    // anything: some flips land in result payloads the hash
-    // checks do not cover (merge-whole), most break the JSON or
-    // the config_hash binding (reject-whole).
-    EXPECT_GT(merged, 0u);
-    EXPECT_GT(rejected, 0u);
+    // anything: a flip inside the publish stamp is not covered by
+    // the digest (hit), most break the JSON, the digest or the key
+    // binding (quarantine + recompute).
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(recomputed, 0u);
+    // Every rejected mutant went to quarantine, not oblivion.
+    std::size_t quarantined = 0;
+    for (const auto &entry :
+         fs::directory_iterator(root + "/quarantine"))
+        quarantined += entry.is_regular_file() ? 1 : 0;
+    EXPECT_EQ(quarantined, recomputed);
+    SCOPED_TRACE("hits=" + std::to_string(hits));
 }
 
 } // namespace

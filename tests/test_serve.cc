@@ -7,7 +7,8 @@
  * and in-process coordinator+worker integration — including the
  * headline guarantee that the merged document is byte-identical
  * to a single-shot `runSweep` of the same spec, across drains,
- * stale leases and conflicting deltas.
+ * stale leases, forged markers and coordinator restarts that
+ * recover every published point from the result store.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 
 #include "common/Clock.hh"
 #include "common/DurableFile.hh"
+#include "hoard/Hoard.hh"
 #include "serve/Serve.hh"
 #include "sweep/Sweep.hh"
 
@@ -237,7 +239,7 @@ TEST(FaultInjector, ParsesEveryDocumentedSpec)
     EXPECT_TRUE(FaultInjector::parse("crash-after-commit")
                     .is("crash-after-commit"));
     EXPECT_TRUE(
-        FaultInjector::parse("torn-delta").is("torn-delta"));
+        FaultInjector::parse("torn-marker").is("torn-marker"));
     EXPECT_TRUE(FaultInjector::parse("stale-heartbeat")
                     .is("stale-heartbeat"));
     const FaultInjector slow = FaultInjector::parse("slow-worker=75");
@@ -255,7 +257,7 @@ TEST(FaultInjector, RejectsMalformedSpecsListingValidOnes)
             FaultInjector::parse(spec);
             FAIL() << spec << " should have thrown";
         } catch (const std::invalid_argument &error) {
-            EXPECT_NE(std::string(error.what()).find("torn-delta"),
+            EXPECT_NE(std::string(error.what()).find("torn-marker"),
                       std::string::npos)
                 << "error should list the valid specs: "
                 << error.what();
@@ -304,33 +306,32 @@ TEST(ServeProtocol, ShardDescriptorRoundTrips)
         parse(R"({"id": "x", "indices": ["seven"]})"), bad));
 }
 
-TEST(ServeProtocol, ShardDeltaRoundTrips)
+TEST(ServeProtocol, ShardMarkerRoundTrips)
 {
-    ShardDelta delta;
-    delta.id = shardId(0);
-    delta.owner = "w1";
-    delta.partial = true;
-    DeltaPoint point;
-    point.index = 5;
-    point.configHash = "00000000deadbeef";
-    point.failed = true;
-    point.result = parse(R"({"error": "boom"})");
-    delta.points.push_back(point);
+    ShardMarker marker;
+    marker.id = shardId(0);
+    marker.owner = "w1";
+    marker.partial = true;
+    marker.failed.push_back({5, "boom"});
 
-    ShardDelta back;
-    ASSERT_TRUE(ShardDelta::fromJson(delta.toJson(), back));
-    EXPECT_EQ(back.id, delta.id);
+    ShardMarker back;
+    ASSERT_TRUE(ShardMarker::fromJson(marker.toJson(), back));
+    EXPECT_EQ(back.id, marker.id);
     EXPECT_EQ(back.owner, "w1");
     EXPECT_TRUE(back.partial);
-    ASSERT_EQ(back.points.size(), 1u);
-    EXPECT_EQ(back.points[0].index, 5u);
-    EXPECT_EQ(back.points[0].configHash, "00000000deadbeef");
-    EXPECT_TRUE(back.points[0].failed);
+    ASSERT_EQ(back.failed.size(), 1u);
+    EXPECT_EQ(back.failed[0].index, 5u);
+    EXPECT_EQ(back.failed[0].error, "boom");
 
-    ShardDelta bad;
-    EXPECT_FALSE(ShardDelta::fromJson(parse("{}"), bad));
-    EXPECT_FALSE(ShardDelta::fromJson(
-        parse(R"({"id": "x", "points": [{"index": 1}]})"), bad));
+    ShardMarker bad;
+    EXPECT_FALSE(ShardMarker::fromJson(parse("{}"), bad));
+    EXPECT_FALSE(ShardMarker::fromJson(
+        parse(R"({"id": "x", "owner": "w", "partial": false,
+                  "failed": [{"index": 1}]})"),
+        bad));
+    EXPECT_FALSE(ShardMarker::fromJson(
+        parse(R"({"id": "x", "partial": false, "failed": []})"),
+        bad));
 }
 
 // ---------------------------------------------------------------
@@ -344,7 +345,6 @@ coordinatorOptions(const ScratchDir &dir)
     options.outPath = dir.file("out.json");
     options.dir = dir.file("serve");
     options.pollMs = 10;
-    options.checkpointSeconds = 0;
     options.quiet = true;
     return options;
 }
@@ -361,6 +361,24 @@ workerOptions(const CoordinatorOptions &coordinator)
     return options;
 }
 
+/** Coordinator and workers each open their own handle on
+ *  DIR/hoard, as `qcarch serve` and `qcarch work` processes do. */
+CoordinatorReport
+serveWithStore(const SweepSpec &spec, CoordinatorOptions options)
+{
+    HoardStore store(ServeDir(options.dir).hoard());
+    options.store = &store;
+    return runCoordinator(spec, options);
+}
+
+WorkerReport
+workWithStore(WorkerOptions options)
+{
+    HoardStore store(ServeDir(options.dir).hoard());
+    options.store = &store;
+    return runWorker(options);
+}
+
 TEST(Serve, MergedDocumentIsByteIdenticalToSingleShot)
 {
     const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
@@ -371,19 +389,24 @@ TEST(Serve, MergedDocumentIsByteIdenticalToSingleShot)
     options.workersExpected = 2;
     options.shardPoints = 1; // 4 shards: both workers get some
 
-    std::thread w1([&] { runWorker(workerOptions(options)); });
-    std::thread w2([&] { runWorker(workerOptions(options)); });
-    const CoordinatorReport report = runCoordinator(spec, options);
+    std::thread w1([&] { workWithStore(workerOptions(options)); });
+    std::thread w2([&] { workWithStore(workerOptions(options)); });
+    const CoordinatorReport report = serveWithStore(spec, options);
     w1.join();
     w2.join();
 
     EXPECT_EQ(report.exitCode, 0);
     EXPECT_EQ(report.executed, 4u);
+    EXPECT_EQ(report.recovered, 0u);
     EXPECT_EQ(report.rejected, 0u);
     EXPECT_EQ(golden.dump(2) + "\n", readAll(options.outPath));
+    // Every point went through the store; markers are consumed.
+    EXPECT_EQ(HoardStore(ServeDir(options.dir).hoard()).list().size(),
+              4u);
+    EXPECT_TRUE(fs::is_empty(ServeDir(options.dir).markerDir()));
 }
 
-TEST(Serve, WorkerDrainCommitsAPartialDelta)
+TEST(Serve, WorkerDrainCommitsAPartialMarker)
 {
     const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
     const Json golden = runSweep(spec).doc;
@@ -392,13 +415,13 @@ TEST(Serve, WorkerDrainCommitsAPartialDelta)
     CoordinatorOptions options = coordinatorOptions(dir);
     options.shardPoints = 4; // one shard holds the whole sweep
 
-    // The first worker is told to stop mid-shard: it must commit
-    // what it has as a partial delta and exit with the
-    // interrupted code; the coordinator re-queues the rest for
-    // the second worker.
+    // The first worker is told to stop mid-shard: it must commit a
+    // partial marker and exit with the interrupted code; the
+    // coordinator re-queues whatever the store lacks for the
+    // second worker.
     CoordinatorReport report;
     std::thread coordinator(
-        [&] { report = runCoordinator(spec, options); });
+        [&] { report = serveWithStore(spec, options); });
 
     std::atomic<bool> stopFirst{false};
     WorkerOptions first = workerOptions(options);
@@ -410,14 +433,14 @@ TEST(Serve, WorkerDrainCommitsAPartialDelta)
         std::this_thread::sleep_for(std::chrono::milliseconds(60));
         stopFirst.store(true);
     });
-    const WorkerReport firstReport = runWorker(first);
+    const WorkerReport firstReport = workWithStore(first);
     trigger.join();
     EXPECT_EQ(firstReport.exitCode, kInterruptedExit);
     EXPECT_TRUE(firstReport.interrupted);
     EXPECT_LT(firstReport.points, 4u);
 
     // A second worker finishes whatever the drain left behind.
-    std::thread w2([&] { runWorker(workerOptions(options)); });
+    std::thread w2([&] { workWithStore(workerOptions(options)); });
     coordinator.join();
     w2.join();
 
@@ -426,7 +449,7 @@ TEST(Serve, WorkerDrainCommitsAPartialDelta)
     EXPECT_EQ(golden.dump(2) + "\n", readAll(options.outPath));
     if (firstReport.points > 0) {
         const std::string log = readAll(options.dir + "/log");
-        EXPECT_NE(log.find("partial delta"), std::string::npos);
+        EXPECT_NE(log.find("partial marker"), std::string::npos);
     }
 }
 
@@ -456,8 +479,8 @@ TEST(Serve, ExpiredLeaseIsReclaimedExactlyOnceAndNotReExecuted)
         Lease::tryAcquire(leasePath, squat);
     });
 
-    std::thread worker([&] { runWorker(workerOptions(options)); });
-    const CoordinatorReport report = runCoordinator(spec, options);
+    std::thread worker([&] { workWithStore(workerOptions(options)); });
+    const CoordinatorReport report = serveWithStore(spec, options);
     squatter.join();
     worker.join();
 
@@ -475,103 +498,164 @@ TEST(Serve, ExpiredLeaseIsReclaimedExactlyOnceAndNotReExecuted)
     EXPECT_EQ(count, 1u);
 }
 
-TEST(Serve, ConflictingDeltasAreRejectedNotMerged)
+TEST(Serve, ForgedMarkersAreRejectedNotMerged)
 {
     const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
     const Json golden = runSweep(spec).doc;
 
-    ScratchDir dir("qc_serve_conflict");
+    ScratchDir dir("qc_serve_forged");
     CoordinatorOptions options = coordinatorOptions(dir);
     options.shardPoints = 1;
 
-    // Inject a delta whose config_hash does not match the plan: a
-    // worker with a skewed expansion (edited spec, incompatible
-    // build) must not contaminate the document.
+    // A marker whose owner never held the shard's lease claims a
+    // failure for point 0: it must not reach the document.
     std::thread forger([&] {
         const ServeDir serveDir(options.dir);
         while (!fs::exists(serveDir.manifest()))
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(2));
-        ShardDelta forged;
+        ShardMarker forged;
         forged.id = "shard-0000";
         forged.owner = "forger";
-        DeltaPoint point;
-        point.index = 0;
-        point.configHash = "0000000000000000"; // wrong on purpose
-        point.result = parse(R"({"pFail": 0.5})");
-        forged.points.push_back(point);
-        writeFileDurable(serveDir.result("shard-0000", "forger"),
+        forged.failed.push_back({0, "forged failure"});
+        writeFileDurable(serveDir.marker("shard-0000", "forger"),
                          forged.toJson().dump(2) + "\n");
     });
 
-    std::thread worker([&] { runWorker(workerOptions(options)); });
-    const CoordinatorReport report = runCoordinator(spec, options);
+    std::thread worker([&] { workWithStore(workerOptions(options)); });
+    const CoordinatorReport report = serveWithStore(spec, options);
     forger.join();
     worker.join();
 
     EXPECT_EQ(report.exitCode, 0);
+    EXPECT_EQ(report.failed, 0u);
     EXPECT_GE(report.rejected, 1u);
     EXPECT_EQ(golden.dump(2) + "\n", readAll(options.outPath));
     const std::string log = readAll(options.dir + "/log");
-    EXPECT_NE(log.find("rejected conflicting delta"),
-              std::string::npos);
+    EXPECT_NE(log.find("rejected stale marker"), std::string::npos);
 }
 
-TEST(Serve, CoordinatorResumesItsOwnPartialCheckpoint)
+TEST(Serve, FailedPointsRideInTheMarkerNotTheStore)
+{
+    const SweepSpec spec = SweepSpec::fromJson(parse(R"({
+      "name": "serve_failures",
+      "runner": "mc-prep",
+      "base": {"trials": 2000, "seed": 3},
+      "axes": [{"field": "strategy",
+                "values": ["basic", "bogus", "verify_only"]}]
+    })"));
+    const Json golden = runSweep(spec).doc;
+
+    ScratchDir dir("qc_serve_failed");
+    CoordinatorOptions options = coordinatorOptions(dir);
+    std::thread worker([&] { workWithStore(workerOptions(options)); });
+    const CoordinatorReport report = serveWithStore(spec, options);
+    worker.join();
+
+    EXPECT_EQ(report.exitCode, 0);
+    EXPECT_EQ(report.failed, 1u);
+    EXPECT_EQ(golden.dump(2) + "\n", readAll(options.outPath));
+    EXPECT_EQ(HoardStore(ServeDir(options.dir).hoard()).list().size(),
+              2u);
+}
+
+TEST(Serve, RestartRecoversPublishedPointsFromTheStore)
 {
     const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
     const Json golden = runSweep(spec).doc;
 
-    ScratchDir dir("qc_serve_resume");
+    ScratchDir dir("qc_serve_restart");
     CoordinatorOptions options = coordinatorOptions(dir);
     options.shardPoints = 1;
 
-    // Produce the "crashed half-way" checkpoint the PR 5 way: a
-    // drained single-shot run over the same spec leaves two
-    // finished points and two interrupted stubs in --out.
+    // A crashed earlier generation's wreckage: two points published
+    // to DIR/hoard, plus a leftover marker and queue entry.
     {
-        std::atomic<std::size_t> doneCount{0};
+        HoardStore store(ServeDir(options.dir).hoard());
+        std::size_t done = 0;
         SweepOptions halted;
         halted.threads = 1;
-        halted.checkpointPath = options.outPath;
-        halted.checkpointSeconds = 0;
-        halted.progress = [&](const SweepProgress &) {
-            ++doneCount;
-        };
-        halted.stopRequested = [&] { return doneCount >= 2; };
-        const SweepReport half = runSweep(spec, halted);
-        ASSERT_EQ(half.interrupted, 2u);
+        halted.hoard = &store;
+        halted.progress = [&](const SweepProgress &) { ++done; };
+        halted.stopRequested = [&] { return done >= 2; };
+        ASSERT_EQ(runSweep(spec, halted).interrupted, 2u);
+        const ServeDir serveDir(options.dir);
+        fs::create_directories(serveDir.markerDir());
+        fs::create_directories(serveDir.queueDir());
+        ShardMarker leftover;
+        leftover.id = "shard-0009";
+        leftover.owner = "gone";
+        writeFileDurable(serveDir.marker("shard-0009", "gone"),
+                         leftover.toJson().dump(2) + "\n");
+        writeFileDurable(serveDir.queueEntry("shard-0009"), "{}\n");
     }
 
-    // A coordinator restarted on that checkpoint replays the two
-    // stored points and only serves the rest.
-    std::thread worker([&] { runWorker(workerOptions(options)); });
-    const CoordinatorReport report = runCoordinator(spec, options);
+    // The restarted coordinator fetches the two stored points and
+    // only serves the rest.
+    std::thread worker([&] { workWithStore(workerOptions(options)); });
+    const CoordinatorReport report = serveWithStore(spec, options);
     worker.join();
 
     EXPECT_EQ(report.exitCode, 0);
-    EXPECT_EQ(report.resumed, 2u);
+    EXPECT_EQ(report.recovered, 2u);
     EXPECT_EQ(report.executed, 2u);
+    EXPECT_EQ(report.rejected, 0u);
     EXPECT_EQ(golden.dump(2) + "\n", readAll(options.outPath));
+    const std::string log = readAll(options.dir + "/log");
+    EXPECT_NE(log.find("recovered 2 point(s) from the store, "
+                       "discarded 1 leftover marker(s)"),
+              std::string::npos);
 }
 
-TEST(Serve, CoordinatorStopDrainsWithACheckpointAndDoneMarker)
+TEST(Serve, CoordinatorStopDrainsWithADoneMarkerAndNoDocument)
 {
     const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
     ScratchDir dir("qc_serve_stop");
     CoordinatorOptions options = coordinatorOptions(dir);
     options.stopRequested = [] { return true; }; // immediate stop
 
-    const CoordinatorReport report = runCoordinator(spec, options);
+    const CoordinatorReport report = serveWithStore(spec, options);
     EXPECT_TRUE(report.interrupted);
     EXPECT_EQ(report.exitCode, kInterruptedExit);
     EXPECT_EQ(readAll(options.dir + "/done"), "interrupted\n");
+    // No partial document: the store is the only record.
+    EXPECT_FALSE(fs::exists(options.outPath));
+}
 
-    // The checkpoint is a valid resumable document: all stubs.
-    const Json checkpoint = Json::loadFile(options.outPath);
-    ASSERT_TRUE(checkpoint.at("points").isArray());
-    EXPECT_EQ(checkpoint.at("points").size(), 4u);
-    EXPECT_TRUE(checkpoint.at("points").at(0).has("error"));
+/** A store whose every publish fails, like a full disk. */
+class FullDiskStore : public ResultCache
+{
+  public:
+    bool fetch(const std::string &, const Json &, Json &) override
+    {
+        return false;
+    }
+    bool store(const std::string &, const Json &,
+               const Json &) override
+    {
+        throw std::runtime_error("No space left on device");
+    }
+};
+
+TEST(Serve, WorkerFailedPublishIsAnErrorExit)
+{
+    // A worker that cannot persist a point must not commit a
+    // marker for it: the error escapes runWorker (exit 1 in
+    // `qcarch work`) and the shard's lease is reclaimed later.
+    const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
+    ScratchDir dir("qc_serve_fulldisk");
+    CoordinatorOptions options = coordinatorOptions(dir);
+    std::atomic<bool> stop{false};
+    options.stopRequested = [&] { return stop.load(); };
+    std::thread coordinator([&] { serveWithStore(spec, options); });
+
+    FullDiskStore store;
+    WorkerOptions worker = workerOptions(options);
+    worker.store = &store;
+    EXPECT_THROW(runWorker(worker), std::runtime_error);
+    stop.store(true);
+    coordinator.join();
+    EXPECT_TRUE(fs::is_empty(ServeDir(options.dir).markerDir()));
 }
 
 TEST(Serve, WorkerExitsOnDoneMarker)
@@ -585,7 +669,7 @@ TEST(Serve, WorkerExitsOnDoneMarker)
     options.dir = serveDir.root;
     options.pollMs = 5;
     options.quiet = true;
-    const WorkerReport report = runWorker(options);
+    const WorkerReport report = workWithStore(options);
     EXPECT_EQ(report.exitCode, 0);
     EXPECT_EQ(report.shards, 0u);
 }
@@ -605,7 +689,7 @@ TEST(Serve, IdleWorkerLeavesAfterMaxIdle)
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         stop.store(true);
     });
-    const WorkerReport report = runWorker(options);
+    const WorkerReport report = workWithStore(options);
     flip.join();
     EXPECT_EQ(report.exitCode, kInterruptedExit);
 
@@ -616,7 +700,7 @@ TEST(Serve, IdleWorkerLeavesAfterMaxIdle)
     const ServeDir serveDir(dir.file("serve2"));
     fs::create_directories(serveDir.queueDir());
     fs::create_directories(serveDir.leaseDir());
-    fs::create_directories(serveDir.resultDir());
+    fs::create_directories(serveDir.markerDir());
     Json manifest = Json::object();
     manifest.set("generation", 1);
     manifest.set("lease_seconds", 1.0);
@@ -630,7 +714,7 @@ TEST(Serve, IdleWorkerLeavesAfterMaxIdle)
     bounded.backoffMaxMs = 20;
     bounded.maxIdleSeconds = 0.1;
     bounded.quiet = true;
-    const WorkerReport idle = runWorker(bounded);
+    const WorkerReport idle = workWithStore(bounded);
     EXPECT_EQ(idle.exitCode, 0);
     EXPECT_EQ(idle.shards, 0u);
 }

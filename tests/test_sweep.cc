@@ -4,19 +4,18 @@
  * (cartesian order, zipped axes, grid unions, bad-field errors
  * listing the valid fields), the config-hash memoization cache's
  * hit/miss accounting, thread-count invariance of the aggregated
- * JSON, runner parity with the direct engines, and the shipped
+ * JSON, runner parity with the direct engines, re-runs against a
+ * result store (the sweep's only checkpoint), and the shipped
  * specs under specs/.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <memory>
+#include <map>
+#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "api/Qc.hh"
 #include "error/BatchAncillaSim.hh"
@@ -596,11 +595,12 @@ TEST(SweepRunners, ZeroPerMsOfAverageRejectsNonThrottledSchedule)
 }
 
 // ---------------------------------------------------------------
-// Resume: interrupted sweeps restart incrementally and the merged
-// document is byte-identical to a fresh single-shot run.
+// The result store is the checkpoint: a re-run against it executes
+// only the points it lacks, and the document is byte-identical to
+// a fresh single-shot run.
 // ---------------------------------------------------------------
 
-namespace resume_specs {
+namespace store_specs {
 
 const char *kHalf = R"({
   "name": "resume",
@@ -622,99 +622,135 @@ const char *kFull = R"({
   ]
 })";
 
-} // namespace resume_specs
+} // namespace store_specs
 
-TEST(SweepResume, HalfRunThenResumeIsByteIdenticalToFreshRun)
+/** The engine's store contract in memory: keyed by (runner, full
+ *  config), error results refused, thread-safe. */
+class MemoryStore : public ResultCache
 {
-    // "Interrupt at half": run the first half of the grid as its
-    // own sweep, then hand its output to the full sweep as the
-    // resume document.
-    const SweepSpec half =
-        SweepSpec::fromJson(parse(resume_specs::kHalf));
-    const SweepSpec full =
-        SweepSpec::fromJson(parse(resume_specs::kFull));
-    const SweepReport halfReport = runSweep(half);
+  public:
+    bool fetch(const std::string &runner, const Json &config,
+               Json &result) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(runner + '\n' + config.dump(0));
+        if (it == entries_.end())
+            return false;
+        result = it->second;
+        return true;
+    }
 
+    bool store(const std::string &runner, const Json &config,
+               const Json &result) override
+    {
+        if (result.has("error"))
+            return false;
+        std::lock_guard<std::mutex> lock(mutex_);
+        return entries_.emplace(runner + '\n' + config.dump(0), result)
+            .second;
+    }
+
+    std::size_t size()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return entries_.size();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::map<std::string, Json> entries_;
+};
+
+SweepReport
+runAgainst(const SweepSpec &spec, ResultCache &store, int threads = 2)
+{
     SweepOptions options;
-    options.resume = &halfReport.doc;
-    const SweepReport resumed = runSweep(full, options);
-    const SweepReport fresh = runSweep(full);
+    options.threads = threads;
+    options.hoard = &store;
+    return runSweep(spec, options);
+}
 
-    EXPECT_EQ(resumed.doc.dump(), fresh.doc.dump());
-    // Memo/skip accounting: 2 of the 4 unique points came from the
-    // file, the other 2 executed; the memo split is unchanged.
-    EXPECT_EQ(resumed.points, 4u);
-    EXPECT_EQ(resumed.resumed, 2u);
-    EXPECT_EQ(resumed.executed, 2u);
-    EXPECT_EQ(resumed.cacheMisses, 4u);
-    EXPECT_EQ(fresh.resumed, 0u);
+TEST(SweepStore, GrownSpecReRunExecutesOnlyNewPoints)
+{
+    // Extend a finished sweep: the first half of the grid ran as
+    // its own sweep, the full grid re-runs against the same store.
+    MemoryStore store;
+    const SweepSpec half = SweepSpec::fromJson(parse(store_specs::kHalf));
+    const SweepSpec full = SweepSpec::fromJson(parse(store_specs::kFull));
+    runAgainst(half, store);
+
+    const SweepReport grown = runAgainst(full, store);
+    const SweepReport fresh = runSweep(full);
+    EXPECT_EQ(grown.doc.dump(), fresh.doc.dump());
+    EXPECT_EQ(grown.points, 4u);
+    EXPECT_EQ(grown.hoardHits, 2u);
+    EXPECT_EQ(grown.executed, 2u);
+    EXPECT_EQ(grown.hoardStored, 2u);
     EXPECT_EQ(fresh.executed, 4u);
-    // The resumed document carries no trace of the resume (it is
-    // byte-identical), and documents declare their schema.
-    EXPECT_EQ(resumed.doc.at("schema_version").asInt(),
+    EXPECT_EQ(grown.doc.at("schema_version").asInt(),
               kResultSchemaVersion);
+
+    // And a second re-run executes nothing.
+    const SweepReport warm = runAgainst(full, store);
+    EXPECT_EQ(warm.executed, 0u);
+    EXPECT_EQ(warm.hoardHits, 4u);
+    EXPECT_EQ(warm.doc.dump(), fresh.doc.dump());
 }
 
-TEST(SweepResume, FullResumeExecutesNothing)
+TEST(SweepStore, EveryTickedPointIsAlreadyStored)
 {
-    const SweepSpec full =
-        SweepSpec::fromJson(parse(resume_specs::kFull));
-    const SweepReport fresh = runSweep(full);
-    SweepOptions options;
-    options.resume = &fresh.doc;
-    const SweepReport resumed = runSweep(full, options);
-    EXPECT_EQ(resumed.executed, 0u);
-    EXPECT_EQ(resumed.resumed, 4u);
-    EXPECT_EQ(resumed.doc.dump(), fresh.doc.dump());
-}
-
-TEST(SweepResume, CheckpointFileResumesAKilledRun)
-{
-    // A genuinely killed run leaves only the checkpoint file. With
-    // checkpointSeconds = 0 and one thread, the file after point 2
-    // is exactly the "killed half-way" state: two finished points,
-    // two {"error": "interrupted"} stubs. Resuming from it must
-    // execute exactly the stubs and reproduce the fresh document
-    // byte-for-byte.
-    const SweepSpec full =
-        SweepSpec::fromJson(parse(resume_specs::kFull));
-    const std::string path =
-        ::testing::TempDir() + "qc_sweep_checkpoint.json";
+    // Publish-before-tick: at every progress tick for an executed
+    // point the store already holds it, so a crash right after the
+    // K-th tick (qcarch's crash-at-point=K) leaves K points stored.
+    MemoryStore store;
     SweepOptions options;
     options.threads = 1;
-    options.checkpointPath = path;
-    options.checkpointSeconds = 0;
-    Json killed;
+    options.hoard = &store;
+    std::size_t ticks = 0;
     options.progress = [&](const SweepProgress &p) {
-        if (p.done == 2)
-            killed = Json::loadFile(path);
+        EXPECT_EQ(store.size(), p.done);
+        ++ticks;
     };
-    const SweepReport fresh = runSweep(full, options);
-
-    ASSERT_TRUE(killed.isObject());
-    std::size_t interrupted = 0;
-    for (std::size_t i = 0; i < killed.at("points").size(); ++i)
-        interrupted += killed.at("points").at(i).has("error");
-    EXPECT_EQ(interrupted, 2u);
-
-    SweepOptions resumeOptions;
-    resumeOptions.resume = &killed;
-    const SweepReport resumed = runSweep(full, resumeOptions);
-    EXPECT_EQ(resumed.resumed, 2u);
-    EXPECT_EQ(resumed.executed, 2u);
-    EXPECT_EQ(resumed.failed, 0u);
-    EXPECT_EQ(resumed.doc.dump(), fresh.doc.dump());
-
-    // The final checkpoint equals the final document.
-    EXPECT_EQ(Json::loadFile(path).dump(), fresh.doc.dump());
+    const SweepReport report = runSweep(
+        SweepSpec::fromJson(parse(store_specs::kFull)), options);
+    EXPECT_EQ(ticks, report.points);
 }
 
-TEST(SweepResume, AssignmentShapeChangesReExecuteInsteadOfDrifting)
+TEST(SweepStore, DrainedRunWritesNoDocumentAndReRunFinishes)
+{
+    // The SIGINT/SIGTERM path, minus the signal: stop after two
+    // points. No partial document exists; the two finished points
+    // are in the store, and re-running computes only the rest.
+    const SweepSpec spec = SweepSpec::fromJson(parse(store_specs::kFull));
+    const SweepReport fresh = runSweep(spec);
+
+    MemoryStore store;
+    std::size_t done = 0;
+    SweepOptions options;
+    options.threads = 1;
+    options.hoard = &store;
+    options.progress = [&](const SweepProgress &) { ++done; };
+    options.stopRequested = [&] { return done >= 2; };
+    const SweepReport drained = runSweep(spec, options);
+    EXPECT_EQ(drained.interrupted, 2u);
+    EXPECT_EQ(drained.executed, 2u);
+    EXPECT_TRUE(drained.doc.isNull());
+    EXPECT_EQ(store.size(), 2u);
+
+    const SweepReport rerun = runAgainst(spec, store);
+    EXPECT_EQ(rerun.hoardHits, 2u);
+    EXPECT_EQ(rerun.executed, 2u);
+    EXPECT_EQ(rerun.interrupted, 0u);
+    EXPECT_EQ(rerun.doc.dump(), fresh.doc.dump());
+}
+
+TEST(SweepStore, AssignmentShapeChangesStillHit)
 {
     // Same merged config, different axis assignment (the value
-    // moved from an axis into the base between runs): replaying
-    // the stored object would change the output shape, so the
-    // point must re-execute — byte-identity beats reuse.
+    // moved from an axis into the base): the store keys on the
+    // config alone and the assembler lays out the assignment, so
+    // the point is a hit and the document still matches a fresh
+    // run of the reshaped spec byte for byte.
     const SweepSpec prior = SweepSpec::fromJson(parse(R"({
       "runner": "mc-prep",
       "base": {"trials": 20000, "seed": 7},
@@ -728,76 +764,77 @@ TEST(SweepResume, AssignmentShapeChangesReExecuteInsteadOfDrifting)
       "base": {"trials": 20000, "seed": 7, "strategy": "basic"},
       "axes": [{"field": "pGate", "values": [1e-4]}]
     })"));
-    const SweepReport old = runSweep(prior);
-    SweepOptions options;
-    options.resume = &old.doc;
-    const SweepReport resumed = runSweep(reshaped, options);
-    EXPECT_EQ(resumed.resumed, 0u);
-    EXPECT_EQ(resumed.executed, 1u);
-    EXPECT_EQ(resumed.doc.dump(), runSweep(reshaped).doc.dump());
+    MemoryStore store;
+    runAgainst(prior, store);
+    const SweepReport rerun = runAgainst(reshaped, store);
+    EXPECT_EQ(rerun.hoardHits, 1u);
+    EXPECT_EQ(rerun.executed, 0u);
+    EXPECT_EQ(rerun.doc.dump(), runSweep(reshaped).doc.dump());
 }
 
-TEST(SweepResume, FailedPointsAreRetriedOnResume)
+TEST(SweepStore, FailedPointsAreRetriedOnReRun)
 {
-    // A stored {"error": ...} point must not be treated as done.
+    // A failed point is never stored, so it re-runs.
     const SweepSpec bad = SweepSpec::fromJson(parse(R"({
       "runner": "mc-prep",
       "base": {"trials": 1000},
       "axes": [{"field": "strategy",
                 "values": ["basic", "bogus"]}]
     })"));
-    const SweepReport broken = runSweep(bad);
+    MemoryStore store;
+    const SweepReport broken = runAgainst(bad, store);
     ASSERT_EQ(broken.failed, 1u);
-    SweepOptions options;
-    options.resume = &broken.doc;
-    const SweepReport resumed = runSweep(bad, options);
-    EXPECT_EQ(resumed.resumed, 1u);
-    EXPECT_EQ(resumed.executed, 1u); // the failed point re-ran
-    EXPECT_EQ(resumed.failed, 1u);   // ...and failed again
+    EXPECT_EQ(store.size(), 1u);
+    const SweepReport rerun = runAgainst(bad, store);
+    EXPECT_EQ(rerun.hoardHits, 1u);
+    EXPECT_EQ(rerun.executed, 1u); // the failed point re-ran
+    EXPECT_EQ(rerun.failed, 1u);   // ...and failed again
+    EXPECT_EQ(rerun.doc.dump(), broken.doc.dump());
 }
 
-TEST(SweepResume, RejectsMalformedResumeDocuments)
+/** A store whose every publish fails, like a full disk. */
+class FullDiskStore : public ResultCache
 {
-    const SweepSpec spec =
-        SweepSpec::fromJson(parse(resume_specs::kFull));
-    auto expectThrow = [&](const Json &doc, const char *what) {
-        SweepOptions options;
-        options.resume = &doc;
-        EXPECT_THROW(runSweep(spec, options),
-                     std::invalid_argument)
-            << what;
-    };
-    expectThrow(parse(R"({"not": "a sweep output"})"),
-                "missing spec/points");
-    expectThrow(parse(R"([1, 2, 3])"), "not an object");
-
-    // Truncated points array (as from a killed run).
-    const SweepReport fresh = runSweep(spec);
-    Json truncated = Json::object();
-    truncated.set("spec", fresh.doc.at("spec"));
-    Json somePoints = Json::array();
-    somePoints.push(fresh.doc.at("points").at(0));
-    truncated.set("points", somePoints);
-    expectThrow(truncated, "truncated points");
-
-    // Edited config_hash.
-    Json edited = fresh.doc;
-    Json points = Json::array();
-    for (std::size_t i = 0; i < fresh.doc.at("points").size();
-         ++i) {
-        Json p = fresh.doc.at("points").at(i);
-        p.set("config_hash", "0000000000000000");
-        points.push(p);
+  public:
+    bool fetch(const std::string &, const Json &, Json &) override
+    {
+        return false;
     }
-    edited.set("points", points);
-    expectThrow(edited, "config_hash mismatch");
+    bool store(const std::string &, const Json &,
+               const Json &) override
+    {
+        throw std::runtime_error("No space left on device");
+    }
+};
 
-    // Wrong runner.
-    const SweepReport other = runSweep(SweepSpec::fromJson(parse(
-        R"({"runner": "experiment",
-            "base": {"workload": "qrca", "bits": 6,
-                     "synth": {"maxSyllables": 3}}})")));
-    expectThrow(other.doc, "runner mismatch");
+TEST(SweepStore, FailedPublishKeepsThePointInTheDocument)
+{
+    // A publish that throws costs only that point's crash
+    // durability: the sweep finishes, every point lands in the
+    // document, and the failures are counted.
+    const SweepSpec spec = SweepSpec::fromJson(parse(store_specs::kFull));
+    FullDiskStore store;
+    const SweepReport report = runAgainst(spec, store, 4);
+    EXPECT_EQ(report.doc.dump(), runSweep(spec).doc.dump());
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.executed, 4u);
+    EXPECT_EQ(report.hoardStored, 0u);
+    EXPECT_EQ(report.hoardFailed, 4u);
+    EXPECT_NE(report.hoardError.find("No space left"),
+              std::string::npos);
+}
+
+TEST(SweepAssembler, DocumentRequiresEveryPoint)
+{
+    // No partial document: there is no stub format to emit.
+    SweepAssembler assembler(
+        SweepSpec::fromJson(parse(store_specs::kHalf)));
+    ASSERT_EQ(assembler.pending().size(), 2u);
+    assembler.setResult(0, parse(R"({"error_rate": 0.5})"), false);
+    EXPECT_THROW(assembler.document(), std::logic_error);
+    assembler.setResult(1, parse(R"({"error_rate": 0.25})"), false);
+    EXPECT_TRUE(assembler.complete());
+    EXPECT_EQ(assembler.document().at("points").size(), 2u);
 }
 
 TEST(SweepEngine, ZeroPointSpecsThrowInsteadOfEmittingNothing)
@@ -878,8 +915,6 @@ TEST(ShippedSpecs, ParseAndExpandToExpectedCounts)
         {"/fig15_arch.json", 60, "experiment"},
         {"/level2_scaling.json", 12, "experiment"},
         {"/ci_smoke.json", 4, "experiment"},
-        // First half of ci_smoke, for the CI resume gate.
-        {"/ci_smoke_half.json", 2, "experiment"},
     };
     for (const auto &s : specs) {
         const SweepSpec spec =
@@ -965,137 +1000,6 @@ TEST(WorkStealingPool, StopPredicateDrainsWithoutNewTasks)
         },
         [&] { return stop.load(); });
     EXPECT_EQ(started.load(), 5);
-}
-
-// ---------------------------------------------------------------
-// Checkpoint cadence and graceful drain
-// ---------------------------------------------------------------
-
-TEST(SweepEngine, CheckpointSecondsZeroWritesAfterEveryPoint)
-{
-    // With checkpointSeconds = 0 and one thread, the checkpoint on
-    // disk is never more than zero points behind: at every
-    // progress tick for an executed point the file already holds
-    // exactly `done` finished entries.
-    const SweepSpec spec =
-        SweepSpec::fromJson(parse(resume_specs::kFull));
-    const std::string path =
-        ::testing::TempDir() + "qc_sweep_everypoint.json";
-    std::remove(path.c_str());
-    SweepOptions options;
-    options.threads = 1;
-    options.checkpointPath = path;
-    options.checkpointSeconds = 0;
-    std::size_t checked = 0;
-    options.progress = [&](const SweepProgress &p) {
-        const Json snapshot = Json::loadFile(path);
-        std::size_t finished = 0;
-        for (std::size_t i = 0; i < snapshot.at("points").size();
-             ++i)
-            finished +=
-                !snapshot.at("points").at(i).has("error");
-        EXPECT_EQ(finished, p.done);
-        ++checked;
-    };
-    const SweepReport report = runSweep(spec, options);
-    EXPECT_EQ(checked, report.points);
-    std::remove(path.c_str());
-}
-
-/** A deliberately slow deterministic runner for checkpoint-cadence
- *  tests. */
-class SlowTestRunner : public SweepRunner
-{
-  public:
-    std::string name() const override { return "test-slow"; }
-    std::string description() const override
-    {
-        return "test-only: sleeps 10 ms per point";
-    }
-    std::vector<std::string> fields() const override
-    {
-        return {"x"};
-    }
-    Json runPoint(const Json &config,
-                  SweepContext &) const override
-    {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(10));
-        Json result = Json::object();
-        result.set("y", config.at("x").asDouble() * 2);
-        return result;
-    }
-};
-
-TEST(SweepEngine, CheckpointHappensBetweenSlowPoints)
-{
-    // A single point slower than checkpointSeconds must not
-    // suppress checkpointing: the interval gates how OFTEN the
-    // engine writes, not whether a finished point reaches disk —
-    // each completed point checks the clock, so a checkpoint lands
-    // after the slow point even though the interval elapsed
-    // mid-point.
-    SweepRunnerRegistry::instance().add(
-        "test-slow", std::make_shared<SlowTestRunner>());
-    const SweepSpec spec = SweepSpec::fromJson(parse(R"({
-      "name": "slow",
-      "runner": "test-slow",
-      "axes": [{"field": "x", "values": [1, 2, 3]}]
-    })"));
-    const std::string path =
-        ::testing::TempDir() + "qc_sweep_slowpoint.json";
-    std::remove(path.c_str());
-    SweepOptions options;
-    options.threads = 1;
-    options.checkpointPath = path;
-    options.checkpointSeconds = 0.002; // each point takes ~10 ms
-    bool sawIntermediate = false;
-    options.progress = [&](const SweepProgress &p) {
-        if (p.done < p.total) {
-            std::error_code ec;
-            sawIntermediate |=
-                std::filesystem::exists(path, ec);
-        }
-    };
-    const SweepReport report = runSweep(spec, options);
-    EXPECT_TRUE(sawIntermediate);
-    // The final checkpoint equals the final document.
-    EXPECT_EQ(Json::loadFile(path).dump(), report.doc.dump());
-    std::remove(path.c_str());
-}
-
-TEST(SweepEngine, StopRequestedDrainsToAResumableCheckpoint)
-{
-    // The SIGINT/SIGTERM path, minus the signal: stop after two
-    // points, expect interrupted accounting, a checkpoint whose
-    // stubs re-run on resume, and byte-identity with a fresh run.
-    const SweepSpec spec =
-        SweepSpec::fromJson(parse(resume_specs::kFull));
-    const std::string path =
-        ::testing::TempDir() + "qc_sweep_drain.json";
-    std::remove(path.c_str());
-    const SweepReport fresh = runSweep(spec);
-
-    std::size_t done = 0;
-    SweepOptions options;
-    options.threads = 1;
-    options.checkpointPath = path;
-    options.checkpointSeconds = 0;
-    options.progress = [&](const SweepProgress &) { ++done; };
-    options.stopRequested = [&] { return done >= 2; };
-    const SweepReport drained = runSweep(spec, options);
-    EXPECT_EQ(drained.interrupted, 2u);
-    EXPECT_EQ(drained.executed, 4u); // planned; only 2 ran
-
-    const Json checkpoint = Json::loadFile(path);
-    SweepOptions resumeOptions;
-    resumeOptions.resume = &checkpoint;
-    const SweepReport resumed = runSweep(spec, resumeOptions);
-    EXPECT_EQ(resumed.resumed, 2u);
-    EXPECT_EQ(resumed.executed, 2u);
-    EXPECT_EQ(resumed.interrupted, 0u);
-    EXPECT_EQ(resumed.doc.dump(), fresh.doc.dump());
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -9,38 +9,30 @@
  *       (stdout, or --out).
  *
  *   qcarch sweep <spec.json> [--threads N] [--out PATH] [--quiet]
- *                [--resume PREV.json] [--checkpoint-seconds S]
  *                [--hoard DIR]
  *       Expand and execute a SweepSpec on the parallel sweep
  *       engine; writes the aggregated document (stdout, or --out).
  *       Output is bit-identical for a given spec regardless of
- *       --threads; progress goes to stderr. With --out, the
- *       document is checkpointed to the output path during the
- *       run (every S seconds; 0 = after every point), so a killed
- *       sweep leaves a valid, resumable file. --resume loads a
- *       previous output of the same runner and replays every
- *       stored point whose configuration and axis assignment match
- *       (config_hash is cross-checked), so an interrupted Table
- *       5-8-scale grid restarts incrementally — the merged
- *       document is still byte-identical to a fresh single-shot
- *       run. --hoard DIR (or the QCARCH_HOARD environment
- *       variable) opens the persistent result cache at DIR as a
- *       read-through/write-behind layer: points already in the
- *       store are served from it, newly computed points are
- *       published to it, and the output stays byte-identical
- *       either way (docs/HOARD.md). SIGINT/SIGTERM drain the pool,
- *       write a final checkpoint, and exit 3.
+ *       --threads; progress goes to stderr. Every finished point
+ *       is published to a result store (docs/HOARD.md): --hoard
+ *       DIR (or the QCARCH_HOARD environment variable), else the
+ *       private store PATH.hoard/ beside a file --out, which a
+ *       successful run removes. Points already in the store are
+ *       served from it, and the output stays byte-identical either
+ *       way — so a killed or interrupted sweep resumes by running
+ *       the same command again. SIGINT/SIGTERM drain the pool,
+ *       write no document, and exit 3.
  *
  *   qcarch serve <spec.json> --out PATH [--dir DIR]
  *                [--workers-expected N] [--lease-seconds S]
- *                [--shard-points K] [--poll-ms MS]
- *                [--checkpoint-seconds S] [--quiet]
+ *                [--shard-points K] [--poll-ms MS] [--quiet]
  *       Coordinate the same sweep across worker processes: shards
  *       the spec into a coordination directory (default
- *       PATH.serve), leases shards to `qcarch work` processes, and
- *       merges their deltas into PATH — byte-identical to the
- *       single-shot `qcarch sweep` document. Restarting on a
- *       partial PATH resumes it. See docs/SERVE.md.
+ *       PATH.serve), leases shards to `qcarch work` processes,
+ *       fetches the points they publish to DIR/hoard, and writes
+ *       PATH once complete — byte-identical to the single-shot
+ *       `qcarch sweep` document. Restarting on the same DIR
+ *       recovers every published point. See docs/SERVE.md.
  *
  *   qcarch work --coordinator DIR [--poll-ms MS]
  *               [--backoff-max-ms MS] [--max-idle-seconds S]
@@ -56,11 +48,9 @@
  *
  *   qcarch hoard stat|verify DIR
  *   qcarch hoard gc DIR [--max-bytes N] [--max-age-days D]
- *   qcarch hoard ingest DIR --serve SERVEDIR
- *       Inspect, integrity-scan, evict from, or ingest leftover
- *       `qcarch serve` shard deltas into a hoard store. `verify`
- *       quarantines every invalid object and exits 1 if it found
- *       any.
+ *       Inspect, integrity-scan or evict from a hoard store.
+ *       `verify` quarantines every invalid object and exits 1 if
+ *       it found any.
  *
  *   qcarch list workloads|archs|runners
  *   qcarch list fields [runner]
@@ -71,13 +61,14 @@
  * src/serve/FaultInjector.hh). An injected crash exits 42.
  *
  * Exit codes: 0 success, 1 input error (message on stderr),
- * 2 usage, 3 interrupted by SIGINT/SIGTERM with a durable
- * checkpoint written, 42 injected fault fired.
+ * 2 usage, 3 interrupted by SIGINT/SIGTERM with every finished
+ * point in a store, 42 injected fault fired.
  */
 
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -85,6 +76,7 @@
 #include <vector>
 
 #include "api/Qc.hh"
+#include "common/DurableFile.hh"
 #include "hoard/Hoard.hh"
 #include "serve/Serve.hh"
 #include "sweep/Sweep.hh"
@@ -139,14 +131,11 @@ usage(std::ostream &out, int code)
     out << "usage:\n"
            "  qcarch run <config.json> [--out PATH]\n"
            "  qcarch sweep <spec.json> [--threads N] [--out PATH]"
-           " [--quiet]\n"
-           "               [--resume PREV.json]"
-           " [--checkpoint-seconds S] [--hoard DIR]\n"
+           " [--quiet] [--hoard DIR]\n"
            "  qcarch serve <spec.json> --out PATH [--dir DIR]"
            " [--workers-expected N]\n"
            "               [--lease-seconds S] [--shard-points K]"
-           " [--poll-ms MS]\n"
-           "               [--checkpoint-seconds S] [--quiet]\n"
+           " [--poll-ms MS] [--quiet]\n"
            "  qcarch work --coordinator DIR [--poll-ms MS]"
            " [--backoff-max-ms MS]\n"
            "               [--max-idle-seconds S] [--quiet]\n"
@@ -155,12 +144,17 @@ usage(std::ostream &out, int code)
            "  qcarch hoard stat|verify DIR\n"
            "  qcarch hoard gc DIR [--max-bytes N]"
            " [--max-age-days D]\n"
-           "  qcarch hoard ingest DIR --serve SERVEDIR\n"
            "  qcarch list workloads|archs|runners\n"
            "  qcarch list fields [runner]\n"
            "\n"
+           "sweep publishes every finished point to --hoard DIR, or"
+           " else to PATH.hoard/\n"
+           "beside a file --out (removed after a successful run):"
+           " to resume an\n"
+           "interrupted sweep, run the same command again.\n"
+           "\n"
            "exit codes: 0 ok, 1 input error, 2 usage, 3 "
-           "interrupted (checkpoint written), 42 injected fault\n";
+           "interrupted (finished points stored), 42 injected fault\n";
     return code;
 }
 
@@ -308,15 +302,25 @@ cmdRun(std::vector<std::string> args)
     return 0;
 }
 
+/** True for paths a durable write-then-rename may replace: a
+ *  regular file or nothing yet — never a device, pipe or directory
+ *  (`--out /dev/null`). */
+bool
+replaceablePath(const std::string &path)
+{
+    std::error_code ec;
+    const std::filesystem::file_status status =
+        std::filesystem::symlink_status(path, ec);
+    return !std::filesystem::exists(status)
+           || std::filesystem::is_regular_file(status);
+}
+
 int
 cmdSweep(std::vector<std::string> args)
 {
     const std::string out = takeOption(args, "--out");
     const std::string threads = takeOption(args, "--threads");
-    const std::string resumePath = takeOption(args, "--resume");
-    const std::string checkpointSeconds =
-        takeOption(args, "--checkpoint-seconds");
-    const std::string hoardDir = takeHoardDir(args);
+    std::string hoardDir = takeHoardDir(args);
     const FaultInjector fault = takeFault(args);
     const bool quiet = takeFlag(args, "--quiet");
     expectPositionals(args, 1, "qcarch sweep <spec.json>");
@@ -328,44 +332,40 @@ cmdSweep(std::vector<std::string> args)
     if (!threads.empty())
         options.threads = static_cast<int>(
             parseIntOption("--threads", threads, 0, 1 << 16));
-    if (!checkpointSeconds.empty())
-        options.checkpointSeconds = parseSecondsOption(
-            "--checkpoint-seconds", checkpointSeconds);
 
     const SweepSpec spec = SweepSpec::load(args[0]);
+    // The store is the checkpoint: --hoard DIR when given, else a
+    // private store beside a file --out (stdout and devices get
+    // none). Re-running the same command after a crash or a drain
+    // computes only the points the store lacks.
+    const bool fileOut = !out.empty() && replaceablePath(out);
+    const bool privateStore = hoardDir.empty() && fileOut;
+    if (privateStore) {
+        hoardDir = out + ".hoard";
+        std::error_code ec;
+        if (std::filesystem::exists(hoardDir, ec)
+            && !std::filesystem::exists(hoardDir + "/hoard.json",
+                                        ec)) {
+            throw std::invalid_argument(
+                hoardDir + " exists but is not a hoard store (no "
+                           "hoard.json); move it aside or pass "
+                           "--hoard DIR");
+        }
+    }
     std::optional<HoardStore> hoard;
     if (!hoardDir.empty()) {
         hoard.emplace(hoardDir, fault);
         options.hoard = &*hoard;
     }
-    // With --out, checkpoint to the output path during the run: a
-    // killed sweep leaves a valid document (finished points plus
-    // "interrupted" stubs) that --resume restarts from.
-    options.checkpointPath = out;
     options.stopRequested = stopRequested;
-
-    // Load the previous output up front so an unreadable or
-    // truncated file fails before any point executes (exit 1, no
-    // partial output).
-    Json resumeDoc;
-    if (!resumePath.empty()) {
-        try {
-            resumeDoc = Json::loadFile(resumePath);
-        } catch (const std::exception &e) {
-            throw std::invalid_argument("--resume " + resumePath
-                                        + ": " + e.what());
-        }
-        options.resume = &resumeDoc;
-    }
 
     // Progress doubles as the fault hook: crash-at-point=K fires
     // after the K-th executed point is finished — and, because the
-    // engine checkpoints before it ticks progress, after that
-    // point is durably checkpointed when --checkpoint-seconds is
-    // small enough.
+    // engine publishes before it ticks progress, after that point
+    // is in the store.
     std::size_t executedSoFar = 0;
     options.progress = [&](const SweepProgress &p) {
-        if (!p.cached && !p.resumed && !p.hoarded) {
+        if (!p.cached && !p.hoarded) {
             ++executedSoFar;
             fault.fireAtPoint(executedSoFar);
         }
@@ -375,8 +375,7 @@ cmdSweep(std::vector<std::string> args)
         // longer) progress line after the carriage return.
         std::cerr << "\r[" << p.done << "/" << p.total << "] "
                   << p.point->assignment.dump(0)
-                  << (p.cached ? " (cached)"
-                      : p.resumed ? " (resumed)"
+                  << (p.cached    ? " (cached)"
                       : p.hoarded ? " (hoard)"
                                   : "")
                   << "\x1b[K" << (p.done == p.total ? "\n" : "")
@@ -385,11 +384,15 @@ cmdSweep(std::vector<std::string> args)
 
     installStopHandlers();
     const SweepReport report = runSweep(spec, options);
-    emit(report.doc, out);
+    if (report.interrupted == 0) {
+        if (fileOut)
+            writeFileDurable(out, report.doc.dump(2) + "\n");
+        else
+            emit(report.doc, out);
+    }
     if (!quiet) {
         std::cerr << report.points << " points ("
                   << report.executed << " executed, "
-                  << report.resumed << " resumed, "
                   << report.cacheHits << " cached, "
                   << report.failed << " failed) in "
                   << report.wallSeconds << " s\n";
@@ -398,16 +401,31 @@ cmdSweep(std::vector<std::string> args)
                       << " hit(s), " << report.hoardStored
                       << " stored (" << hoardDir << ")\n";
         }
-        if (report.interrupted > 0) {
-            std::cerr << "interrupted: " << report.interrupted
-                      << " points pending; resume with --resume "
-                      << (out.empty() ? "<checkpoint>" : out)
-                      << "\n";
-        }
     }
-    if (report.interrupted > 0)
+    if (report.hoardFailed > 0) {
+        std::cerr << "hoard: " << report.hoardFailed
+                  << " point(s) not stored (" << report.hoardError
+                  << "); they are in the document but were not "
+                     "crash-durable\n";
+    }
+    if (report.interrupted > 0) {
+        std::cerr << "interrupted: " << report.interrupted
+                  << " point(s) pending";
+        if (hoard)
+            std::cerr << "; run the same command again to finish "
+                         "from "
+                      << hoardDir;
+        std::cerr << "\n";
         return kInterruptedExit;
-    return report.failed == 0 ? 0 : 1;
+    }
+    if (report.failed > 0)
+        return 1;
+    // A finished run needs no checkpoint: the document is durable.
+    if (privateStore) {
+        std::error_code ec;
+        std::filesystem::remove_all(hoardDir, ec);
+    }
+    return 0;
 }
 
 int
@@ -422,8 +440,6 @@ cmdServe(std::vector<std::string> args)
     const std::string shardPoints =
         takeOption(args, "--shard-points");
     const std::string pollMs = takeOption(args, "--poll-ms");
-    const std::string checkpointSeconds =
-        takeOption(args, "--checkpoint-seconds");
     options.fault = takeFault(args);
     options.quiet = takeFlag(args, "--quiet");
     expectPositionals(args, 1, "qcarch serve <spec.json> --out PATH");
@@ -444,17 +460,16 @@ cmdServe(std::vector<std::string> args)
     if (!pollMs.empty())
         options.pollMs = static_cast<int>(
             parseIntOption("--poll-ms", pollMs, 1, 1 << 30));
-    if (!checkpointSeconds.empty())
-        options.checkpointSeconds = parseSecondsOption(
-            "--checkpoint-seconds", checkpointSeconds);
     options.stopRequested = stopRequested;
 
     const SweepSpec spec = SweepSpec::load(args[0]);
+    HoardStore store(ServeDir(options.dir).hoard(), options.fault);
+    options.store = &store;
     installStopHandlers();
     const CoordinatorReport report = runCoordinator(spec, options);
     if (!options.quiet) {
         std::cerr << "serve: " << report.executed << " executed, "
-                  << report.resumed << " resumed, "
+                  << report.recovered << " recovered, "
                   << report.duplicates << " duplicate, "
                   << report.rejected << " rejected, "
                   << (report.reclaimedExpired
@@ -492,6 +507,8 @@ cmdWork(std::vector<std::string> args)
             parseSecondsOption("--max-idle-seconds", maxIdle);
     options.stopRequested = stopRequested;
 
+    HoardStore store(ServeDir(options.dir).hoard(), options.fault);
+    options.store = &store;
     installStopHandlers();
     const WorkerReport report = runWorker(options);
     if (!options.quiet) {
@@ -508,7 +525,7 @@ cmdHoard(std::vector<std::string> args)
     if (args.empty())
         throw UsageError(
             "qcarch hoard needs a subcommand: "
-            "warm, stat, verify, gc, ingest");
+            "warm, stat, verify, gc");
     const std::string what = args[0];
     args.erase(args.begin());
 
@@ -544,19 +561,6 @@ cmdHoard(std::vector<std::string> args)
         return report.failed == 0 ? 0 : 1;
     }
 
-    if (what == "ingest") {
-        const std::string serveDir = takeOption(args, "--serve");
-        expectPositionals(args, 1, "qcarch hoard ingest DIR");
-        if (serveDir.empty())
-            throw UsageError("qcarch hoard ingest requires "
-                             "--serve SERVEDIR");
-        HoardStore hoard(args[0]);
-        const std::size_t ingested = hoard.ingestServe(serveDir);
-        std::cerr << "hoard: ingested " << ingested
-                  << " point(s) from " << serveDir << "\n";
-        return 0;
-    }
-
     if (what == "gc") {
         const std::string maxBytes =
             takeOption(args, "--max-bytes");
@@ -584,8 +588,7 @@ cmdHoard(std::vector<std::string> args)
 
     if (what != "stat" && what != "verify")
         throw UsageError("unknown hoard subcommand \"" + what
-                         + "\"; expected warm, stat, verify, gc, "
-                           "ingest");
+                         + "\"; expected warm, stat, verify, gc");
     expectPositionals(args, 1, "qcarch hoard " + what + " DIR");
 
     if (what == "stat") {

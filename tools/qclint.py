@@ -2,11 +2,11 @@
 """qclint: enforce the repo's determinism & durability invariants.
 
 The sweep/serve stack promises byte-identical output across thread
-counts, resume, and coordinator/worker execution, and crash-safe
-checkpoint/lease files. Those guarantees are easy to break with one
-innocent-looking line — a wall-clock read in a result path, an
-unordered-container iteration feeding serialized output, a plain
-ofstream onto a checkpoint path. This linter scans `src/` and
+counts, store re-runs, and coordinator/worker execution, and
+crash-safe store/marker/lease files. Those guarantees are easy to
+break with one innocent-looking line — a wall-clock read in a result
+path, an unordered-container iteration feeding serialized output, a
+plain ofstream onto a durable path. This linter scans `src/` and
 `tools/` for the known footguns.
 
 Rules (each waivable, see below):
@@ -31,7 +31,7 @@ Rules (each waivable, see below):
                 lease protocol (src/serve/Lease.cc) and the hoard
                 commit path (src/hoard/HoardStore.cc, whose
                 renames are the quarantine moves the durable
-                publish pattern requires). Checkpoint, delta,
+                publish pattern requires). Document, marker,
                 lease and hoard-object files must be written
                 through writeFileDurable / Lease so a kill cannot
                 leave a torn file.
@@ -70,7 +70,7 @@ Rules (each waivable, see below):
   parse-robustness
                 .at( / asInt( in src/serve or src/hoard. The
                 fromJson-style entry points on the queue, lease,
-                delta, and hoard commit/fetch paths parse bytes
+                marker, and hoard commit/fetch paths parse bytes
                 other processes wrote; they must use the
                 bounds-checked accessors (Json::find, asIndex,
                 kind checks) that reject malformed input as
@@ -169,7 +169,7 @@ RULES = [
         r"|\bcreat\s*\()",
         ["src/sweep/", "src/serve/", "src/hoard/"],
         ["src/serve/Lease.cc", "src/hoard/HoardStore.cc"],
-        "checkpoint/delta/lease/hoard-object files must go through "
+        "document/marker/lease/hoard-object files must go through "
         "writeFileDurable, the Lease protocol or the hoard commit "
         "path so a crash cannot leave a torn file",
     ),
