@@ -12,14 +12,12 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/Qc.hh"
 #include "common/Table.hh"
 #include "factory/ZeroFactory.hh"
 #include "layout/Builders.hh"
-#include "sweep/Sweep.hh"
 
 namespace qc::bench {
 
@@ -97,76 +95,6 @@ inline void
 section(const std::string &title)
 {
     std::cout << "\n== " << title << " ==\n";
-}
-
-/** Whether a name=value CLI argument is present at all. */
-inline bool
-hasArg(int argc, char **argv, const std::string &name)
-{
-    const std::string prefix = name + "=";
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]).rfind(prefix, 0) == 0)
-            return true;
-    }
-    return false;
-}
-
-/**
- * Shared main for the sweep-backed figure benches: load the shipped
- * spec (specs/<specName>, overridable with spec=PATH), apply any
- * numeric CLI overrides into the spec base (e.g. trials=, bits=),
- * run it on the parallel sweep engine (threads=N, 0 = all cores)
- * and write the aggregated JSON to out=PATH.
- *
- * The bench binaries and `qcarch sweep specs/<specName>` are the
- * same computation by construction: one spec, one engine.
- */
-inline int
-runSweepBench(
-    int argc, char **argv, const std::string &specName,
-    const std::string &defaultOut,
-    const std::vector<std::pair<std::string, std::string>>
-        &numericOverrides = {})
-{
-    const std::string specPath = argString(
-        argc, argv, "spec", std::string(QC_SPEC_DIR "/") + specName);
-    const std::string out = argString(argc, argv, "out", defaultOut);
-
-    SweepSpec spec;
-    try {
-        spec = SweepSpec::load(specPath);
-        for (const auto &[arg, path] : numericOverrides) {
-            if (!hasArg(argc, argv, arg))
-                continue;
-            const Json value(argValue(argc, argv, arg, 0));
-            // Grid bases merge over the spec base, so a CLI
-            // override must land in both to win everywhere.
-            setJsonPath(spec.base, path, value);
-            for (SweepGrid &grid : spec.grids)
-                setJsonPath(grid.base, path, value);
-        }
-
-        SweepOptions options;
-        options.threads = static_cast<int>(
-            argValue(argc, argv, "threads", 0));
-        options.progress = [](const SweepProgress &p) {
-            std::cerr << "\r[" << p.done << "/" << p.total << "]"
-                      << (p.done == p.total ? "\n" : "")
-                      << std::flush;
-        };
-
-        const SweepReport report = runSweep(spec, options);
-        report.doc.saveFile(out);
-        std::cout << "wrote " << report.points << " sweep points ("
-                  << report.executed << " executed, "
-                  << report.cacheHits << " cached) to " << out
-                  << " in " << fmtFixed(report.wallSeconds, 1)
-                  << " s\n";
-        return report.failed == 0 ? 0 : 1;
-    } catch (const std::exception &e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-    }
 }
 
 } // namespace qc::bench

@@ -6,7 +6,7 @@
  * of by teleportation, but ballistic hops grow with region size and
  * ancilla multiplexing happens only within a tile.
  *
- * Uses the full tiled model (arch/QalypsoTile.hh): per-tile factory
+ * Uses the full tiled model (runQalypso): per-tile factory
  * pools sized from a fixed per-tile area budget, ballistic
  * intra-tile movement, teleportation between tiles.
  */
@@ -14,7 +14,6 @@
 #include <iostream>
 
 #include "BenchCommon.hh"
-#include "arch/QalypsoTile.hh"
 #include "arch/SpeedOfData.hh"
 #include "circuit/Dataflow.hh"
 #include "common/Table.hh"

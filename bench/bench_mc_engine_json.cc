@@ -39,6 +39,7 @@
 #include "BenchCommon.hh"
 #include "error/AncillaSim.hh"
 #include "error/BatchAncillaSim.hh"
+#include "sweep/Sweep.hh"
 
 namespace {
 

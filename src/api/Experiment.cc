@@ -220,7 +220,7 @@ ExperimentConfig::hash() const
 std::string
 ExperimentConfig::workloadKey() const
 {
-    // Exactly the fields Experiment::run(variant) checks: configs
+    // Exactly the fields the built workload depends on: configs
     // differing only elsewhere may share one built workload.
     Json j = Json::object();
     j.set("workload", workload);
@@ -386,21 +386,8 @@ Experiment::Experiment(ExperimentConfig config)
 {
 }
 
-Experiment::Experiment(ExperimentConfig config, Workload workload)
-    : config_(std::move(config)), workload_(std::move(workload))
-{
-}
-
-Experiment::Experiment(ExperimentConfig config,
-                       std::shared_ptr<const Workload> workload)
-    : config_(std::move(config)), shared_(std::move(workload))
-{
-}
-
 Experiment::Experiment(ExperimentConfig config, SharedWorkload shared)
-    : config_(std::move(config)),
-      shared_(std::move(shared.workload)),
-      sharedGraph_(std::move(shared.graph))
+    : config_(std::move(config)), shared_(std::move(shared))
 {
 }
 
@@ -436,27 +423,21 @@ makeSharedWorkload(Workload workload)
     return out;
 }
 
+const SharedWorkload &
+Experiment::shared()
+{
+    if (!shared_.workload) {
+        FowlerSynth synth(config_.synth);
+        shared_ = makeSharedWorkload(WorkloadRegistry::instance().build(
+            config_.workload, synth, config_.params));
+    }
+    return shared_;
+}
+
 const Workload &
 Experiment::workload()
 {
-    if (shared_)
-        return *shared_;
-    if (!workload_) {
-        synth_.emplace(config_.synth);
-        workload_ = WorkloadRegistry::instance().build(
-            config_.workload, *synth_, config_.params);
-    }
-    return *workload_;
-}
-
-const DataflowGraph &
-Experiment::graph()
-{
-    if (sharedGraph_)
-        return *sharedGraph_;
-    if (!graph_)
-        graph_.emplace(workload().lowered.circuit);
-    return *graph_;
+    return *shared().workload;
 }
 
 const Experiment::Analytics &
@@ -485,7 +466,7 @@ Experiment::analytics(const ExperimentConfig &variant)
         // operation with the recursive effective latencies.
         const EncodedOpModel model(ConcatenatedSteane::effectiveTech(
             tech, variant.codeLevel));
-        const DataflowGraph &graph = this->graph();
+        const DataflowGraph &graph = *shared().graph;
         Analytics out;
         out.tech = tech;
         out.codeLevel = variant.codeLevel;
@@ -548,17 +529,7 @@ Result
 Experiment::run(const ExperimentConfig &variant)
 {
     ConcatenatedSteane::validateLevel(variant.codeLevel);
-    if (variant.workload != config_.workload
-        || variant.params.bits != config_.params.bits
-        || variant.params.lowering.maxRotK
-            != config_.params.lowering.maxRotK
-        || variant.params.qft.maxK != config_.params.qft.maxK
-        || variant.params.qft.withSwaps
-            != config_.params.qft.withSwaps
-        || variant.synth.maxSyllables != config_.synth.maxSyllables
-        || variant.synth.maxError != config_.synth.maxError
-        || variant.synth.pureHT != config_.synth.pureHT
-        || variant.synth.tCostWeight != config_.synth.tCostWeight) {
+    if (variant.workloadKey() != config_.workloadKey()) {
         throw std::invalid_argument(
             "Experiment::run(variant): variant describes a "
             "different workload than the cached one (\""
@@ -566,10 +537,10 @@ Experiment::run(const ExperimentConfig &variant)
             + "\"); construct a new Experiment instead");
     }
 
-    const Workload &w = workload();
+    const Workload &w = *shared().workload;
+    const DataflowGraph &graph = *shared().graph;
     const EncodedOpModel model(ConcatenatedSteane::effectiveTech(
         variant.tech, variant.codeLevel));
-    const DataflowGraph &graph = this->graph();
 
     Result result;
     result.workload = w.name;

@@ -31,12 +31,11 @@
 #include <string>
 #include <vector>
 
-#include "api/ArchModel.hh"
 #include "api/Json.hh"
-#include "api/Workload.hh"
+#include "arch/Microarch.hh"
 #include "arch/SpeedOfData.hh"
-#include "arch/ThrottledRun.hh"
 #include "factory/Allocation.hh"
+#include "kernels/Workloads.hh"
 
 namespace qc {
 
@@ -279,48 +278,27 @@ struct SharedWorkload
 SharedWorkload makeSharedWorkload(Workload workload);
 
 /**
- * Builds the workload once (with its synthesis cache) and runs one
- * or more schedule variants against it.
+ * Builds the workload once and runs one or more schedule variants
+ * against it.
  */
 class Experiment
 {
   public:
+    /** Build the configured workload lazily, on first use. */
     explicit Experiment(ExperimentConfig config);
-
-    /**
-     * Adopt an already-built workload (e.g. one shared across many
-     * experiments by a bench). The config's workload fields are
-     * assumed to describe it; no rebuild happens.
-     */
-    Experiment(ExperimentConfig config, Workload workload);
-
-    /**
-     * Share an already-built workload without copying it (the
-     * sweep engine's cross-point cache hands the same instance to
-     * many concurrent points). The workload must outlive the
-     * experiment and is never mutated.
-     */
-    Experiment(ExperimentConfig config,
-               std::shared_ptr<const Workload> workload);
 
     /**
      * Const-shared-workload mode: share both the workload and its
      * dataflow graph, so the experiment performs *no* per-point
      * synthesis, copy or graph construction at all — the mode large
      * sweeps run in (every point of a Table 5-8-scale grid reuses
-     * one immutable bundle). shared.graph must be the DAG over
+     * one immutable bundle, e.g. the sweep engine's cross-point
+     * cache). The config's workload fields are assumed to describe
+     * it, and shared.graph must be the DAG over
      * shared.workload->lowered.circuit (makeSharedWorkload
-     * guarantees this). Results are bit-identical to the other
-     * construction modes.
+     * guarantees this). Results are bit-identical to building.
      */
     Experiment(ExperimentConfig config, SharedWorkload shared);
-
-    /**
-     * Non-copyable/movable: the cached DataflowGraph references the
-     * cached workload's circuit in place.
-     */
-    Experiment(const Experiment &) = delete;
-    Experiment &operator=(const Experiment &) = delete;
 
     const ExperimentConfig &config() const { return config_; }
 
@@ -332,9 +310,9 @@ class Experiment
 
     /**
      * Run a variant configuration against the cached workload. The
-     * variant must describe the same workload (name, params and
-     * synthesis knobs are checked; throws std::invalid_argument on
-     * mismatch) — schedule/arch/factory fields may differ freely.
+     * variant must describe the same workload (equal workloadKey();
+     * throws std::invalid_argument on mismatch) —
+     * schedule/arch/factory fields may differ freely.
      */
     Result run(const ExperimentConfig &variant);
 
@@ -342,8 +320,8 @@ class Experiment
     /**
      * The speed-of-data analytics depend only on the cached
      * workload, the technology point and the bin count, so variant
-     * sweeps (e.g. the Figure 15 bench's ~20 arch points per
-     * workload) reuse them instead of re-walking the circuit.
+     * sweeps (e.g. Figure 15's ~20 arch points per workload) reuse
+     * them instead of re-walking the circuit.
      */
     struct Analytics
     {
@@ -366,16 +344,12 @@ class Experiment
 
     const Analytics &analytics(const ExperimentConfig &variant);
 
-    /** The dependency DAG: the shared one when provided, else
-     *  built lazily over the cached workload's circuit. */
-    const DataflowGraph &graph();
+    /** The workload bundle: the shared one when provided, else
+     *  built on first use. */
+    const SharedWorkload &shared();
 
     ExperimentConfig config_;
-    std::optional<FowlerSynth> synth_;
-    std::optional<Workload> workload_;
-    std::shared_ptr<const Workload> shared_; ///< takes precedence
-    std::shared_ptr<const DataflowGraph> sharedGraph_;
-    std::optional<DataflowGraph> graph_;
+    SharedWorkload shared_;
     std::optional<Analytics> analytics_;
 };
 

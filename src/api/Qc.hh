@@ -4,12 +4,15 @@
  * consumers — benches, examples, notebooks, services — include this
  * one header and get:
  *
- *  - qc::WorkloadRegistry  named, parameterized benchmark circuits
- *                          ("qrca", "qcla", "qft", "chain",
- *                          "ladder", plus runtime registrations)
- *  - qc::ArchRegistry      the five microarchitecture models as
- *                          polymorphic qc::ArchModel instances
- *                          ("qla", "gqla", "cqla", "gcqla", "fma")
+ *  - qc::WorkloadRegistry  the fixed table of named, parameterized
+ *                          benchmark circuits ("qrca", "qcla",
+ *                          "qft", "chain", "ladder"; kernels/)
+ *  - qc::ArchRegistry      the fixed table of the five
+ *                          microarchitecture models ("qla", "gqla",
+ *                          "cqla", "gcqla", "fma"), plus
+ *                          qc::throttledRun and qc::runQalypso —
+ *                          all policies of the one event-driven
+ *                          dataflow executor (arch/)
  *  - qc::ExperimentConfig  one JSON-round-trippable description of
  *                          a run (workload, code level 1 or 2,
  *                          error rates, schedule mode, factory
@@ -20,6 +23,10 @@
  *                          demand profile, factory utilization,
  *                          KLOPS) that serializes to JSON
  *  - qc::Json              the minimal JSON value used throughout
+ *
+ * A new workload is one row of the table in kernels/Workloads.cc; a
+ * new model is an ArchExecution plus one table row in
+ * arch/Microarch.cc.
  *
  * Units everywhere: qc::Time is integer nanoseconds, areas are
  * macroblocks, bandwidths are items per millisecond, error rates
@@ -34,9 +41,9 @@
 #ifndef QC_API_QC_HH
 #define QC_API_QC_HH
 
-#include "api/ArchModel.hh"
 #include "api/Experiment.hh"
 #include "api/Json.hh"
-#include "api/Workload.hh"
+#include "arch/Microarch.hh"
+#include "kernels/Workloads.hh"
 
 #endif // QC_API_QC_HH

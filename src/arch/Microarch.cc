@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
-#include "api/ArchModel.hh"
 #include "codes/ConcatenatedCode.hh"
 #include "common/Logging.hh"
 #include "factory/ConcatenatedFactory.hh"
+#include "factory/Pi8Factory.hh"
+#include "factory/ZeroFactory.hh"
+#include "sim/Simulator.hh"
 #include "sim/TokenPool.hh"
 
 namespace qc {
@@ -19,30 +22,64 @@ MicroarchConfig::effTech() const
     return ConcatenatedSteane::effectiveTech(tech, codeLevel);
 }
 
-std::string
-microarchName(MicroarchKind kind)
+ArchRunResult
+ArchExecution::run(const DataflowGraph &graph,
+                   const EncodedOpModel &model, Time deadline)
 {
-    switch (kind) {
-      case MicroarchKind::Qla:              return "QLA";
-      case MicroarchKind::Gqla:             return "GQLA";
-      case MicroarchKind::Cqla:             return "CQLA";
-      case MicroarchKind::Gcqla:            return "GCQLA";
-      case MicroarchKind::FullyMultiplexed: return "Fully-Multiplexed";
+    const auto &gates = graph.circuit().gates();
+    const auto n = static_cast<NodeId>(graph.numNodes());
+
+    Simulator sim;
+    std::vector<int> missing(n, 0);
+    for (NodeId i = 0; i < n; ++i)
+        missing[i] = static_cast<int>(graph.preds(i).size());
+
+    std::function<void(NodeId)> launch = [&](NodeId node) {
+        const Gate &g = gates[node];
+        // Movement/cache bookkeeping first: it determines the QEC
+        // site whose bank the ancilla claim goes to.
+        const Time overhead = moveOverhead(g);
+        result.zerosConsumed +=
+            static_cast<std::uint64_t>(model.zeroAncillae(g));
+        result.pi8Consumed +=
+            static_cast<std::uint64_t>(model.pi8Ancillae(g));
+        const Time start =
+            std::max(sim.now(), ancillaReady(g, sim.now()));
+        Time latency = overhead + model.dataLatency(g);
+        if (model.needsQec(g.kind))
+            latency += model.qecInteractLatency();
+        sim.schedule(start + latency, [&, node]() {
+            result.makespan = std::max(result.makespan, sim.now());
+            ++result.gatesExecuted;
+            for (NodeId succ : graph.succs(node)) {
+                if (--missing[succ] == 0)
+                    launch(succ);
+            }
+        });
+    };
+
+    // Kick off the roots at t = 0 through the event queue so token
+    // claims happen in deterministic time order.
+    for (NodeId root : graph.roots())
+        sim.schedule(0, [&, root]() { launch(root); });
+
+    if (deadline > 0) {
+        sim.runUntil(deadline);
+        if (sim.pending() > 0) {
+            result.completed = false;
+            result.makespan = std::max(result.makespan, sim.now());
+        }
+    } else {
+        sim.run();
     }
-    return "?";
+    return result;
 }
 
-std::string
-microarchKey(MicroarchKind kind)
+ArchRunResult
+ArchModel::run(const DataflowGraph &graph, const EncodedOpModel &model,
+               const MicroarchConfig &config) const
 {
-    switch (kind) {
-      case MicroarchKind::Qla:              return "qla";
-      case MicroarchKind::Gqla:             return "gqla";
-      case MicroarchKind::Cqla:             return "cqla";
-      case MicroarchKind::Gcqla:            return "gcqla";
-      case MicroarchKind::FullyMultiplexed: return "fma";
-    }
-    return "?";
+    return prepare_(graph, model, config)->run(graph, model);
 }
 
 namespace {
@@ -61,7 +98,7 @@ class LruCache
         int slot = 0;
     };
 
-    explicit LruCache(std::size_t capacity) : capacity_(capacity)
+    explicit LruCache(std::size_t capacity)
     {
         for (std::size_t s = capacity; s > 0; --s)
             freeSlots_.push_back(static_cast<int>(s - 1));
@@ -104,7 +141,6 @@ class LruCache
         int slot;
     };
 
-    std::size_t capacity_;
     std::deque<Entry> order_;
     std::vector<int> freeSlots_;
 };
@@ -139,9 +175,40 @@ pi8Extra(const EncodedOpModel &model)
 }
 
 // ----------------------------------------------------------------
+// Throttled supply (Figure 8): no movement; steady rate-limited
+// pools of encoded zeros and pi/8 ancillae.
+// ----------------------------------------------------------------
+
+class ThrottledExecution : public ArchExecution
+{
+  public:
+    ThrottledExecution(const EncodedOpModel &model,
+                       BandwidthPerMs zero_per_ms,
+                       BandwidthPerMs pi8_per_ms)
+        : model_(model), zeros_(zero_per_ms), pi8s_(pi8_per_ms)
+    {
+    }
+
+    Time moveOverhead(const Gate &) override { return 0; }
+
+    Time
+    ancillaReady(const Gate &g, Time now) override
+    {
+        return std::max({now, zeros_.claim(model_.zeroAncillae(g)),
+                         pi8s_.claim(model_.pi8Ancillae(g))});
+    }
+
+  private:
+    const EncodedOpModel &model_;
+    RateTokenPool zeros_;
+    RateTokenPool pi8s_;
+};
+
+// ----------------------------------------------------------------
 // (G)QLA: every logical data qubit owns k dedicated serial ancilla
 // generators; operands of two-qubit gates teleport to an
-// interaction site and back home for their QEC step.
+// interaction site and back home for their QEC step. "QLA" is the
+// k = 1 point of "GQLA", so both rows share this policy.
 // ----------------------------------------------------------------
 
 class QlaExecution : public ArchExecution
@@ -149,11 +216,12 @@ class QlaExecution : public ArchExecution
   public:
     QlaExecution(const DataflowGraph &graph,
                  const EncodedOpModel &model,
-                 const MicroarchConfig &config, int k)
+                 const MicroarchConfig &config)
         : model_(model),
           teleport_(config.teleportLatency()),
           pi8Extra_(pi8Extra(model))
     {
+        const int k = std::max(1, config.generatorsPerSite);
         const Qubit nq = graph.circuit().numQubits();
         // The dedicated serial generator is the Fig 11 schedule at
         // the configured level's block-operation latencies, on a
@@ -206,58 +274,31 @@ class QlaExecution : public ArchExecution
     std::vector<OnDemandBankPool> banks_;
 };
 
-class QlaModel : public ArchModel
-{
-  public:
-    /**
-     * "QLA" and "GQLA" are one model: the original QLA proposal is
-     * the k = 1 point of its generalization, so the distinction is
-     * the display name plus the generatorsPerSite the caller asks
-     * for (exactly as the pre-registry enum behaved).
-     */
-    explicit QlaModel(std::string name) : name_(std::move(name)) {}
-
-    std::string name() const override { return name_; }
-
-    std::unique_ptr<ArchExecution>
-    prepare(const DataflowGraph &graph, const EncodedOpModel &model,
-            const MicroarchConfig &config) const override
-    {
-        const int k = std::max(1, config.generatorsPerSite);
-        return std::make_unique<QlaExecution>(graph, model, config,
-                                              k);
-    }
-
-  private:
-    std::string name_;
-};
-
 // ----------------------------------------------------------------
 // (G)CQLA: a compute cache of data qubits with k generators per
 // slot; gates execute only on cached qubits, and misses incur
 // teleport-in (plus a writeback teleport when a dirty qubit is
-// evicted). LRU replacement, as in sim-cache.
+// evicted). LRU replacement, as in sim-cache. "CQLA" is the k = 1
+// point of "GCQLA".
 // ----------------------------------------------------------------
 
 class CqlaExecution : public ArchExecution
 {
   public:
     CqlaExecution(const EncodedOpModel &model,
-                  const MicroarchConfig &config, int k)
+                  const MicroarchConfig &config)
         : model_(model),
           teleport_(config.teleportLatency()),
           pi8Extra_(pi8Extra(model)),
-          tech_(config.effTech()),
-          cacheSlots_(config.cacheSlots),
-          cache_(static_cast<std::size_t>(
-              std::max(2, config.cacheSlots)))
+          ballistic_(ballistic2q(config.cacheSlots, config.effTech())),
+          cache_(static_cast<std::size_t>(config.cacheSlots))
     {
+        const int k = std::max(1, config.generatorsPerSite);
         const SimpleZeroFactory simple(config.effTech());
         const Area tileScale =
             ConcatenatedSteane::tileArea(config.codeLevel);
-        slotBanks_.reserve(static_cast<std::size_t>(
-            std::max(2, config.cacheSlots)));
-        for (int s = 0; s < std::max(2, config.cacheSlots); ++s)
+        slotBanks_.reserve(static_cast<std::size_t>(config.cacheSlots));
+        for (int s = 0; s < config.cacheSlots; ++s)
             slotBanks_.emplace_back(k, simple.latency());
         result.ancillaArea = static_cast<Area>(config.cacheSlots)
             * k * simple.area() * tileScale;
@@ -284,7 +325,7 @@ class CqlaExecution : public ArchExecution
             }
         }
         if (arity == 2)
-            penalty += ballistic2q(cacheSlots_, tech_);
+            penalty += ballistic_;
         return penalty;
     }
 
@@ -314,8 +355,7 @@ class CqlaExecution : public ArchExecution
     const EncodedOpModel &model_;
     const Time teleport_;
     const Time pi8Extra_;
-    const IonTrapParams tech_;
-    const int cacheSlots_;
+    const Time ballistic_;
     LruCache cache_;
     std::vector<OnDemandBankPool> slotBanks_;
     // Slot hosting the most recent gate's QEC site (set by
@@ -323,50 +363,39 @@ class CqlaExecution : public ArchExecution
     int qecSlot_ = 0;
 };
 
-class CqlaModel : public ArchModel
-{
-  public:
-    /** "CQLA" is the k = 1 point of "GCQLA"; see QlaModel. */
-    explicit CqlaModel(std::string name) : name_(std::move(name)) {}
-
-    std::string name() const override { return name_; }
-
-    std::unique_ptr<ArchExecution>
-    prepare(const DataflowGraph &graph, const EncodedOpModel &model,
-            const MicroarchConfig &config) const override
-    {
-        (void)graph;
-        const int k = std::max(1, config.generatorsPerSite);
-        return std::make_unique<CqlaExecution>(model, config, k);
-    }
-
-  private:
-    std::string name_;
-};
-
 // ----------------------------------------------------------------
-// Fully-Multiplexed (Qalypso, Section 5.3): a shared farm of
-// pipelined factories feeds all data qubits; ancillae travel a
-// short ballistic hop from the factory output port to the dense
-// data-only region, and data moves ballistically inside it.
+// Fully-Multiplexed (Qalypso, Section 5.3): pipelined factory
+// farms feed dense data-only regions; ancillae travel a short
+// ballistic hop from a factory output port and data moves
+// ballistically inside a region. The logical qubits are split into
+// tiles of contiguous indices, each with its own farm: supply is
+// multiplexed only within a tile, and two-qubit gates between tiles
+// teleport. The Figure 15 model is the one-tile case.
 // ----------------------------------------------------------------
 
-class FmaExecution : public ArchExecution
+class MultiplexedExecution : public ArchExecution
 {
   public:
-    FmaExecution(const DataflowGraph &graph,
-                 const EncodedOpModel &model,
-                 const MicroarchConfig &config)
+    MultiplexedExecution(const DataflowGraph &graph,
+                         const EncodedOpModel &model,
+                         const MicroarchConfig &config, int tileSize,
+                         Area areaPerTile)
         : model_(model),
-          tech_(config.effTech()),
-          nq_(static_cast<int>(graph.circuit().numQubits()))
+          tileSize_(tileSize),
+          hop_(ancillaHop(config.effTech())),
+          teleport_(config.teleportLatency())
     {
+        const int nq = static_cast<int>(graph.circuit().numQubits());
+        tiles = (nq + tileSize - 1) / tileSize;
+        ballistic_ =
+            ballistic2q(std::min(tileSize, nq), config.effTech());
+
         // Area per unit delivered bandwidth and pipeline fill
         // latency for each product at the configured code level.
         // Each pi/8 ancilla also consumes one zero, hence the
         // cost_zero coupling term.
-        double cost_zero, cost_pi8;
-        Time zero_fill, pi8_fill;
+        double cost_zero = 0, cost_pi8 = 0;
+        Time zero_fill = 0, pi8_fill = 0;
         const auto price = [&](const auto &zeroFactory,
                                const auto &pi8Factory) {
             cost_zero =
@@ -384,8 +413,9 @@ class FmaExecution : public ArchExecution
             price(ZeroFactory(config.tech), Pi8Factory(config.tech));
         }
 
-        // Split the budget between the zero farm and the pi/8 chain
-        // in proportion to the circuit's demand mix.
+        // Split the farm between the zero pools and the pi/8 chain
+        // in proportion to the circuit's demand mix; each tile owns
+        // 1/tiles of it.
         std::uint64_t zero_demand = 0;
         std::uint64_t pi8_demand = 0;
         for (const Gate &g : graph.circuit().gates()) {
@@ -394,84 +424,197 @@ class FmaExecution : public ArchExecution
             pi8_demand +=
                 static_cast<std::uint64_t>(model.pi8Ancillae(g));
         }
-
         const double weighted =
             static_cast<double>(zero_demand) * cost_zero
             + static_cast<double>(pi8_demand) * cost_pi8;
-        const double scale =
-            weighted > 0 ? config.areaBudget / weighted : 0;
-        const BandwidthPerMs zero_bw =
-            static_cast<double>(zero_demand) * scale;
-        const BandwidthPerMs pi8_bw =
-            static_cast<double>(pi8_demand) * scale;
-        zeros_ = std::make_unique<RateTokenPool>(zero_bw, zero_fill);
-        pi8s_ = std::make_unique<RateTokenPool>(pi8_bw, pi8_fill);
-        result.ancillaArea = config.areaBudget;
+        const double scale = weighted > 0
+            ? areaPerTile * static_cast<double>(tiles) / weighted
+            : 0.0;
+        const auto perTile = [&](std::uint64_t demand) {
+            return static_cast<double>(demand) * scale
+                / static_cast<double>(tiles);
+        };
+        const auto count = static_cast<std::size_t>(tiles);
+        zeros_.assign(count,
+                      RateTokenPool(perTile(zero_demand), zero_fill));
+        pi8s_.assign(count,
+                     RateTokenPool(perTile(pi8_demand), pi8_fill));
+        result.ancillaArea = areaPerTile * static_cast<Area>(tiles);
     }
 
     Time
     moveOverhead(const Gate &g) override
     {
-        // Dense data-only region, ballistic hops.
-        Time penalty = ancillaHop(tech_);
-        if (g.arity() == 2)
-            penalty += ballistic2q(nq_, tech_);
+        Time penalty = hop_;
+        if (g.arity() == 2) {
+            if (tileOf(g.ops[0]) == tileOf(g.ops[1])) {
+                ++intraTile2q;
+                penalty += ballistic_;
+            } else {
+                ++interTile2q;
+                ++result.teleports;
+                penalty += teleport_;
+            }
+        }
         return penalty;
     }
 
     Time
     ancillaReady(const Gate &g, Time now) override
     {
-        Time ready = now;
-        const int z = model_.zeroAncillae(g);
-        const int p = model_.pi8Ancillae(g);
-        if (z > 0)
-            ready = std::max(ready, zeros_->claim(z));
-        if (p > 0)
-            ready = std::max(ready, pi8s_->claim(p));
-        return ready;
+        // The QEC site is the tile of the last operand.
+        const auto home = static_cast<std::size_t>(
+            tileOf(g.ops[static_cast<std::size_t>(g.arity() - 1)]));
+        return std::max({now,
+                         zeros_[home].claim(model_.zeroAncillae(g)),
+                         pi8s_[home].claim(model_.pi8Ancillae(g))});
     }
+
+    int tiles = 0;
+    std::uint64_t intraTile2q = 0;
+    std::uint64_t interTile2q = 0;
 
   private:
-    const EncodedOpModel &model_;
-    const IonTrapParams tech_;
-    const int nq_;
-    std::unique_ptr<RateTokenPool> zeros_;
-    std::unique_ptr<RateTokenPool> pi8s_;
-};
-
-class FmaModel : public ArchModel
-{
-  public:
-    std::string name() const override { return "Fully-Multiplexed"; }
-
-    std::unique_ptr<ArchExecution>
-    prepare(const DataflowGraph &graph, const EncodedOpModel &model,
-            const MicroarchConfig &config) const override
+    int
+    tileOf(Qubit q) const
     {
-        return std::make_unique<FmaExecution>(graph, model, config);
+        return static_cast<int>(q) / tileSize_;
     }
+
+    const EncodedOpModel &model_;
+    const int tileSize_;
+    const Time hop_;
+    const Time teleport_;
+    Time ballistic_ = 0;
+    std::vector<RateTokenPool> zeros_;
+    std::vector<RateTokenPool> pi8s_;
 };
+
+std::unique_ptr<ArchExecution>
+prepareQla(const DataflowGraph &graph, const EncodedOpModel &model,
+           const MicroarchConfig &config)
+{
+    return std::make_unique<QlaExecution>(graph, model, config);
+}
+
+std::unique_ptr<ArchExecution>
+prepareCqla(const DataflowGraph &, const EncodedOpModel &model,
+            const MicroarchConfig &config)
+{
+    // A cache needs one slot per operand of a two-qubit gate.
+    if (config.cacheSlots < 2) {
+        throw std::invalid_argument(detail::concat(
+            "cacheSlots must be >= 2 (got ", config.cacheSlots, ")"));
+    }
+    return std::make_unique<CqlaExecution>(model, config);
+}
+
+std::unique_ptr<ArchExecution>
+prepareFma(const DataflowGraph &graph, const EncodedOpModel &model,
+           const MicroarchConfig &config)
+{
+    if (!(config.areaBudget > 0)) {
+        throw std::invalid_argument(detail::concat(
+            "areaBudget must be > 0 (got ", config.areaBudget, ")"));
+    }
+    // One tile spanning every logical qubit.
+    return std::make_unique<MultiplexedExecution>(
+        graph, model, config,
+        static_cast<int>(graph.circuit().numQubits()),
+        config.areaBudget);
+}
+
+struct ArchRow
+{
+    const char *key;
+    ArchModel model;
+};
+
+const std::vector<ArchRow> &
+archTable()
+{
+    static const std::vector<ArchRow> table = {
+        {"qla", ArchModel("QLA", prepareQla)},
+        {"gqla", ArchModel("GQLA", prepareQla)},
+        {"cqla", ArchModel("CQLA", prepareCqla)},
+        {"gcqla", ArchModel("GCQLA", prepareCqla)},
+        {"fma", ArchModel("Fully-Multiplexed", prepareFma)},
+    };
+    return table;
+}
 
 } // namespace
 
-void
-registerBuiltinArchModels(ArchRegistry &registry)
+ArchRegistry &
+ArchRegistry::instance()
 {
-    registry.add("qla", std::make_shared<QlaModel>("QLA"));
-    registry.add("gqla", std::make_shared<QlaModel>("GQLA"));
-    registry.add("cqla", std::make_shared<CqlaModel>("CQLA"));
-    registry.add("gcqla", std::make_shared<CqlaModel>("GCQLA"));
-    registry.add("fma", std::make_shared<FmaModel>());
+    static ArchRegistry registry;
+    return registry;
 }
 
-ArchRunResult
-runMicroarch(const DataflowGraph &graph, const EncodedOpModel &model,
-             const MicroarchConfig &config)
+std::vector<std::string>
+ArchRegistry::keys() const
 {
-    return ArchRegistry::instance()
-        .get(microarchKey(config.kind))
-        .run(graph, model, config);
+    std::vector<std::string> out;
+    for (const ArchRow &row : archTable())
+        out.push_back(row.key);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+const ArchModel &
+ArchRegistry::get(const std::string &key) const
+{
+    for (const ArchRow &row : archTable()) {
+        if (key == row.key)
+            return row.model;
+    }
+    std::string message = "unknown architecture \"" + key
+        + "\"; registered architectures:";
+    for (const std::string &k : keys())
+        message += " " + k;
+    throw std::invalid_argument(message);
+}
+
+ThrottledResult
+throttledRun(const DataflowGraph &graph, const EncodedOpModel &model,
+             BandwidthPerMs zero_per_ms, BandwidthPerMs pi8_per_ms,
+             Time deadline)
+{
+    return ThrottledExecution(model, zero_per_ms, pi8_per_ms)
+        .run(graph, model, deadline);
+}
+
+QalypsoRunResult
+runQalypso(const DataflowGraph &graph, const EncodedOpModel &model,
+           const QalypsoConfig &config)
+{
+    if (config.tileSize < 1) {
+        throw std::invalid_argument(detail::concat(
+            "tileSize must be >= 1 (got ", config.tileSize, ")"));
+    }
+    if (!(config.factoryAreaPerTile > 0)) {
+        throw std::invalid_argument(detail::concat(
+            "factoryAreaPerTile must be > 0 (got ",
+            config.factoryAreaPerTile, ")"));
+    }
+    MicroarchConfig level1;
+    level1.tech = config.tech;
+    level1.teleport = config.teleport;
+    MultiplexedExecution exec(graph, model, level1, config.tileSize,
+                              config.factoryAreaPerTile);
+    const ArchRunResult run = exec.run(graph, model);
+
+    QalypsoRunResult out;
+    out.makespan = run.makespan;
+    out.tiles = exec.tiles;
+    out.totalFactoryArea = run.ancillaArea;
+    out.intraTile2q = exec.intraTile2q;
+    out.interTile2q = exec.interTile2q;
+    out.teleports = run.teleports;
+    out.zerosConsumed = run.zerosConsumed;
+    out.pi8Consumed = run.pi8Consumed;
+    return out;
 }
 
 } // namespace qc

@@ -1,13 +1,16 @@
 /**
  * @file
- * Microarchitecture models for the paper's Section 5.2 latency/area
- * evaluation (Figure 15): QLA, GQLA, CQLA, GCQLA and the
- * fully-multiplexed ancilla distribution used by Qalypso.
+ * The one event-driven dataflow executor of the paper's Section 5.2
+ * ("event-based simulation of ancilla factory production and data
+ * qubit gate consumption") and the organizations that run on it.
  *
- * All five share the same event-driven dataflow executor; they
- * differ in where encoded ancillae come from and what data movement
- * costs:
+ * Every organization differs only in where encoded ancillae come
+ * from and what data movement costs, so each is an ArchExecution
+ * policy over the same executor (ArchExecution::run):
  *
+ *  - Throttled supply (Figure 8, throttledRun): no movement; every
+ *    QEC step claims two encoded zeros, and every pi/8 gate one pi/8
+ *    ancilla, from steady rate-limited pools.
  *  - QLA [22]: every logical data qubit owns a dedicated ancilla
  *    generator producing serially (one simple factory); operands of
  *    two-qubit gates teleport to an interaction site and back home
@@ -22,53 +25,34 @@
  *    pipelined factories feeds all data qubits; ancillae travel a
  *    short ballistic hop from the factory output port to the dense
  *    data-only region, and data moves ballistically inside it.
+ *  - Tiled Qalypso (Figure 16, runQalypso): the fully-multiplexed
+ *    organization split into tiles, each with its own farm; supply
+ *    is multiplexed only within a tile and two-qubit gates between
+ *    tiles teleport. Fully-Multiplexed is its one-tile case.
  *
- * The models are implemented as qc::ArchModel subclasses registered
- * in qc::ArchRegistry (api/ArchModel.hh) under the keys "qla",
- * "gqla", "cqla", "gcqla" and "fma"; new consumers should go
- * through the registry or qc::Experiment. The MicroarchKind enum
- * and runMicroarch() below are a thin compatibility layer over the
- * registry, kept so existing wiring stays bit-identical.
+ * The five Figure 15 models are the fixed rows of ArchRegistry
+ * ("qla", "gqla", "cqla", "gcqla", "fma"); a new model is an
+ * ArchExecution plus one row of that table (arch/Microarch.cc).
+ * Invalid knobs (an unknown key, a non-positive factory area, a
+ * cache under two slots) throw std::invalid_argument naming them.
  */
 
 #ifndef QC_ARCH_MICROARCH_HH
 #define QC_ARCH_MICROARCH_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "circuit/Dataflow.hh"
 #include "codes/EncodedOp.hh"
-#include "factory/Pi8Factory.hh"
-#include "factory/ZeroFactory.hh"
 
 namespace qc {
 
-/** The five modeled microarchitectures. */
-enum class MicroarchKind
-{
-    Qla,
-    Gqla,
-    Cqla,
-    Gcqla,
-    FullyMultiplexed,
-};
-
-/** Display name. */
-std::string microarchName(MicroarchKind kind);
-
-/** ArchRegistry lookup key ("qla", ..., "fma") for a kind. */
-std::string microarchKey(MicroarchKind kind);
-
-/**
- * Knobs for a single microarchitecture run. When running through
- * the ArchRegistry the model identity comes from the registry key
- * and `kind` is ignored; it is consumed only by the runMicroarch()
- * compatibility wrapper.
- */
+/** Knobs for a single microarchitecture run. */
 struct MicroarchConfig
 {
-    MicroarchKind kind = MicroarchKind::FullyMultiplexed;
     IonTrapParams tech{};
 
     /**
@@ -86,13 +70,13 @@ struct MicroarchConfig
      */
     int generatorsPerSite = 1;
 
-    /** (G)CQLA: compute-cache capacity in logical qubits. */
+    /** (G)CQLA: compute-cache capacity in logical qubits (>= 2). */
     int cacheSlots = 24;
 
     /**
-     * FullyMultiplexed: total factory area budget (macroblocks),
-     * split between the zero-factory farm and the pi/8 chain in
-     * proportion to the circuit's ancilla demand mix.
+     * FullyMultiplexed: total factory area budget (macroblocks,
+     * > 0), split between the zero-factory farm and the pi/8 chain
+     * in proportion to the circuit's ancilla demand mix.
      */
     Area areaBudget = 3000;
 
@@ -121,7 +105,7 @@ struct MicroarchConfig
     }
 };
 
-/** Outcome of one microarchitecture run. */
+/** Outcome of one executor run. */
 struct ArchRunResult
 {
     Time makespan = 0;
@@ -131,6 +115,12 @@ struct ArchRunResult
     std::uint64_t cacheMisses = 0;
     std::uint64_t cacheAccesses = 0;
     Area ancillaArea = 0; ///< generation hardware charged (x-axis)
+
+    /** Gates retired (equals the circuit size unless cut off). */
+    std::uint64_t gatesExecuted = 0;
+
+    /** False when a deadline stopped the run before completion. */
+    bool completed = true;
 
     double
     missRate() const
@@ -142,14 +132,172 @@ struct ArchRunResult
 };
 
 /**
- * Run one benchmark dataflow under one microarchitecture
- * configuration. Compatibility wrapper: dispatches config.kind
- * through the ArchRegistry, so results are identical to calling
- * the registered model directly.
+ * Per-run state and policy hooks of one organization, plus the
+ * executor that walks the dataflow graph in dependence order. The
+ * executor calls moveOverhead() then ancillaReady() for each gate,
+ * in that order — policies that route the ancilla claim to the site
+ * chosen by movement (the cached architectures) rely on it.
  */
-ArchRunResult runMicroarch(const DataflowGraph &graph,
-                           const EncodedOpModel &model,
-                           const MicroarchConfig &config);
+class ArchExecution
+{
+  public:
+    ArchExecution() = default;
+    ArchExecution(const ArchExecution &) = delete;
+    ArchExecution &operator=(const ArchExecution &) = delete;
+    virtual ~ArchExecution() = default;
+
+    /**
+     * Movement / cache latency (ns) charged before the gate
+     * executes. Implementations update their movement counters in
+     * result.
+     */
+    virtual Time moveOverhead(const Gate &gate) = 0;
+
+    /**
+     * Earliest simulated time (ns) the gate's encoded ancillae are
+     * delivered to its QEC site, given the launch attempt at `now`.
+     */
+    virtual Time ancillaReady(const Gate &gate, Time now) = 0;
+
+    /**
+     * Run the dataflow graph under this policy: launch each gate
+     * once its predecessors complete, start it when its ancillae
+     * are ready, release its successors when it completes. The
+     * EncodedOpModel must already be at the run's code level.
+     *
+     * @param deadline cut the simulation off at this time (via
+     *                 Simulator::runUntil) and report a partial
+     *                 result (completed = false); <= 0 runs to
+     *                 completion
+     * @return the counters in `result` (times ns, areas macroblocks)
+     */
+    ArchRunResult run(const DataflowGraph &graph,
+                      const EncodedOpModel &model, Time deadline = 0);
+
+    /** Counters and outcome, updated by the hooks and executor. */
+    ArchRunResult result;
+};
+
+/**
+ * One microarchitecture model: a display name and the policy it
+ * prepares per run. Stateless and shareable: all per-run state
+ * lives in the ArchExecution.
+ */
+class ArchModel
+{
+  public:
+    /**
+     * Builds the per-run state (banks, cache, pools) and charges the
+     * configuration's ancilla-generation area to result; throws
+     * std::invalid_argument on knobs the model cannot honor.
+     */
+    using Prepare = std::unique_ptr<ArchExecution> (*)(
+        const DataflowGraph &graph, const EncodedOpModel &model,
+        const MicroarchConfig &config);
+
+    ArchModel(std::string name, Prepare prepare)
+        : name_(std::move(name)), prepare_(prepare)
+    {
+    }
+
+    /** Display name (paper style: "QLA", "Fully-Multiplexed"). */
+    std::string name() const { return name_; }
+
+    /**
+     * Run one dataflow graph to completion under this model. The
+     * EncodedOpModel must already be at the config's code level
+     * (the facade builds it from ConcatenatedSteane::effectiveTech).
+     */
+    ArchRunResult run(const DataflowGraph &graph,
+                      const EncodedOpModel &model,
+                      const MicroarchConfig &config) const;
+
+  private:
+    std::string name_;
+    Prepare prepare_;
+};
+
+/** The fixed table of the five Figure 15 models, by lookup key. */
+class ArchRegistry
+{
+  public:
+    static ArchRegistry &instance();
+
+    /** Table keys, sorted. */
+    std::vector<std::string> keys() const;
+
+    /** Look up a model; throws std::invalid_argument on unknowns. */
+    const ArchModel &get(const std::string &key) const;
+};
+
+/** Outcome of a throttled run. */
+using ThrottledResult = ArchRunResult;
+
+/**
+ * Execute the dataflow graph with a steady ancilla supply and no
+ * movement cost (Figure 8).
+ *
+ * @param graph       lowered benchmark dataflow
+ * @param model       encoded-operation model
+ * @param zero_per_ms encoded-zero production rate; <= 0 means
+ *                    unconstrained
+ * @param pi8_per_ms  encoded-pi/8 production rate; <= 0 means
+ *                    unconstrained (Figure 8 constrains zeros only)
+ * @param deadline    cut the run off at this time and report a
+ *                    partial result; <= 0 runs to completion
+ */
+ThrottledResult throttledRun(const DataflowGraph &graph,
+                             const EncodedOpModel &model,
+                             BandwidthPerMs zero_per_ms,
+                             BandwidthPerMs pi8_per_ms = 0,
+                             Time deadline = 0);
+
+/** Configuration of a tiled Qalypso run (level-1 code). */
+struct QalypsoConfig
+{
+    IonTrapParams tech{};
+
+    /** Logical qubits per tile (contiguous index blocks, >= 1). */
+    int tileSize = 32;
+
+    /**
+     * Factory area per tile (macroblocks, > 0), split between the
+     * zero farm and the pi/8 chain in proportion to the circuit's
+     * demand mix (as in the fully-multiplexed model).
+     */
+    Area factoryAreaPerTile = 2000;
+
+    /** Teleport latency override; 0 derives from tech. */
+    Time teleport = 0;
+};
+
+/** Outcome of a tiled run. */
+struct QalypsoRunResult
+{
+    Time makespan = 0;
+    int tiles = 0;
+    Area totalFactoryArea = 0;
+    std::uint64_t intraTile2q = 0;
+    std::uint64_t interTile2q = 0;
+    std::uint64_t teleports = 0;
+    std::uint64_t zerosConsumed = 0;
+    std::uint64_t pi8Consumed = 0;
+
+    /** Fraction of two-qubit gates crossing tiles. */
+    double
+    interTileFraction() const
+    {
+        const std::uint64_t total = intraTile2q + interTile2q;
+        return total ? static_cast<double>(interTile2q)
+                           / static_cast<double>(total)
+                     : 0.0;
+    }
+};
+
+/** Run a benchmark dataflow on the tiled Qalypso organization. */
+QalypsoRunResult runQalypso(const DataflowGraph &graph,
+                            const EncodedOpModel &model,
+                            const QalypsoConfig &config);
 
 } // namespace qc
 

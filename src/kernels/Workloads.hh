@@ -1,25 +1,23 @@
 /**
  * @file
- * Named, parameterized benchmark workloads (the experiment API's
- * front door to kernels/): a string-keyed registry of circuit
- * builders covering the paper's kernels (Section 3.1's adders and
- * QFT) plus synthetic generators for scaling studies.
+ * Named, parameterized benchmark workloads: the fixed table of
+ * circuit builders covering the paper's kernels (Section 3.1's
+ * adders and QFT) plus synthetic generators for scaling studies.
  *
  * Builders produce the circuit at the benchmark gate level and
  * lowered to the fault-tolerant [[7,1,3]] gate set in one step, so
  * every consumer — benches, examples, qc::Experiment — shares one
  * construction path instead of wiring makeQrca/lowerToFaultTolerant
- * by hand.
+ * by hand. A new workload is one row of the table in
+ * kernels/Workloads.cc.
  *
- * Unknown names throw std::invalid_argument listing the registered
+ * Unknown names throw std::invalid_argument listing the known
  * names (catchable; the API layer does not abort on user input).
  */
 
-#ifndef QC_API_WORKLOAD_HH
-#define QC_API_WORKLOAD_HH
+#ifndef QC_KERNELS_WORKLOADS_HH
+#define QC_KERNELS_WORKLOADS_HH
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -45,34 +43,25 @@ struct WorkloadParams
 /** A fully-constructed workload: benchmark-level and lowered. */
 struct Workload
 {
-    std::string key;    ///< registry name it was built from
+    std::string key;    ///< table name it was built from
     std::string name;   ///< display name (paper-table style)
     Circuit highLevel;  ///< over {Toffoli, CRotZ, ...}
     Lowered lowered;    ///< fault-tolerant gate set
 };
 
-/** Builds one workload from shared synthesis state and params. */
-using WorkloadBuilder =
-    std::function<Workload(FowlerSynth &, const WorkloadParams &)>;
-
 /**
- * The process-wide workload registry. Kernel workloads (qrca, qcla,
- * qft, chain, ladder) self-register on first use; additional
- * workloads can be added at runtime (e.g. by a frontend loading
- * circuits from disk).
+ * The fixed workload table: qrca, qcla, qft (display names
+ * "<bits>-Bit QRCA" etc., as in the paper's tables), chain and
+ * ladder.
  */
 class WorkloadRegistry
 {
   public:
     static WorkloadRegistry &instance();
 
-    /** Register (or replace) a named workload builder. */
-    void add(const std::string &name, const std::string &description,
-             WorkloadBuilder builder);
-
     bool contains(const std::string &name) const;
 
-    /** Registered names, sorted. */
+    /** Table names, sorted. */
     std::vector<std::string> names() const;
 
     /** One-line description; throws on unknown names. */
@@ -81,25 +70,8 @@ class WorkloadRegistry
     /** Build a workload by name; throws on unknown names. */
     Workload build(const std::string &name, FowlerSynth &synth,
                    const WorkloadParams &params = {}) const;
-
-  private:
-    struct Entry
-    {
-        std::string description;
-        WorkloadBuilder builder;
-    };
-
-    const Entry &lookup(const std::string &name) const;
-
-    std::map<std::string, Entry> entries_;
 };
-
-/**
- * Registers the built-in kernel workloads (defined in
- * kernels/Workloads.cc; called once by WorkloadRegistry::instance).
- */
-void registerKernelWorkloads(WorkloadRegistry &registry);
 
 } // namespace qc
 
-#endif // QC_API_WORKLOAD_HH
+#endif // QC_KERNELS_WORKLOADS_HH

@@ -23,7 +23,6 @@ Simulator::run()
             const_cast<Event &>(queue_.top()));
         queue_.pop();
         now_ = event.when;
-        ++processed_;
         event.handler();
     }
     return now_;
@@ -40,7 +39,6 @@ Simulator::runUntil(Time limit)
             const_cast<Event &>(queue_.top()));
         queue_.pop();
         now_ = event.when;
-        ++processed_;
         event.handler();
     }
     if (!queue_.empty())

@@ -1,9 +1,9 @@
 /**
  * @file
- * Minimal deterministic discrete-event simulation core used by the
- * microarchitecture models (paper Section 5.2's "event-based
- * simulation of ancilla factory production and data qubit gate
- * consumption").
+ * Minimal deterministic discrete-event simulation core behind the
+ * dataflow executor (arch/Microarch.hh; paper Section 5.2's
+ * "event-based simulation of ancilla factory production and data
+ * qubit gate consumption").
  */
 
 #ifndef QC_SIM_SIMULATOR_HH
@@ -38,13 +38,6 @@ class Simulator
      */
     void schedule(Time when, Handler handler);
 
-    /** Schedule a handler after a delay. */
-    void
-    scheduleAfter(Time delay, Handler handler)
-    {
-        schedule(now_ + delay, std::move(handler));
-    }
-
     /** Run until the queue drains. Returns the final time. */
     Time run();
 
@@ -62,9 +55,6 @@ class Simulator
 
     /** Events still waiting in the queue. */
     std::size_t pending() const { return queue_.size(); }
-
-    /** Number of events processed so far. */
-    std::uint64_t eventsProcessed() const { return processed_; }
 
   private:
     struct Event
@@ -87,7 +77,6 @@ class Simulator
 
     Time now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    std::uint64_t processed_ = 0;
     std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

@@ -126,45 +126,6 @@ class OnDemandBankPool
     std::uint64_t issued_ = 0;
 };
 
-/**
- * Tokens produced by a small bank of non-pipelined producers with
- * unbounded buffering, each finishing one token every `period`. The
- * k-th token becomes available at ceil(k / producers) * period.
- * (Kept as the optimistic upper bound on bank behaviour; the
- * microarchitecture models use OnDemandBankPool.)
- */
-class BankTokenPool
-{
-  public:
-    BankTokenPool(int producers, Time period)
-        : producers_(producers), period_(period)
-    {
-        if (producers <= 0 || period <= 0)
-            panic("BankTokenPool: bad parameters");
-    }
-
-    /** Claim `count` tokens (FCFS). */
-    Time
-    claim(int count)
-    {
-        if (count <= 0)
-            return 0;
-        issued_ += static_cast<std::uint64_t>(count);
-        const std::uint64_t batches =
-            (issued_ + static_cast<std::uint64_t>(producers_) - 1)
-            / static_cast<std::uint64_t>(producers_);
-        return static_cast<Time>(batches) * period_;
-    }
-
-    /** Total tokens claimed so far. */
-    std::uint64_t issued() const { return issued_; }
-
-  private:
-    int producers_;
-    Time period_;
-    std::uint64_t issued_ = 0;
-};
-
 } // namespace qc
 
 #endif // QC_SIM_TOKEN_POOL_HH

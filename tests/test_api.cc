@@ -14,11 +14,9 @@
 #include <stdexcept>
 
 #include "api/Qc.hh"
-#include "arch/Microarch.hh"
 #include "arch/SpeedOfData.hh"
-#include "arch/ThrottledRun.hh"
 #include "circuit/Dataflow.hh"
-#include "kernels/Kernels.hh"
+#include "kernels/Adders.hh"
 #include "kernels/Synthetic.hh"
 
 namespace qc {
@@ -197,7 +195,10 @@ TEST(WorkloadRegistry, ListsBuiltins)
         EXPECT_TRUE(registry.contains(name)) << name;
         EXPECT_FALSE(registry.description(name).empty()) << name;
     }
-    EXPECT_GE(registry.names().size(), 5u);
+    EXPECT_FALSE(registry.contains("grover"));
+    EXPECT_EQ(registry.names(),
+              (std::vector<std::string>{"chain", "ladder", "qcla",
+                                        "qft", "qrca"}));
 }
 
 TEST(WorkloadRegistry, UnknownNameThrowsListingKnown)
@@ -214,31 +215,11 @@ TEST(WorkloadRegistry, UnknownNameThrowsListingKnown)
     }
 }
 
-TEST(WorkloadRegistry, RuntimeRegistrationIsVisible)
-{
-    auto &registry = WorkloadRegistry::instance();
-    registry.add("unit-test-chain", "test-only alias",
-                 [](FowlerSynth &synth, const WorkloadParams &p) {
-                     Circuit c = makeChain(p.bits);
-                     Lowered lowered =
-                         lowerToFaultTolerant(c, synth, p.lowering);
-                     return Workload{"", c.name(), c,
-                                     std::move(lowered)};
-                 });
-    FowlerSynth synth;
-    WorkloadParams params;
-    params.bits = 6;
-    const Workload w =
-        registry.build("unit-test-chain", synth, params);
-    EXPECT_EQ(w.key, "unit-test-chain");
-    EXPECT_EQ(w.highLevel.size(), 6u);
-}
-
 TEST(ArchRegistry, ListsFiveBuiltinModels)
 {
     auto &registry = ArchRegistry::instance();
     for (const char *key : {"qla", "gqla", "cqla", "gcqla", "fma"})
-        EXPECT_TRUE(registry.contains(key)) << key;
+        EXPECT_NO_THROW(registry.get(key)) << key;
     EXPECT_EQ(registry.get("qla").name(), "QLA");
     EXPECT_EQ(registry.get("fma").name(), "Fully-Multiplexed");
 }
@@ -412,29 +393,27 @@ class ExperimentParity : public ::testing::Test
     }
 
     /** The pre-redesign wiring every bench used to carry. */
-    static Benchmark
-    handWired(BenchmarkKind kind, int bits)
+    static Lowered
+    handWired(const Circuit &high)
     {
         static FowlerSynth synth(
             ExperimentConfig::paper("qrca").synth);
-        BenchmarkOptions opts;
-        opts.bits = bits;
-        return makeBenchmark(kind, synth, opts);
+        return lowerToFaultTolerant(high, synth);
     }
 };
 
 TEST_F(ExperimentParity, AdderSpeedOfDataIsBitIdentical)
 {
-    const Benchmark old = handWired(BenchmarkKind::Qrca, 8);
+    const Lowered old = handWired(makeQrca(8).circuit);
     const EncodedOpModel model(IonTrapParams::paper());
-    const DataflowGraph graph(old.lowered.circuit);
+    const DataflowGraph graph(old.circuit);
     const LatencySplit split = latencySplit(graph, model);
     const BandwidthSummary bw = bandwidthAtSpeedOfData(graph, model);
 
     const Result result =
         runExperiment(paperConfig("qrca", 8));
-    EXPECT_EQ(result.workload, old.name);
-    EXPECT_EQ(result.gates, old.lowered.circuit.census().total);
+    EXPECT_EQ(result.workload, "8-Bit QRCA");
+    EXPECT_EQ(result.gates, old.circuit.census().total);
     EXPECT_EQ(result.split.dataOp, split.dataOp);
     EXPECT_EQ(result.split.qecInteract, split.qecInteract);
     EXPECT_EQ(result.split.ancillaPrep, split.ancillaPrep);
@@ -445,9 +424,9 @@ TEST_F(ExperimentParity, AdderSpeedOfDataIsBitIdentical)
 
 TEST_F(ExperimentParity, AdderThrottledIsBitIdentical)
 {
-    const Benchmark old = handWired(BenchmarkKind::Qrca, 8);
+    const Lowered old = handWired(makeQrca(8).circuit);
     const EncodedOpModel model(IonTrapParams::paper());
-    const DataflowGraph graph(old.lowered.circuit);
+    const DataflowGraph graph(old.circuit);
 
     ExperimentConfig config = paperConfig("qrca", 8);
     config.schedule = ScheduleMode::Throttled;
@@ -463,9 +442,9 @@ TEST_F(ExperimentParity, AdderThrottledIsBitIdentical)
 
 TEST_F(ExperimentParity, QftArchRunIsBitIdentical)
 {
-    const Benchmark old = handWired(BenchmarkKind::Qft, 8);
+    const Lowered old = handWired(makeQft(8));
     const EncodedOpModel model(IonTrapParams::paper());
-    const DataflowGraph graph(old.lowered.circuit);
+    const DataflowGraph graph(old.circuit);
 
     ExperimentConfig config = paperConfig("qft", 8);
     config.schedule = ScheduleMode::Arch;
@@ -473,10 +452,9 @@ TEST_F(ExperimentParity, QftArchRunIsBitIdentical)
     config.generatorsPerSite = 4;
     config.cacheSlots = 8;
 
-    // The pre-redesign enum-switch entry point.
-    MicroarchConfig mc = config.microarchConfig();
-    mc.kind = MicroarchKind::Gcqla;
-    const ArchRunResult oldRun = runMicroarch(graph, model, mc);
+    const ArchRunResult oldRun =
+        ArchRegistry::instance().get("gcqla").run(
+            graph, model, config.microarchConfig());
 
     const Result result = runExperiment(config);
     EXPECT_EQ(result.makespan, oldRun.makespan);
@@ -663,6 +641,12 @@ TEST(Experiment, VariantMustDescribeSameWorkload)
     ExperimentConfig other = config;
     other.workload = "ladder";
     EXPECT_THROW(experiment.run(other), std::invalid_argument);
+    ExperimentConfig swaps = config;
+    swaps.params.qft.withSwaps = !config.params.qft.withSwaps;
+    EXPECT_THROW(experiment.run(swaps), std::invalid_argument);
+    ExperimentConfig weight = config;
+    weight.synth.tCostWeight = config.synth.tCostWeight + 1;
+    EXPECT_THROW(experiment.run(weight), std::invalid_argument);
 
     // Schedule knobs may differ freely.
     ExperimentConfig throttled = config;

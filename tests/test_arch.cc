@@ -9,10 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "arch/Microarch.hh"
 #include "arch/SpeedOfData.hh"
-#include "arch/ThrottledRun.hh"
-#include "kernels/Kernels.hh"
+#include "kernels/Workloads.hh"
 
 namespace qc {
 namespace {
@@ -20,18 +21,17 @@ namespace {
 class ArchTest : public ::testing::Test
 {
   protected:
-    static const Benchmark &
+    static const Workload &
     qrca8()
     {
         static FowlerSynth synth;
-        static BenchmarkOptions opts = [] {
-            BenchmarkOptions o;
-            o.bits = 8;
-            return o;
+        static const Workload w = [] {
+            WorkloadParams params;
+            params.bits = 8;
+            return WorkloadRegistry::instance().build("qrca", synth,
+                                                      params);
         }();
-        static Benchmark b =
-            makeBenchmark(BenchmarkKind::Qrca, synth, opts);
-        return b;
+        return w;
     }
 
     EncodedOpModel model_{IonTrapParams::paper()};
@@ -156,30 +156,76 @@ class MicroarchTest : public ArchTest
 {
   protected:
     ArchRunResult
-    run(MicroarchKind kind, int k = 1, Area budget = 3000)
+    run(const std::string &arch, int k = 1, Area budget = 3000,
+        int cacheSlots = 8)
     {
         DataflowGraph g(qrca8().lowered.circuit);
         MicroarchConfig config;
-        config.kind = kind;
         config.generatorsPerSite = k;
         config.areaBudget = budget;
-        config.cacheSlots = 8;
-        return runMicroarch(g, model_, config);
+        config.cacheSlots = cacheSlots;
+        return ArchRegistry::instance().get(arch).run(g, model_,
+                                                      config);
     }
 };
 
 TEST_F(MicroarchTest, NamesAreStable)
 {
-    EXPECT_EQ(microarchName(MicroarchKind::Qla), "QLA");
-    EXPECT_EQ(microarchName(MicroarchKind::FullyMultiplexed),
-              "Fully-Multiplexed");
+    const ArchRegistry &registry = ArchRegistry::instance();
+    EXPECT_EQ(registry.keys(),
+              (std::vector<std::string>{"cqla", "fma", "gcqla", "gqla",
+                                        "qla"}));
+    EXPECT_EQ(registry.get("qla").name(), "QLA");
+    EXPECT_EQ(registry.get("gqla").name(), "GQLA");
+    EXPECT_EQ(registry.get("cqla").name(), "CQLA");
+    EXPECT_EQ(registry.get("gcqla").name(), "GCQLA");
+    EXPECT_EQ(registry.get("fma").name(), "Fully-Multiplexed");
+}
+
+/** Runs `body`, expecting std::invalid_argument naming `field`. */
+template <typename Body>
+void
+expectRejects(const std::string &field, Body body)
+{
+    try {
+        body();
+        ADD_FAILURE() << "expected std::invalid_argument naming "
+                      << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(MicroarchTest, RejectsKnobsThatWouldHandOutFreeAncillae)
+{
+    // No factory area must not mean unlimited supply, and a cache
+    // must not be charged for fewer slots than it simulates.
+    for (Area budget : {0.0, -500.0})
+        expectRejects("areaBudget", [&] { run("fma", 1, budget); });
+    for (const char *arch : {"cqla", "gcqla"}) {
+        for (int slots : {1, 0, -8}) {
+            expectRejects("cacheSlots",
+                          [&] { run(arch, 1, 3000, slots); });
+        }
+    }
+    DataflowGraph g(qrca8().lowered.circuit);
+    for (Area area : {0.0, -1.0}) {
+        QalypsoConfig config;
+        config.factoryAreaPerTile = area;
+        expectRejects("factoryAreaPerTile",
+                      [&] { runQalypso(g, model_, config); });
+    }
+    // The smallest honest values still run.
+    EXPECT_GT(run("fma", 1, 1).makespan, run("fma").makespan);
+    EXPECT_GT(run("cqla", 1, 3000, 2).makespan, 0);
 }
 
 TEST_F(MicroarchTest, MoreGeneratorsNeverSlower)
 {
-    const ArchRunResult k1 = run(MicroarchKind::Qla, 1);
-    const ArchRunResult k4 = run(MicroarchKind::Gqla, 4);
-    const ArchRunResult k16 = run(MicroarchKind::Gqla, 16);
+    const ArchRunResult k1 = run("qla", 1);
+    const ArchRunResult k4 = run("gqla", 4);
+    const ArchRunResult k16 = run("gqla", 16);
     EXPECT_GE(k1.makespan, k4.makespan);
     EXPECT_GE(k4.makespan, k16.makespan);
     EXPECT_LT(k1.ancillaArea, k4.ancillaArea);
@@ -190,9 +236,8 @@ TEST_F(MicroarchTest, FmaBeatsQlaAtEqualArea)
     // The headline claim: at matched generation area the fully
     // multiplexed organization is much faster (shared factories
     // are never idle while QLA's per-qubit generators are).
-    const ArchRunResult qla = run(MicroarchKind::Qla, 1);
-    const ArchRunResult fma =
-        run(MicroarchKind::FullyMultiplexed, 1, qla.ancillaArea);
+    const ArchRunResult qla = run("qla", 1);
+    const ArchRunResult fma = run("fma", 1, qla.ancillaArea);
     EXPECT_LT(fma.makespan * 2, qla.makespan);
 }
 
@@ -201,9 +246,8 @@ TEST_F(MicroarchTest, CqlaPlateausAboveFma)
     // Even with lavish generator provisioning, CQLA keeps paying
     // cache misses; FMA with a huge budget approaches speed of
     // data.
-    const ArchRunResult cqla = run(MicroarchKind::Gcqla, 64);
-    const ArchRunResult fma =
-        run(MicroarchKind::FullyMultiplexed, 1, 500000);
+    const ArchRunResult cqla = run("gcqla", 64);
+    const ArchRunResult fma = run("fma", 1, 500000);
     EXPECT_GT(cqla.makespan, fma.makespan);
     EXPECT_GT(cqla.cacheMisses, 0u);
 }
@@ -212,16 +256,15 @@ TEST_F(MicroarchTest, QlaPlateauNearFmaPlateau)
 {
     // Section 5.2: QLA has no cache misses, so with enough
     // generators it plateaus within a small factor of FMA.
-    const ArchRunResult qla = run(MicroarchKind::Gqla, 64);
-    const ArchRunResult fma =
-        run(MicroarchKind::FullyMultiplexed, 1, 500000);
+    const ArchRunResult qla = run("gqla", 64);
+    const ArchRunResult fma = run("fma", 1, 500000);
     EXPECT_LT(qla.makespan, 4 * fma.makespan);
     EXPECT_GE(qla.makespan, fma.makespan);
 }
 
 TEST_F(MicroarchTest, QlaChargesTeleportsFor2qGates)
 {
-    const ArchRunResult qla = run(MicroarchKind::Qla, 1);
+    const ArchRunResult qla = run("qla", 1);
     const GateCensus census = qrca8().lowered.circuit.census();
     EXPECT_EQ(qla.teleports,
               census.of(GateKind::CX) + census.of(GateKind::CZ));
@@ -229,14 +272,8 @@ TEST_F(MicroarchTest, QlaChargesTeleportsFor2qGates)
 
 TEST_F(MicroarchTest, CacheMissRateFallsWithLargerCache)
 {
-    DataflowGraph g(qrca8().lowered.circuit);
-    MicroarchConfig small;
-    small.kind = MicroarchKind::Cqla;
-    small.cacheSlots = 4;
-    MicroarchConfig big = small;
-    big.cacheSlots = 20;
-    const auto small_run = runMicroarch(g, model_, small);
-    const auto big_run = runMicroarch(g, model_, big);
+    const ArchRunResult small_run = run("cqla", 1, 3000, 4);
+    const ArchRunResult big_run = run("cqla", 1, 3000, 20);
     EXPECT_GT(small_run.missRate(), big_run.missRate());
     EXPECT_GE(small_run.makespan, big_run.makespan);
 }
@@ -245,8 +282,7 @@ TEST_F(MicroarchTest, FmaLargerBudgetNeverSlower)
 {
     Time last = 0;
     for (Area budget : {500.0, 2000.0, 8000.0, 64000.0}) {
-        const ArchRunResult r =
-            run(MicroarchKind::FullyMultiplexed, 1, budget);
+        const ArchRunResult r = run("fma", 1, budget);
         if (last != 0) {
             EXPECT_LE(r.makespan, last) << "budget=" << budget;
         }
@@ -256,9 +292,9 @@ TEST_F(MicroarchTest, FmaLargerBudgetNeverSlower)
 
 TEST_F(MicroarchTest, AncillaAccountingConsistentAcrossArchs)
 {
-    const ArchRunResult qla = run(MicroarchKind::Qla, 1);
-    const ArchRunResult fma = run(MicroarchKind::FullyMultiplexed);
-    const ArchRunResult cqla = run(MicroarchKind::Cqla, 1);
+    const ArchRunResult qla = run("qla", 1);
+    const ArchRunResult fma = run("fma");
+    const ArchRunResult cqla = run("cqla", 1);
     EXPECT_EQ(qla.zerosConsumed, fma.zerosConsumed);
     EXPECT_EQ(qla.zerosConsumed, cqla.zerosConsumed);
     EXPECT_EQ(qla.pi8Consumed, fma.pi8Consumed);

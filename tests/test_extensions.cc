@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include "arch/QalypsoTile.hh"
+#include <utility>
+
+#include "arch/Microarch.hh"
 #include "arch/SpeedOfData.hh"
 #include "circuit/Dataflow.hh"
 #include "factory/FarmSim.hh"
-#include "kernels/Kernels.hh"
+#include "kernels/Workloads.hh"
 #include "sim/TokenPool.hh"
 
 namespace qc {
@@ -132,18 +134,17 @@ TEST_F(FarmSimTest, LowerAcceptanceLowersThroughput)
 class QalypsoTileTest : public ::testing::Test
 {
   protected:
-    static const Benchmark &
+    static const Workload &
     qrca8()
     {
         static FowlerSynth synth;
-        static BenchmarkOptions opts = [] {
-            BenchmarkOptions o;
-            o.bits = 8;
-            return o;
+        static const Workload w = [] {
+            WorkloadParams params;
+            params.bits = 8;
+            return WorkloadRegistry::instance().build("qrca", synth,
+                                                      params);
         }();
-        static Benchmark b =
-            makeBenchmark(BenchmarkKind::Qrca, synth, opts);
-        return b;
+        return w;
     }
 
     EncodedOpModel model_{IonTrapParams::paper()};
@@ -220,6 +221,48 @@ TEST_F(QalypsoTileTest, RunsSlowerThanSpeedOfData)
     config.factoryAreaPerTile = 2000;
     const QalypsoRunResult r = runQalypso(g, model_, config);
     EXPECT_GE(r.makespan, bw.runtime);
+}
+
+TEST_F(QalypsoTileTest, OneTileIsTheFullyMultiplexedModel)
+{
+    // Fully-Multiplexed is the tiled organization with one tile
+    // holding the whole factory budget: every counter matches.
+    FowlerSynth synth;
+    const std::pair<const char *, int> workloads[] = {
+        {"qrca", 32}, {"qcla", 32}, {"qft", 32}, {"ladder", 64},
+        {"chain", 500}};
+    for (const auto &[name, bits] : workloads) {
+        WorkloadParams params;
+        params.bits = bits;
+        const Workload w =
+            WorkloadRegistry::instance().build(name, synth, params);
+        const DataflowGraph g(w.lowered.circuit);
+        const int nq = static_cast<int>(w.lowered.circuit.numQubits());
+        for (Area budget : {500.0, 3000.0, 20000.0}) {
+            MicroarchConfig fmaConfig;
+            fmaConfig.areaBudget = budget;
+            const ArchRunResult fma =
+                ArchRegistry::instance().get("fma").run(g, model_,
+                                                        fmaConfig);
+            for (int tileSize : {nq, nq + 100}) {
+                SCOPED_TRACE(w.name + " budget "
+                             + std::to_string(budget) + " tile "
+                             + std::to_string(tileSize));
+                QalypsoConfig config;
+                config.tileSize = tileSize;
+                config.factoryAreaPerTile = budget;
+                const QalypsoRunResult tiled =
+                    runQalypso(g, model_, config);
+                EXPECT_EQ(tiled.tiles, 1);
+                EXPECT_EQ(tiled.interTile2q, 0u);
+                EXPECT_EQ(tiled.makespan, fma.makespan);
+                EXPECT_EQ(tiled.zerosConsumed, fma.zerosConsumed);
+                EXPECT_EQ(tiled.pi8Consumed, fma.pi8Consumed);
+                EXPECT_EQ(tiled.teleports, fma.teleports);
+                EXPECT_EQ(tiled.totalFactoryArea, fma.ancillaArea);
+            }
+        }
+    }
 }
 
 TEST_F(QalypsoTileTest, DeterministicAcrossRuns)

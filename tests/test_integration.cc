@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "api/Qc.hh"
-#include "arch/ThrottledRun.hh"
 #include "circuit/Dataflow.hh"
 #include "layout/Builders.hh"
 

@@ -16,10 +16,10 @@
 #include "common/Rng.hh"
 #include "kernels/Adders.hh"
 #include "kernels/ClassicalSim.hh"
-#include "kernels/Kernels.hh"
 #include "kernels/Lower.hh"
 #include "kernels/Qft.hh"
 #include "kernels/StateVector.hh"
+#include "kernels/Workloads.hh"
 
 namespace qc {
 namespace {
@@ -331,14 +331,27 @@ TEST(Lowering, CRotZDecompositionShape)
 }
 
 // ---------------------------------------------------------------
-// Benchmark registry.
+// Workload table.
 // ---------------------------------------------------------------
+
+Workload
+buildWorkload(const char *name, int bits, FowlerSynth &synth)
+{
+    WorkloadParams params;
+    params.bits = bits;
+    return WorkloadRegistry::instance().build(name, synth, params);
+}
 
 TEST(Benchmarks, NamesMatchPaper)
 {
-    EXPECT_EQ(benchmarkName(BenchmarkKind::Qrca, 32), "32-Bit QRCA");
-    EXPECT_EQ(benchmarkName(BenchmarkKind::Qcla, 32), "32-Bit QCLA");
-    EXPECT_EQ(benchmarkName(BenchmarkKind::Qft, 32), "32-Bit QFT");
+    FowlerSynth synth;
+    EXPECT_EQ(buildWorkload("qrca", 32, synth).name, "32-Bit QRCA");
+    EXPECT_EQ(buildWorkload("qcla", 32, synth).name, "32-Bit QCLA");
+    EXPECT_EQ(buildWorkload("qft", 2, synth).name, "2-Bit QFT");
+    // Synthetic generators display their circuit's own name.
+    const Workload chain = buildWorkload("chain", 4, synth);
+    EXPECT_EQ(chain.key, "chain");
+    EXPECT_EQ(chain.name, "chain-4");
 }
 
 TEST(Benchmarks, NonTransversalFractionNearPaper)
@@ -347,16 +360,14 @@ TEST(Benchmarks, NonTransversalFractionNearPaper)
     // 41.0% and 46.9% of the QRCA, QCLA and QFT circuits. Our
     // constructions should land in the same neighborhood.
     FowlerSynth synth;
-    BenchmarkOptions opts;
-    opts.bits = 32;
-    for (auto kind : {BenchmarkKind::Qrca, BenchmarkKind::Qcla}) {
-        const Benchmark b = makeBenchmark(kind, synth, opts);
-        const auto census = b.lowered.circuit.census();
+    for (const char *name : {"qrca", "qcla"}) {
+        const Workload w = buildWorkload(name, 32, synth);
+        const auto census = w.lowered.circuit.census();
         const double frac =
             static_cast<double>(census.nonTransversal1q())
             / static_cast<double>(census.total);
-        EXPECT_GT(frac, 0.25) << b.name;
-        EXPECT_LT(frac, 0.55) << b.name;
+        EXPECT_GT(frac, 0.25) << w.name;
+        EXPECT_LT(frac, 0.55) << w.name;
     }
 }
 
@@ -365,10 +376,9 @@ TEST(Benchmarks, QrcaGateCountScaleMatchesPaper)
     // Paper Table 3 implies ~4.3k encoded zero ancillae for the
     // 32-bit QRCA, i.e. ~2.1k gates. Require the same order.
     FowlerSynth synth;
-    const Benchmark b =
-        makeBenchmark(BenchmarkKind::Qrca, synth, BenchmarkOptions{});
-    EXPECT_GT(b.lowered.circuit.size(), 1000u);
-    EXPECT_LT(b.lowered.circuit.size(), 5000u);
+    const Workload w = buildWorkload("qrca", 32, synth);
+    EXPECT_GT(w.lowered.circuit.size(), 1000u);
+    EXPECT_LT(w.lowered.circuit.size(), 5000u);
 }
 
 } // namespace

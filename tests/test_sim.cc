@@ -43,7 +43,7 @@ TEST(Simulator, HandlersMayScheduleMore)
     std::function<void()> chain = [&] {
         ++fired;
         if (fired < 5)
-            sim.scheduleAfter(usec(10), chain);
+            sim.schedule(sim.now() + usec(10), chain);
     };
     sim.schedule(0, chain);
     const Time end = sim.run();
@@ -62,7 +62,6 @@ TEST(Simulator, NowAdvancesMonotonically)
         });
     }
     sim.run();
-    EXPECT_EQ(sim.eventsProcessed(), 4u);
 }
 
 TEST(SimulatorDeath, RejectsPastScheduling)
@@ -153,30 +152,6 @@ TEST(RateTokenPool, ZeroClaimIsFree)
     RateTokenPool pool(1.0);
     EXPECT_EQ(pool.claim(0), 0);
     EXPECT_EQ(pool.issued(), 0u);
-}
-
-TEST(BankTokenPool, SingleProducerSerializes)
-{
-    BankTokenPool bank(1, usec(323));
-    EXPECT_EQ(bank.claim(1), usec(323));
-    EXPECT_EQ(bank.claim(1), usec(646));
-    EXPECT_EQ(bank.claim(2), usec(323) * 4);
-}
-
-TEST(BankTokenPool, ParallelProducersBatch)
-{
-    BankTokenPool bank(3, usec(100));
-    // First three tokens in the first period, next three in the
-    // second.
-    EXPECT_EQ(bank.claim(3), usec(100));
-    EXPECT_EQ(bank.claim(1), usec(200));
-    EXPECT_EQ(bank.claim(2), usec(200));
-    EXPECT_EQ(bank.claim(1), usec(300));
-}
-
-TEST(BankTokenPoolDeath, RejectsBadParameters)
-{
-    EXPECT_DEATH(BankTokenPool(0, usec(1)), "bad parameters");
 }
 
 } // namespace

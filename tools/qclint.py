@@ -62,10 +62,6 @@ Rules (each waivable, see below):
                 lists the modules it may include, transitively.
                 The declared graph is cycle-checked on load (a
                 cyclic layers.json is a config error, exit 2).
-                Known upward edges — today the two registry
-                self-registration TUs arch/Microarch.cc and
-                kernels/Workloads.cc including api/ — are waived
-                per-edge in layers.json with a mandatory `why`.
 
   parse-robustness
                 .at( / asInt( in src/serve or src/hoard. The
@@ -207,8 +203,7 @@ RULES = [
         None,
         [],
         "cross-module includes must follow the DAG declared in "
-        "tools/layers.json; an upward edge needs a per-edge waiver "
-        "there with a justification",
+        "tools/layers.json",
     ),
     Rule(
         "parse-robustness",
@@ -246,10 +241,9 @@ def load_layers(root):
     """Parse tools/layers.json into the LAYERS global.
 
     Validates the declared module graph: every edge target must be
-    a declared module, the graph must be acyclic, and every waiver
-    must carry from/to/file and a non-empty why. Any violation is
-    a configuration error (exit 2) — the layering contract itself
-    must never be in a broken state.
+    a declared module and the graph must be acyclic. Any violation
+    is a configuration error (exit 2) — the layering contract
+    itself must never be in a broken state.
     """
     global LAYERS
     path = os.path.join(root, "tools", "layers.json")
@@ -292,20 +286,7 @@ def load_layers(root):
     for mod in sorted(modules):
         close(mod, [])
 
-    waived_edges = set()
-    for waiver in data.get("waivers", []):
-        for key in ("from", "to", "file", "why"):
-            if not waiver.get(key):
-                die("waiver %r needs a non-empty `%s`"
-                    % (waiver, key))
-        waived_edges.add(
-            (waiver["from"], waiver["to"], waiver["file"])
-        )
-    LAYERS = {
-        "modules": modules,
-        "closure": closure,
-        "waived_edges": waived_edges,
-    }
+    LAYERS = {"modules": modules, "closure": closure}
 
 
 UNORDERED_DECL_RE = re.compile(
@@ -396,8 +377,6 @@ def lint_lines(path, lines):
             or target in layer_reach
         ):
             return None
-        if (file_module, target, path) in LAYERS["waived_edges"]:
-            return None
         if waived(i, "module-layering"):
             return None
         return Finding(
@@ -405,7 +384,7 @@ def lint_lines(path, lines):
             i,
             "module-layering",
             "module `%s` may not include `%s/` (allowed: %s); add "
-            "the edge or a per-edge waiver to tools/layers.json"
+            "the edge to tools/layers.json"
             % (
                 file_module,
                 target,
