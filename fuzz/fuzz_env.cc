@@ -20,7 +20,7 @@
 
 #include "common/simd/SimdDispatch.hh"
 #include "fuzz/FuzzUtil.hh"
-#include "serve/FaultInjector.hh"
+#include "hoard/FaultInjector.hh"
 
 extern "C" int
 LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)

@@ -16,7 +16,7 @@
  * convention of the inner simulation layers.
  *
  * The parser is the trust boundary for every file the process does
- * not control (serve protocol files, hoard objects, sweep specs),
+ * not control (claim files, hoard objects, sweep specs),
  * so it enforces two hard resource bounds:
  * documents larger than kMaxDocumentBytes and nesting deeper than
  * kMaxParseDepth are parse errors, never allocations or stack
@@ -100,10 +100,10 @@ class Json
     /**
      * Bounds-checked lookups for untrusted documents: nullptr when
      * this is not an object/array or the key/index is absent,
-     * never a throw. The parse surfaces on the serve commit and
-     * hoard fetch paths must use these (enforced by qclint's
+     * never a throw. The parse surfaces on the claim and hoard
+     * fetch paths must use these (enforced by qclint's
      * parse-robustness rule) so a malformed file reads as a clean
-     * rejection instead of an exception mid-merge.
+     * rejection instead of an exception mid-sweep.
      */
     const Json *find(const std::string &key) const;
     const Json *find(std::size_t index) const;

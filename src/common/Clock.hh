@@ -1,8 +1,8 @@
 /**
  * @file
  * The injectable wall-clock seam. Everything in the library that
- * needs real-world time — today, the serve lease protocol's expiry
- * stamps — reads it through qc::WallClock::current(), so tests can
+ * needs real-world time — today, the hoard's claim expiries and
+ * object publish stamps — reads it through qc::WallClock::current(), so tests can
  * install a FakeWallClock and step time by hand instead of sleeping
  * out TTLs, and the qclint `wall-clock` rule can confine raw
  * std::chrono::system_clock reads to common/Clock.cc.

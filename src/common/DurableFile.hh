@@ -9,8 +9,8 @@
  * metadata — the failure mode plain write-then-rename leaves open,
  * because the rename can reach disk before the data does).
  *
- * Used for sweep and serve output documents, hoard objects and the
- * serve protocol's queue entries and shard-done markers.
+ * Used for sweep output documents, hoard objects and lease
+ * renewals.
  */
 
 #ifndef QC_COMMON_DURABLE_FILE_HH

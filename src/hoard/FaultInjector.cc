@@ -1,4 +1,4 @@
-#include "serve/FaultInjector.hh"
+#include "hoard/FaultInjector.hh"
 
 #include <chrono>
 #include <cstdio>
@@ -15,15 +15,13 @@ namespace {
 bool
 needsParam(const std::string &kind)
 {
-    return kind == "slow-worker" || kind == "crash-at-point";
+    return kind == "slow-point" || kind == "crash-at-point";
 }
 
 bool
 knownKind(const std::string &kind)
 {
-    return kind == "crash-before-commit"
-           || kind == "crash-after-commit" || kind == "torn-marker"
-           || kind == "stale-heartbeat"
+    return kind == "stale-heartbeat"
            || kind == "crash-before-hoard-publish"
            || kind == "crash-after-hoard-publish"
            || needsParam(kind);
@@ -34,9 +32,8 @@ knownKind(const std::string &kind)
 const char *
 FaultInjector::validSpecs()
 {
-    return "crash-before-commit, crash-after-commit, torn-marker, "
-           "stale-heartbeat, crash-before-hoard-publish, "
-           "crash-after-hoard-publish, slow-worker=MS, "
+    return "stale-heartbeat, crash-before-hoard-publish, "
+           "crash-after-hoard-publish, slow-point=MS, "
            "crash-at-point=K";
 }
 
@@ -110,7 +107,7 @@ FaultInjector::fireAtPoint(std::size_t pointsDone) const
 void
 FaultInjector::maybeSleep() const
 {
-    if (is("slow-worker")) {
+    if (is("slow-point")) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(param_));
     }

@@ -1,35 +1,31 @@
 /**
  * @file
- * Deterministic fault injection for the sweep service's failure
- * machinery. A FaultInjector is parsed from a spec string (the
- * `--fault` flag or the QCARCH_FAULT environment variable) and
- * threaded through the coordinator, the worker and the `qcarch
- * sweep` CLI path, so the kill-matrix CI gate and the tests can
- * place crashes at the exact protocol points the recovery story
- * claims to survive:
+ * Deterministic fault injection for the sweep's crash-recovery
+ * story. A FaultInjector is parsed from a spec string (the `--fault`
+ * flag or the QCARCH_FAULT environment variable) and handed to the
+ * HoardStore and the `qcarch sweep` progress hook, so the kill-matrix
+ * CI gate and the tests can place crashes at the exact points the
+ * recovery story claims to survive:
  *
- *   crash-before-commit   worker: shard-done marker written +
- *                         fsync'd, process dies before the rename
- *                         publishes it
- *   crash-after-commit    worker: marker renamed into results/,
- *                         process dies before releasing its lease
- *   torn-marker           worker: half the marker bytes are renamed
- *                         into results/ (simulating a non-durable
- *                         commit), then the process dies
- *   stale-heartbeat       worker: acquires its lease, then never
- *                         renews it and dawdles past the TTL, so
- *                         the coordinator reclaims a lease whose
- *                         owner is still alive
- *   slow-worker=MS        worker: sleeps MS milliseconds before
- *                         each point (widens race windows)
- *   crash-at-point=K      sweep/serve: the process dies immediately
- *                         after the K-th point is finished (and in
- *                         the result store)
+ *   stale-heartbeat       hoard store: the process's first claim is
+ *                         written already due to expire in about a
+ *                         second and is never renewed; the process
+ *                         then stalls past that expiry (until
+ *                         another process takes the claim over, or
+ *                         ten seconds pass), so a live holder's
+ *                         claim goes stale
+ *   slow-point=MS         hoard store: sleeps MS milliseconds after
+ *                         claiming each point, before computing it
+ *                         (widens race windows)
+ *   crash-at-point=K      sweep: the process dies immediately after
+ *                         the K-th executed point is finished (and
+ *                         in the store)
  *   crash-before-hoard-publish
  *                         hoard store: the object's bytes are
  *                         durably on disk as a temp, the process
  *                         dies before the rename publishes it (no
- *                         reader may ever see the object)
+ *                         reader may ever see the object), still
+ *                         holding the point's claim
  *   crash-after-hoard-publish
  *                         hoard store: the object is published,
  *                         the process dies before committing the
@@ -39,8 +35,8 @@
  * can verify the fault actually fired.
  */
 
-#ifndef QC_SERVE_FAULT_INJECTOR_HH
-#define QC_SERVE_FAULT_INJECTOR_HH
+#ifndef QC_HOARD_FAULT_INJECTOR_HH
+#define QC_HOARD_FAULT_INJECTOR_HH
 
 #include <cstddef>
 #include <string>
@@ -62,8 +58,8 @@ class FaultInjector
     FaultInjector() = default;
 
     /**
-     * Parse a spec string ("crash-before-commit",
-     * "slow-worker=50", ...). Empty spec → disarmed. Throws
+     * Parse a spec string ("stale-heartbeat", "slow-point=50",
+     * ...). Empty spec → disarmed. Throws
      * std::invalid_argument listing the valid specs otherwise.
      */
     static FaultInjector parse(const std::string &spec);
@@ -74,7 +70,7 @@ class FaultInjector
     bool armed() const { return !kind_.empty(); }
     const std::string &kind() const { return kind_; }
 
-    /** The K of crash-at-point=K / the MS of slow-worker=MS. */
+    /** The K of crash-at-point=K / the MS of slow-point=MS. */
     long param() const { return param_; }
 
     /** True iff armed with exactly this fault kind. */
@@ -83,7 +79,7 @@ class FaultInjector
     /**
      * Crash (exit kExitCode, after flushing a stderr note) iff
      * armed with `kind`. The crash sites call this inline:
-     * fire("crash-before-commit") between the marker fsync and its
+     * fire("crash-after-hoard-publish") right after the object's
      * rename, etc.
      */
     void fire(const std::string &kind) const;
@@ -91,7 +87,7 @@ class FaultInjector
     /** fire("crash-at-point") iff pointsDone == param(). */
     void fireAtPoint(std::size_t pointsDone) const;
 
-    /** Sleep this thread iff armed with slow-worker. */
+    /** Sleep this thread iff armed with slow-point. */
     void maybeSleep() const;
 
   private:
@@ -101,4 +97,4 @@ class FaultInjector
 
 } // namespace qc
 
-#endif // QC_SERVE_FAULT_INJECTOR_HH
+#endif // QC_HOARD_FAULT_INJECTOR_HH

@@ -1,15 +1,17 @@
 #include "hoard/HoardStore.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
 
+#include <unistd.h>
+
 #include "common/Clock.hh"
 #include "common/DurableFile.hh"
 #include "hoard/HoardKey.hh"
-#include "serve/Lease.hh"
 
 namespace qc {
 
@@ -87,6 +89,7 @@ HoardStore::HoardStore(std::string root, FaultInjector fault)
 {
     fs::create_directories(root_ + "/objects");
     fs::create_directories(root_ + "/quarantine");
+    fs::create_directories(root_ + "/claims");
     const std::string marker = root_ + "/hoard.json";
     if (fs::exists(marker)) {
         const Json meta = Json::loadFile(marker);
@@ -106,6 +109,23 @@ HoardStore::HoardStore(std::string root, FaultInjector fault)
                      ".tmp-" + nonce_);
 }
 
+HoardStore::~HoardStore()
+{
+    std::thread heartbeat;
+    std::map<std::string, LeaseInfo> held;
+    {
+        MutexLock lock(claimMutex_);
+        closing_ = true;
+        heartbeat.swap(heartbeat_);
+        held.swap(claims_);
+    }
+    wake_.notify_all();
+    if (heartbeat.joinable())
+        heartbeat.join();
+    for (const auto &[path, lease] : held)
+        Lease::release(path, lease.nonce);
+}
+
 std::string
 HoardStore::keyFor(const std::string &runner, const Json &config)
 {
@@ -117,6 +137,12 @@ HoardStore::objectPath(const std::string &key) const
 {
     return root_ + "/objects/" + key.substr(0, 2) + "/" + key
            + ".json";
+}
+
+std::string
+HoardStore::claimPath(const std::string &key) const
+{
+    return root_ + "/claims/" + key + ".lease";
 }
 
 bool
@@ -268,6 +294,108 @@ HoardStore::store(const std::string &runner, const Json &config,
     MutexLock lock(mutex_);
     ++counters_.stores;
     return true;
+}
+
+ResultCache::Claim
+HoardStore::claim(const std::string &runner, const Json &config)
+{
+    const std::string path = claimPath(hoardKeyHash(runner, config));
+    LeaseInfo mine;
+    mine.host = Lease::hostName();
+    mine.pid = static_cast<int>(::getpid());
+    mine.nonce = nonce_;
+    mine.ttlSeconds = kClaimSeconds;
+    Claim outcome = Claim::Won;
+    try {
+        if (!Lease::tryAcquire(path, mine)) {
+            LeaseInfo holder;
+            if (!Lease::read(path, holder))
+                holder = LeaseInfo(); // damaged: stale
+            else if (!holder.expired(nowEpochMs())
+                     && holder.ownerAlive())
+                return Claim::Held;
+            // Dead, expired or damaged: take it over. Losing either
+            // race means another process took it first.
+            if (!Lease::steal(path, holder)
+                || !Lease::tryAcquire(path, mine))
+                return Claim::Held;
+            outcome = Claim::TakenOver;
+        }
+    } catch (const std::exception &) {
+        // A claim only saves work: without a writable claims
+        // directory the point is computed unclaimed.
+        return Claim::Won;
+    }
+    bool stale = false;
+    if (fault_.is("stale-heartbeat")) {
+        MutexLock lock(claimMutex_);
+        stale = !std::exchange(staleFired_, true);
+    }
+    if (stale)
+        stallStale(path, mine);
+    else
+        hold(path, mine);
+    fault_.maybeSleep();
+    return outcome;
+}
+
+void
+HoardStore::release(const std::string &runner, const Json &config)
+{
+    const std::string path = claimPath(hoardKeyHash(runner, config));
+    {
+        MutexLock lock(claimMutex_);
+        claims_.erase(path);
+    }
+    Lease::release(path, nonce_);
+}
+
+void
+HoardStore::hold(const std::string &path, const LeaseInfo &lease)
+{
+    MutexLock lock(claimMutex_);
+    claims_[path] = lease;
+    if (!heartbeat_.joinable())
+        heartbeat_ = std::thread([this] { heartbeat(); });
+}
+
+void
+HoardStore::stallStale(const std::string &path, LeaseInfo mine) const
+{
+    // The stale-heartbeat fault: rewrite the claim to expire in
+    // about a second, never renew it, and stall past the expiry
+    // until another process has taken it over (or ten seconds
+    // pass), so a live holder's claim goes stale.
+    mine.ttlSeconds = 1.0;
+    Lease::renew(path, mine);
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    LeaseInfo current;
+    while (std::chrono::steady_clock::now() < giveUp
+           && Lease::read(path, current) && current.nonce == nonce_)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+void
+HoardStore::heartbeat()
+{
+    const auto every = std::chrono::milliseconds(
+        static_cast<long>(kClaimSeconds * 1000.0 / 3.0));
+    MutexLock lock(claimMutex_);
+    auto next = std::chrono::steady_clock::now() + every;
+    while (!closing_) {
+        // Woken early only to close (or spuriously).
+        if (wake_.wait_until(claimMutex_, next)
+            != std::cv_status::timeout)
+            continue;
+        // A claim that fails to renew was taken over: stop
+        // renewing it; its point costs one duplicate at most.
+        for (auto it = claims_.begin(); it != claims_.end();)
+            it = Lease::renew(it->first, it->second)
+                     ? std::next(it)
+                     : claims_.erase(it);
+        next = std::chrono::steady_clock::now() + every;
+    }
 }
 
 HoardCounters

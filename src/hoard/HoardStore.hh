@@ -22,6 +22,11 @@
  *     ROOT/quarantine/         objects that failed validation,
  *                              moved aside (never deleted) for
  *                              post-mortem
+ *     ROOT/claims/<key>.lease  a process computing <key> right now
+ *                              (Lease.hh; same key as the object
+ *                              it protects); never an object —
+ *                              list/stat/verify/gc read objects/
+ *                              only
  *
  * Each object is a JSON document:
  *
@@ -44,27 +49,40 @@
  * the point transparently recomputes and the republished object
  * heals the store.
  *
- * Concurrency model: publishes go through the same durable
- * write-then-rename commit the serve workers use, with a
- * process-unique temp suffix (Lease::makeNonce), so concurrent
- * sweeps sharing a store never tear an object; duplicate publishes
- * of the same key are idempotent (first one wins, the content is
- * identical by construction). Scans only ever consider "*.json"
- * names, so a crashed publish's leftover temp is invisible until
- * gc() sweeps it.
+ * Concurrency model: publishes go through a durable
+ * write-then-rename commit with a process-unique temp suffix
+ * (Lease::makeNonce), so concurrent sweeps sharing a store never
+ * tear an object; duplicate publishes of the same key are
+ * idempotent (first one wins, the content is identical by
+ * construction). Scans only ever consider "*.json" names, so a
+ * crashed publish's leftover temp is invisible until gc() sweeps
+ * it.
+ *
+ * Claims are how several processes split one sweep, as OpenISR lets
+ * one client at a time hold a parcel: claim() takes a lease on the
+ * point's key, a heartbeat thread renews every claim this store
+ * holds, and release() drops it once the result is published. A
+ * claim whose holder died (same host) or stopped renewing past its
+ * expiry is taken over. Correctness never depends on a claim — a
+ * point is done exactly when its object is valid — so a lost,
+ * stolen or damaged claim costs one duplicate computation at most.
  */
 
 #ifndef QC_HOARD_HOARD_STORE_HH
 #define QC_HOARD_HOARD_STORE_HH
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/Json.hh"
 #include "common/Mutex.hh"
-#include "serve/FaultInjector.hh"
+#include "hoard/FaultInjector.hh"
+#include "hoard/Lease.hh"
 #include "sweep/ResultCache.hh"
 
 namespace qc {
@@ -114,6 +132,10 @@ class HoardStore final : public ResultCache
     /** Object format version stamped into every object. */
     static constexpr std::int64_t kStoreVersion = 1;
 
+    /** A claim expires this long after its last renewal; the
+     *  heartbeat renews every third of it. */
+    static constexpr double kClaimSeconds = 30.0;
+
     /**
      * Open (creating if needed) the store at `root`. Writes the
      * version marker on first open; throws std::invalid_argument
@@ -123,6 +145,9 @@ class HoardStore final : public ResultCache
     explicit HoardStore(std::string root,
                         FaultInjector fault = FaultInjector());
 
+    /** Stops the heartbeat and releases every claim still held. */
+    ~HoardStore() override;
+
     const std::string &root() const { return root_; }
 
     /** The store key a (runner, config) pair resolves to. */
@@ -131,6 +156,9 @@ class HoardStore final : public ResultCache
 
     /** Absolute object path for a key. */
     std::string objectPath(const std::string &key) const;
+
+    /** Claim file path for a key. */
+    std::string claimPath(const std::string &key) const;
 
     /**
      * Read-through lookup. On a valid hit, assigns the stored
@@ -151,6 +179,20 @@ class HoardStore final : public ResultCache
      */
     bool store(const std::string &runner, const Json &config,
                const Json &result) override;
+
+    /**
+     * Claim the point's key: Won if no claim existed, TakenOver if
+     * the existing one's holder is dead (same host) or its claim
+     * expired, Held while a live holder renews it — including
+     * another thread of this store. A claims directory this store
+     * cannot write to yields Won with no claim taken. Thread-safe.
+     */
+    Claim claim(const std::string &runner, const Json &config) override;
+
+    /** Drop this store's claim on the point's key, if it still
+     *  holds it. Thread-safe. */
+    void release(const std::string &runner,
+                 const Json &config) override;
 
     /** Session counters (snapshot). Thread-safe. */
     HoardCounters counters() const;
@@ -187,13 +229,25 @@ class HoardStore final : public ResultCache
     void quarantineObject(const std::string &path);
     void writeIndex(const std::vector<HoardObjectInfo> &infos);
     void bumpQuarantined();
+    void hold(const std::string &path, const LeaseInfo &lease)
+        QC_EXCLUDES(claimMutex_);
+    void stallStale(const std::string &path, LeaseInfo mine) const;
+    void heartbeat() QC_EXCLUDES(claimMutex_);
 
     std::string root_;
     FaultInjector fault_;
-    std::string nonce_; ///< process-unique temp suffix component
+    std::string nonce_; ///< process-unique temp suffix and claim owner
 
     mutable Mutex mutex_;
     HoardCounters counters_ QC_GUARDED_BY(mutex_);
+
+    Mutex claimMutex_;
+    /** The claims the heartbeat renews, by path. */
+    std::map<std::string, LeaseInfo> claims_ QC_GUARDED_BY(claimMutex_);
+    bool staleFired_ QC_GUARDED_BY(claimMutex_) = false;
+    bool closing_ QC_GUARDED_BY(claimMutex_) = false;
+    std::thread heartbeat_ QC_GUARDED_BY(claimMutex_);
+    std::condition_variable_any wake_;
 };
 
 } // namespace qc

@@ -1,8 +1,10 @@
 /**
  * @file
  * The sweep engine's view of a persistent result cache: fetch a
- * previously computed result for a (runner, config) identity, and
- * publish a newly computed one. HoardStore (src/hoard/) is the one
+ * previously computed result for a (runner, config) identity,
+ * publish a newly computed one, and claim a point before computing
+ * it, so that processes sharing one store split a sweep instead of
+ * repeating it. HoardStore (src/hoard/) is the one
  * production implementation; the engine deliberately sees only this
  * interface so the sweep layer never includes hoard headers — the
  * module DAG runs sweep -> hoard via dependency injection at the
@@ -22,6 +24,14 @@ namespace qc {
 class ResultCache
 {
   public:
+    /** What claim() found. */
+    enum class Claim
+    {
+        Won,       ///< the caller holds the claim: compute, store, release
+        TakenOver, ///< as Won, taken from a dead or expired holder
+        Held,      ///< a live holder has it: skip now, revisit later
+    };
+
     virtual ~ResultCache() = default;
 
     /**
@@ -42,6 +52,24 @@ class ResultCache
      */
     virtual bool store(const std::string &runner, const Json &config,
                        const Json &result) = 0;
+
+    /**
+     * Claim the right to compute a point. The engine claims every
+     * point it did not fetch, fetches once more after winning (the
+     * last holder may have stored it meanwhile), and releases the
+     * claim after storing the result. A claim only saves work: a
+     * point is done exactly when the store holds it, so a lost or
+     * doubled claim costs a duplicate computation, never a wrong
+     * document. The default, for a store no other process shares,
+     * always wins. Thread-safe.
+     */
+    virtual Claim claim(const std::string &, const Json &)
+    {
+        return Claim::Won;
+    }
+
+    /** Give up a claim that claim() won. Thread-safe. */
+    virtual void release(const std::string &, const Json &) {}
 };
 
 } // namespace qc

@@ -1,9 +1,13 @@
 #include "sweep/SweepEngine.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/Mutex.hh"
 #include "sweep/SweepPlan.hh"
@@ -13,12 +17,16 @@ namespace qc {
 
 namespace {
 
+/** Pause between passes over the points other processes hold. */
+constexpr std::chrono::milliseconds kRevisitBackoff{100};
+
 /** How one unique point got its result. */
 struct PointOutcome
 {
     bool failed = false;      ///< the runner threw
     bool hoarded = false;     ///< fetched from the result store
     bool published = false;   ///< newly written to the store
+    bool tookOver = false;    ///< its claim was taken over
     std::string publishError; ///< non-empty: the publish threw
 };
 
@@ -52,9 +60,27 @@ class PointSink
                               outcome.failed);
         hoardHits_ += outcome.hoarded ? 1 : 0;
         hoardStored_ += outcome.published ? 1 : 0;
+        takenOver_ += outcome.tookOver ? 1 : 0;
         if (!outcome.publishError.empty() && hoardFailed_++ == 0)
             hoardError_ = outcome.publishError;
         tick(index, /*cached=*/false, outcome.hoarded);
+    }
+
+    /** Set a unique point aside: another process holds it. */
+    void defer(std::size_t task) QC_EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        deferred_.push_back(task);
+    }
+
+    /** The points set aside since the last call, in plan order. */
+    std::vector<std::size_t> takeDeferred() QC_EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        std::vector<std::size_t> tasks;
+        tasks.swap(deferred_);
+        std::sort(tasks.begin(), tasks.end());
+        return tasks;
     }
 
     /** Progress tick for a memo duplicate of a landed point. */
@@ -72,6 +98,7 @@ class PointSink
         report.hoardStored = hoardStored_;
         report.hoardFailed = hoardFailed_;
         report.hoardError = hoardError_;
+        report.claimsTakenOver = takenOver_;
     }
 
   private:
@@ -97,6 +124,8 @@ class PointSink
     std::size_t hoardStored_ QC_GUARDED_BY(mutex_) = 0;
     std::size_t hoardFailed_ QC_GUARDED_BY(mutex_) = 0;
     std::string hoardError_ QC_GUARDED_BY(mutex_);
+    std::size_t takenOver_ QC_GUARDED_BY(mutex_) = 0;
+    std::vector<std::size_t> deferred_ QC_GUARDED_BY(mutex_);
 };
 
 } // namespace
@@ -106,10 +135,6 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
-    // The assembler owns expansion, dedup and document aggregation
-    // — the same layer `qcarch serve` builds its merged document
-    // through, which is why the two paths are byte-identical by
-    // construction.
     SweepAssembler assembler(spec);
     const SweepPlan &plan = assembler.plan();
 
@@ -120,45 +145,76 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
 
     SweepContext context;
     PointSink sink(assembler, options);
-    WorkStealingPool pool(options.threads);
-    pool.run(
-        plan.unique.size(),
-        [&](std::size_t task) {
-            const std::size_t index = plan.unique[task];
-            const Json &config = plan.points[index].config;
-            PointOutcome outcome;
-            Json result;
-            // Read-through: a valid stored object replaces the
-            // computation outright. It is the runner's own metrics
-            // JSON, so the document is byte-identical either way.
-            if (options.hoard
-                && options.hoard->fetch(spec.runner, config, result)) {
-                outcome.hoarded = true;
-                sink.commit(index, std::move(result), outcome);
+    ResultCache *const store = options.hoard;
+    const auto compute = [&](const Json &config, Json &result,
+                             PointOutcome &outcome) {
+        try {
+            result = assembler.runner().runPoint(config, context);
+        } catch (const std::exception &e) {
+            result = Json::object();
+            result.set("error", e.what());
+            outcome.failed = true;
+        }
+        // Write-behind, before the claim is released and before the
+        // commit tick, so the crash-at-point fault (which fires
+        // inside the tick) proves "ticked ⇒ stored". A publish that
+        // throws costs only this point's crash durability, never
+        // the point.
+        if (store && !outcome.failed) {
+            try {
+                outcome.published =
+                    store->store(spec.runner, config, result);
+            } catch (const std::exception &e) {
+                outcome.publishError = e.what();
+            }
+        }
+    };
+    const auto finish = [&](std::size_t task) {
+        const std::size_t index = plan.unique[task];
+        const Json &config = plan.points[index].config;
+        PointOutcome outcome;
+        Json result;
+        // Read-through: a valid stored object replaces the
+        // computation outright. It is the runner's own metrics
+        // JSON, so the document is byte-identical either way.
+        if (!store) {
+            compute(config, result, outcome);
+        } else if (store->fetch(spec.runner, config, result)) {
+            outcome.hoarded = true;
+        } else {
+            const ResultCache::Claim claim =
+                store->claim(spec.runner, config);
+            if (claim == ResultCache::Claim::Held) {
+                sink.defer(task);
                 return;
             }
-            try {
-                result = assembler.runner().runPoint(config, context);
-            } catch (const std::exception &e) {
-                result = Json::object();
-                result.set("error", e.what());
-                outcome.failed = true;
-            }
-            // Write-behind, before the commit tick, so the
-            // crash-at-point fault (which fires inside the tick)
-            // proves "ticked ⇒ stored". A publish that throws costs
-            // only this point's crash durability, never the point.
-            if (options.hoard && !outcome.failed) {
-                try {
-                    outcome.published =
-                        options.hoard->store(spec.runner, config, result);
-                } catch (const std::exception &e) {
-                    outcome.publishError = e.what();
-                }
-            }
-            sink.commit(index, std::move(result), outcome);
-        },
-        options.stopRequested);
+            outcome.tookOver = claim == ResultCache::Claim::TakenOver;
+            // The last holder may have stored the point and let its
+            // claim go between our fetch and our claim.
+            if (store->fetch(spec.runner, config, result))
+                outcome.hoarded = true;
+            else
+                compute(config, result, outcome);
+            store->release(spec.runner, config);
+        }
+        sink.commit(index, std::move(result), outcome);
+    };
+
+    // One pass over every unique point, then passes over the ones
+    // other processes held, until each is fetched or computed here.
+    WorkStealingPool pool(options.threads);
+    std::vector<std::size_t> tasks(plan.unique.size());
+    std::iota(tasks.begin(), tasks.end(), std::size_t{0});
+    for (;;) {
+        pool.run(
+            tasks.size(), [&](std::size_t i) { finish(tasks[i]); },
+            options.stopRequested);
+        tasks = sink.takeDeferred();
+        if (tasks.empty()
+            || (options.stopRequested && options.stopRequested()))
+            break;
+        std::this_thread::sleep_for(kRevisitBackoff);
+    }
 
     // Memo duplicates tick once their canonical point has landed.
     for (std::size_t i = 0; i < plan.points.size(); ++i) {

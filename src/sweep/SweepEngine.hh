@@ -11,6 +11,12 @@
  * wall-clock-dependent enters the document. Wall time and thread
  * count are reported out-of-band in the SweepReport.
  *
+ * Several processes may run the same sweep against one shared
+ * store: each claims a point before computing it (ResultCache::
+ * claim), skips points another live process holds, and revisits
+ * them after the rest until it can fetch them or take their claim
+ * over. Every process writes the same document.
+ *
  * Document shape (BENCH_*.json-compatible: flat metric keys per
  * point under a "points" array):
  *
@@ -75,10 +81,12 @@ struct SweepOptions
      * The result store, and the sweep's only persistence (`qcarch
      * sweep --hoard DIR` or the private `<out>.hoard/` store,
      * docs/HOARD.md). Each unique point is first looked up
-     * (read-through, from the pool workers); each newly computed
-     * non-error result is published back before its progress tick,
-     * so a crash after the K-th tick leaves K points in the store
-     * and a re-run executes only the rest. Hits are byte-identical
+     * (read-through, from the pool workers), then claimed; a point
+     * another process holds is revisited after the rest. Each newly
+     * computed non-error result is published back before its claim
+     * is released and before its progress tick, so a crash after
+     * the K-th tick leaves K points in the store and a re-run
+     * executes only the rest. Hits are byte-identical
      * to cold computation by construction — the stored object is
      * the runner's own metrics JSON — so the document never depends
      * on the store's state. A publish that throws (a full disk)
@@ -111,6 +119,8 @@ struct SweepReport
      *  not in the store. */
     std::size_t hoardFailed = 0;
     std::string hoardError; ///< the first failed publish's message
+    /** Points whose claim was taken from a dead or expired holder. */
+    std::size_t claimsTakenOver = 0;
     /** Unique points left undone by a stopRequested drain
      *  (0 = ran to completion). */
     std::size_t interrupted = 0;

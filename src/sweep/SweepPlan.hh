@@ -1,17 +1,15 @@
 /**
  * @file
- * The shared expansion/aggregation layer under every sweep
- * executor. A SweepPlan is the deterministic expansion of a spec
- * plus its config-dedup structure; a SweepAssembler owns the plan,
- * collects per-unique-point results from any source — the
- * in-process pool (runSweep) or the points `qcarch serve` fetches
- * from its result store — and emits the aggregated document.
+ * The expansion/aggregation layer under the sweep engine. A
+ * SweepPlan is the deterministic expansion of a spec plus its
+ * config-dedup structure; a SweepAssembler owns the plan, collects
+ * per-unique-point results — computed, or fetched from the result
+ * store — and emits the aggregated document.
  *
- * This layer is what makes the distributed path's headline
- * guarantee cheap to keep: `qcarch serve` + N workers and a
- * single-shot `qcarch sweep` build their documents through the
- * same code over the same plan, so equal results give byte-equal
- * documents by construction.
+ * This layer is what keeps the multi-process guarantee cheap:
+ * every copy of a sweep sharing one store builds its document
+ * through the same code over the same plan, so equal results give
+ * byte-equal documents by construction.
  */
 
 #ifndef QC_SWEEP_SWEEP_PLAN_HH
@@ -33,8 +31,7 @@ std::string hexConfigHash(std::uint64_t hash);
 /**
  * A spec's expanded point list with its dedup structure. Every
  * field is a pure function of the spec, so two processes expanding
- * the same spec agree on every index — shard descriptors in the
- * serve protocol are just indices into this plan.
+ * the same spec agree on every index.
  */
 struct SweepPlan
 {
@@ -54,7 +51,7 @@ struct SweepPlan
 /**
  * Collects results for a plan and emits the aggregated document.
  * Not thread-safe; callers serialize access (the engine uses its
- * progress mutex, the coordinator is single-threaded).
+ * progress mutex).
  */
 class SweepAssembler
 {
@@ -94,9 +91,8 @@ class SweepAssembler
     /**
      * The aggregated document: one flat object per expanded point
      * (assignment, then runner metrics, then config_hash), document
-     * metadata, spec provenance, cache accounting. Single-shot
-     * output and the serve-side merged document are both this one
-     * function. Throws std::logic_error unless complete().
+     * metadata, spec provenance, cache accounting. Throws
+     * std::logic_error unless complete().
      */
     Json document() const;
 

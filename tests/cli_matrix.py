@@ -6,7 +6,7 @@ flag, missing option value, malformed numeric value, wrong
 positional count — must exit 2 and print a one-line usage pointer
 on stderr. Well-formed commands whose *input* is bad (unreadable
 file) keep exit 1; this is the boundary the CLI's header documents
-and the serve/sweep wrappers in CI rely on to tell "retry with a
+and the sweep wrappers in CI rely on to tell "retry with a
 fixed file" from "fix the script".
 
 Usage: cli_matrix.py <path-to-qcarch>
@@ -43,27 +43,17 @@ CASES = [
      ["sweep", "spec.json", "--resume", "prev.json"], 2, True),
     ("sweep --checkpoint-seconds (removed)",
      ["sweep", "spec.json", "--checkpoint-seconds", "0"], 2, True),
-    ("serve --checkpoint-seconds (removed)",
-     ["serve", "spec.json", "--out", "o.json",
-      "--checkpoint-seconds", "0"], 2, True),
     ("sweep bad --fault spec",
      ["sweep", "spec.json", "--fault", "bogus"], 2, True),
-    ("serve without --out", ["serve", "spec.json"], 2, True),
-    ("serve --shard-points zero",
-     ["serve", "spec.json", "--out", "o.json", "--shard-points",
-      "0"], 2, True),
-    ("serve --poll-ms non-numeric",
-     ["serve", "spec.json", "--out", "o.json", "--poll-ms", "fast"],
-     2, True),
-    ("work without --coordinator", ["work"], 2, True),
-    ("work with stray positional",
-     ["work", "--coordinator", "d", "extra"], 2, True),
-    ("work --poll-ms missing value",
-     ["work", "--coordinator", "d", "--poll-ms"], 2, True),
+    # Removed commands are unknown commands now: copies of `qcarch
+    # sweep` sharing one --hoard DIR split a sweep between them.
+    ("serve (removed)",
+     ["serve", "spec.json", "--out", "o.json"], 2, True),
+    ("work (removed)", ["work", "--coordinator", "d"], 2, True),
     ("hoard with no subcommand", ["hoard"], 2, True),
     ("hoard unknown subcommand", ["hoard", "prune", "d"], 2, True),
-    ("hoard warm without --hoard", ["hoard", "warm", "spec.json"],
-     2, True),
+    ("hoard warm (removed)",
+     ["hoard", "warm", "spec.json", "--hoard", "d"], 2, True),
     ("hoard gc bad --max-bytes",
      ["hoard", "gc", "d", "--max-bytes", "lots"], 2, True),
     ("hoard ingest (removed)",

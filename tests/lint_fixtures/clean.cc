@@ -1,4 +1,4 @@
-// qclint-fixture: path=src/serve/Tidy.cc
+// qclint-fixture: path=src/hoard/Tidy.cc
 // qclint-fixture: expect=clean
 #include <chrono>
 

@@ -2,6 +2,6 @@
 // qclint-fixture: expect=clean
 // A path that maps to no declared module (src/ file outside any
 // module directory) is outside the layering rule's blast radius.
-#include "serve/Protocol.hh"
+#include "hoard/HoardStore.hh"
 
 void helper() {}

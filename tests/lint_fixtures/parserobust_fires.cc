@@ -1,15 +1,15 @@
-// qclint-fixture: path=src/serve/QueueScan.cc
+// qclint-fixture: path=src/hoard/ClaimScan.cc
 // qclint-fixture: expect=parse-robustness:9, parse-robustness:14
 #include <string>
 
 #include "api/Json.hh"
 
-int attempt(const qc::Json &j)
+int pid(const qc::Json &j)
 {
-    return static_cast<int>(j.at("attempt").asInt());
+    return static_cast<int>(j.at("pid").asInt());
 }
 
-std::string id(const qc::Json &j)
+std::string nonce(const qc::Json &j)
 {
-    return j.at("id").asString();
+    return j.at("nonce").asString();
 }

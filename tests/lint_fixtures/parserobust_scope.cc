@@ -1,7 +1,7 @@
 // qclint-fixture: path=src/api/Experiment.cc
 // qclint-fixture: expect=clean
-// The parse-robustness rule is scoped to the serve/hoard paths
-// that parse files other processes wrote. api-level config
+// The parse-robustness rule is scoped to the hoard paths that
+// parse files other processes wrote. api-level config
 // loading reports errors to a human and may keep the throwing
 // accessors.
 #include "api/Json.hh"

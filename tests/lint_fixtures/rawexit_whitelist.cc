@@ -1,4 +1,4 @@
-// qclint-fixture: path=src/serve/FaultInjector.cc
+// qclint-fixture: path=src/hoard/FaultInjector.cc
 // qclint-fixture: expect=clean
 #include <unistd.h>
 

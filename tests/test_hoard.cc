@@ -8,20 +8,31 @@
  * wrong-version / orphaned-index / torn-write objects each
  * quarantined and transparently recomputed, output byte-identical
  * to a cold run, a tampered result never replayed), eviction
- * order, concurrent sweeps sharing one store, and idempotent
- * duplicate publishes.
+ * order, idempotent duplicate publishes, and the claims that let
+ * several sweeps split one store's points: the filesystem lease
+ * primitive (exclusive acquisition, nonce-checked renewal,
+ * wall-clock expiry, single-winner steal, a dead-owner fast path
+ * that only trusts a pid on its own host), takeover of dead and
+ * expired claims, drained sweeps that leave no claim behind, and
+ * the fault injector's spec parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "api/Qc.hh"
@@ -109,6 +120,41 @@ hoardedRun(const SweepSpec &spec, const std::string &root,
     options.threads = threads;
     options.hoard = &hoard;
     return runSweep(spec, options);
+}
+
+/** The pid of a child that already exited and was reaped: a
+ *  known-dead process on this host. */
+int
+deadPid()
+{
+    const pid_t child = ::fork();
+    if (child == 0)
+        ::_exit(0);
+    int status = 0;
+    ::waitpid(child, &status, 0);
+    return static_cast<int>(child);
+}
+
+/** A lease as this process would write it. */
+LeaseInfo
+myLease()
+{
+    LeaseInfo mine;
+    mine.host = Lease::hostName();
+    mine.pid = static_cast<int>(::getpid());
+    mine.nonce = Lease::makeNonce();
+    mine.ttlSeconds = 30.0;
+    return mine;
+}
+
+/** Lease files under a store's claims/ directory. */
+std::size_t
+claimFiles(const std::string &root)
+{
+    std::size_t count = 0;
+    for (const auto &entry : fs::directory_iterator(root + "/claims"))
+        count += entry.path().extension() == ".lease" ? 1 : 0;
+    return count;
 }
 
 // ---------------------------------------------------------------
@@ -805,41 +851,502 @@ TEST(HoardGc, SweepsLeftoverPublishTemps)
 }
 
 // ---------------------------------------------------------------
-// Concurrency: sweeps sharing one store
+// Lease primitive
 // ---------------------------------------------------------------
 
-TEST(HoardConcurrency, TwoSweepsShareOneStore)
+TEST(Lease, AcquisitionIsExclusive)
 {
-    // Two sweeps race over the same fresh store, each with its own
-    // handle (the multi-process topology in-process, so TSan sees
-    // the threaded read-through and publish paths). Both must come
-    // out byte-identical to the cold document, and the store must
-    // end up fully warm.
-    ScratchDir dir("qc_hoard_race");
-    const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
-    const Json cold = coldDocument(spec);
+    ScratchDir dir("qc_lease_excl");
+    const std::string path = dir.file("a.lease");
+    const LeaseInfo mine = myLease();
+    ASSERT_TRUE(Lease::tryAcquire(path, mine));
+    // The filesystem arbitrates: a second link onto the name loses.
+    EXPECT_FALSE(Lease::tryAcquire(path, mine));
 
-    Json docA, docB;
-    std::thread racerA([&] {
-        docA = hoardedRun(spec, dir.file("store"), 2).doc;
-    });
-    std::thread racerB([&] {
-        docB = hoardedRun(spec, dir.file("store"), 2).doc;
-    });
+    LeaseInfo stored;
+    ASSERT_TRUE(Lease::read(path, stored));
+    EXPECT_EQ(stored.host, Lease::hostName());
+    EXPECT_EQ(stored.pid, mine.pid);
+    EXPECT_EQ(stored.nonce, mine.nonce);
+    EXPECT_FALSE(stored.expired(nowEpochMs()));
+    EXPECT_GT(stored.expiresMs, nowEpochMs() + 20000);
+    // Acquisition leaves nothing but the lease itself.
+    std::size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir.path)) {
+        (void)entry;
+        ++files;
+    }
+    EXPECT_EQ(files, 1u);
+}
+
+TEST(Lease, NonceNamesTheHost)
+{
+    const std::string nonce = Lease::makeNonce();
+    EXPECT_EQ(nonce.rfind(Lease::hostName() + "-", 0), 0u) << nonce;
+    EXPECT_NE(Lease::makeNonce(), nonce);
+}
+
+TEST(Lease, RenewRequiresTheOwnersNonce)
+{
+    FakeWallClock clock;
+    ScopedWallClock scoped(clock);
+    ScratchDir dir("qc_lease_renew");
+    const std::string path = dir.file("a.lease");
+    const LeaseInfo mine = myLease();
+    ASSERT_TRUE(Lease::tryAcquire(path, mine));
+    LeaseInfo before;
+    ASSERT_TRUE(Lease::read(path, before));
+
+    clock.advanceMs(5000);
+    ASSERT_TRUE(Lease::renew(path, mine));
+    LeaseInfo after;
+    ASSERT_TRUE(Lease::read(path, after));
+    EXPECT_EQ(after.expiresMs, before.expiresMs + 5000);
+
+    // A usurper's renewal must not resurrect its claim.
+    LeaseInfo other = mine;
+    other.nonce = Lease::makeNonce();
+    EXPECT_FALSE(Lease::renew(path, other));
+    LeaseInfo unchanged;
+    ASSERT_TRUE(Lease::read(path, unchanged));
+    EXPECT_EQ(unchanged.nonce, mine.nonce);
+}
+
+TEST(Lease, ExpiryIsWallClock)
+{
+    // Expiry is driven by the injectable wall clock, so the test
+    // advances a fake clock past a realistic TTL instead of
+    // shrinking the TTL and really sleeping.
+    FakeWallClock clock;
+    ScopedWallClock scoped(clock);
+    ScratchDir dir("qc_lease_expire");
+    const std::string path = dir.file("a.lease");
+    ASSERT_TRUE(Lease::tryAcquire(path, myLease()));
+    LeaseInfo stored;
+    ASSERT_TRUE(Lease::read(path, stored));
+    EXPECT_FALSE(stored.expired(nowEpochMs()));
+    clock.advanceMs(29'999);
+    EXPECT_FALSE(stored.expired(nowEpochMs()));
+    clock.advanceMs(2);
+    EXPECT_TRUE(stored.expired(nowEpochMs()));
+    // Expired but the owner (this process) is alive: the dead-PID
+    // fast path must NOT claim it is dead.
+    EXPECT_TRUE(stored.ownerAlive());
+}
+
+TEST(Lease, ReleaseRequiresTheNonce)
+{
+    ScratchDir dir("qc_lease_release");
+    const std::string path = dir.file("a.lease");
+    const LeaseInfo mine = myLease();
+    ASSERT_TRUE(Lease::tryAcquire(path, mine));
+    EXPECT_FALSE(Lease::release(path, "someone-else"));
+    EXPECT_TRUE(fs::exists(path));
+    EXPECT_TRUE(Lease::release(path, mine.nonce));
+    EXPECT_FALSE(fs::exists(path));
+}
+
+TEST(Lease, StealHasExactlyOneWinner)
+{
+    ScratchDir dir("qc_lease_steal");
+    const std::string path = dir.file("a.lease");
+    LeaseInfo mine = myLease();
+    mine.ttlSeconds = 0.01;
+    ASSERT_TRUE(Lease::tryAcquire(path, mine));
+    LeaseInfo stale;
+    ASSERT_TRUE(Lease::read(path, stale));
+    EXPECT_TRUE(Lease::steal(path, stale));
+    EXPECT_FALSE(fs::exists(path));
+    // The rename already happened; a second taker loses.
+    EXPECT_FALSE(Lease::steal(path, stale));
+    // And the lease is acquirable again.
+    const LeaseInfo next = myLease();
+    EXPECT_TRUE(Lease::tryAcquire(path, next));
+
+    // A late taker that judged the old lease stale must not remove
+    // the fresh one that replaced it: it is put back.
+    EXPECT_FALSE(Lease::steal(path, stale));
+    LeaseInfo fresh;
+    ASSERT_TRUE(Lease::read(path, fresh));
+    EXPECT_EQ(fresh.nonce, next.nonce);
+}
+
+TEST(Lease, DeadOwnerFastPath)
+{
+    LeaseInfo dead;
+    dead.host = Lease::hostName();
+    dead.pid = deadPid();
+    dead.nonce = "gone";
+    dead.expiresMs = nowEpochMs() + 60000; // TTL far from expiry
+    EXPECT_FALSE(dead.ownerAlive());
+
+    LeaseInfo alive = dead;
+    alive.pid = static_cast<int>(::getpid());
+    EXPECT_TRUE(alive.ownerAlive());
+}
+
+TEST(Lease, PidOnAnotherHostIsNeverProbed)
+{
+    // A pid that is dead here means nothing about a process on
+    // another host sharing the filesystem: only expiry counts.
+    LeaseInfo remote;
+    remote.host = "not-" + Lease::hostName();
+    remote.pid = deadPid();
+    remote.nonce = "remote";
+    EXPECT_TRUE(remote.ownerAlive());
+    remote.host.clear(); // a lease that names no host at all
+    EXPECT_TRUE(remote.ownerAlive());
+}
+
+TEST(Lease, TornLeaseFileReadsAsAbsent)
+{
+    ScratchDir dir("qc_lease_torn");
+    const std::string path = dir.file("a.lease");
+    writeAll(path, "{\"pid\": 12"); // damaged on disk
+    LeaseInfo stored;
+    EXPECT_FALSE(Lease::read(path, stored));
+}
+
+// ---------------------------------------------------------------
+// Claims: sweeps sharing one store split its points
+// ---------------------------------------------------------------
+
+/** A test runner that counts how often each point runs and sleeps
+ *  on it, so two sweeps overlap. */
+class CountingRunner : public SweepRunner
+{
+  public:
+    std::string name() const override { return "test-count"; }
+    std::string description() const override
+    {
+        return "test-only: y = 3x, 40 ms per point, counted";
+    }
+    std::vector<std::string> fields() const override
+    {
+        return {"x"};
+    }
+    Json runPoint(const Json &config, SweepContext &) const override
+    {
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++runs_[config.dump(0)];
+        }
+        Json result = Json::object();
+        result.set("y", 3 * config.getDouble("x", 0.0));
+        return result;
+    }
+
+    std::map<std::string, int> runs() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return runs_;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    mutable std::map<std::string, int> runs_;
+};
+
+/** Registers a fresh CountingRunner as "test-count". */
+std::shared_ptr<CountingRunner>
+countingRunner()
+{
+    auto runner = std::make_shared<CountingRunner>();
+    SweepRunnerRegistry::instance().add("test-count", runner);
+    return runner;
+}
+
+const char *const kCountSpec = R"({
+  "name": "claims",
+  "runner": "test-count",
+  "axes": [{"field": "x", "values": [1, 2, 3, 4, 5, 6, 7, 8]}]
+})";
+
+TEST(HoardClaims, TwoSweepsSplitTheirPointsAndWriteOneDocument)
+{
+    // Two sweeps over one store directory, each with its own
+    // handle — the multi-process topology in-process, so TSan sees
+    // the claim, heartbeat and publish paths. Every point runs
+    // exactly once across both, and both documents equal the
+    // single-process one.
+    countingRunner();
+    const SweepSpec spec = SweepSpec::fromJson(parse(kCountSpec));
+    const std::string single = runSweep(spec).doc.dump();
+    const auto runner = countingRunner(); // counts from here on
+    ScratchDir dir("qc_hoard_claims");
+
+    SweepReport reportA, reportB;
+    std::thread racerA(
+        [&] { reportA = hoardedRun(spec, dir.file("store")); });
+    std::thread racerB(
+        [&] { reportB = hoardedRun(spec, dir.file("store")); });
     racerA.join();
     racerB.join();
-    EXPECT_EQ(docA.dump(), cold.dump());
-    EXPECT_EQ(docB.dump(), cold.dump());
-
-    const SweepReport warm =
-        hoardedRun(spec, dir.file("store"));
-    EXPECT_EQ(warm.executed, 0u);
-    EXPECT_EQ(warm.hoardHits, 4u);
-    EXPECT_EQ(warm.doc.dump(), cold.dump());
-
+    EXPECT_EQ(reportA.doc.dump(), single);
+    EXPECT_EQ(reportB.doc.dump(), single);
+    EXPECT_EQ(reportA.executed + reportB.executed, 8u);
+    EXPECT_EQ(reportA.hoardHits + reportB.hoardHits, 8u);
+    EXPECT_EQ(reportA.claimsTakenOver + reportB.claimsTakenOver, 0u);
+    const std::map<std::string, int> runs = runner->runs();
+    EXPECT_EQ(runs.size(), 8u);
+    for (const auto &[config, count] : runs)
+        EXPECT_EQ(count, 1) << config;
+    EXPECT_EQ(claimFiles(dir.file("store")), 0u);
+    // The store ends up complete and valid; claims are not objects.
     HoardStore hoard(dir.file("store"));
     EXPECT_EQ(hoard.verify().quarantined, 0u);
-    EXPECT_EQ(hoard.list().size(), 4u);
+    EXPECT_EQ(hoard.list().size(), 8u);
+}
+
+TEST(HoardClaims, ExpiredClaimIsTakenOverExactlyOnce)
+{
+    FakeWallClock clock;
+    ScopedWallClock scoped(clock);
+    ScratchDir dir("qc_hoard_expired");
+    const Json config = parse(R"({"x": 1})");
+    HoardStore holder(dir.file("store"));
+    HoardStore a(dir.file("store"));
+    HoardStore b(dir.file("store"));
+    using Claim = ResultCache::Claim;
+    ASSERT_EQ(holder.claim("test-count", config), Claim::Won);
+    // A live, renewing-in-time holder keeps it.
+    clock.advanceMs(29'000);
+    EXPECT_EQ(a.claim("test-count", config), Claim::Held);
+    // Past the expiry it goes to exactly one taker.
+    clock.advanceMs(1'001 + 1'000);
+    EXPECT_EQ(a.claim("test-count", config), Claim::TakenOver);
+    EXPECT_EQ(b.claim("test-count", config), Claim::Held);
+    // The old holder's release cannot drop the new holder's claim.
+    holder.release("test-count", config);
+    const std::string path = a.claimPath(
+        HoardStore::keyFor("test-count", config));
+    EXPECT_TRUE(fs::exists(path));
+    EXPECT_EQ(b.claim("test-count", config), Claim::Held);
+    a.release("test-count", config);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_EQ(b.claim("test-count", config), Claim::Won);
+}
+
+TEST(HoardClaims, ExpiredClaimInASweepIsTakenOverOnce)
+{
+    // Two sweeps find one expired claim left by a third holder:
+    // between them they take it over once, and compute every point
+    // once.
+    FakeWallClock clock;
+    ScopedWallClock scoped(clock);
+    countingRunner();
+    const SweepSpec spec = SweepSpec::fromJson(parse(kCountSpec));
+    const std::string single = runSweep(spec).doc.dump();
+    const auto runner = countingRunner(); // counts from here on
+    ScratchDir dir("qc_hoard_expired_sweep");
+    HoardStore holder(dir.file("store"));
+    ASSERT_EQ(holder.claim("test-count", parse(R"({"x": 4})")),
+              ResultCache::Claim::Won);
+    clock.advanceMs(31'000);
+
+    SweepReport reportA, reportB;
+    std::thread racerA(
+        [&] { reportA = hoardedRun(spec, dir.file("store")); });
+    std::thread racerB(
+        [&] { reportB = hoardedRun(spec, dir.file("store")); });
+    racerA.join();
+    racerB.join();
+    EXPECT_EQ(reportA.claimsTakenOver + reportB.claimsTakenOver, 1u);
+    EXPECT_EQ(reportA.doc.dump(), single);
+    EXPECT_EQ(reportB.doc.dump(), single);
+    for (const auto &[config, count] : runner->runs())
+        EXPECT_EQ(count, 1) << config;
+}
+
+TEST(HoardClaims, DeadHolderOnThisHostIsTakenOverAtOnce)
+{
+    // The holder died (a crash before its publish, say) with its
+    // claim far from expiry: the next sweep takes it over without
+    // waiting it out.
+    ScratchDir dir("qc_hoard_dead");
+    countingRunner();
+    const SweepSpec spec = SweepSpec::fromJson(parse(kCountSpec));
+    HoardStore store(dir.file("store"));
+    LeaseInfo dead = myLease();
+    dead.pid = deadPid();
+    const SweepPlan plan = SweepPlan::expand(spec);
+    ASSERT_TRUE(Lease::tryAcquire(
+        store.claimPath(HoardStore::keyFor(spec.runner,
+                                           plan.points[2].config)),
+        dead));
+
+    SweepOptions options;
+    options.threads = 2;
+    options.hoard = &store;
+    const auto t0 = std::chrono::steady_clock::now();
+    const SweepReport report = runSweep(spec, options);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
+    EXPECT_EQ(report.claimsTakenOver, 1u);
+    EXPECT_EQ(report.executed, 8u);
+    EXPECT_EQ(report.doc.dump(), runSweep(spec).doc.dump());
+    EXPECT_EQ(claimFiles(dir.file("store")), 0u);
+}
+
+TEST(HoardClaims, HolderOnAnotherHostWaitsOutItsExpiry)
+{
+    // Its pid is dead here, but that says nothing about a process
+    // on another host: the claim stands until it expires.
+    FakeWallClock clock;
+    ScopedWallClock scoped(clock);
+    ScratchDir dir("qc_hoard_remote");
+    const Json config = parse(R"({"x": 1})");
+    HoardStore store(dir.file("store"));
+    LeaseInfo remote = myLease();
+    remote.host = "not-" + Lease::hostName();
+    remote.pid = deadPid();
+    ASSERT_TRUE(Lease::tryAcquire(
+        store.claimPath(HoardStore::keyFor("test-count", config)),
+        remote));
+    using Claim = ResultCache::Claim;
+    EXPECT_EQ(store.claim("test-count", config), Claim::Held);
+    clock.advanceMs(29'999);
+    EXPECT_EQ(store.claim("test-count", config), Claim::Held);
+    clock.advanceMs(2);
+    EXPECT_EQ(store.claim("test-count", config), Claim::TakenOver);
+}
+
+TEST(HoardClaims, DamagedClaimIsTakenOver)
+{
+    ScratchDir dir("qc_hoard_damaged_claim");
+    const Json config = parse(R"({"x": 1})");
+    HoardStore store(dir.file("store"));
+    writeAll(store.claimPath(HoardStore::keyFor("test-count", config)),
+             "{\"pid\": 12");
+    EXPECT_EQ(store.claim("test-count", config),
+              ResultCache::Claim::TakenOver);
+}
+
+TEST(HoardClaims, StaleHeartbeatFaultLetsALiveClaimExpire)
+{
+    // The fault writes the first claim to expire in about a second,
+    // never renews it, and stalls until someone takes it over.
+    FakeWallClock clock;
+    ScopedWallClock scoped(clock);
+    ScratchDir dir("qc_hoard_stale");
+    const Json config = parse(R"({"x": 1})");
+    HoardStore stale(dir.file("store"),
+                     FaultInjector::parse("stale-heartbeat"));
+    HoardStore taker(dir.file("store"));
+    const std::string path =
+        taker.claimPath(HoardStore::keyFor("test-count", config));
+    std::atomic<bool> stalled{true};
+    std::thread holder([&] {
+        EXPECT_EQ(stale.claim("test-count", config),
+                  ResultCache::Claim::Won);
+        stalled = false;
+    });
+    LeaseInfo lease;
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((!Lease::read(path, lease) || lease.ttlSeconds != 1.0)
+           && std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(lease.ttlSeconds, 1.0);
+    EXPECT_TRUE(stalled);
+    EXPECT_EQ(taker.claim("test-count", config),
+              ResultCache::Claim::Held);
+    clock.advanceMs(1'001);
+    EXPECT_EQ(taker.claim("test-count", config),
+              ResultCache::Claim::TakenOver);
+    holder.join();
+    // Only the first claim goes stale.
+    EXPECT_EQ(stale.claim("test-count", parse(R"({"x": 2})")),
+              ResultCache::Claim::Won);
+}
+
+TEST(HoardClaims, DrainedSweepLeavesNoClaimsAndReRunFinishes)
+{
+    // The SIGINT/SIGTERM path: the stop flag the signal handler
+    // sets goes up after three points. In-flight points finish and
+    // release their claims, no document is written, and the re-run
+    // computes only the rest.
+    countingRunner();
+    const SweepSpec spec = SweepSpec::fromJson(parse(kCountSpec));
+    const std::string single = runSweep(spec).doc.dump();
+    ScratchDir dir("qc_hoard_drain");
+    std::atomic<std::size_t> done{0};
+    SweepReport drained;
+    {
+        HoardStore store(dir.file("store"));
+        SweepOptions options;
+        options.threads = 2;
+        options.hoard = &store;
+        options.progress = [&](const SweepProgress &) { ++done; };
+        options.stopRequested = [&] { return done >= 3; };
+        drained = runSweep(spec, options);
+        EXPECT_EQ(claimFiles(dir.file("store")), 0u);
+    }
+    EXPECT_TRUE(drained.doc.isNull());
+    EXPECT_GT(drained.interrupted, 0u);
+    const SweepReport rerun = hoardedRun(spec, dir.file("store"));
+    EXPECT_EQ(rerun.hoardHits, 8u - drained.interrupted);
+    EXPECT_EQ(rerun.executed, drained.interrupted);
+    EXPECT_EQ(rerun.doc.dump(), single);
+}
+
+// ---------------------------------------------------------------
+// FaultInjector parsing
+// ---------------------------------------------------------------
+
+TEST(FaultInjector, ParsesEveryDocumentedSpec)
+{
+    EXPECT_FALSE(FaultInjector::parse("").armed());
+    EXPECT_TRUE(FaultInjector::parse("stale-heartbeat")
+                    .is("stale-heartbeat"));
+    EXPECT_TRUE(FaultInjector::parse("crash-before-hoard-publish")
+                    .is("crash-before-hoard-publish"));
+    EXPECT_TRUE(FaultInjector::parse("crash-after-hoard-publish")
+                    .is("crash-after-hoard-publish"));
+    const FaultInjector slow = FaultInjector::parse("slow-point=75");
+    EXPECT_TRUE(slow.is("slow-point"));
+    EXPECT_EQ(slow.param(), 75);
+    const FaultInjector at = FaultInjector::parse("crash-at-point=2");
+    EXPECT_TRUE(at.is("crash-at-point"));
+    EXPECT_EQ(at.param(), 2);
+}
+
+TEST(FaultInjector, RejectsMalformedSpecsListingValidOnes)
+{
+    const auto expectThrows = [](const std::string &spec) {
+        try {
+            FaultInjector::parse(spec);
+            FAIL() << spec << " should have thrown";
+        } catch (const std::invalid_argument &error) {
+            EXPECT_NE(std::string(error.what()).find("slow-point"),
+                      std::string::npos)
+                << "error should list the valid specs: "
+                << error.what();
+        }
+    };
+    expectThrows("rm-rf");                 // unknown kind
+    expectThrows("stale-heartbeat=3");     // takes no parameter
+    expectThrows("slow-point");            // needs a parameter
+    expectThrows("slow-point=fast");       // non-numeric
+    expectThrows("crash-at-point=-1");     // negative
+    // The shard-marker faults went with the marker protocol.
+    expectThrows("crash-before-commit");
+    expectThrows("torn-marker");
+    expectThrows("slow-worker=5");
+}
+
+TEST(FaultInjector, DisarmedInjectorNeverFires)
+{
+    const FaultInjector none;
+    EXPECT_FALSE(none.armed());
+    none.fire("crash-after-hoard-publish"); // must not exit the run
+    none.fireAtPoint(0);
+    none.maybeSleep();
+    // An armed injector only fires its own kind.
+    FaultInjector::parse("crash-after-hoard-publish")
+        .fire("crash-before-hoard-publish");
+    FaultInjector::parse("crash-at-point=5").fireAtPoint(4);
 }
 
 // ---------------------------------------------------------------

@@ -10,11 +10,11 @@
  *    misses with the mutant quarantined out of the object path —
  *    never a third outcome, and never a silently different
  *    result.
- *  - Worker-published results: for every mutant of an object a
- *    `qcarch work` worker published, a restarted coordinator's
- *    fetch either recovers the original result or quarantines the
- *    mutant so the point is recomputed — and the served document
- *    stays byte-identical to single-shot output either way.
+ *  - Swept results: for every mutant of an object a sweep
+ *    published, a re-run of the sweep either hits it with the
+ *    original result or quarantines the mutant and recomputes the
+ *    point — and the document stays byte-identical to a fresh run
+ *    either way.
  *
  * These complement the corruption matrix in test_hoard.cc: that
  * enumerates known damage modes, this sweeps the full single-byte
@@ -28,14 +28,12 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "api/Qc.hh"
 #include "hoard/Hoard.hh"
-#include "serve/Serve.hh"
 #include "sweep/Sweep.hh"
 
 namespace qc {
@@ -154,11 +152,11 @@ TEST(MutationRobustness, HoardObjectEveryByteMutation)
 }
 
 // ---------------------------------------------------------------
-// Worker-published results
+// Swept results
 // ---------------------------------------------------------------
 
 /** A deterministic, instant runner: the property under test is
- *  the store/serve path, so recomputes should cost nothing. */
+ *  the store path, so recomputes should cost nothing. */
 class EchoRunner : public SweepRunner
 {
   public:
@@ -180,59 +178,37 @@ class EchoRunner : public SweepRunner
     }
 };
 
-/** 4-point spec; a served run publishes every point through a
- *  worker, then one of those objects is mutated byte by byte. */
+/** 4-point spec; a sweep publishes every point, then one of those
+ *  objects is mutated byte by byte. */
 const char *const kSpec = R"({
-  "name": "mutation_serve",
+  "name": "mutation_sweep",
   "runner": "test-echo",
   "axes": [{"field": "x", "values": [1, 2, 3, 4]}]
 })";
 
-/** One served run over `dir`: coordinator and worker threads, each
- *  with its own handle on DIR/hoard. A restart on the same `dir`
- *  recovers every published point from the store first. */
-CoordinatorReport
-serve(const SweepSpec &spec, const std::string &dir)
+/** One sweep against the store at `root`, through its own handle. */
+SweepReport
+sweepInto(const SweepSpec &spec, const std::string &root)
 {
-    CoordinatorOptions options;
-    options.outPath = dir + "/out.json";
-    options.dir = dir + "/serve";
-    options.pollMs = 1;
-    options.quiet = true;
-    const ServeDir serveDir(options.dir);
-    // The previous run's done marker would send the worker home
-    // before the restarted coordinator clears it.
-    std::remove(serveDir.doneMarker().c_str());
-    HoardStore coordinatorStore(serveDir.hoard());
-    options.store = &coordinatorStore;
-    std::thread worker([&] {
-        HoardStore workerStore(serveDir.hoard());
-        WorkerOptions work;
-        work.dir = options.dir;
-        work.store = &workerStore;
-        work.pollMs = 1;
-        work.backoffMaxMs = 2;
-        work.maxIdleSeconds = 60;
-        work.quiet = true;
-        runWorker(work);
-    });
-    const CoordinatorReport report = runCoordinator(spec, options);
-    worker.join();
-    return report;
+    HoardStore store(root);
+    SweepOptions options;
+    options.hoard = &store;
+    return runSweep(spec, options);
 }
 
-TEST(MutationRobustness, WorkerPublishedObjectEveryByteMutation)
+TEST(MutationRobustness, SweptObjectEveryByteMutation)
 {
     SweepRunnerRegistry::instance().add(
         "test-echo", std::make_shared<EchoRunner>());
     const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
-    const std::string golden = runSweep(spec).doc.dump(2) + "\n";
-    ScratchDir dir("qc_mut_serve");
-    ASSERT_EQ(serve(spec, dir.path).executed, 4u);
-    ASSERT_EQ(readAll(dir.file("out.json")), golden);
+    const std::string golden = runSweep(spec).doc.dump();
+    ScratchDir dir("qc_mut_sweep");
+    const std::string root = dir.file("store");
+    const SweepReport first = sweepInto(spec, root);
+    ASSERT_EQ(first.executed, 4u);
+    ASSERT_EQ(first.doc.dump(), golden);
 
     const SweepPlan plan = SweepPlan::expand(spec);
-    const std::string root = ServeDir(dir.file("serve")).hoard();
     const std::string objectPath = HoardStore(root).objectPath(
         HoardStore::keyFor(spec.runner, plan.points[0].config));
     const std::string original = readAll(objectPath);
@@ -246,18 +222,18 @@ TEST(MutationRobustness, WorkerPublishedObjectEveryByteMutation)
         fs::create_directories(fs::path(objectPath).parent_path());
         writeAll(objectPath, mutant);
 
-        // The restarted coordinator fetches the mutant: either it
-        // validates (and then must carry the original result) or
-        // it is quarantined and the worker recomputes the point.
-        const CoordinatorReport report = serve(spec, dir.path);
-        EXPECT_EQ(readAll(dir.file("out.json")), golden)
-            << "byte " << at << ": served document differs";
-        if (report.recovered == 4) {
+        // The re-run fetches the mutant: either it validates (and
+        // then must carry the original result) or it is quarantined
+        // and the point recomputed.
+        const SweepReport report = sweepInto(spec, root);
+        EXPECT_EQ(report.doc.dump(), golden)
+            << "byte " << at << ": document differs";
+        if (report.hoardHits == 4) {
             ++hits;
             EXPECT_EQ(readAll(objectPath), mutant) << "byte " << at;
         } else {
             ++recomputed;
-            EXPECT_EQ(report.recovered, 3u) << "byte " << at;
+            EXPECT_EQ(report.hoardHits, 3u) << "byte " << at;
             EXPECT_EQ(report.executed, 1u) << "byte " << at;
             EXPECT_NE(readAll(objectPath), mutant)
                 << "byte " << at

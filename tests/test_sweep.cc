@@ -839,6 +839,80 @@ TEST(SweepStore, FailedPublishKeepsThePointInTheDocument)
               std::string::npos);
 }
 
+/** A store shared with another process that holds the claim on one
+ *  point: it refuses that claim, and after `publishAfter` refusals
+ *  (0: never) publishes the point itself. */
+class SharedStore : public MemoryStore
+{
+  public:
+    SharedStore(Json held, Json result, int publishAfter)
+        : held_(std::move(held)), result_(std::move(result)),
+          publishAfter_(publishAfter)
+    {
+    }
+
+    Claim claim(const std::string &runner, const Json &config) override
+    {
+        if (config != held_)
+            return Claim::Won;
+        if (++refusals == publishAfter_)
+            store(runner, config, result_);
+        return Claim::Held;
+    }
+
+    std::atomic<int> refusals{0};
+
+  private:
+    const Json held_;
+    const Json result_;
+    const int publishAfter_;
+};
+
+/** The stored result of point `index` of `spec`. */
+Json
+storedResult(const SweepSpec &spec, std::size_t index)
+{
+    MemoryStore reference;
+    runAgainst(spec, reference);
+    Json result;
+    reference.fetch(spec.runner,
+                    SweepPlan::expand(spec).points[index].config,
+                    result);
+    return result;
+}
+
+TEST(SweepStore, HeldPointIsRevisitedUntilItCanBeFetched)
+{
+    // Another process holds one point: the sweep finishes the rest,
+    // then revisits that point until the holder's result is in the
+    // store. It never computes the point itself.
+    const SweepSpec spec = SweepSpec::fromJson(parse(store_specs::kFull));
+    SharedStore store(SweepPlan::expand(spec).points[1].config,
+                      storedResult(spec, 1), 2);
+    const SweepReport report = runAgainst(spec, store);
+    EXPECT_EQ(report.doc.dump(), runSweep(spec).doc.dump());
+    EXPECT_EQ(store.refusals, 2);
+    EXPECT_EQ(report.hoardHits, 1u);
+    EXPECT_EQ(report.executed, 3u);
+    EXPECT_EQ(report.hoardStored, 3u);
+}
+
+TEST(SweepStore, StopEndsTheRevisits)
+{
+    // A holder that never finishes keeps the sweep revisiting until
+    // a stop request; the point counts as interrupted.
+    const SweepSpec spec = SweepSpec::fromJson(parse(store_specs::kFull));
+    SharedStore store(SweepPlan::expand(spec).points[0].config,
+                      Json::object(), 0);
+    SweepOptions options;
+    options.hoard = &store;
+    options.stopRequested = [&] { return store.refusals >= 3; };
+    const SweepReport report = runSweep(spec, options);
+    EXPECT_TRUE(report.doc.isNull());
+    EXPECT_EQ(report.interrupted, 1u);
+    EXPECT_EQ(report.executed, 3u);
+}
+
 TEST(SweepAssembler, DocumentRequiresEveryPoint)
 {
     // No partial document: there is no stub format to emit.

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
-# Kill-matrix gate for the sweep service (docs/SERVE.md).
+# Kill-matrix gate for sweeps sharing one store (docs/SWEEPS.md,
+# "Several processes, one store").
 #
-# Runs `qcarch serve` + workers over specs/ci_smoke.json with a
-# deterministic fault injected at each protocol point the recovery
-# story claims to survive — worker killed before its marker commit
-# rename, after it, mid-rename (torn marker), a worker whose
-# heartbeat goes stale, a coordinator killed mid-sweep, and a
-# drained coordinator — then restarts the survivors and requires
-# the merged document to be byte-identical (cmp) to a single-shot
-# `qcarch sweep` of the same spec. Log assertions pin the recovery
-# path taken: the expired lease is reclaimed exactly once,
-# committed points are never re-executed (no duplicate markers),
-# no marker is ever rejected as conflicting, and a restarted
-# coordinator recovers the published points from the store.
+# Runs `qcarch sweep` over specs/ci_smoke.json as several processes
+# on one hoard store, with a deterministic fault injected at each
+# point the recovery story claims to survive — a sweep killed while
+# it holds a claim, a live sweep whose claim goes stale, a sweep
+# stopped by SIGTERM, two sweeps finishing onto one --out, and kills
+# on either side of the store's publish rename — and requires every
+# document to be byte-identical (cmp) to a single-process sweep.
+# Assertions on the `N points (M executed` and `hoard: ... taken
+# over` summary lines pin the path taken: processes split the work
+# instead of repeating it, a dead holder's claim is taken over at
+# once, and a stale claim is taken over exactly once.
 #
 # Usage: tools/kill_matrix.sh [QCARCH_BINARY [SPEC]]
 # Exits non-zero on the first failed leg.
@@ -26,181 +26,151 @@ trap 'rm -rf "$WORK"' EXIT
 
 FAULT_EXIT=42        # FaultInjector::kExitCode
 INTERRUPTED_EXIT=3   # drained; finished points are in the store
+POINTS=4             # points in the smoke spec
 
 fail() {
     echo "kill_matrix: FAIL: $*" >&2
     exit 1
 }
 
-# Shared serve/worker knobs: short lease so stale-heartbeat legs
-# resolve quickly, per-point shards so every fault leg exercises
-# the merge path repeatedly, and idle bounds so a wedged leg times
-# out instead of hanging CI.
-SERVE_ARGS=(--workers-expected 2 --shard-points 1 --lease-seconds 1
-            --poll-ms 50 --quiet)
-WORK_ARGS=(--poll-ms 25 --backoff-max-ms 200 --max-idle-seconds 60
-           --quiet)
-
-run_worker() { # run_worker DIR [EXTRA_ARGS...]
-    local dir=$1
-    shift
-    timeout 120 "$QCARCH" work --coordinator "$dir" \
-        "${WORK_ARGS[@]}" "$@"
+sweep() { # sweep STORE OUT [EXTRA_ARGS...]; stderr is the caller's
+    local store=$1 out=$2
+    shift 2
+    timeout 120 "$QCARCH" sweep "$SPEC" --hoard "$store" --out "$out" "$@"
 }
 
-assert_clean_log() { # assert_clean_log LOGFILE
-    if grep -q "already merged; idempotent" "$1"; then
-        fail "committed points were re-executed ($1):" \
-             "$(grep 'already merged' "$1")"
-    fi
-    if grep -q "rejected conflicting marker" "$1"; then
-        fail "a conflicting marker appeared ($1)"
-    fi
+# The M of "N points (M executed" / the T of "T taken over".
+executed() {
+    tr '\r' '\n' < "$1" | sed -n 's/^.* points (\([0-9][0-9]*\) executed.*$/\1/p'
+}
+taken_over() {
+    tr '\r' '\n' < "$1" | sed -n 's/^hoard: .* \([0-9][0-9]*\) taken over.*$/\1/p'
 }
 
-assert_recovered() { # assert_recovered LOGFILE LEG
-    grep -Eq "recovered [1-9][0-9]* point\(s\) from the store" "$1" \
-        || fail "$2: restart recovered no points from the store"
+claims() { # claims STORE: claim files left in the store
+    find "$1/claims" -name '*.lease' 2>/dev/null | wc -l
 }
 
-echo "== golden single-shot document"
+golden() { # golden LEG DOC
+    cmp "$WORK/golden.json" "$2" \
+        || fail "$1: document differs from single-process"
+}
+
+echo "== golden single-process document"
 "$QCARCH" sweep "$SPEC" --threads 2 --quiet \
     --out "$WORK/golden.json" || fail "golden sweep failed"
 
 # ----------------------------------------------------------------
-# Worker fault legs: one faulted worker (must die with the fault
-# exit code), then a clean worker finishes the sweep.
+# Two sweeps on one store, started together: they split the points
+# (executed counts sum to the point count), once with separate
+# documents and once finishing onto the same --out.
 # ----------------------------------------------------------------
-for fault in crash-before-commit crash-after-commit torn-marker; do
-    echo "== worker fault: $fault"
-    dir=$WORK/$fault
-    out=$dir/out.json
+for leg in separate-out shared-out; do
+    echo "== two sweeps, one store: $leg"
+    dir=$WORK/$leg
     mkdir -p "$dir"
-    timeout 120 "$QCARCH" serve "$SPEC" --out "$out" \
-        --dir "$dir/serve" "${SERVE_ARGS[@]}" &
-    serve_pid=$!
-
-    run_worker "$dir/serve" --fault "$fault"
-    rc=$?
-    [ "$rc" -eq "$FAULT_EXIT" ] \
-        || fail "$fault worker exited $rc, wanted $FAULT_EXIT"
-
-    run_worker "$dir/serve" || fail "$fault: clean worker failed"
-    wait "$serve_pid" || fail "$fault: coordinator failed"
-    cmp "$WORK/golden.json" "$out" \
-        || fail "$fault: document differs from single-shot"
-    assert_clean_log "$dir/serve/log"
+    out_b=$dir/b.json
+    [ "$leg" = shared-out ] && out_b=$dir/a.json
+    sweep "$dir/store" "$dir/a.json" --threads 2 \
+        --fault slow-point=50 2> "$dir/a.log" &
+    pid_a=$!
+    sweep "$dir/store" "$out_b" --threads 2 --fault slow-point=50 \
+        2> "$dir/b.log"
+    rc_b=$?
+    wait "$pid_a" || fail "$leg: first sweep failed: $(cat "$dir/a.log")"
+    [ "$rc_b" -eq 0 ] || fail "$leg: second sweep failed: $(cat "$dir/b.log")"
+    golden "$leg" "$dir/a.json"
+    golden "$leg" "$out_b"
+    sum=$(( $(executed "$dir/a.log") + $(executed "$dir/b.log") ))
+    [ "$sum" -eq "$POINTS" ] \
+        || fail "$leg: the sweeps executed $sum points, wanted $POINTS"
+    [ "$(claims "$dir/store")" -eq 0 ] || fail "$leg: claims left behind"
 done
 
-# crash-before-commit leaves a dead owner holding an uncommitted
-# lease: the dead-PID fast path must have reclaimed it.
-grep -q "reclaimed dead owner" "$WORK/crash-before-commit/serve/log" \
-    || fail "crash-before-commit: no dead-owner reclaim logged"
-# A torn marker must be detected, rejected and recovered from.
-grep -q "rejected torn marker" "$WORK/torn-marker/serve/log" \
-    || fail "torn-marker: no torn-marker rejection logged"
-
 # ----------------------------------------------------------------
-# Stale heartbeat: an alive worker stops renewing; its lease must
-# be reclaimed exactly once and the abandoned shard recomputed.
+# A sweep killed while it holds a claim (before its publish rename):
+# the next sweep on the store takes the dead holder's claim over at
+# once — well inside the claim's 30 s expiry — and finishes.
 # ----------------------------------------------------------------
-echo "== worker fault: stale-heartbeat"
-dir=$WORK/stale
-out=$dir/out.json
+echo "== dead holder: crash-before-hoard-publish + second sweep"
+dir=$WORK/dead-holder
 mkdir -p "$dir"
-timeout 120 "$QCARCH" serve "$SPEC" --out "$out" \
-    --dir "$dir/serve" "${SERVE_ARGS[@]}" &
-serve_pid=$!
-run_worker "$dir/serve" --fault stale-heartbeat &
-stale_pid=$!
-# The fault engages on the stale worker's first checkout; hold the
-# clean worker back until that checkout exists, or a fast clean
-# worker could drain the whole queue first and nothing would expire.
-for _ in $(seq 1 200); do
-    ls "$dir/serve/leases/"*.lease >/dev/null 2>&1 && break
-    sleep 0.05
-done
-ls "$dir/serve/leases/"*.lease >/dev/null 2>&1 \
-    || fail "stale: stale worker never checked out a shard"
-run_worker "$dir/serve" || fail "stale: clean worker failed"
-wait "$stale_pid" || fail "stale: stale worker failed to drain"
-wait "$serve_pid" || fail "stale: coordinator failed"
-cmp "$WORK/golden.json" "$out" \
-    || fail "stale: document differs from single-shot"
-assert_clean_log "$dir/serve/log"
-reclaims=$(grep -c "reclaimed expired lease" "$dir/serve/log")
-[ "$reclaims" -eq 1 ] \
-    || fail "stale: expired lease reclaimed $reclaims times, wanted 1"
-
-# ----------------------------------------------------------------
-# Coordinator crash: die after 2 merged points; the restarted
-# coordinator must recover them from the store and finish without
-# re-execution.
-# ----------------------------------------------------------------
-echo "== coordinator fault: crash-at-point=2 + restart"
-dir=$WORK/coord-crash
-out=$dir/out.json
-mkdir -p "$dir"
-run_worker "$dir/serve" &
-worker_pid=$!
-timeout 120 "$QCARCH" serve "$SPEC" --out "$out" \
-    --dir "$dir/serve" "${SERVE_ARGS[@]}" --fault crash-at-point=2
+sweep "$dir/store" "$dir/out.json" --threads 1 --quiet \
+    --fault crash-before-hoard-publish
 rc=$?
 [ "$rc" -eq "$FAULT_EXIT" ] \
-    || fail "faulted coordinator exited $rc, wanted $FAULT_EXIT"
-[ ! -e "$out" ] \
-    || fail "coord-crash: crashed coordinator wrote a document"
-timeout 120 "$QCARCH" serve "$SPEC" --out "$out" \
-    --dir "$dir/serve" "${SERVE_ARGS[@]}" \
-    || fail "restarted coordinator failed"
-wait "$worker_pid" || fail "coord-crash: worker failed"
-cmp "$WORK/golden.json" "$out" \
-    || fail "coord-crash: document differs from single-shot"
-assert_clean_log "$dir/serve/log"
-assert_recovered "$dir/serve/log" coord-crash
+    || fail "dead-holder: faulted sweep exited $rc, wanted $FAULT_EXIT"
+[ "$(claims "$dir/store")" -eq 1 ] \
+    || fail "dead-holder: the killed sweep left no claim behind"
+timeout 20 "$QCARCH" sweep "$SPEC" --hoard "$dir/store" --threads 2 \
+    --out "$dir/out.json" 2> "$dir/second.log" \
+    || fail "dead-holder: second sweep failed: $(cat "$dir/second.log")"
+golden dead-holder "$dir/out.json"
+[ "$(taken_over "$dir/second.log")" -eq 1 ] \
+    || fail "dead-holder: wanted 1 claim taken over:" \
+            "$(grep 'hoard:' "$dir/second.log")"
 
 # ----------------------------------------------------------------
-# Drained coordinator: SIGTERM once a slow worker's first shard is
-# merged must mark the directory interrupted (exit 3) and write no
-# document; the restart recovers the published points from the
-# store and finishes.
+# Stale claim: a live sweep's first claim stops being renewed and
+# expires while it stalls; a second sweep takes it over exactly
+# once, and both documents are golden.
 # ----------------------------------------------------------------
-echo "== coordinator drain: SIGTERM + restart"
-dir=$WORK/coord-drain
-out=$dir/out.json
+echo "== stale claim: stale-heartbeat + second sweep"
+dir=$WORK/stale
 mkdir -p "$dir"
-timeout 120 "$QCARCH" serve "$SPEC" --out "$out" \
-    --dir "$dir/serve" "${SERVE_ARGS[@]}" &
-serve_pid=$!
-run_worker "$dir/serve" --fault slow-worker=300 &
-worker_pid=$!
-for _ in $(seq 1 400); do
-    grep -q "committed" "$dir/serve/log" 2>/dev/null && break
+sweep "$dir/store" "$dir/stale.json" --threads 1 \
+    --fault stale-heartbeat 2> "$dir/stale.log" &
+stale_pid=$!
+# The fault engages on the stale sweep's first claim; start the
+# second sweep only once that claim exists, or it could finish every
+# point first and nothing would go stale.
+for _ in $(seq 1 200); do
+    [ "$(claims "$dir/store")" -gt 0 ] && break
     sleep 0.05
 done
-kill -TERM "$serve_pid"
-wait "$serve_pid"
+[ "$(claims "$dir/store")" -gt 0 ] \
+    || fail "stale: the stale sweep never claimed a point"
+sweep "$dir/store" "$dir/clean.json" --threads 2 2> "$dir/clean.log" \
+    || fail "stale: second sweep failed: $(cat "$dir/clean.log")"
+wait "$stale_pid" || fail "stale: stale sweep failed: $(cat "$dir/stale.log")"
+golden stale "$dir/stale.json"
+golden stale "$dir/clean.json"
+takeovers=$(( $(taken_over "$dir/stale.log") + $(taken_over "$dir/clean.log") ))
+[ "$takeovers" -eq 1 ] \
+    || fail "stale: claim taken over $takeovers times, wanted 1"
+
+# ----------------------------------------------------------------
+# SIGTERM: a slow sweep is stopped once its first point is stored.
+# It drains (exit 3), writes no document and leaves no claim; the
+# re-run computes only the points the store lacks.
+# ----------------------------------------------------------------
+echo "== drain: SIGTERM + re-run"
+dir=$WORK/drain
+mkdir -p "$dir"
+# Started directly, not through sweep(): the signal must reach
+# timeout, which passes it on to qcarch.
+timeout 120 "$QCARCH" sweep "$SPEC" --hoard "$dir/store" \
+    --out "$dir/out.json" --threads 1 --quiet --fault slow-point=300 &
+sweep_pid=$!
+for _ in $(seq 1 400); do
+    [ -n "$(find "$dir/store/objects" -name '*.json' 2>/dev/null)" ] && break
+    sleep 0.05
+done
+kill -TERM "$sweep_pid"
+wait "$sweep_pid"
 rc=$?
 [ "$rc" -eq "$INTERRUPTED_EXIT" ] \
-    || fail "drained coordinator exited $rc, wanted $INTERRUPTED_EXIT"
-[ "$(cat "$dir/serve/done")" = "interrupted" ] \
-    || fail "drain: done marker is not 'interrupted'"
-[ ! -e "$out" ] || fail "drain: drained coordinator wrote a document"
-wait "$worker_pid" || fail "drain: slow worker failed"
-# The restarting coordinator removes the stale done marker itself,
-# but a worker launched in the same instant can read it first and
-# exit before any work exists. Clear it up front so the leg tests
-# recovery, not launch-ordering.
-rm -f "$dir/serve/done"
-timeout 120 "$QCARCH" serve "$SPEC" --out "$out" \
-    --dir "$dir/serve" "${SERVE_ARGS[@]}" &
-serve_pid=$!
-run_worker "$dir/serve" || fail "drain: worker failed"
-wait "$serve_pid" || fail "drain: restarted coordinator failed"
-cmp "$WORK/golden.json" "$out" \
-    || fail "drain: document differs from single-shot"
-assert_clean_log "$dir/serve/log"
-assert_recovered "$dir/serve/log" drain
+    || fail "drained sweep exited $rc, wanted $INTERRUPTED_EXIT"
+[ ! -e "$dir/out.json" ] || fail "drain: drained sweep wrote a document"
+[ "$(claims "$dir/store")" -eq 0 ] || fail "drain: claims left behind"
+stored=$(find "$dir/store/objects" -name '*.json' | wc -l)
+[ "$stored" -lt "$POINTS" ] || fail "drain: SIGTERM came too late"
+sweep "$dir/store" "$dir/out.json" --threads 2 2> "$dir/rerun.log" \
+    || fail "drain: re-run failed: $(cat "$dir/rerun.log")"
+golden drain "$dir/out.json"
+[ "$(executed "$dir/rerun.log")" -eq $((POINTS - stored)) ] \
+    || fail "drain: re-run executed $(executed "$dir/rerun.log")," \
+            "wanted $((POINTS - stored))"
 
 # ----------------------------------------------------------------
 # Hoard publish crashes (docs/HOARD.md): a sweep killed around the
@@ -245,7 +215,7 @@ temps=$("$QCARCH" hoard gc \
     || fail "crash-before: expected 1 leftover publish temp, got $temps"
 
 echo "kill_matrix: all legs passed (documents byte-identical to" \
-     "single-shot; expired lease reclaimed exactly once; no" \
-     "committed point re-executed; restarts recovered points from" \
-     "the store; no killed hoard publish left a readable-but-wrong" \
-     "object)"
+     "single-process; sweeps sharing a store split its points; a" \
+     "dead holder's claim taken over at once and a stale one exactly" \
+     "once; a drained sweep left no claim; no killed hoard publish" \
+     "left a readable-but-wrong object)"

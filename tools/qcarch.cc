@@ -21,30 +21,11 @@
  *       served from it, and the output stays byte-identical either
  *       way — so a killed or interrupted sweep resumes by running
  *       the same command again. SIGINT/SIGTERM drain the pool,
- *       write no document, and exit 3.
- *
- *   qcarch serve <spec.json> --out PATH [--dir DIR]
- *                [--workers-expected N] [--lease-seconds S]
- *                [--shard-points K] [--poll-ms MS] [--quiet]
- *       Coordinate the same sweep across worker processes: shards
- *       the spec into a coordination directory (default
- *       PATH.serve), leases shards to `qcarch work` processes,
- *       fetches the points they publish to DIR/hoard, and writes
- *       PATH once complete — byte-identical to the single-shot
- *       `qcarch sweep` document. Restarting on the same DIR
- *       recovers every published point. See docs/SERVE.md.
- *
- *   qcarch work --coordinator DIR [--poll-ms MS]
- *               [--backoff-max-ms MS] [--max-idle-seconds S]
- *               [--quiet]
- *       Join a coordination directory and compute shards until the
- *       coordinator marks it done.
- *
- *   qcarch hoard warm <spec.json> [--hoard DIR] [--threads N]
- *                [--quiet]
- *       Prefetch a planned grid into the hoard cache: compute (and
- *       publish) every point of the spec that is not already
- *       stored, writing no output document.
+ *       write no document, and exit 3. Several copies of the same
+ *       command sharing one --hoard DIR (on one host or over a
+ *       shared filesystem) split the points between them through
+ *       claims in the store, and each writes the same document
+ *       (docs/SWEEPS.md). `--out /dev/null` only fills the store.
  *
  *   qcarch hoard stat|verify DIR
  *   qcarch hoard gc DIR [--max-bytes N] [--max-age-days D]
@@ -58,7 +39,7 @@
  *
  * Fault injection (CI only): --fault SPEC, or the QCARCH_FAULT
  * environment variable, arms one deterministic fault (see
- * src/serve/FaultInjector.hh). An injected crash exits 42.
+ * src/hoard/FaultInjector.hh). An injected crash exits 42.
  *
  * Exit codes: 0 success, 1 input error (message on stderr),
  * 2 usage, 3 interrupted by SIGINT/SIGTERM with every finished
@@ -78,12 +59,15 @@
 #include "api/Qc.hh"
 #include "common/DurableFile.hh"
 #include "hoard/Hoard.hh"
-#include "serve/Serve.hh"
 #include "sweep/Sweep.hh"
 
 namespace {
 
 using namespace qc;
+
+/** Exit code of a sweep drained by SIGINT/SIGTERM: every finished
+ *  point is in its store. */
+constexpr int kInterruptedExit = 3;
 
 /** Set by the SIGINT/SIGTERM handler; every long-running command
  *  polls it through its stopRequested hook. */
@@ -122,7 +106,7 @@ class UsageError : public std::runtime_error
 };
 
 constexpr const char *kUsageLine =
-    "usage: qcarch <run|sweep|serve|work|hoard|list|help> ... "
+    "usage: qcarch <run|sweep|hoard|list|help> ... "
     "(run \"qcarch help\" for details)";
 
 int
@@ -132,15 +116,6 @@ usage(std::ostream &out, int code)
            "  qcarch run <config.json> [--out PATH]\n"
            "  qcarch sweep <spec.json> [--threads N] [--out PATH]"
            " [--quiet] [--hoard DIR]\n"
-           "  qcarch serve <spec.json> --out PATH [--dir DIR]"
-           " [--workers-expected N]\n"
-           "               [--lease-seconds S] [--shard-points K]"
-           " [--poll-ms MS] [--quiet]\n"
-           "  qcarch work --coordinator DIR [--poll-ms MS]"
-           " [--backoff-max-ms MS]\n"
-           "               [--max-idle-seconds S] [--quiet]\n"
-           "  qcarch hoard warm <spec.json> [--hoard DIR]"
-           " [--threads N] [--quiet]\n"
            "  qcarch hoard stat|verify DIR\n"
            "  qcarch hoard gc DIR [--max-bytes N]"
            " [--max-age-days D]\n"
@@ -151,7 +126,9 @@ usage(std::ostream &out, int code)
            " else to PATH.hoard/\n"
            "beside a file --out (removed after a successful run):"
            " to resume an\n"
-           "interrupted sweep, run the same command again.\n"
+           "interrupted sweep, run the same command again. Copies"
+           " of one sweep\n"
+           "sharing --hoard DIR split its points between them.\n"
            "\n"
            "exit codes: 0 ok, 1 input error, 2 usage, 3 "
            "interrupted (finished points stored), 42 injected fault\n";
@@ -385,8 +362,11 @@ cmdSweep(std::vector<std::string> args)
     installStopHandlers();
     const SweepReport report = runSweep(spec, options);
     if (report.interrupted == 0) {
+        // A temp name unique to this process: copies of one sweep
+        // may finish together onto the same --out.
         if (fileOut)
-            writeFileDurable(out, report.doc.dump(2) + "\n");
+            writeFileDurable(out, report.doc.dump(2) + "\n",
+                             ".tmp-" + Lease::makeNonce());
         else
             emit(report.doc, out);
     }
@@ -399,7 +379,8 @@ cmdSweep(std::vector<std::string> args)
         if (hoard) {
             std::cerr << "hoard: " << report.hoardHits
                       << " hit(s), " << report.hoardStored
-                      << " stored (" << hoardDir << ")\n";
+                      << " stored, " << report.claimsTakenOver
+                      << " taken over (" << hoardDir << ")\n";
         }
     }
     if (report.hoardFailed > 0) {
@@ -429,137 +410,14 @@ cmdSweep(std::vector<std::string> args)
 }
 
 int
-cmdServe(std::vector<std::string> args)
-{
-    CoordinatorOptions options;
-    options.outPath = takeOption(args, "--out");
-    options.dir = takeOption(args, "--dir");
-    const std::string workers =
-        takeOption(args, "--workers-expected");
-    const std::string lease = takeOption(args, "--lease-seconds");
-    const std::string shardPoints =
-        takeOption(args, "--shard-points");
-    const std::string pollMs = takeOption(args, "--poll-ms");
-    options.fault = takeFault(args);
-    options.quiet = takeFlag(args, "--quiet");
-    expectPositionals(args, 1, "qcarch serve <spec.json> --out PATH");
-    if (options.outPath.empty())
-        throw UsageError("qcarch serve requires --out PATH");
-    if (options.dir.empty())
-        options.dir = options.outPath + ".serve";
-    if (!workers.empty())
-        options.workersExpected = static_cast<int>(parseIntOption(
-            "--workers-expected", workers, 0, 1 << 16));
-    if (!lease.empty())
-        options.leaseSeconds =
-            parseSecondsOption("--lease-seconds", lease);
-    if (!shardPoints.empty())
-        options.shardPoints =
-            static_cast<std::size_t>(parseIntOption(
-                "--shard-points", shardPoints, 1, 1 << 30));
-    if (!pollMs.empty())
-        options.pollMs = static_cast<int>(
-            parseIntOption("--poll-ms", pollMs, 1, 1 << 30));
-    options.stopRequested = stopRequested;
-
-    const SweepSpec spec = SweepSpec::load(args[0]);
-    HoardStore store(ServeDir(options.dir).hoard(), options.fault);
-    options.store = &store;
-    installStopHandlers();
-    const CoordinatorReport report = runCoordinator(spec, options);
-    if (!options.quiet) {
-        std::cerr << "serve: " << report.executed << " executed, "
-                  << report.recovered << " recovered, "
-                  << report.duplicates << " duplicate, "
-                  << report.rejected << " rejected, "
-                  << (report.reclaimedExpired
-                      + report.reclaimedDead)
-                  << " reclaimed, " << report.failed << " failed\n";
-    }
-    if (report.interrupted)
-        return kInterruptedExit;
-    return report.failed == 0 ? 0 : 1;
-}
-
-int
-cmdWork(std::vector<std::string> args)
-{
-    WorkerOptions options;
-    options.dir = takeOption(args, "--coordinator");
-    const std::string pollMs = takeOption(args, "--poll-ms");
-    const std::string backoffMaxMs =
-        takeOption(args, "--backoff-max-ms");
-    const std::string maxIdle =
-        takeOption(args, "--max-idle-seconds");
-    options.fault = takeFault(args);
-    options.quiet = takeFlag(args, "--quiet");
-    expectPositionals(args, 0, "qcarch work --coordinator DIR");
-    if (options.dir.empty())
-        throw UsageError("qcarch work requires --coordinator DIR");
-    if (!pollMs.empty())
-        options.pollMs = static_cast<int>(
-            parseIntOption("--poll-ms", pollMs, 1, 1 << 30));
-    if (!backoffMaxMs.empty())
-        options.backoffMaxMs = static_cast<int>(parseIntOption(
-            "--backoff-max-ms", backoffMaxMs, 1, 1 << 30));
-    if (!maxIdle.empty())
-        options.maxIdleSeconds =
-            parseSecondsOption("--max-idle-seconds", maxIdle);
-    options.stopRequested = stopRequested;
-
-    HoardStore store(ServeDir(options.dir).hoard(), options.fault);
-    options.store = &store;
-    installStopHandlers();
-    const WorkerReport report = runWorker(options);
-    if (!options.quiet) {
-        std::cerr << "work: " << report.shards << " shard(s), "
-                  << report.points << " point(s), "
-                  << report.abandoned << " abandoned\n";
-    }
-    return report.exitCode;
-}
-
-int
 cmdHoard(std::vector<std::string> args)
 {
     if (args.empty())
         throw UsageError(
             "qcarch hoard needs a subcommand: "
-            "warm, stat, verify, gc");
+            "stat, verify, gc");
     const std::string what = args[0];
     args.erase(args.begin());
-
-    if (what == "warm") {
-        // A sweep that writes no document: its entire effect is
-        // the store publishes (and the accounting line).
-        const std::string threads = takeOption(args, "--threads");
-        const std::string hoardDir = takeHoardDir(args);
-        const FaultInjector fault = takeFault(args);
-        const bool quiet = takeFlag(args, "--quiet");
-        expectPositionals(args, 1,
-                          "qcarch hoard warm <spec.json>");
-        if (hoardDir.empty())
-            throw UsageError("qcarch hoard warm requires --hoard "
-                             "DIR (or QCARCH_HOARD)");
-        SweepOptions options;
-        if (!threads.empty())
-            options.threads = static_cast<int>(
-                parseIntOption("--threads", threads, 0, 1 << 16));
-        const SweepSpec spec = SweepSpec::load(args[0]);
-        HoardStore hoard(hoardDir, fault);
-        options.hoard = &hoard;
-        options.stopRequested = stopRequested;
-        installStopHandlers();
-        const SweepReport report = runSweep(spec, options);
-        if (!quiet) {
-            std::cerr << "hoard: " << report.hoardHits
-                      << " hit(s), " << report.hoardStored
-                      << " stored (" << hoardDir << ")\n";
-        }
-        if (report.interrupted > 0)
-            return kInterruptedExit;
-        return report.failed == 0 ? 0 : 1;
-    }
 
     if (what == "gc") {
         const std::string maxBytes =
@@ -588,7 +446,7 @@ cmdHoard(std::vector<std::string> args)
 
     if (what != "stat" && what != "verify")
         throw UsageError("unknown hoard subcommand \"" + what
-                         + "\"; expected warm, stat, verify, gc");
+                         + "\"; expected stat, verify, gc");
     expectPositionals(args, 1, "qcarch hoard " + what + " DIR");
 
     if (what == "stat") {
@@ -681,10 +539,6 @@ main(int argc, char **argv)
             return cmdRun(std::move(args));
         if (command == "sweep")
             return cmdSweep(std::move(args));
-        if (command == "serve")
-            return cmdServe(std::move(args));
-        if (command == "work")
-            return cmdWork(std::move(args));
         if (command == "hoard")
             return cmdHoard(std::move(args));
         if (command == "list")

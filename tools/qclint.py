@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """qclint: enforce the repo's determinism & durability invariants.
 
-The sweep/serve stack promises byte-identical output across thread
-counts, store re-runs, and coordinator/worker execution, and
-crash-safe store/marker/lease files. Those guarantees are easy to
+The sweep/hoard stack promises byte-identical output across thread
+counts, store re-runs, and several processes sharing one store, and
+crash-safe store/claim files. Those guarantees are easy to
 break with one innocent-looking line — a wall-clock read in a result
 path, an unordered-container iteration feeding serialized output, a
 plain ofstream onto a durable path. This linter scans `src/` and
@@ -26,17 +26,16 @@ Rules (each waivable, see below):
                 breaks byte-identity. Iterate a sorted view or use
                 qc::Json's insertion-ordered objects instead.
 
-  raw-io        ofstream / fopen / rename / open() in src/sweep,
-                src/serve or src/hoard outside DurableFile, the
-                lease protocol (src/serve/Lease.cc) and the hoard
-                commit path (src/hoard/HoardStore.cc, whose
-                renames are the quarantine moves the durable
-                publish pattern requires). Document, marker,
-                lease and hoard-object files must be written
-                through writeFileDurable / Lease so a kill cannot
-                leave a torn file.
+  raw-io        ofstream / fopen / rename / open() in src/sweep or
+                src/hoard outside DurableFile, the lease primitive
+                (src/hoard/Lease.cc) and the hoard commit path
+                (src/hoard/HoardStore.cc, whose renames are the
+                quarantine moves the durable publish pattern
+                requires). Document, claim and hoard-object files
+                must be written through writeFileDurable / Lease
+                so a kill cannot leave a torn file.
 
-  raw-exit      _exit/_Exit outside src/serve/FaultInjector.cc.
+  raw-exit      _exit/_Exit outside src/hoard/FaultInjector.cc.
                 Process death is the fault injector's job; anywhere
                 else it skips destructors, flushes and the drain
                 protocol.
@@ -64,15 +63,15 @@ Rules (each waivable, see below):
                 cyclic layers.json is a config error, exit 2).
 
   parse-robustness
-                .at( / asInt( in src/serve or src/hoard. The
-                fromJson-style entry points on the queue, lease,
-                marker, and hoard commit/fetch paths parse bytes
-                other processes wrote; they must use the
-                bounds-checked accessors (Json::find, asIndex,
-                kind checks) that reject malformed input as
-                "ignore this file". at()/asInt() throw, and an
-                exception escaping a reject-whole parser turns a
-                corrupt file into a crashed coordinator.
+                .at( / asInt( in src/hoard. The fromJson-style
+                entry points on the claim (lease) and hoard
+                commit/fetch paths parse bytes other processes
+                wrote; they must use the bounds-checked accessors
+                (Json::find, asIndex, kind checks) that reject
+                malformed input as "ignore this file".
+                at()/asInt() throw, and an exception escaping a
+                reject-whole parser turns a corrupt file into a
+                crashed sweep.
 
 Waivers: a finding is suppressed by a comment on the same line or
 the line directly above it:
@@ -87,7 +86,7 @@ Self-test: `qclint.py --self-test` runs the rules over the fixture
 files in tests/lint_fixtures/. Each fixture declares the virtual
 repo path to lint it as and the findings it expects:
 
-    // qclint-fixture: path=src/serve/Example.cc
+    // qclint-fixture: path=src/hoard/Example.cc
     // qclint-fixture: expect=raw-io:9, wall-clock:12   (or: clean)
 
 Exit codes: 0 clean / self-test passed, 1 findings / self-test
@@ -163,17 +162,17 @@ RULES = [
         "raw-io",
         r"(?:\bofstream\b|\bfopen\s*\(|\brename\s*\(|\bopen\s*\(\s*\w"
         r"|\bcreat\s*\()",
-        ["src/sweep/", "src/serve/", "src/hoard/"],
-        ["src/serve/Lease.cc", "src/hoard/HoardStore.cc"],
-        "document/marker/lease/hoard-object files must go through "
-        "writeFileDurable, the Lease protocol or the hoard commit "
+        ["src/sweep/", "src/hoard/"],
+        ["src/hoard/Lease.cc", "src/hoard/HoardStore.cc"],
+        "document/claim/hoard-object files must go through "
+        "writeFileDurable, the Lease primitive or the hoard commit "
         "path so a crash cannot leave a torn file",
     ),
     Rule(
         "raw-exit",
         r"(?:\b_exit\s*\(|\b_Exit\s*\()",
         None,
-        ["src/serve/FaultInjector.cc"],
+        ["src/hoard/FaultInjector.cc"],
         "abrupt process death outside the fault injector skips "
         "flushes and the drain protocol",
     ),
@@ -208,7 +207,7 @@ RULES = [
     Rule(
         "parse-robustness",
         r"(?:\.at\s*\(|\basInt\s*\()",
-        ["src/serve/", "src/hoard/"],
+        ["src/hoard/"],
         [],
         "commit/fetch-path parsers read bytes other processes "
         "wrote; use the bounds-checked Json::find/asIndex "
