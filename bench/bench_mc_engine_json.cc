@@ -259,9 +259,8 @@ main(int argc, char **argv)
         Json widthsJson = Json::object();
         double w64_rate = 0.0;
         for (simd::Width w :
-             {simd::Width::Scalar, simd::Width::W64,
-              simd::Width::W128, simd::Width::W256,
-              simd::Width::W512}) {
+             {simd::Width::W64, simd::Width::W128,
+              simd::Width::W256, simd::Width::W512}) {
             if (!simd::widthSupported(w))
                 continue;
             BatchSimConfig config;

@@ -112,82 +112,14 @@ class Rng
 };
 
 /**
- * Batched Bernoulli(p) bit sampler: next() emits a 64-bit word whose
- * bits are independent Bernoulli(p) draws.
- *
- * Coarse-to-fine: one uniform draw decides whether *any* of the 64
- * bits is set (probability 1 - (1-p)^64, rare for the small per-op
- * error rates the Monte Carlo engine uses); only then are the set
- * positions recovered by exact geometric gap sampling, one uniform
- * draw per set bit. The expected cost is 1 + 64p draws per word
- * versus 64 for bitwise rejection, and the output distribution is
- * exactly i.i.d. Bernoulli(p) per bit.
- *
- * The per-p constants (1/log(1-p) and the any-hit threshold) are
- * precomputed at construction so the hot path touches no
- * transcendentals in the common all-zero case.
- */
-class BernoulliWord
-{
-  public:
-    explicit BernoulliWord(double p = 0.0) : p_(p)
-    {
-        if (p <= 0.0) {
-            threshold_ = 0.0; // never enters the hit path
-            invDenom_ = 0.0;
-        } else if (p >= 1.0) {
-            threshold_ = 2.0; // always hits; next() short-circuits
-            invDenom_ = 0.0;
-        } else {
-            const double log1mp = std::log1p(-p);
-            invDenom_ = 1.0 / log1mp;
-            // P(at least one of the 64 bits set) = 1 - (1-p)^64.
-            threshold_ = -std::expm1(64.0 * log1mp);
-        }
-    }
-
-    /** The per-bit probability this sampler was built for. */
-    double p() const { return p_; }
-
-    /** Draw the next 64-trial Bernoulli mask. */
-    std::uint64_t
-    next(Rng &rng)
-    {
-        const double u0 = rng.uniform01();
-        if (!(u0 < threshold_))
-            return 0;
-        if (p_ >= 1.0)
-            return ~std::uint64_t{0};
-        // Conditioned on u0 < threshold, floor(log(1-u0)/log(1-p))
-        // is exactly the first set position truncated to [0, 64).
-        std::uint64_t mask = 0;
-        double pos = std::floor(std::log1p(-u0) * invDenom_);
-        while (pos < 64.0) {
-            mask |= std::uint64_t{1} << static_cast<int>(pos);
-            // Gap to the next set bit is geometric(p).
-            pos += 1.0
-                + std::floor(std::log1p(-rng.uniform01())
-                             * invDenom_);
-        }
-        return mask;
-    }
-
-  private:
-    double p_;
-    double threshold_;
-    double invDenom_;
-};
-
-/**
  * Persistent rare-event Bernoulli(p) bit stream with O(1) skip over
  * hit-free windows.
  *
- * Where BernoulliWord restarts its coarse-to-fine scheme on every
- * 64-bit word (one uniform draw per word minimum), this sampler
- * models the bit stream as a geometric renewal process and carries
- * the gap to the next set bit *across* words: advancing over a
- * window of W words with no hits costs a single compare-and-subtract
- * and zero RNG draws. Expected RNG cost is exactly one uniform draw
+ * The one fault sampler of the batch engine. It models the bit
+ * stream as a geometric renewal process and carries the gap to the
+ * next set bit *across* words: advancing over a window of W words
+ * with no hits costs a single compare-and-subtract and zero RNG
+ * draws. Expected RNG cost is exactly one uniform draw
  * per set bit (plus one at reset), so for physical error rates like
  * 1e-4 an injection site costs ~p * 64 * words draws instead of
  * `words` draws — the dominant win behind the batch engine's SIMD

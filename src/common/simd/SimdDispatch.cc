@@ -55,7 +55,6 @@ lanesOf(Width w)
         return 1;
     case Width::W128:
         return 2;
-    case Width::Scalar:
     case Width::W256:
         return 4;
     case Width::W512:
@@ -74,8 +73,6 @@ widthName(Width w)
     switch (w) {
     case Width::Auto:
         return "auto";
-    case Width::Scalar:
-        return "scalar";
     case Width::W64:
         return "64";
     case Width::W128:
@@ -93,8 +90,6 @@ parseWidth(const std::string &name, Width *out)
 {
     if (name == "auto")
         *out = Width::Auto;
-    else if (name == "scalar" || name == "scalar-fallback")
-        *out = Width::Scalar;
     else if (name == "64")
         *out = Width::W64;
     else if (name == "128")
@@ -139,26 +134,23 @@ resolveWidth(Width requested, int maxLanes)
                 throw std::runtime_error(
                     std::string("QC_FORCE_WIDTH: unrecognized width '")
                     + env
-                    + "' (expected scalar|64|128|256|512|auto)");
+                    + "' (expected 64|128|256|512|auto)");
             forced = w != Width::Auto;
         }
     } else {
         forced = true;
     }
     if (w == Width::Auto) {
-        // Widest supported width whose lanes a batch can fill.
-        for (Width cand :
-             {Width::W512, Width::W256, Width::W128, Width::W64}) {
-            if (maxLanes > 0 && lanesOf(cand) > maxLanes
-                && cand != Width::W64)
-                continue;
-            if (widthSupported(cand)) {
+        // Widest supported width whose lanes a batch can fill; W64
+        // needs no ISA beyond the binary's own, so it always runs.
+        w = Width::W64;
+        for (Width cand : {Width::W512, Width::W256, Width::W128}) {
+            if ((maxLanes <= 0 || lanesOf(cand) <= maxLanes)
+                && widthSupported(cand)) {
                 w = cand;
                 break;
             }
         }
-        if (w == Width::Auto)
-            w = Width::Scalar;
     }
     if (!widthSupported(w))
         throw std::runtime_error(
@@ -167,12 +159,6 @@ resolveWidth(Width requested, int maxLanes)
             + widthRequiredIsa(w)
             + "' which this CPU does not support");
     return w;
-}
-
-int
-widthLanes(Width w)
-{
-    return lanesOf(w);
 }
 
 const char *

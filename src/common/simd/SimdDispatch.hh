@@ -8,10 +8,11 @@
  * require. Selection order:
  *
  *   1. `QC_FORCE_WIDTH` environment override
- *      ("scalar" | "64" | "128" | "256" | "512"), the CI
- *      width-dispatch matrix seam. Forcing a width whose ISA the
+ *      ("64" | "128" | "256" | "512"), the CI width-dispatch
+ *      matrix seam. Forcing a width whose ISA the
  *      CPU lacks is a hard error (loud, instead of SIGILL later).
- *   2. Widest built width the running CPU supports.
+ *   2. Widest built width the running CPU supports (W64 always
+ *      runs).
  *
  * All widths produce bit-identical results — the RNG stream to
  * trial-lane assignment is width-invariant — so dispatch is purely
@@ -33,20 +34,18 @@ namespace qc::simd {
 enum class Width
 {
     Auto,    ///< pick the widest supported at runtime
-    Scalar,  ///< ScalarOps<4> portable fallback (no vector types)
     W64,     ///< plain uint64_t reference path
     W128,
     W256,
     W512,
 };
 
-/** Human-readable name ("auto", "scalar", "64", ... "512"). */
+/** Human-readable name ("auto", "64", ... "512"). */
 const char *widthName(Width w);
 
 /**
  * Parse a width name as accepted by QC_FORCE_WIDTH. Returns true on
- * success. Accepts "auto", "scalar", "scalar-fallback", "64",
- * "128", "256", "512".
+ * success. Accepts "auto", "64", "128", "256", "512".
  */
 bool parseWidth(const std::string &name, Width *out);
 
@@ -58,9 +57,6 @@ const char *widthRequiredIsa(Width w);
 
 /** Whether the running CPU can execute the given width's engine. */
 bool widthSupported(Width w);
-
-/** Lanes (64-bit words advanced per vector step) of a width. */
-int widthLanes(Width w);
 
 /**
  * Resolve Auto (env override, then widest supported). Throws

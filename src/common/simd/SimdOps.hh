@@ -8,21 +8,17 @@
  * type below packages a vector value type `V` (kLanes x uint64),
  * unaligned load/store, and the bitwise operators the engine needs.
  *
- * Two families:
- *  - VecOps<N>: GCC/Clang vector extensions (`vector_size`). The
- *    compiler lowers the generic operators to whatever the TU's
- *    target flags allow (SSE2/AVX2/AVX-512), so no intrinsics
- *    headers are needed and the same source builds on any GNU-ish
- *    compiler and architecture.
- *  - ScalarOps<N>: a plain struct-of-words fallback with identical
- *    semantics, for compilers without vector extensions and for the
- *    forced-fallback CI leg that proves results do not depend on the
- *    vector path.
+ *  - WordOps: the 1-lane reference (plain uint64_t), i.e. exactly
+ *    the pre-SIMD engine; also the portable path and the tail
+ *    handler of every wider width.
+ *  - VecOps<N>: GCC/Clang vector extensions (`vector_size`; the
+ *    build requires one of the two). The compiler lowers the
+ *    generic operators to whatever the TU's target flags allow
+ *    (SSE2/AVX2/AVX-512), so no intrinsics headers are needed.
  *
- * WordOps is the 1-lane reference (plain uint64_t), i.e. exactly the
- * pre-SIMD engine. Bit-identity across all of these is guaranteed by
- * construction: the engine keeps every RNG-consuming loop ordered
- * per 64-bit word and only blocks pure-bitwise loops by kLanes.
+ * Bit-identity across widths is guaranteed by construction: the
+ * engine keeps every RNG-consuming loop ordered per 64-bit word and
+ * only blocks pure-bitwise loops by kLanes, through spans().
  */
 
 #ifndef QC_COMMON_SIMD_SIMDOPS_HH
@@ -32,12 +28,6 @@
 #include <cstring>
 
 namespace qc::simd {
-
-#if defined(__GNUC__) || defined(__clang__)
-#define QC_SIMD_HAVE_VECTOR_EXT 1
-#else
-#define QC_SIMD_HAVE_VECTOR_EXT 0
-#endif
 
 /** 1-lane reference ops: plain uint64_t, the original 64-bit path. */
 struct WordOps
@@ -63,80 +53,6 @@ struct WordOps
         return 0;
     }
 };
-
-/**
- * Portable fallback: kLanes words advanced per step with ordinary
- * scalar code. Same blocking as the vector path, no vector types.
- */
-template <int N>
-struct ScalarOps
-{
-    static constexpr int kLanes = N;
-
-    struct V
-    {
-        std::uint64_t lane[N];
-
-        friend V
-        operator^(V a, V b)
-        {
-            V r;
-            for (int i = 0; i < N; ++i)
-                r.lane[i] = a.lane[i] ^ b.lane[i];
-            return r;
-        }
-
-        friend V
-        operator&(V a, V b)
-        {
-            V r;
-            for (int i = 0; i < N; ++i)
-                r.lane[i] = a.lane[i] & b.lane[i];
-            return r;
-        }
-
-        friend V
-        operator|(V a, V b)
-        {
-            V r;
-            for (int i = 0; i < N; ++i)
-                r.lane[i] = a.lane[i] | b.lane[i];
-            return r;
-        }
-
-        friend V
-        operator~(V a)
-        {
-            V r;
-            for (int i = 0; i < N; ++i)
-                r.lane[i] = ~a.lane[i];
-            return r;
-        }
-    };
-
-    static V
-    load(const std::uint64_t *p)
-    {
-        V v;
-        std::memcpy(v.lane, p, sizeof(v.lane));
-        return v;
-    }
-
-    static void
-    store(std::uint64_t *p, V v)
-    {
-        std::memcpy(p, v.lane, sizeof(v.lane));
-    }
-
-    static V
-    zero()
-    {
-        V v{};
-        return v;
-    }
-};
-
-#if QC_SIMD_HAVE_VECTOR_EXT
 
 /**
  * Vector-extension ops: N x uint64 processed per step. The TU's
@@ -173,12 +89,22 @@ struct VecOps
     }
 };
 
-#else
-
-template <int N>
-using VecOps = ScalarOps<N>;
-
-#endif
+/**
+ * Run `body(ops, w)` over a word range: full Ops-wide blocks first,
+ * then a 1-lane tail. The body is generic over the ops policy, so
+ * each pure-bitwise loop is written once and lowered at both widths
+ * (when Ops is WordOps the first loop already covers everything).
+ */
+template <class Ops, class F>
+inline void
+spans(int words, F &&body)
+{
+    int w = 0;
+    for (; w + Ops::kLanes <= words; w += Ops::kLanes)
+        body(Ops{}, w);
+    for (; w < words; ++w)
+        body(WordOps{}, w);
+}
 
 } // namespace qc::simd
 

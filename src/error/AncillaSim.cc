@@ -1,8 +1,6 @@
 #include "error/AncillaSim.hh"
 
 #include "codes/SteaneCode.hh"
-#include "common/Logging.hh"
-#include "error/BatchAncillaSim.hh"
 
 namespace qc {
 
@@ -72,29 +70,46 @@ AncillaPrepSimulator::AncillaPrepSimulator(ErrorParams errors,
 {
 }
 
-// Every stochastic fault site funnels through siteFault so an
-// installed FaultOracle can own the fire decision (stratified
-// importance sampling). Without an oracle the natural Bernoulli
-// draw below consumes exactly the pre-seam RNG stream.
+// Every stochastic fault site funnels through siteFault. With
+// nothing scheduled it draws the natural Bernoulli(p), the plain
+// Monte Carlo stream, behind a single flag test.
 bool
-AncillaPrepSimulator::siteFault(FaultClass cls, double p)
+AncillaPrepSimulator::siteFault(FaultClass cls)
 {
-    if (oracle_ != nullptr)
-        return oracle_->fault(rng_, cls, p);
-    return rng_.bernoulli(p);
+    const double p =
+        cls == FaultClass::Gate ? errors_.pGate : errors_.pMove;
+    if (!scheduled_) [[likely]]
+        return rng_.bernoulli(p);
+    FaultSchedule::Class &c =
+        cls == FaultClass::Gate ? schedule_.gate : schedule_.move;
+    if (schedule_.dryRun) {
+        ++c.seen;
+        return false;
+    }
+    if (c.seen >= c.sites) // past the scheduled sites
+        return rng_.bernoulli(p);
+    const std::uint64_t slots = c.sites - c.seen;
+    ++c.seen;
+    if (c.left == 0)
+        return false;
+    if (rng_.below(slots) < c.left) {
+        --c.left;
+        return true;
+    }
+    return false;
 }
 
 void
-AncillaPrepSimulator::inject1(FaultClass cls, double p, int q)
+AncillaPrepSimulator::inject1(FaultClass cls, int q)
 {
-    if (siteFault(cls, p))
+    if (siteFault(cls))
         frame_.applyUniform1(rng_, q);
 }
 
 void
-AncillaPrepSimulator::inject2(FaultClass cls, double p, int a, int b)
+AncillaPrepSimulator::inject2(FaultClass cls, int a, int b)
 {
-    if (siteFault(cls, p))
+    if (siteFault(cls))
         frame_.applyUniform2(rng_, a, b);
 }
 
@@ -102,32 +117,32 @@ void
 AncillaPrepSimulator::chargeCxMovement(int a, int b)
 {
     for (int i = 0; i < movement_.movesPerCx; ++i)
-        inject1(FaultClass::Move, errors_.pMove, (i & 1) ? b : a);
+        inject1(FaultClass::Move, (i & 1) ? b : a);
     for (int i = 0; i < movement_.turnsPerCx; ++i)
-        inject1(FaultClass::Move, errors_.pMove, (i & 1) ? b : a);
+        inject1(FaultClass::Move, (i & 1) ? b : a);
 }
 
 void
 AncillaPrepSimulator::chargeMeasMovement(int q)
 {
     for (int i = 0; i < movement_.movesPerMeas; ++i)
-        inject1(FaultClass::Move, errors_.pMove, q);
+        inject1(FaultClass::Move, q);
 }
 
 void
 AncillaPrepSimulator::gateH(int q)
 {
     for (int i = 0; i < movement_.movesPer1q; ++i)
-        inject1(FaultClass::Move, errors_.pMove, q);
+        inject1(FaultClass::Move, q);
     frame_.applyH(q);
-    inject1(FaultClass::Gate, errors_.pGate, q);
+    inject1(FaultClass::Gate, q);
 }
 
 void
 AncillaPrepSimulator::gatePrep(int q)
 {
     frame_.clearRange(q, 1);
-    inject1(FaultClass::Gate, errors_.pGate, q);
+    inject1(FaultClass::Gate, q);
 }
 
 void
@@ -135,26 +150,16 @@ AncillaPrepSimulator::gateCx(int control, int target)
 {
     chargeCxMovement(control, target);
     frame_.applyCx(control, target);
-    inject2(FaultClass::Gate, errors_.pGate, control, target);
+    inject2(FaultClass::Gate, control, target);
 }
 
 bool
-AncillaPrepSimulator::measureZFlip(int q)
+AncillaPrepSimulator::measureFlip(bool xBasis, int q)
 {
     chargeMeasMovement(q);
-    const bool flip =
-        frame_.hasX(q) ^ siteFault(FaultClass::Gate, errors_.pGate);
+    const bool error = xBasis ? frame_.hasZ(q) : frame_.hasX(q);
+    const bool flip = error ^ siteFault(FaultClass::Gate);
     frame_.clearRange(q, 1); // qubit leaves the computation
-    return flip;
-}
-
-bool
-AncillaPrepSimulator::measureXFlip(int q)
-{
-    chargeMeasMovement(q);
-    const bool flip =
-        frame_.hasZ(q) ^ siteFault(FaultClass::Gate, errors_.pGate);
-    frame_.clearRange(q, 1);
     return flip;
 }
 
@@ -189,14 +194,14 @@ AncillaPrepSimulator::verifyBlock(int base)
         if (SteaneCode::verifyMask & (SteaneCode::Mask{1} << q)) {
             chargeCxMovement(base + q, cat);
             frame_.applyCz(base + q, cat);
-            inject2(FaultClass::Gate, errors_.pGate, base + q, cat);
+            inject2(FaultClass::Gate, base + q, cat);
             ++cat;
         }
     }
 
     bool parity_flip = false;
     for (int i = 0; i < 3; ++i)
-        parity_flip ^= measureXFlip(catBase + i);
+        parity_flip ^= measureFlip(/*xBasis=*/true, catBase + i);
 
     if (parity_flip) {
         ++verifyFailures_;
@@ -214,77 +219,56 @@ AncillaPrepSimulator::prepareBlock(int base, bool verified)
     } while (verified && !verifyBlock(base));
 }
 
-bool
-AncillaPrepSimulator::bitCorrect(int base_a, int base_b)
+SteaneCode::Mask
+AncillaPrepSimulator::extract(bool phase, int base_a, int base_anc)
 {
     ++correctionAttempts_;
 
-    // Transversal CX data->ancilla copies the data's X errors onto
-    // the ancilla; Z-basis readout of the ancilla yields the
-    // syndrome (the ancilla's own codeword bits are syndromeless)
-    // and its overall parity the logical-X check.
-    for (int q = 0; q < SteaneCode::numPhysical; ++q)
-        gateCx(base_a + q, base_b + q);
-
-    SteaneCode::Mask measured = 0;
+    // The bit stage's CX data->ancilla copies the data's X errors
+    // onto the ancilla, read out in the Z basis; the phase stage's
+    // CX ancilla->data copies Z errors, read out in the X basis.
+    // The ancilla's own codeword bits are syndromeless.
     for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-        if (measureZFlip(base_b + q))
-            measured |= SteaneCode::Mask{1} << q;
+        if (phase)
+            gateCx(base_anc + q, base_a + q);
+        else
+            gateCx(base_a + q, base_anc + q);
     }
-    if (semantics_ == CorrectionSemantics::ApplyFix) {
-        // Parity-aware fix-up: the readout word's logical parity
-        // disambiguates the coset, so correlated even-parity
-        // patterns get a (stabilizer-residual) multi-qubit patch
-        // instead of being "completed" into a logical operator.
-        const SteaneCode::Mask fix =
-            SteaneCode::fixFor(SteaneCode::syndromeOf(measured),
-                               SteaneCode::parity(measured));
-        for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-            if (fix & (SteaneCode::Mask{1} << q)) {
+    SteaneCode::Mask readout = 0;
+    for (int q = 0; q < SteaneCode::numPhysical; ++q) {
+        if (measureFlip(/*xBasis=*/phase, base_anc + q))
+            readout |= SteaneCode::Mask{1} << q;
+    }
+    return readout;
+}
+
+void
+AncillaPrepSimulator::patch(bool phase, int base_a,
+                            SteaneCode::Mask readout)
+{
+    const SteaneCode::Mask fix = SteaneCode::fixFor(
+        SteaneCode::syndromeOf(readout), SteaneCode::parity(readout));
+    for (int q = 0; q < SteaneCode::numPhysical; ++q) {
+        if (fix & (SteaneCode::Mask{1} << q)) {
+            if (phase)
+                frame_.flipZ(base_a + q);
+            else
                 frame_.flipX(base_a + q);
-                inject1(FaultClass::Gate, errors_.pGate, base_a + q);
-            }
+            inject1(FaultClass::Gate, base_a + q);
         }
-        return true;
     }
-    if (SteaneCode::syndromeOf(measured) != 0 ||
-        SteaneCode::parity(measured)) {
-        ++correctionFailures_;
-        return false;
-    }
-    return true;
 }
 
 bool
-AncillaPrepSimulator::phaseCorrect(int base_a, int base_c)
+AncillaPrepSimulator::correct(bool phase, int base_a, int base_anc)
 {
-    ++correctionAttempts_;
-
-    // Transversal CX ancilla->data copies the data's Z errors onto
-    // the ancilla; X-basis readout yields the Z syndrome.
-    for (int q = 0; q < SteaneCode::numPhysical; ++q)
-        gateCx(base_c + q, base_a + q);
-
-    SteaneCode::Mask measured = 0;
-    for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-        if (measureXFlip(base_c + q))
-            measured |= SteaneCode::Mask{1} << q;
-    }
+    const SteaneCode::Mask readout = extract(phase, base_a, base_anc);
     if (semantics_ == CorrectionSemantics::ApplyFix) {
-        // Same parity-aware decode as the bit stage (see there).
-        const SteaneCode::Mask fix =
-            SteaneCode::fixFor(SteaneCode::syndromeOf(measured),
-                               SteaneCode::parity(measured));
-        for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-            if (fix & (SteaneCode::Mask{1} << q)) {
-                frame_.flipZ(base_a + q);
-                inject1(FaultClass::Gate, errors_.pGate, base_a + q);
-            }
-        }
+        patch(phase, base_a, readout);
         return true;
     }
-    if (SteaneCode::syndromeOf(measured) != 0 ||
-        SteaneCode::parity(measured)) {
+    if (SteaneCode::syndromeOf(readout) != 0
+        || SteaneCode::parity(readout)) {
         ++correctionFailures_;
         return false;
     }
@@ -295,155 +279,57 @@ void
 AncillaPrepSimulator::phaseCorrectConfirmed(int base_a, int base_c)
 {
     bool have = false;
-    unsigned prev_s = 0;
-    bool prev_p = false;
+    SteaneCode::Mask prev = 0;
     for (;;) {
         prepareBlock(base_c, /*verified=*/true);
-        ++correctionAttempts_;
-
-        // One Z-syndrome extraction, as in phaseCorrect.
-        for (int q = 0; q < SteaneCode::numPhysical; ++q)
-            gateCx(base_c + q, base_a + q);
-        SteaneCode::Mask measured = 0;
-        for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-            if (measureXFlip(base_c + q))
-                measured |= SteaneCode::Mask{1} << q;
-        }
-        const unsigned s = SteaneCode::syndromeOf(measured);
-        const bool p = SteaneCode::parity(measured);
-
-        if (have && s == prev_s && p == prev_p) {
-            // Confirmed: apply the parity-aware minimal-weight
-            // patch (one gate error per patched qubit).
-            const SteaneCode::Mask fix = SteaneCode::fixFor(s, p);
-            for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-                if (fix & (SteaneCode::Mask{1} << q)) {
-                    frame_.flipZ(base_a + q);
-                    inject1(FaultClass::Gate, errors_.pGate, base_a + q);
-                }
-            }
+        const SteaneCode::Mask readout =
+            extract(/*phase=*/true, base_a, base_c);
+        if (have
+            && SteaneCode::syndromeOf(readout)
+                   == SteaneCode::syndromeOf(prev)
+            && SteaneCode::parity(readout) == SteaneCode::parity(prev)) {
+            patch(/*phase=*/true, base_a, readout);
             return;
         }
         have = true;
-        prev_s = s;
-        prev_p = p;
+        prev = readout;
     }
 }
 
-PrepOutcome
-AncillaPrepSimulator::classify(int base) const
+void
+AncillaPrepSimulator::correctedPrep(bool verified)
 {
-    PrepOutcome out;
-    out.logicalX = SteaneCode::badCoset(static_cast<
-        SteaneCode::Mask>(frame_.xBits(base, SteaneCode::numPhysical)));
-    out.logicalZ = SteaneCode::badCoset(static_cast<
-        SteaneCode::Mask>(frame_.zBits(base, SteaneCode::numPhysical)));
-    return out;
-}
-
-PrepOutcome
-AncillaPrepSimulator::simulateOnce(ZeroPrepStrategy strategy)
-{
-    frame_.clear();
-    const std::uint64_t fails_before = verifyFailures_;
-    const bool verified =
-        strategy == ZeroPrepStrategy::VerifyOnly ||
-        strategy == ZeroPrepStrategy::VerifyAndCorrect;
-    const bool corrected =
-        strategy == ZeroPrepStrategy::CorrectOnly ||
-        strategy == ZeroPrepStrategy::VerifyAndCorrect;
-
-    if (!corrected) {
-        prepareBlock(blockA, verified);
-    } else {
-        // A detected error at either correction stage discards the
-        // whole pipeline output and recycles the qubits (short-lived
-        // ancillae are cheap to re-encode, Section 3). Bit
-        // correction runs first, so Z junk copied onto A by block B
-        // is still screened by the phase stage (Fig 2's ordering).
-        // Under ApplyFix a verified pipeline must not trust a
-        // single Z-syndrome extraction (the ancilla's correlated Z
-        // errors are invisible to verification and would be patched
-        // onto A): the phase patch requires two consecutive
-        // agreeing extractions instead.
-        const bool confirmed = verified
-            && semantics_ == CorrectionSemantics::ApplyFix;
-        for (;;) {
-            frame_.clear();
-            prepareBlock(blockA, verified);
-            prepareBlock(blockB, verified);
-            if (!bitCorrect(blockA, blockB))
-                continue;
-            if (confirmed) {
-                phaseCorrectConfirmed(blockA, blockC);
-                break;
-            }
-            prepareBlock(blockC, verified);
-            if (!phaseCorrect(blockA, blockC))
-                continue;
-            break;
-        }
-    }
-    PrepOutcome out = classify(blockA);
-    out.discarded = verifyFailures_ != fails_before;
-    return out;
-}
-
-PrepEstimate
-AncillaPrepSimulator::estimate(ZeroPrepStrategy strategy,
-                               std::uint64_t trials)
-{
-    BatchAncillaSim batch(errors_, movement_, rng_(), semantics_);
-    return batch.estimate(strategy, trials);
-}
-
-PrepEstimate
-AncillaPrepSimulator::estimateScalar(ZeroPrepStrategy strategy,
-                                     std::uint64_t trials)
-{
-    PrepEstimate est;
-    est.trials = trials;
-    const std::uint64_t attempts_before = verifyAttempts_;
-    const std::uint64_t failures_before = verifyFailures_;
-    const std::uint64_t corr_attempts_before = correctionAttempts_;
-    const std::uint64_t corr_failures_before = correctionFailures_;
-    for (std::uint64_t i = 0; i < trials; ++i) {
-        if (simulateOnce(strategy).failed())
-            ++est.failures;
-    }
-    est.verifyTrials = verifyAttempts_ - attempts_before;
-    est.discards = verifyFailures_ - failures_before;
-    est.correctionTrials = correctionAttempts_ - corr_attempts_before;
-    est.correctionDiscards =
-        correctionFailures_ - corr_failures_before;
-    return est;
-}
-
-PrepOutcome
-AncillaPrepSimulator::simulatePi8Once()
-{
-    frame_.clear();
-    const std::uint64_t fails_before = verifyFailures_;
-
-    // High-fidelity encoded zero input (Fig 4c); ApplyFix instances
-    // confirm the phase patch by repeated extraction, as in
-    // simulateOnce.
+    // A detected error at either correction stage discards the
+    // whole pipeline output and recycles the qubits (short-lived
+    // ancillae are cheap to re-encode, Section 3). Bit correction
+    // runs first, so Z junk copied onto A by block B is still
+    // screened by the phase stage (Fig 2's ordering). Under
+    // ApplyFix a verified pipeline must not trust a single
+    // Z-syndrome extraction (the ancilla's correlated Z errors are
+    // invisible to verification and would be patched onto A): the
+    // phase patch requires two consecutive agreeing extractions
+    // instead.
+    const bool confirmed =
+        verified && semantics_ == CorrectionSemantics::ApplyFix;
     for (;;) {
         frame_.clear();
-        prepareBlock(blockA, true);
-        prepareBlock(blockB, true);
-        if (!bitCorrect(blockA, blockB))
+        prepareBlock(blockA, verified);
+        prepareBlock(blockB, verified);
+        if (!correct(/*phase=*/false, blockA, blockB))
             continue;
-        if (semantics_ == CorrectionSemantics::ApplyFix) {
+        if (confirmed) {
             phaseCorrectConfirmed(blockA, blockC);
-            break;
+            return;
         }
-        prepareBlock(blockC, true);
-        if (!phaseCorrect(blockA, blockC))
-            continue;
-        break;
+        prepareBlock(blockC, verified);
+        if (correct(/*phase=*/true, blockA, blockC))
+            return;
     }
+}
 
+void
+AncillaPrepSimulator::convertPi8()
+{
     // 7-qubit cat state (Fig 5b): prep, H, CX chain.
     const int cat7 = blockB; // blocks B/C are free again
     for (int i = 0; i < 7; ++i)
@@ -459,57 +345,119 @@ AncillaPrepSimulator::simulatePi8Once()
     for (int i = 0; i < 7; ++i) {
         chargeCxMovement(cat7 + i, blockA + i);
         frame_.applyCz(cat7 + i, blockA + i);
-        inject2(FaultClass::Gate, errors_.pGate, cat7 + i, blockA + i);
+        inject2(FaultClass::Gate, cat7 + i, blockA + i);
     }
     for (int i = 0; i < 7; ++i) {
         frame_.applyS(blockA + i);
-        inject1(FaultClass::Gate, errors_.pGate, blockA + i);
+        inject1(FaultClass::Gate, blockA + i);
     }
 
     // Decode the cat block (reverse chain + H) and measure it.
     for (int i = 5; i >= 0; --i)
         gateCx(cat7 + i, cat7 + i + 1);
     gateH(cat7);
-    bool outcome_flip = false;
     for (int i = 0; i < 7; ++i)
-        outcome_flip ^= measureZFlip(cat7 + i);
-    (void)outcome_flip;
+        measureFlip(/*xBasis=*/false, cat7 + i);
 
     // Conditional transversal Z fix-up: applied for half of the
     // measurement outcomes; the intended gate leaves the frame
     // untouched but contributes gate errors.
-    const bool fixup = oracle_ != nullptr ? oracle_->coin(rng_)
-                                          : rng_.bernoulli(0.5);
-    if (fixup) {
+    if (!schedule_.dryRun && rng_.bernoulli(0.5)) {
         for (int i = 0; i < 7; ++i)
-            inject1(FaultClass::Gate, errors_.pGate, blockA + i);
+            inject1(FaultClass::Gate, blockA + i);
     }
+}
+
+PrepOutcome
+AncillaPrepSimulator::classify(int base) const
+{
+    PrepOutcome out;
+    out.logicalX = SteaneCode::badCoset(static_cast<
+        SteaneCode::Mask>(frame_.xBits(base, SteaneCode::numPhysical)));
+    out.logicalZ = SteaneCode::badCoset(static_cast<
+        SteaneCode::Mask>(frame_.zBits(base, SteaneCode::numPhysical)));
+    return out;
+}
+
+PrepOutcome
+AncillaPrepSimulator::runTrial(ZeroPrepStrategy strategy, bool pi8)
+{
+    for (FaultSchedule::Class *c : {&schedule_.gate, &schedule_.move}) {
+        c->seen = 0;
+        c->left = c->faults;
+    }
+    scheduled_ = schedule_.dryRun || schedule_.gate.sites != 0
+        || schedule_.move.sites != 0;
+    frame_.clear();
+    const std::uint64_t fails_before = verifyFailures_;
+    const bool verified =
+        strategy == ZeroPrepStrategy::VerifyOnly ||
+        strategy == ZeroPrepStrategy::VerifyAndCorrect;
+    const bool corrected =
+        strategy == ZeroPrepStrategy::CorrectOnly ||
+        strategy == ZeroPrepStrategy::VerifyAndCorrect;
+
+    if (corrected)
+        correctedPrep(verified);
+    else
+        prepareBlock(blockA, verified);
+    if (pi8)
+        convertPi8();
 
     PrepOutcome out = classify(blockA);
     out.discarded = verifyFailures_ != fails_before;
     return out;
 }
 
-PrepEstimate
-AncillaPrepSimulator::estimatePi8(std::uint64_t trials)
+PrepOutcome
+AncillaPrepSimulator::simulateOnce(ZeroPrepStrategy strategy)
 {
-    BatchAncillaSim batch(errors_, movement_, rng_(), semantics_);
-    return batch.estimatePi8(trials);
+    return runTrial(strategy, /*pi8=*/false);
+}
+
+PrepOutcome
+AncillaPrepSimulator::simulatePi8Once()
+{
+    // The input is a high-fidelity encoded zero (Fig 4c).
+    return runTrial(ZeroPrepStrategy::VerifyAndCorrect, /*pi8=*/true);
 }
 
 PrepEstimate
-AncillaPrepSimulator::estimateScalarPi8(std::uint64_t trials)
+AncillaPrepSimulator::tally(ZeroPrepStrategy strategy, bool pi8,
+                            std::uint64_t trials)
 {
     PrepEstimate est;
     est.trials = trials;
     const std::uint64_t attempts_before = verifyAttempts_;
     const std::uint64_t failures_before = verifyFailures_;
+    const std::uint64_t corr_attempts_before = correctionAttempts_;
+    const std::uint64_t corr_failures_before = correctionFailures_;
     for (std::uint64_t i = 0; i < trials; ++i) {
-        if (simulatePi8Once().failed())
+        if (runTrial(strategy, pi8).failed())
             ++est.failures;
     }
     est.verifyTrials = verifyAttempts_ - attempts_before;
     est.discards = verifyFailures_ - failures_before;
+    est.correctionTrials = correctionAttempts_ - corr_attempts_before;
+    est.correctionDiscards =
+        correctionFailures_ - corr_failures_before;
+    return est;
+}
+
+PrepEstimate
+AncillaPrepSimulator::estimateScalar(ZeroPrepStrategy strategy,
+                                     std::uint64_t trials)
+{
+    return tally(strategy, /*pi8=*/false, trials);
+}
+
+PrepEstimate
+AncillaPrepSimulator::estimateScalarPi8(std::uint64_t trials)
+{
+    PrepEstimate est =
+        tally(ZeroPrepStrategy::VerifyAndCorrect, /*pi8=*/true, trials);
+    est.correctionTrials = 0;
+    est.correctionDiscards = 0;
     return est;
 }
 

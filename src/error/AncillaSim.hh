@@ -19,10 +19,10 @@
 
 #include <cstdint>
 
+#include "codes/SteaneCode.hh"
 #include "common/Params.hh"
 #include "common/Rng.hh"
 #include "common/Stats.hh"
-#include "error/FaultOracle.hh"
 #include "error/PauliFrame.hh"
 
 namespace qc {
@@ -110,8 +110,50 @@ struct PrepEstimate
     double correctionDiscardRate() const;
 };
 
+/** The two independently stratified fault classes. */
+enum class FaultClass
+{
+    Gate, ///< gate/prep/measurement error at pGate
+    Move, ///< movement (straight move or turn) error at pMove
+};
+
 /**
- * Simulator for encoded-ancilla preparation error rates.
+ * Where the scalar simulator places its faults. Each class schedules
+ * `faults` faults among its first `sites` realized sites by the
+ * sequential r-of-m rule: a site with r faults left among m
+ * remaining slots faults with probability r/m, so the faulting sites
+ * are a uniformly random r-subset even though sites are revealed one
+ * at a time. Sites past the first `sites` draw the natural
+ * Bernoulli(p); with nothing scheduled (the default) that is every
+ * site, the plain Monte Carlo stream. Every simulated trial rearms
+ * `seen` and `left`; the stratified sampler
+ * (error/ImportanceSampler.hh) fills in `sites` and `faults`.
+ *
+ * A dry run counts each class's sites in `seen`, never faults and
+ * draws no random number. It also pins the pi/8 fix-up coin to "no
+ * fix-up", so the counts are the minimum over every realized path —
+ * the bound the r-of-m rule relies on.
+ */
+struct FaultSchedule
+{
+    struct Class
+    {
+        std::uint64_t sites = 0;  ///< scheduled (nominal-path) sites
+        std::uint64_t faults = 0; ///< faults to place among them
+        std::uint64_t seen = 0;   ///< sites visited this trial
+        std::uint64_t left = 0;   ///< faults not yet placed
+    };
+
+    Class gate;
+    Class move;
+    bool dryRun = false;
+};
+
+/**
+ * Scalar reference simulator for encoded-ancilla preparation error
+ * rates: one trial at a time. BatchAncillaSim is the production
+ * engine; this one is its test oracle and the stratified sampler's
+ * engine.
  */
 class AncillaPrepSimulator
 {
@@ -129,21 +171,7 @@ class AncillaPrepSimulator
      */
     PrepOutcome simulateOnce(ZeroPrepStrategy strategy);
 
-    /**
-     * Run many trials and aggregate. Delegates to the bit-parallel
-     * batched engine (BatchAncillaSim), which advances 64+ trials
-     * per word op; the run seed is drawn from this simulator's RNG
-     * stream so successive calls are independent but a fixed
-     * construction seed reproduces the same sequence.
-     */
-    PrepEstimate estimate(ZeroPrepStrategy strategy,
-                          std::uint64_t trials);
-
-    /**
-     * Scalar reference version of estimate(): one simulateOnce call
-     * per trial. Kept for cross-validation of the batched engine
-     * and for microbenchmark baselines.
-     */
+    /** One simulateOnce call per trial, aggregated. */
     PrepEstimate estimateScalar(ZeroPrepStrategy strategy,
                                 std::uint64_t trials);
 
@@ -155,21 +183,23 @@ class AncillaPrepSimulator
      */
     PrepOutcome simulatePi8Once();
 
-    /** Aggregate pi/8 conversion failure rate (batched engine). */
-    PrepEstimate estimatePi8(std::uint64_t trials);
-
-    /** Scalar reference version of estimatePi8(). */
+    /**
+     * One simulatePi8Once call per trial, aggregated; only the
+     * verification tallies are reported.
+     */
     PrepEstimate estimateScalarPi8(std::uint64_t trials);
 
-    /**
-     * Install a fault oracle owning every site's fire/no-fire
-     * decision (non-owning pointer; nullptr restores the natural
-     * Bernoulli draws, whose RNG stream is identical to the
-     * pre-oracle engine). Used by the stratified importance sampler.
-     */
-    void setFaultOracle(FaultOracle *oracle) { oracle_ = oracle; }
+    /** The fault placement every following trial uses. */
+    FaultSchedule &faultSchedule() { return schedule_; }
 
   private:
+    /** One trial: a zero prep, then the pi/8 conversion if `pi8`. */
+    PrepOutcome runTrial(ZeroPrepStrategy strategy, bool pi8);
+
+    /** runTrial per trial, with the engine's tallies over them. */
+    PrepEstimate tally(ZeroPrepStrategy strategy, bool pi8,
+                       std::uint64_t trials);
+
     /** Run the Fig 3b basic encode on block at base offset. */
     void basicEncode(int base);
 
@@ -184,49 +214,75 @@ class AncillaPrepSimulator
     void prepareBlock(int base, bool verified);
 
     /**
-     * Bit-correction stage on block A using freshly prepared block
-     * B (Steane-style syndrome extraction). In the factory setting
-     * a detected error discards the block instead of patching it —
-     * ancillae are cheap to recycle (Section 3) — so this returns
-     * false when the extracted X syndrome or the logical parity of
-     * the readout word is non-trivial.
+     * Prepare block A and correct it, bit stage then phase stage,
+     * recycling the whole pipeline whenever a stage discards.
      */
-    bool bitCorrect(int baseA, int baseB);
+    void correctedPrep(bool verified);
 
-    /** Phase-correction stage (Z syndrome via X-basis readout). */
-    bool phaseCorrect(int baseA, int baseC);
+    /**
+     * One syndrome extraction on block A with the prepared ancilla
+     * block: a transversal CX (data->ancilla for the bit stage,
+     * ancilla->data for the phase stage) and the ancilla's seven
+     * readouts (Z basis, resp. X basis). Returns the readout word:
+     * its Hamming syndrome and parity locate A's X (resp. Z)
+     * errors. Tallies a correction attempt.
+     */
+    SteaneCode::Mask extract(bool phase, int baseA, int baseAnc);
+
+    /**
+     * Apply the parity-aware patch for a readout word
+     * (SteaneCode::fixFor) to block A, one gate error per patched
+     * qubit. Matching the readout's coset means correlated
+     * even-parity patterns are not "completed" into a logical.
+     */
+    void patch(bool phase, int baseA, SteaneCode::Mask readout);
+
+    /**
+     * One correction stage. In the factory setting a detected error
+     * discards the block instead of patching it — ancillae are
+     * cheap to recycle (Section 3) — so under DiscardOnSyndrome this
+     * returns false when the readout's syndrome or logical parity
+     * is non-trivial; under ApplyFix it patches and returns true.
+     */
+    bool correct(bool phase, int baseA, int baseAnc);
 
     /**
      * ApplyFix phase correction for verified pipelines: Shor-style
      * repeated syndrome extraction. Fresh verified ancillas extract
      * the Z syndrome (and logical readout parity) until two
-     * consecutive extractions agree; only then is the decoded patch
-     * (SteaneCode::fixFor) applied. A single fault — in an ancilla,
-     * a coupling, or a readout — corrupts at most one extraction
-     * and so can never confirm a wrong multi-qubit patch, closing
-     * the first-order path where an ancilla's correlated Z errors
-     * (which verification cannot screen) would be patched onto the
-     * output block. Each extraction tallies a correction attempt.
+     * consecutive extractions agree; only then is the patch
+     * applied. A single fault — in an ancilla, a coupling, or a
+     * readout — corrupts at most one extraction and so can never
+     * confirm a wrong multi-qubit patch, closing the first-order
+     * path where an ancilla's correlated Z errors (which
+     * verification cannot screen) would be patched onto the output
+     * block.
      */
     void phaseCorrectConfirmed(int baseA, int baseC);
+
+    /** The Fig 5b conversion of the corrected zero on block A. */
+    void convertPi8();
 
     /** Movement error charges. */
     void chargeCxMovement(int a, int b);
     void chargeMeasMovement(int q);
 
-    /** Fault sites (oracle-mediated fire decision + kind draw). */
-    bool siteFault(FaultClass cls, double p);
-    void inject1(FaultClass cls, double p, int q);
-    void inject2(FaultClass cls, double p, int a, int b);
+    /** Fault sites: the schedule's fire decision + kind draw. */
+    bool siteFault(FaultClass cls);
+    void inject1(FaultClass cls, int q);
+    void inject2(FaultClass cls, int a, int b);
 
     /** Gate wrappers (apply + inject). */
     void gateH(int q);
     void gatePrep(int q);
     void gateCx(int control, int target);
-    /** Measure in Z: returns whether the *recorded outcome* flipped. */
-    bool measureZFlip(int q);
-    /** Measure in X basis (H then Z). */
-    bool measureXFlip(int q);
+
+    /**
+     * Measure q in the X basis (`xBasis`) or the Z basis: returns
+     * whether the *recorded outcome* flipped, i.e. a Z (resp. X)
+     * error or a readout fault.
+     */
+    bool measureFlip(bool xBasis, int q);
 
     /** Classify the residual on a block as a PrepOutcome. */
     PrepOutcome classify(int base) const;
@@ -236,7 +292,8 @@ class AncillaPrepSimulator
     CorrectionSemantics semantics_;
     Rng rng_;
     PauliFrame frame_;
-    FaultOracle *oracle_ = nullptr;
+    FaultSchedule schedule_;
+    bool scheduled_ = false; ///< this trial's schedule is not empty
     std::uint64_t verifyAttempts_ = 0;
     std::uint64_t verifyFailures_ = 0;
     std::uint64_t correctionAttempts_ = 0;

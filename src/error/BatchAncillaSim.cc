@@ -138,11 +138,7 @@ BatchAncillaSim::run(ZeroPrepStrategy strategy, bool pi8,
             const int k = static_cast<int>(
                 std::min<std::uint64_t>(per, trials - lo));
             const Word *active = worker->activeMask(k);
-            if (pi8)
-                worker->runPi8Batch(Rng(seeds[b]), active);
-            else
-                worker->runZeroBatch(Rng(seeds[b]), strategy,
-                                     active);
+            worker->runBatch(Rng(seeds[b]), strategy, pi8, active);
         }
         MutexLock lock(tallies.mutex);
         tallies.failures += worker->failures;

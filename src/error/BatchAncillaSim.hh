@@ -2,8 +2,8 @@
  * @file
  * Batched (bit-parallel) Monte Carlo estimation of the encoded-zero
  * ancilla preparation strategies and the pi/8 conversion: the
- * 64-trials-per-word-op production engine behind
- * AncillaPrepSimulator::estimate / estimatePi8.
+ * 64-trials-per-word-op production engine and the one front door
+ * for every estimate, naive or stratified.
  *
  * Semantics match the scalar reference (AncillaPrepSimulator::
  * simulateOnce) trial-for-trial in distribution: the same circuits,
@@ -58,8 +58,8 @@ struct BatchSimConfig
      * SIMD width of the frame loops. Auto resolves to the
      * QC_FORCE_WIDTH environment override if set, else the widest
      * width this CPU supports whose lanes a batch can fill. Every
-     * width — including the scalar fallback — produces bit-identical
-     * results; this knob only trades throughput.
+     * width produces bit-identical results; this knob only trades
+     * throughput.
      */
     simd::Width width = simd::Width::Auto;
 };
@@ -81,11 +81,14 @@ class BatchAncillaSim
                         CorrectionSemantics::DiscardOnSyndrome,
                     BatchSimConfig config = {});
 
-    /** Batched equivalent of AncillaPrepSimulator::estimate. */
+    /** Batched equivalent of AncillaPrepSimulator::estimateScalar. */
     PrepEstimate estimate(ZeroPrepStrategy strategy,
                           std::uint64_t trials);
 
-    /** Batched equivalent of AncillaPrepSimulator::estimatePi8. */
+    /**
+     * Batched equivalent of AncillaPrepSimulator::estimateScalarPi8
+     * (only the verification tallies are reported).
+     */
     PrepEstimate estimatePi8(std::uint64_t trials);
 
     /**
@@ -93,12 +96,12 @@ class BatchAncillaSim
      * the number of injected (gate, movement) faults, weight each
      * stratum by its binomial prior, and combine per-stratum Wilson
      * intervals (see error/ImportanceSampler.hh for the estimator
-     * math). Runs the scalar reference circuit through a fault
-     * oracle — per-trial sequential logic does not bit-pack — so
-     * its throughput is the scalar engine's, but deep-subthreshold
-     * points get tight CIs at fixed cost where naive MC would need
-     * billions of trials. Seeds draw from the same seeder sequence
-     * as estimate(); sharded over config.threads deterministically.
+     * math). Runs the scalar reference circuit under a fault
+     * schedule, so its throughput is the scalar engine's, but
+     * deep-subthreshold points get tight CIs at fixed cost where
+     * naive MC would need billions of trials. Seeds draw from the
+     * same seeder sequence as estimate(); sharded over
+     * config.threads deterministically.
      */
     StratifiedEstimate estimateStratified(ZeroPrepStrategy strategy,
                                           const ImportanceConfig &config);

@@ -9,8 +9,7 @@
  * words the pure-bitwise frame loops advance per step; every
  * RNG-consuming routine is ordered per 64-bit word of the *bit
  * stream* (RareBernoulliStream), so a batch's results are a pure
- * function of its seed — bit-identical across every width,
- * including the scalar fallback.
+ * function of its seed — bit-identical across every width.
  *
  * Each width is instantiated in its own translation unit
  * (src/error/simd/BatchEngine*.cc) so the 256/512-bit ones can be
@@ -38,8 +37,8 @@ namespace qc {
 
 /**
  * Width-erased interface of one batch worker. Tallies accumulate
- * across run*Batch calls; the driver folds them into the shared
- * board once per worker thread.
+ * across runBatch calls; BatchAncillaSim::run folds them into the
+ * shared board once per worker thread.
  */
 class BatchWorkerBase
 {
@@ -51,12 +50,12 @@ class BatchWorkerBase
     /** Build the batch's active mask for its first k trials. */
     virtual const Word *activeMask(int k) = 0;
 
-    /** Run one batch of zero-prep trials under the active mask. */
-    virtual void runZeroBatch(Rng rng, ZeroPrepStrategy strategy,
-                              const Word *active) = 0;
-
-    /** Run one batch of pi/8 conversion trials (Fig 5b). */
-    virtual void runPi8Batch(Rng rng, const Word *active) = 0;
+    /**
+     * Run one batch of trials under the active mask: a zero prep,
+     * then the pi/8 conversion (Fig 5b) if `pi8`.
+     */
+    virtual void runBatch(Rng rng, ZeroPrepStrategy strategy,
+                          bool pi8, const Word *active) = 0;
 
     std::uint64_t failures = 0;
     std::uint64_t verifyAttempts = 0;
@@ -96,21 +95,37 @@ any(const std::uint64_t *m, int words)
     return false;
 }
 
-/**
- * Run `body(ops, w)` over a word range: full Ops-wide blocks first,
- * then a 1-lane tail. The body is generic over the ops policy, so
- * each pure-bitwise loop is written once and lowered at both widths
- * (when Ops is WordOps the first loop already covers everything).
- */
-template <class Ops, class F>
-inline void
-spans(int words, F &&body)
+/** Hamming syndrome bits and parity of a block's readout. */
+template <class O>
+struct Readout
 {
-    int w = 0;
-    for (; w + Ops::kLanes <= words; w += Ops::kLanes)
-        body(Ops{}, w);
-    for (; w < words; ++w)
-        body(simd::WordOps{}, w);
+    typename O::V s0, s1, s2, parity;
+};
+
+/**
+ * Bit-sliced readout of the seven bit-planes `plane + q * stride`
+ * (q = 0..6) at word w: bit t of s0/s1/s2 is bit 0/1/2 of trial
+ * t's syndrome (SteaneCode::syndromeOf: qubit q contributes q + 1),
+ * bit t of parity its readout parity.
+ */
+template <class O>
+inline Readout<O>
+readout(const std::uint64_t *plane, std::size_t stride, int w)
+{
+    Readout<O> r{O::zero(), O::zero(), O::zero(), O::zero()};
+    for (int q = 0; q < SteaneCode::numPhysical; ++q) {
+        const auto e =
+            O::load(plane + static_cast<std::size_t>(q) * stride + w);
+        r.parity = r.parity ^ e;
+        const unsigned col = static_cast<unsigned>(q) + 1;
+        if (col & 1u)
+            r.s0 = r.s0 ^ e;
+        if (col & 2u)
+            r.s1 = r.s1 ^ e;
+        if (col & 4u)
+            r.s2 = r.s2 ^ e;
+    }
+    return r;
 }
 
 // Block base offsets within the batched frame (same layout as the
@@ -140,7 +155,7 @@ class BatchWorkerT final : public BatchWorkerBase
           frame_(batch_detail::frameQubits, words), meas_(7 * wv()),
           active_(wv()), pending_(wv()), survivors_(wv()),
           done_(wv()), ok_(wv()), prepMask_(wv()), flip_(wv()),
-          measTmp_(wv()), eq_(wv()), parity_(wv()), confirm_(wv()),
+          measTmp_(wv()), eq_(wv()), confirm_(wv()),
           have_(wv()), agree_(wv()), prevS0_(wv()), prevS1_(wv()),
           prevS2_(wv()), prevP_(wv()), coin_(wv())
     {
@@ -162,8 +177,8 @@ class BatchWorkerT final : public BatchWorkerBase
     }
 
     void
-    runZeroBatch(Rng rng, ZeroPrepStrategy strategy,
-                 const Word *active) override
+    runBatch(Rng rng, ZeroPrepStrategy strategy, bool pi8,
+             const Word *active) override
     {
         rng_ = rng;
         pGate_.reset(rng_);
@@ -176,28 +191,22 @@ class BatchWorkerT final : public BatchWorkerBase
             strategy == ZeroPrepStrategy::CorrectOnly ||
             strategy == ZeroPrepStrategy::VerifyAndCorrect;
 
-        if (!corrected) {
+        if (corrected)
+            drainCorrectedPrep(active, verified);
+        else
             prepareBlock(batch_detail::blockA, verified, active);
-            classifyTally(active);
-            return;
-        }
-
-        drainCorrectedPrep(active, verified, /*tally=*/true);
+        if (pi8)
+            convertPi8(active);
+        classifyTally(active);
     }
 
+  private:
+    std::size_t wv() const { return static_cast<std::size_t>(words_); }
+
+    /** The Fig 5b conversion of the corrected zero on block A. */
     void
-    runPi8Batch(Rng rng, const Word *active) override
+    convertPi8(const Word *active)
     {
-        rng_ = rng;
-        pGate_.reset(rng_);
-        pMove_.reset(rng_);
-        frame_.clear();
-
-        // Verified-and-corrected zero input, as in runZeroBatch
-        // (residuals are classified after the conversion, not here).
-        drainCorrectedPrep(active, /*verified=*/true,
-                           /*tally=*/false);
-
         // 7-qubit cat state on the freed block B.
         const int cat7 = batch_detail::blockB;
         for (int i = 0; i < 7; ++i)
@@ -228,7 +237,8 @@ class BatchWorkerT final : public BatchWorkerBase
             gateCx(cat7 + i, cat7 + i + 1, active);
         gateH(cat7, active);
         for (int i = 0; i < 7; ++i)
-            measureZFlip(cat7 + i, active, measTmp_.data());
+            measureFlip(/*xBasis=*/false, cat7 + i, active,
+                        measTmp_.data());
 
         // Conditional transversal Z fix-up on half the outcomes: the
         // intended gate leaves the frame untouched but its physical
@@ -238,12 +248,7 @@ class BatchWorkerT final : public BatchWorkerBase
         for (int i = 0; i < 7; ++i)
             frame_.inject1q(rng_, pGate_, batch_detail::blockA + i,
                             coin_.data());
-
-        classifyTally(active);
     }
-
-  private:
-    std::size_t wv() const { return static_cast<std::size_t>(words_); }
 
     /**
      * Drain the corrected-preparation pipeline for every trial in
@@ -251,12 +256,10 @@ class BatchWorkerT final : public BatchWorkerBase
      * phase-correct. Trials whose correction stage detects an error
      * recycle the whole pipeline; finished trials drop out of the
      * mask and their frame bits stay frozen while the stragglers
-     * loop (every op is masked). When `tally` is set, finished
-     * trials are classified as they complete (runZeroBatch); the
-     * pi/8 path defers classification to after the conversion.
+     * loop (every op is masked), so they are classified at the end.
      */
     void
-    drainCorrectedPrep(const Word *active, bool verified, bool tally)
+    drainCorrectedPrep(const Word *active, bool verified)
     {
         using batch_detail::any;
         // Under ApplyFix a verified pipeline must not trust a
@@ -274,7 +277,7 @@ class BatchWorkerT final : public BatchWorkerBase
                          pending_.data());
             correctStage(false, batch_detail::blockA,
                          batch_detail::blockB, pending_.data());
-            batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+            simd::spans<Ops>(words_, [&](auto ops, int w) {
                 using O = decltype(ops);
                 O::store(survivors_.data() + w,
                          O::load(pending_.data() + w)
@@ -294,16 +297,14 @@ class BatchWorkerT final : public BatchWorkerBase
                 correctStage(true, batch_detail::blockA,
                              batch_detail::blockC,
                              survivors_.data());
-                batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+                simd::spans<Ops>(words_, [&](auto ops, int w) {
                     using O = decltype(ops);
                     O::store(done_.data() + w,
                              O::load(survivors_.data() + w)
                                  & O::load(ok_.data() + w));
                 });
             }
-            if (tally)
-                classifyTally(done_.data());
-            batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+            simd::spans<Ops>(words_, [&](auto ops, int w) {
                 using O = decltype(ops);
                 O::store(pending_.data() + w,
                          O::load(pending_.data() + w)
@@ -353,39 +354,23 @@ class BatchWorkerT final : public BatchWorkerBase
     }
 
     /**
-     * Per-trial recorded-outcome flips of a Z-basis measurement.
-     * The flip stream advances over all words regardless of the
-     * mask (width-invariant RNG); flips outside the mask are
-     * discarded.
+     * Per-trial recorded-outcome flips of measuring q in the X basis
+     * (`xBasis`: phase errors flip the outcome) or the Z basis (bit
+     * errors do). The flip stream advances over all words
+     * regardless of the mask (width-invariant RNG); flips outside
+     * the mask are discarded.
      */
     void
-    measureZFlip(int q, const Word *m, Word *out)
+    measureFlip(bool xBasis, int q, const Word *m, Word *out)
     {
         chargeMeasMovement(q, m);
-        const Word *xq = frame_.x(q);
+        const Word *plane = xBasis ? frame_.z(q) : frame_.x(q);
         std::fill(out, out + words_, Word{0});
         pGate_.window(rng_, words_,
                       [&](int w, Word f) { out[w] = f; });
-        batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
             using O = decltype(ops);
-            O::store(out + w, (O::load(xq + w) ^ O::load(out + w))
-                                  & O::load(m + w));
-        });
-        frame_.clearQubit(q, m);
-    }
-
-    /** X-basis measurement flips (phase errors flip the outcome). */
-    void
-    measureXFlip(int q, const Word *m, Word *out)
-    {
-        chargeMeasMovement(q, m);
-        const Word *zq = frame_.z(q);
-        std::fill(out, out + words_, Word{0});
-        pGate_.window(rng_, words_,
-                      [&](int w, Word f) { out[w] = f; });
-        batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
-            using O = decltype(ops);
-            O::store(out + w, (O::load(zq + w) ^ O::load(out + w))
+            O::store(out + w, (O::load(plane + w) ^ O::load(out + w))
                                   & O::load(m + w));
         });
         frame_.clearQubit(q, m);
@@ -430,8 +415,9 @@ class BatchWorkerT final : public BatchWorkerBase
 
         std::fill(flip_.begin(), flip_.end(), Word{0});
         for (int i = 0; i < 3; ++i) {
-            measureXFlip(catBase + i, m, measTmp_.data());
-            batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+            measureFlip(/*xBasis=*/true, catBase + i, m,
+                        measTmp_.data());
+            simd::spans<Ops>(words_, [&](auto ops, int w) {
                 using O = decltype(ops);
                 O::store(flip_.data() + w,
                          O::load(flip_.data() + w)
@@ -455,7 +441,7 @@ class BatchWorkerT final : public BatchWorkerBase
             if (!verified)
                 return;
             verifyBlock(base, prepMask_.data());
-            batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+            simd::spans<Ops>(words_, [&](auto ops, int w) {
                 using O = decltype(ops);
                 O::store(prepMask_.data() + w,
                          O::load(prepMask_.data() + w)
@@ -467,61 +453,54 @@ class BatchWorkerT final : public BatchWorkerBase
     }
 
     /**
-     * One correction stage (bit stage when phase == false, phase
-     * stage otherwise) on block A using a fresh ancilla block. On
-     * return ok_ holds the trials that keep their block (under
-     * DiscardOnSyndrome, trials with a non-trivial syndrome or odd
-     * readout parity are dropped; under ApplyFix every trial passes
-     * and the decoded single-qubit patch is applied per trial).
+     * One syndrome extraction on block A for the trials in m: the
+     * transversal CX with the ancilla block (data->ancilla for the
+     * bit stage, ancilla->data for the phase stage) and the
+     * ancilla's seven readouts (Z basis, resp. X basis) into meas_.
+     * Tallies a correction attempt per trial.
      */
     void
-    correctStage(bool phase, int base_a, int base_anc, const Word *m)
+    extract(bool phase, int base_a, int base_anc, const Word *m)
     {
         correctionAttempts += batch_detail::popcount(m, words_);
-
         for (int q = 0; q < SteaneCode::numPhysical; ++q) {
             if (phase)
                 gateCx(base_anc + q, base_a + q, m);
             else
                 gateCx(base_a + q, base_anc + q, m);
         }
-        for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-            Word *out = &meas_[static_cast<std::size_t>(q) * wv()];
-            if (phase)
-                measureXFlip(base_anc + q, m, out);
-            else
-                measureZFlip(base_anc + q, m, out);
-        }
+        for (int q = 0; q < SteaneCode::numPhysical; ++q)
+            measureFlip(/*xBasis=*/phase, base_anc + q, m,
+                        &meas_[static_cast<std::size_t>(q) * wv()]);
+    }
 
+    /**
+     * One correction stage (bit stage when phase == false, phase
+     * stage otherwise) on block A using a fresh ancilla block. On
+     * return ok_ holds the trials that keep their block (under
+     * DiscardOnSyndrome, trials with a non-trivial syndrome or odd
+     * readout parity are dropped; under ApplyFix every trial passes
+     * and the decoded patch is applied per trial).
+     */
+    void
+    correctStage(bool phase, int base_a, int base_anc, const Word *m)
+    {
+        extract(phase, base_a, base_anc, m);
         if (semantics_ == CorrectionSemantics::ApplyFix) {
             applyFixScatter(phase, base_a, m);
             std::copy(m, m + words_, ok_.begin());
             return;
         }
-
-        batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
             using O = decltype(ops);
-            auto s0 = O::zero(), s1 = O::zero(), s2 = O::zero();
-            auto parity = O::zero();
-            for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-                const auto e = O::load(
-                    &meas_[static_cast<std::size_t>(q) * wv()] + w);
-                parity = parity ^ e;
-                const unsigned col = static_cast<unsigned>(q) + 1;
-                if (col & 1u)
-                    s0 = s0 ^ e;
-                if (col & 2u)
-                    s1 = s1 ^ e;
-                if (col & 4u)
-                    s2 = s2 ^ e;
-            }
-            const auto bad = (s0 | s1 | s2 | parity) & O::load(m + w);
+            const auto r = batch_detail::readout<O>(meas_.data(), wv(), w);
+            const auto bad =
+                (r.s0 | r.s1 | r.s2 | r.parity) & O::load(m + w);
             O::store(measTmp_.data() + w, bad);
             O::store(ok_.data() + w, O::load(m + w) & ~bad);
         });
-        for (int w = 0; w < words_; ++w)
-            correctionFailures += static_cast<std::uint64_t>(
-                __builtin_popcountll(measTmp_[w]));
+        correctionFailures +=
+            batch_detail::popcount(measTmp_.data(), words_);
     }
 
     /**
@@ -538,30 +517,26 @@ class BatchWorkerT final : public BatchWorkerBase
     void
     applyFixScatter(bool phase, int base_a, const Word *m)
     {
-        batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
-            using O = decltype(ops);
-            auto parity = O::zero();
-            for (int q = 0; q < SteaneCode::numPhysical; ++q)
-                parity = parity
-                    ^ O::load(&meas_[static_cast<std::size_t>(q)
-                                     * wv()]
-                              + w);
-            O::store(parity_.data() + w, parity);
-        });
         for (int odd = 1; odd >= 0; --odd) {
             for (unsigned s = 0; s < 8; ++s) {
                 const SteaneCode::Mask fix =
                     SteaneCode::fixFor(s, odd != 0);
                 if (!fix)
                     continue;
-                syndromeEquals(s, m);
-                batch_detail::spans<Ops>(words_, [&](auto ops,
-                                                     int w) {
+                // eq_ := trials in m whose readout class is (s, odd).
+                simd::spans<Ops>(words_, [&](auto ops, int w) {
                     using O = decltype(ops);
-                    const auto p = O::load(parity_.data() + w);
+                    const auto r =
+                        batch_detail::readout<O>(meas_.data(), wv(), w);
+                    const auto ones = ~O::zero();
+                    const auto zero = O::zero();
+                    const auto mismatch =
+                        (r.s0 ^ ((s & 1u) ? ones : zero))
+                        | (r.s1 ^ ((s & 2u) ? ones : zero))
+                        | (r.s2 ^ ((s & 4u) ? ones : zero))
+                        | (r.parity ^ (odd ? ones : zero));
                     O::store(eq_.data() + w,
-                             O::load(eq_.data() + w)
-                                 & (odd ? p : ~p));
+                             ~mismatch & O::load(m + w));
                 });
                 if (!batch_detail::any(eq_.data(), words_))
                     continue;
@@ -597,54 +572,31 @@ class BatchWorkerT final : public BatchWorkerBase
         while (any(confirm_.data(), words_)) {
             prepareBlock(base_c, /*verified=*/true,
                          confirm_.data());
-            correctionAttempts +=
-                batch_detail::popcount(confirm_.data(), words_);
-            for (int q = 0; q < SteaneCode::numPhysical; ++q)
-                gateCx(base_c + q, base_a + q, confirm_.data());
-            for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-                Word *out =
-                    &meas_[static_cast<std::size_t>(q) * wv()];
-                measureXFlip(base_c + q, confirm_.data(), out);
-            }
-            batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+            extract(/*phase=*/true, base_a, base_c, confirm_.data());
+            simd::spans<Ops>(words_, [&](auto ops, int w) {
                 using O = decltype(ops);
-                auto s0 = O::zero(), s1 = O::zero(), s2 = O::zero();
-                auto parity = O::zero();
-                for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-                    const auto e = O::load(
-                        &meas_[static_cast<std::size_t>(q) * wv()]
-                        + w);
-                    parity = parity ^ e;
-                    const unsigned col =
-                        static_cast<unsigned>(q) + 1;
-                    if (col & 1u)
-                        s0 = s0 ^ e;
-                    if (col & 2u)
-                        s1 = s1 ^ e;
-                    if (col & 4u)
-                        s2 = s2 ^ e;
-                }
+                const auto r =
+                    batch_detail::readout<O>(meas_.data(), wv(), w);
                 const auto confirm = O::load(confirm_.data() + w);
                 O::store(
                     agree_.data() + w,
                     confirm & O::load(have_.data() + w)
-                        & ~((s0 ^ O::load(prevS0_.data() + w))
-                            | (s1 ^ O::load(prevS1_.data() + w))
-                            | (s2 ^ O::load(prevS2_.data() + w))
-                            | (parity
+                        & ~((r.s0 ^ O::load(prevS0_.data() + w))
+                            | (r.s1 ^ O::load(prevS1_.data() + w))
+                            | (r.s2 ^ O::load(prevS2_.data() + w))
+                            | (r.parity
                                ^ O::load(prevP_.data() + w))));
-                O::store(prevS0_.data() + w, s0);
-                O::store(prevS1_.data() + w, s1);
-                O::store(prevS2_.data() + w, s2);
-                O::store(prevP_.data() + w, parity);
+                O::store(prevS0_.data() + w, r.s0);
+                O::store(prevS1_.data() + w, r.s1);
+                O::store(prevS2_.data() + w, r.s2);
+                O::store(prevP_.data() + w, r.parity);
                 O::store(have_.data() + w,
                          O::load(have_.data() + w) | confirm);
             });
             if (any(agree_.data(), words_)) {
                 applyFixScatter(/*phase=*/true, base_a,
                                 agree_.data());
-                batch_detail::spans<Ops>(words_, [&](auto ops,
-                                                     int w) {
+                simd::spans<Ops>(words_, [&](auto ops, int w) {
                     using O = decltype(ops);
                     O::store(confirm_.data() + w,
                              O::load(confirm_.data() + w)
@@ -652,34 +604,6 @@ class BatchWorkerT final : public BatchWorkerBase
                 });
             }
         }
-    }
-
-    /** eq_ := trials in m whose readout syndrome equals `value`. */
-    void
-    syndromeEquals(unsigned value, const Word *m)
-    {
-        batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
-            using O = decltype(ops);
-            auto s0 = O::zero(), s1 = O::zero(), s2 = O::zero();
-            for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-                const auto e = O::load(
-                    &meas_[static_cast<std::size_t>(q) * wv()] + w);
-                const unsigned col = static_cast<unsigned>(q) + 1;
-                if (col & 1u)
-                    s0 = s0 ^ e;
-                if (col & 2u)
-                    s1 = s1 ^ e;
-                if (col & 4u)
-                    s2 = s2 ^ e;
-            }
-            auto mismatch = s0 ^ ((value & 1u) ? ~O::zero()
-                                               : O::zero());
-            mismatch = mismatch
-                | (s1 ^ ((value & 2u) ? ~O::zero() : O::zero()));
-            mismatch = mismatch
-                | (s2 ^ ((value & 4u) ? ~O::zero() : O::zero()));
-            O::store(eq_.data() + w, ~mismatch & O::load(m + w));
-        });
     }
 
     /**
@@ -696,34 +620,18 @@ class BatchWorkerT final : public BatchWorkerBase
     {
         if (!batch_detail::any(m, words_))
             return;
-        batch_detail::spans<Ops>(words_, [&](auto ops, int w) {
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
             using O = decltype(ops);
             auto fail = O::zero();
-            for (int plane = 0; plane < 2; ++plane) {
-                auto parity = O::zero();
-                auto s0 = O::zero(), s1 = O::zero(), s2 = O::zero();
-                for (int q = 0; q < SteaneCode::numPhysical; ++q) {
-                    const auto e = O::load(
-                        (plane == 0
-                             ? frame_.x(batch_detail::blockA + q)
-                             : frame_.z(batch_detail::blockA + q))
-                        + w);
-                    parity = parity ^ e;
-                    const unsigned col = static_cast<unsigned>(q) + 1;
-                    if (col & 1u)
-                        s0 = s0 ^ e;
-                    if (col & 2u)
-                        s1 = s1 ^ e;
-                    if (col & 4u)
-                        s2 = s2 ^ e;
-                }
-                fail = fail | (parity ^ (s0 | s1 | s2));
+            for (const Word *plane :
+                 {frame_.x(batch_detail::blockA),
+                  frame_.z(batch_detail::blockA)}) {
+                const auto r = batch_detail::readout<O>(plane, wv(), w);
+                fail = fail | (r.parity ^ (r.s0 | r.s1 | r.s2));
             }
             O::store(measTmp_.data() + w, fail & O::load(m + w));
         });
-        for (int w = 0; w < words_; ++w)
-            failures += static_cast<std::uint64_t>(
-                __builtin_popcountll(measTmp_[w]));
+        failures += batch_detail::popcount(measTmp_.data(), words_);
     }
 
     MovementModel movement_;
@@ -744,7 +652,6 @@ class BatchWorkerT final : public BatchWorkerBase
     std::vector<Word> flip_;
     std::vector<Word> measTmp_;
     std::vector<Word> eq_;
-    std::vector<Word> parity_; ///< logical readout parity per trial
     // Confirmed phase-correction state (syndrome bits + parity of
     // the previous extraction, per trial).
     std::vector<Word> confirm_; ///< trials awaiting confirmation

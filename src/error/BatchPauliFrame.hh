@@ -14,11 +14,10 @@
  * The class is templated on a simd::*Ops word-width policy (see
  * common/simd/SimdOps.hh): the pure-bitwise masked Clifford loops
  * are blocked by Ops::kLanes words per step (256/512-bit vectors
- * under the matching target flags) with a scalar tail, while every
+ * under the matching target flags) with a 1-word tail, while every
  * RNG-consuming loop stays ordered per 64-bit word — which is what
- * makes results bit-identical across every width including the
- * scalar fallback. `BatchPauliFrame` aliases the 1-lane reference
- * instantiation.
+ * makes results bit-identical across every width.
+ * `BatchPauliFrame` aliases the 1-lane reference instantiation.
  *
  * All mutators take an active-trial mask (one word array of the
  * same width): bits outside the mask are left untouched, which is
@@ -91,16 +90,12 @@ class BatchPauliFrameT
     {
         Word *xq = x(q);
         Word *zq = z(q);
-        int w = 0;
-        for (; w + Ops::kLanes <= words_; w += Ops::kLanes) {
-            const auto keep = ~Ops::load(m + w);
-            Ops::store(xq + w, Ops::load(xq + w) & keep);
-            Ops::store(zq + w, Ops::load(zq + w) & keep);
-        }
-        for (; w < words_; ++w) {
-            xq[w] &= ~m[w];
-            zq[w] &= ~m[w];
-        }
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
+            using O = decltype(ops);
+            const auto keep = ~O::load(m + w);
+            O::store(xq + w, O::load(xq + w) & keep);
+            O::store(zq + w, O::load(zq + w) & keep);
+        });
     }
 
     /** Toggle an X error on q in the masked trials. */
@@ -108,11 +103,10 @@ class BatchPauliFrameT
     flipX(int q, const Word *m)
     {
         Word *xq = x(q);
-        int w = 0;
-        for (; w + Ops::kLanes <= words_; w += Ops::kLanes)
-            Ops::store(xq + w, Ops::load(xq + w) ^ Ops::load(m + w));
-        for (; w < words_; ++w)
-            xq[w] ^= m[w];
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
+            using O = decltype(ops);
+            O::store(xq + w, O::load(xq + w) ^ O::load(m + w));
+        });
     }
 
     /** Toggle a Z error on q in the masked trials. */
@@ -120,11 +114,10 @@ class BatchPauliFrameT
     flipZ(int q, const Word *m)
     {
         Word *zq = z(q);
-        int w = 0;
-        for (; w + Ops::kLanes <= words_; w += Ops::kLanes)
-            Ops::store(zq + w, Ops::load(zq + w) ^ Ops::load(m + w));
-        for (; w < words_; ++w)
-            zq[w] ^= m[w];
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
+            using O = decltype(ops);
+            O::store(zq + w, O::load(zq + w) ^ O::load(m + w));
+        });
     }
 
     /** @name Branch-free masked Clifford conjugation. */
@@ -136,19 +129,14 @@ class BatchPauliFrameT
     {
         Word *xq = x(q);
         Word *zq = z(q);
-        int w = 0;
-        for (; w + Ops::kLanes <= words_; w += Ops::kLanes) {
-            const auto xv = Ops::load(xq + w);
-            const auto zv = Ops::load(zq + w);
-            const auto diff = (xv ^ zv) & Ops::load(m + w);
-            Ops::store(xq + w, xv ^ diff);
-            Ops::store(zq + w, zv ^ diff);
-        }
-        for (; w < words_; ++w) {
-            const Word diff = (xq[w] ^ zq[w]) & m[w];
-            xq[w] ^= diff;
-            zq[w] ^= diff;
-        }
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
+            using O = decltype(ops);
+            const auto xv = O::load(xq + w);
+            const auto zv = O::load(zq + w);
+            const auto diff = (xv ^ zv) & O::load(m + w);
+            O::store(xq + w, xv ^ diff);
+            O::store(zq + w, zv ^ diff);
+        });
     }
 
     /** Phase gate: X -> Y (adds Z where X is set). */
@@ -157,13 +145,11 @@ class BatchPauliFrameT
     {
         const Word *xq = x(q);
         Word *zq = z(q);
-        int w = 0;
-        for (; w + Ops::kLanes <= words_; w += Ops::kLanes)
-            Ops::store(zq + w,
-                       Ops::load(zq + w)
-                           ^ (Ops::load(xq + w) & Ops::load(m + w)));
-        for (; w < words_; ++w)
-            zq[w] ^= xq[w] & m[w];
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
+            using O = decltype(ops);
+            O::store(zq + w,
+                     O::load(zq + w) ^ (O::load(xq + w) & O::load(m + w)));
+        });
     }
 
     /** CX: X on control spreads to target; Z on target to control. */
@@ -174,18 +160,12 @@ class BatchPauliFrameT
         Word *xt = x(target);
         Word *zc = z(control);
         const Word *zt = z(target);
-        int w = 0;
-        for (; w + Ops::kLanes <= words_; w += Ops::kLanes) {
-            const auto mm = Ops::load(m + w);
-            Ops::store(xt + w,
-                       Ops::load(xt + w) ^ (Ops::load(xc + w) & mm));
-            Ops::store(zc + w,
-                       Ops::load(zc + w) ^ (Ops::load(zt + w) & mm));
-        }
-        for (; w < words_; ++w) {
-            xt[w] ^= xc[w] & m[w];
-            zc[w] ^= zt[w] & m[w];
-        }
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
+            using O = decltype(ops);
+            const auto mm = O::load(m + w);
+            O::store(xt + w, O::load(xt + w) ^ (O::load(xc + w) & mm));
+            O::store(zc + w, O::load(zc + w) ^ (O::load(zt + w) & mm));
+        });
     }
 
     /** CZ: X on either side deposits Z on the other. */
@@ -196,18 +176,12 @@ class BatchPauliFrameT
         const Word *xb = x(b);
         Word *za = z(a);
         Word *zb = z(b);
-        int w = 0;
-        for (; w + Ops::kLanes <= words_; w += Ops::kLanes) {
-            const auto mm = Ops::load(m + w);
-            Ops::store(zb + w,
-                       Ops::load(zb + w) ^ (Ops::load(xa + w) & mm));
-            Ops::store(za + w,
-                       Ops::load(za + w) ^ (Ops::load(xb + w) & mm));
-        }
-        for (; w < words_; ++w) {
-            zb[w] ^= xa[w] & m[w];
-            za[w] ^= xb[w] & m[w];
-        }
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
+            using O = decltype(ops);
+            const auto mm = O::load(m + w);
+            O::store(zb + w, O::load(zb + w) ^ (O::load(xa + w) & mm));
+            O::store(za + w, O::load(za + w) ^ (O::load(xb + w) & mm));
+        });
     }
 
     /** @} */

@@ -7,96 +7,6 @@
 
 namespace qc {
 
-namespace {
-
-/**
- * Counting oracle: never faults, tallies the sites per class. With
- * no faults the circuit follows its deterministic noiseless path,
- * so the counts are the nominal-path site counts N_g and N_m. The
- * pi/8 fix-up coin is pinned to the minimal-site branch (no
- * fix-up) so the counts are a lower bound over every realized
- * path — the invariant the scheduled oracle's conditional sampling
- * rule needs.
- */
-class CountingOracle final : public FaultOracle
-{
-  public:
-    bool
-    fault(Rng & /*rng*/, FaultClass cls, double /*p*/) override
-    {
-        if (cls == FaultClass::Gate)
-            ++gateSites;
-        else
-            ++moveSites;
-        return false;
-    }
-
-    bool coin(Rng & /*rng*/) override { return false; }
-
-    std::uint64_t gateSites = 0;
-    std::uint64_t moveSites = 0;
-};
-
-/**
- * Scheduled oracle: plants exactly `target` faults of each class
- * among the first `total` realized sites of that class, via the
- * sequential r-of-m rule (fault with probability remaining/slots —
- * a uniformly random subset of the slots, valid even though slots
- * are revealed one at a time). Sites past the first `total` sample
- * at their natural rate. beginTrial() rearms the schedule.
- */
-class ScheduledOracle final : public FaultOracle
-{
-  public:
-    void
-    configure(std::uint64_t gate_sites, std::uint64_t move_sites,
-              int gate_faults, int move_faults)
-    {
-        cls_[0].total = gate_sites;
-        cls_[0].target = static_cast<std::uint64_t>(gate_faults);
-        cls_[1].total = move_sites;
-        cls_[1].target = static_cast<std::uint64_t>(move_faults);
-    }
-
-    void
-    beginTrial()
-    {
-        for (auto &c : cls_) {
-            c.visited = 0;
-            c.remaining = c.target;
-        }
-    }
-
-    bool
-    fault(Rng &rng, FaultClass cls, double p) override
-    {
-        auto &c = cls_[cls == FaultClass::Gate ? 0 : 1];
-        if (c.visited >= c.total)
-            return rng.bernoulli(p); // beyond the nominal sites
-        const std::uint64_t slots = c.total - c.visited;
-        ++c.visited;
-        if (c.remaining == 0)
-            return false;
-        if (rng.below(slots) < c.remaining) {
-            --c.remaining;
-            return true;
-        }
-        return false;
-    }
-
-  private:
-    struct ClassState
-    {
-        std::uint64_t total = 0;
-        std::uint64_t target = 0;
-        std::uint64_t visited = 0;
-        std::uint64_t remaining = 0;
-    };
-    ClassState cls_[2];
-};
-
-} // namespace
-
 double
 StratumEstimate::rate() const
 {
@@ -193,20 +103,19 @@ StratifiedPrepSampler::run(ZeroPrepStrategy strategy, bool pi8,
 
     StratifiedEstimate out;
 
-    // Nominal-path site counts from a noiseless dry run. The
-    // counting oracle never consumes RNG, so the run is exactly the
-    // deterministic noiseless path.
+    // Nominal-path site counts from a noiseless dry run. A dry run
+    // never consumes RNG, so it is exactly the deterministic
+    // noiseless path.
     {
-        CountingOracle counter;
         AncillaPrepSimulator sim(errors_, movement_, /*seed=*/0,
                                  semantics_);
-        sim.setFaultOracle(&counter);
+        sim.faultSchedule().dryRun = true;
         if (pi8)
             sim.simulatePi8Once();
         else
             sim.simulateOnce(strategy);
-        out.gateSites = counter.gateSites;
-        out.moveSites = counter.moveSites;
+        out.gateSites = sim.faultSchedule().gate.seen;
+        out.moveSites = sim.faultSchedule().move.seen;
     }
 
     // Enumerate strata (a, b), a + b <= maxFaults, with their
@@ -256,15 +165,15 @@ StratifiedPrepSampler::run(ZeroPrepStrategy strategy, bool pi8,
         if (s.analytic)
             return;
         s.trials = config.trialsPerStratum;
-        ScheduledOracle oracle;
-        oracle.configure(out.gateSites, out.moveSites, s.gateFaults,
-                         s.moveFaults);
         AncillaPrepSimulator sim(errors_, movement_, seeds[i],
                                  semantics_);
-        sim.setFaultOracle(&oracle);
+        FaultSchedule &schedule = sim.faultSchedule();
+        schedule.gate.sites = out.gateSites;
+        schedule.gate.faults = static_cast<std::uint64_t>(s.gateFaults);
+        schedule.move.sites = out.moveSites;
+        schedule.move.faults = static_cast<std::uint64_t>(s.moveFaults);
         std::uint64_t failures = 0;
         for (std::uint64_t t = 0; t < s.trials; ++t) {
-            oracle.beginTrial();
             const PrepOutcome o = pi8 ? sim.simulatePi8Once()
                                       : sim.simulateOnce(strategy);
             if (o.failed())

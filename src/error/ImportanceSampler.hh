@@ -25,13 +25,14 @@
  *      Bernoulli, so the first-N indicators are i.i.d. even though
  *      sites are revealed adaptively).
  *   3. Each stratum (a, b) with a + b <= maxFaults is estimated by
- *      dedicated trials whose oracle plants *exactly* a gate and b
- *      movement faults among those first sites, via sequential
- *      conditional sampling: at a class-c site with r faults left
- *      to place among m remaining slots, fault with probability
- *      r/m (a uniformly random size-r subset, valid under adaptive
- *      revelation). Sites beyond the first N_c (only reachable
- *      when a fault already fired) sample at the natural rate.
+ *      dedicated trials whose fault schedule plants *exactly* a
+ *      gate and b movement faults among those first sites, via
+ *      sequential conditional sampling: at a class-c site with r
+ *      faults left to place among m remaining slots, fault with
+ *      probability r/m (a uniformly random size-r subset, valid
+ *      under adaptive revelation). Sites beyond the first N_c
+ *      (only reachable when a fault already fired) sample at the
+ *      natural rate.
  *      The (0, 0) stratum is analytic: zero faults on the nominal
  *      path cannot fail, f_00 = 0.
  *
@@ -41,11 +42,11 @@
  * conservative. Priors use iterative pmf recurrences (no lgamma /
  * pow), keeping results bit-identical across platforms.
  *
- * The sampler drives the *scalar* reference circuit through the
- * FaultOracle seam — per-trial sequential decisions do not
- * bit-pack — so its throughput is the scalar engine's; its win is
- * statistical: variance concentrates in strata that actually fail,
- * giving deep-subthreshold points tight CIs at fixed cost.
+ * The sampler drives the *scalar* reference circuit under a
+ * FaultSchedule (error/AncillaSim.hh), so its throughput is the
+ * scalar engine's; its win is statistical: variance concentrates in
+ * strata that actually fail, giving deep-subthreshold points tight
+ * CIs at fixed cost.
  */
 
 #ifndef QC_ERROR_IMPORTANCE_SAMPLER_HH

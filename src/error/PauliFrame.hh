@@ -148,7 +148,7 @@ class PauliFrame
     /**
      * The hit path of inject1q without the Bernoulli decision:
      * apply a uniformly drawn non-identity Pauli to q. Lets a
-     * fault oracle (error/FaultOracle.hh) own the fire/no-fire
+     * fault schedule (error/AncillaSim.hh) own the fire/no-fire
      * decision while the kind draw stays identical to inject1q.
      */
     void

@@ -15,9 +15,6 @@ makeBatchWorker(simd::Width width, const ErrorParams &errors,
                 CorrectionSemantics semantics, int words)
 {
     switch (width) {
-    case simd::Width::Scalar:
-        return batch_widths::makeScalar(errors, movement, semantics,
-                                        words);
     case simd::Width::W64:
         return batch_widths::makeW64(errors, movement, semantics,
                                      words);

@@ -13,10 +13,6 @@
 namespace qc::batch_widths {
 
 std::unique_ptr<BatchWorkerBase>
-makeScalar(const ErrorParams &errors, const MovementModel &movement,
-           CorrectionSemantics semantics, int words);
-
-std::unique_ptr<BatchWorkerBase>
 makeW64(const ErrorParams &errors, const MovementModel &movement,
         CorrectionSemantics semantics, int words);
 

@@ -164,7 +164,7 @@ class McPrepRunner : public SweepRunner
     {
         return {"maxFaults", "pGate", "pMove", "sampler", "seed",
                 "semantics", "strategy", "trials",
-                "trialsPerStratum", "width", "wordsPerQubit"};
+                "trialsPerStratum", "wordsPerQubit"};
     }
 
     Json
@@ -198,14 +198,6 @@ class McPrepRunner : public SweepRunner
         // own thread counts anyway; this keeps a point's cost
         // independent of the pool size.)
         batch.threads = 1;
-        // SIMD width of the batch engine. Every width is
-        // bit-identical, so this (like QC_FORCE_WIDTH, which
-        // overrides "auto") never shows up in the results.
-        const std::string widthKey =
-            config.getString("width", "auto");
-        if (!simd::parseWidth(widthKey, &batch.width))
-            throw std::invalid_argument(
-                "unknown mc-prep width \"" + widthKey + "\"");
 
         // Movement charges calibrated from the routed Fig 11
         // layout — identical for every point, so computed once.

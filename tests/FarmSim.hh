@@ -1,22 +1,54 @@
-#include "factory/FarmSim.hh"
+/**
+ * @file
+ * Event-level simulation of the pipelined encoded-zero factory
+ * (Fig 12): candidates flow through the prep farm, the CX encode
+ * network, cat preparation, verification post-selection and the
+ * correction stage, each modeled as a bank of initiation-limited
+ * units with the Table 5 latencies.
+ *
+ * This cross-validates the closed-form Table 6 design: the measured
+ * steady-state output rate must match ZeroFactory::throughput()
+ * (10.5 encoded ancillae/ms at the paper's technology point), and
+ * the first-output latency must match the pipeline fill time. Only
+ * test_extensions uses it, so it lives beside that test.
+ */
+
+#ifndef QC_TESTS_FARM_SIM_HH
+#define QC_TESTS_FARM_SIM_HH
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/Logging.hh"
+#include "common/Rng.hh"
+#include "factory/ZeroFactory.hh"
 
 namespace qc {
 
-namespace {
+/** Outcome of a factory-pipeline simulation. */
+struct FarmSimResult
+{
+    /** Measured steady-state output rate (per ms). */
+    BandwidthPerMs throughput = 0;
+
+    /** Completion time of the first delivered ancilla. */
+    Time firstOutput = 0;
+
+    /** Ancillae delivered. */
+    std::uint64_t produced = 0;
+
+    /** Candidates rejected by verification. */
+    std::uint64_t discarded = 0;
+};
+
+namespace farm_detail {
 
 /**
  * An initiation-limited bank of pipelined units: `count` units each
- * able to hold `stages` in-flight batches, so a new batch may start
- * every latency/stages per unit. The k-th initiation across the
- * bank completes at ceil(k / (count*stages)) * latency... more
- * precisely, slot k starts at ceil(k / (count*stages)) *
- * (latency / stages) and finishes latency later. Items also wait
- * for their inputs.
+ * able to hold `stages` in-flight batches, so slot k starts at
+ * ceil(k / (count*stages)) * (latency / stages) and finishes latency
+ * later. Items also wait for their inputs.
  */
 class StageBank
 {
@@ -57,12 +89,21 @@ class StageBank
     std::vector<Time> slots_;
 };
 
-} // namespace
+} // namespace farm_detail
 
-FarmSimResult
+/**
+ * Simulate `candidates` encoded-ancilla candidates through the
+ * factory pipeline.
+ *
+ * @param factory    the sized design (unit counts, latencies)
+ * @param candidates number of 7-qubit candidates to push through
+ * @param seed       RNG seed for verification post-selection
+ */
+inline FarmSimResult
 simulateZeroFactory(const ZeroFactory &factory, int candidates,
-                    std::uint64_t seed)
+                    std::uint64_t seed = 1)
 {
+    using farm_detail::StageBank;
     if (candidates < 6)
         fatal("simulateZeroFactory: need at least 6 candidates");
 
@@ -75,13 +116,7 @@ simulateZeroFactory(const ZeroFactory &factory, int candidates,
     StageBank correct(stages[4]);
 
     Rng rng(seed);
-    // Verification post-selection outcomes are drawn 64 candidates
-    // at a time through the batched Bernoulli sampler (bit t of a
-    // word = candidate t's discard coin), amortizing the RNG cost
-    // the same way the batched Monte Carlo engine does.
-    BernoulliWord discard_coin(1.0 - factory.acceptRate());
-    std::uint64_t discard_bits = 0;
-    int discard_bits_left = 0;
+    const double discard_rate = 1.0 - factory.acceptRate();
     FarmSimResult result;
 
     // Verified candidates waiting to be grouped in threes for the
@@ -104,14 +139,8 @@ simulateZeroFactory(const ZeroFactory &factory, int candidates,
         const Time checked =
             verify.process(std::max(encoded, cat_ready));
 
-        if (discard_bits_left == 0) {
-            discard_bits = discard_coin.next(rng);
-            discard_bits_left = 64;
-        }
-        const bool rejected = discard_bits & 1;
-        discard_bits >>= 1;
-        --discard_bits_left;
-        if (rejected) {
+        // Verification post-selection: one coin per candidate.
+        if (rng.bernoulli(discard_rate)) {
             ++result.discarded;
             continue;
         }
@@ -147,3 +176,5 @@ simulateZeroFactory(const ZeroFactory &factory, int candidates,
 }
 
 } // namespace qc
+
+#endif // QC_TESTS_FARM_SIM_HH

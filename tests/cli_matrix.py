@@ -5,19 +5,24 @@ Every bad invocation — unknown command, unknown subcommand, unknown
 flag, missing option value, malformed numeric value, wrong
 positional count — must exit 2 and print a one-line usage pointer
 on stderr. Well-formed commands whose *input* is bad (unreadable
-file) keep exit 1; this is the boundary the CLI's header documents
-and the sweep wrappers in CI rely on to tell "retry with a
-fixed file" from "fix the script".
+file, a hoard DIR that holds no store) keep exit 1; this is the
+boundary the CLI's header documents and the sweep wrappers in CI
+rely on to tell "retry with a fixed file" from "fix the script".
+Every case runs in an empty directory, which must stay empty: a
+failed command leaves nothing behind.
 
 Usage: cli_matrix.py <path-to-qcarch>
 """
 
+import os
 import subprocess
 import sys
+import tempfile
 
 USAGE_LINE = "usage: qcarch"
 
-# (description, argv-after-binary, expected-exit, expect-usage-line)
+# (description, argv-after-binary, expected-exit, expect-usage-line
+#  [, text stderr must contain])
 CASES = [
     ("no command at all", [], 2, True),
     ("unknown command", ["frobnicate"], 2, True),
@@ -56,6 +61,8 @@ CASES = [
      ["hoard", "warm", "spec.json", "--hoard", "d"], 2, True),
     ("hoard gc bad --max-bytes",
      ["hoard", "gc", "d", "--max-bytes", "lots"], 2, True),
+    ("hoard gc negative --max-age-days",
+     ["hoard", "gc", "d", "--max-age-days", "-3"], 2, True),
     ("hoard ingest (removed)",
      ["hoard", "ingest", "d", "--serve", "s"], 2, True),
     ("hoard stat with extra positional", ["hoard", "stat", "a", "b"],
@@ -70,6 +77,14 @@ CASES = [
      False),
     ("sweep on a missing file", ["sweep", "/nonexistent/s.json"], 1,
      False),
+    # Inspecting a store that is not there names it instead of
+    # creating an empty one.
+    ("hoard stat on a missing store", ["hoard", "stat", "typo_dir"],
+     1, False, "typo_dir"),
+    ("hoard verify on a missing store",
+     ["hoard", "verify", "typo_dir"], 1, False, "typo_dir"),
+    ("hoard gc on a missing store", ["hoard", "gc", "typo_dir"], 1,
+     False, "typo_dir"),
     # And exit 0: help is not an error.
     ("help", ["help"], 0, False),
     ("--help", ["--help"], 0, False),
@@ -80,12 +95,19 @@ def main():
     if len(sys.argv) != 2:
         print("usage: cli_matrix.py <qcarch>", file=sys.stderr)
         return 2
-    qcarch = sys.argv[1]
+    qcarch = os.path.abspath(sys.argv[1])
     failures = []
-    for description, argv, want_exit, want_usage in CASES:
-        proc = subprocess.run([qcarch] + argv, capture_output=True,
-                              text=True, timeout=60)
+    for description, argv, want_exit, want_usage, *mention in CASES:
+        with tempfile.TemporaryDirectory() as cwd:
+            proc = subprocess.run([qcarch] + argv, capture_output=True,
+                                  text=True, timeout=60, cwd=cwd)
+            left = sorted(os.listdir(cwd))
         problems = []
+        if left:
+            problems.append("left %r behind in its directory" % left)
+        if mention and mention[0] not in proc.stderr:
+            problems.append("stderr does not name %r: %r"
+                            % (mention[0], proc.stderr))
         if proc.returncode != want_exit:
             problems.append("exit %d, want %d"
                             % (proc.returncode, want_exit))

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the bit-parallel batched Monte Carlo engine: the
- * BernoulliWord mask sampler (bias and within-word independence),
- * masked BatchPauliFrame algebra against the scalar PauliFrame,
+ * Tests for the bit-parallel batched Monte Carlo engine: masked
+ * BatchPauliFrame algebra against the scalar PauliFrame,
  * statistical equivalence of BatchAncillaSim with the scalar
  * reference engine, and bit-reproducibility across thread counts.
  */
@@ -24,111 +23,6 @@
 
 namespace qc {
 namespace {
-
-// ---------------------------------------------------------------
-// BernoulliWord.
-// ---------------------------------------------------------------
-
-TEST(BernoulliWord, EdgeProbabilities)
-{
-    Rng rng(1);
-    BernoulliWord never(0.0);
-    BernoulliWord always(1.0);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_EQ(never.next(rng), 0u);
-        EXPECT_EQ(always.next(rng), ~std::uint64_t{0});
-    }
-}
-
-TEST(BernoulliWord, MeanMatchesPAcrossScales)
-{
-    for (double p : {1e-4, 1e-2, 0.1, 0.5, 0.9}) {
-        Rng rng(42);
-        BernoulliWord sampler(p);
-        const int words = p < 1e-3 ? 400000 : 40000;
-        std::uint64_t bits = 0;
-        for (int i = 0; i < words; ++i)
-            bits += static_cast<std::uint64_t>(
-                __builtin_popcountll(sampler.next(rng)));
-        const double n = 64.0 * words;
-        const double rate = static_cast<double>(bits) / n;
-        // Allow five binomial standard deviations.
-        const double sd = std::sqrt(p * (1.0 - p) / n);
-        EXPECT_NEAR(rate, p, 5.0 * sd + 1e-12) << "p=" << p;
-    }
-}
-
-TEST(BernoulliWord, ChiSquaredUnbiasedAcrossBitPositions)
-{
-    // Bit position must not bias the sampler: the geometric gap
-    // walk sets low positions first, so a systematic positional
-    // bias is the natural failure mode.
-    const double p = 0.3;
-    const int words = 50000;
-    Rng rng(7);
-    BernoulliWord sampler(p);
-    std::array<std::uint64_t, 64> counts{};
-    for (int i = 0; i < words; ++i) {
-        std::uint64_t w = sampler.next(rng);
-        while (w) {
-            counts[static_cast<std::size_t>(
-                __builtin_ctzll(w))] += 1;
-            w &= w - 1;
-        }
-    }
-    const double expected = p * words;
-    const double var = words * p * (1.0 - p);
-    double chi2 = 0;
-    for (std::uint64_t c : counts) {
-        const double d = static_cast<double>(c) - expected;
-        chi2 += d * d / var;
-    }
-    // chi2 ~ ChiSquared(64): mean 64, sd ~11.3. 110 is past the
-    // 99.9th percentile; 25 guards against a degenerate sampler.
-    EXPECT_LT(chi2, 110.0);
-    EXPECT_GT(chi2, 25.0);
-}
-
-TEST(BernoulliWord, SetBitCountFollowsBinomial)
-{
-    // Within-word independence: the popcount distribution must be
-    // Binomial(64, p), which a correlated sampler (e.g. a gap walk
-    // with an off-by-one) would miss even with the right mean.
-    const double p = 0.05;
-    const int words = 100000;
-    Rng rng(11);
-    BernoulliWord sampler(p);
-    constexpr int buckets = 10; // 0..8 hits, then >= 9
-    std::array<std::uint64_t, buckets> counts{};
-    for (int i = 0; i < words; ++i) {
-        const int k =
-            __builtin_popcountll(sampler.next(rng));
-        counts[static_cast<std::size_t>(
-            k >= buckets - 1 ? buckets - 1 : k)] += 1;
-    }
-    // Binomial(64, p) pmf, iteratively.
-    std::array<double, buckets> prob{};
-    double pmf = std::pow(1.0 - p, 64);
-    double tail = 1.0;
-    for (int k = 0; k < buckets - 1; ++k) {
-        prob[static_cast<std::size_t>(k)] = pmf;
-        tail -= pmf;
-        pmf *= (64.0 - k) / (k + 1.0) * p / (1.0 - p);
-    }
-    prob[buckets - 1] = tail;
-    double chi2 = 0;
-    for (int k = 0; k < buckets; ++k) {
-        const double e =
-            prob[static_cast<std::size_t>(k)] * words;
-        const double d =
-            static_cast<double>(
-                counts[static_cast<std::size_t>(k)])
-            - e;
-        chi2 += d * d / e;
-    }
-    // ChiSquared(9): 99.9th percentile ~ 27.9.
-    EXPECT_LT(chi2, 30.0);
-}
 
 // ---------------------------------------------------------------
 // Masked BatchPauliFrame algebra vs the scalar PauliFrame.
@@ -498,15 +392,14 @@ TEST(RareBernoulliStream, WindowPartitionDoesNotChangeTheStream)
 TEST(SimdWidth, ParseAndNameRoundTrip)
 {
     for (simd::Width w :
-         {simd::Width::Auto, simd::Width::Scalar, simd::Width::W64,
-          simd::Width::W128, simd::Width::W256, simd::Width::W512}) {
+         {simd::Width::Auto, simd::Width::W64, simd::Width::W128,
+          simd::Width::W256, simd::Width::W512}) {
         simd::Width parsed;
         ASSERT_TRUE(simd::parseWidth(simd::widthName(w), &parsed));
         EXPECT_EQ(parsed, w);
     }
     simd::Width parsed;
-    EXPECT_TRUE(simd::parseWidth("scalar-fallback", &parsed));
-    EXPECT_EQ(parsed, simd::Width::Scalar);
+    EXPECT_FALSE(simd::parseWidth("scalar", &parsed));
     EXPECT_FALSE(simd::parseWidth("wide", &parsed));
     EXPECT_FALSE(simd::parseWidth("", &parsed));
 }
@@ -529,17 +422,16 @@ TEST(SimdWidth, ResolveHonorsForceEnvAndRejectsJunk)
 }
 
 /**
- * The tentpole invariant: every SIMD width — scalar fallback
- * included — produces bit-identical tallies over the full
- * estimate / estimatePi8 surface, because all RNG consumption is
- * ordered per 64-bit stream word and only pure-bitwise loops are
- * blocked by the lane count.
+ * The width invariant: every SIMD width produces bit-identical
+ * tallies over the full estimate / estimatePi8 surface, because all
+ * RNG consumption is ordered per 64-bit stream word and only
+ * pure-bitwise loops are blocked by the lane count.
  */
 TEST(SimdWidth, CrossWidthBitIdentityOverFullSurface)
 {
-    const simd::Width widths[] = {
-        simd::Width::Scalar, simd::Width::W64, simd::Width::W128,
-        simd::Width::W256, simd::Width::W512};
+    const simd::Width widths[] = {simd::Width::W64, simd::Width::W128,
+                                  simd::Width::W256,
+                                  simd::Width::W512};
     for (auto semantics :
          {CorrectionSemantics::DiscardOnSyndrome,
           CorrectionSemantics::ApplyFix}) {
@@ -578,13 +470,13 @@ TEST(SimdWidth, CrossWidthBitIdentityOverFullSurface)
 
 TEST(SimdWidth, OddBatchShapesStayBitIdenticalAcrossWidths)
 {
-    // Word counts that leave a scalar tail at every vector width
+    // Word counts that leave a 1-word tail at every vector width
     // (words % kLanes != 0) must not change results either.
     for (int words : {1, 3, 7}) {
         PrepEstimate ref;
         bool first = true;
         for (simd::Width w :
-             {simd::Width::W64, simd::Width::Scalar,
+             {simd::Width::W64, simd::Width::W128,
               simd::Width::W256, simd::Width::W512}) {
             if (!simd::widthSupported(w))
                 continue;

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "codes/ConcatenatedCode.hh"
 #include "error/AncillaSim.hh"
+#include "error/BatchAncillaSim.hh"
+#include "error/ImportanceSampler.hh"
 #include "error/PauliFrame.hh"
 #include "error/RecursiveError.hh"
 
@@ -144,9 +148,8 @@ class Fig4Test : public ::testing::Test
         CorrectionSemantics semantics =
             CorrectionSemantics::DiscardOnSyndrome)
     {
-        AncillaPrepSimulator sim(ErrorParams::paper(),
-                                 MovementModel{}, 0xf16f4,
-                                 semantics);
+        BatchAncillaSim sim(ErrorParams::paper(), MovementModel{},
+                            0xf16f4, semantics);
         return sim.estimate(strategy, trials);
     }
 };
@@ -156,7 +159,7 @@ TEST_F(Fig4Test, ZeroNoiseMeansZeroErrors)
     ErrorParams clean;
     clean.pGate = 0;
     clean.pMove = 0;
-    AncillaPrepSimulator sim(clean, MovementModel{}, 1);
+    BatchAncillaSim sim(clean, MovementModel{}, 1);
     for (auto strat :
          {ZeroPrepStrategy::Basic, ZeroPrepStrategy::VerifyOnly,
           ZeroPrepStrategy::CorrectOnly,
@@ -272,9 +275,8 @@ TEST_F(Fig4Test, MovementErrorsAreSecondOrderEffect)
     // rate by more than ~30%.
     ErrorParams no_move = ErrorParams::paper();
     no_move.pMove = 0;
-    AncillaPrepSimulator with(ErrorParams::paper(), MovementModel{},
-                              77);
-    AncillaPrepSimulator without(no_move, MovementModel{}, 77);
+    BatchAncillaSim with(ErrorParams::paper(), MovementModel{}, 77);
+    BatchAncillaSim without(no_move, MovementModel{}, 77);
     const double a =
         with.estimate(ZeroPrepStrategy::Basic, 400000).errorRate();
     const double b =
@@ -284,8 +286,7 @@ TEST_F(Fig4Test, MovementErrorsAreSecondOrderEffect)
 
 TEST_F(Fig4Test, Pi8ConversionErrorRateBounded)
 {
-    AncillaPrepSimulator sim(ErrorParams::paper(), MovementModel{},
-                             123);
+    BatchAncillaSim sim(ErrorParams::paper(), MovementModel{}, 123);
     const PrepEstimate est = sim.estimatePi8(100000);
     // The conversion adds a cat interaction and decode on top of a
     // verified+corrected zero: still far below the basic rate.
@@ -304,9 +305,8 @@ TEST_F(Fig4Test, HigherGateErrorRaisesOutputError)
 {
     ErrorParams noisy = ErrorParams::paper();
     noisy.pGate = 1e-3;
-    AncillaPrepSimulator base(ErrorParams::paper(), MovementModel{},
-                              9);
-    AncillaPrepSimulator hot(noisy, MovementModel{}, 9);
+    BatchAncillaSim base(ErrorParams::paper(), MovementModel{}, 9);
+    BatchAncillaSim hot(noisy, MovementModel{}, 9);
     const double a =
         base.estimate(ZeroPrepStrategy::Basic, 100000).errorRate();
     const double b =
@@ -432,6 +432,110 @@ TEST(RecursiveError, LevelOneLogicalRatesComposition)
     // 21 * (moveScale * pMove)^2 under the paper's pMove = 1e-6.
     const double sub = ConcatenatedSteane::moveScalePerLevel * 1e-6;
     EXPECT_NEAR(rates.pMove, 21.0 * sub * sub, 1e-18);
+}
+
+// ---------------------------------------------------------------
+// Pinned Monte Carlo streams. Every other tally this suite checks
+// exactly runs at zero noise; these run at an elevated noise point
+// so each retry loop, correction stage, fix-up coin and scheduled
+// fault site consumes random numbers. A change that reorders or
+// drops one RNG call in the scalar engine, the stratified sampler
+// or the batch engine changes a count below.
+// ---------------------------------------------------------------
+
+struct Tallies
+{
+    std::uint64_t failures, discards, verifyTrials, correctionTrials,
+        correctionDiscards;
+};
+
+void
+expectTallies(const PrepEstimate &e, const Tallies &want,
+              const char *what)
+{
+    EXPECT_EQ(e.failures, want.failures) << what;
+    EXPECT_EQ(e.discards, want.discards) << what;
+    EXPECT_EQ(e.verifyTrials, want.verifyTrials) << what;
+    EXPECT_EQ(e.correctionTrials, want.correctionTrials) << what;
+    EXPECT_EQ(e.correctionDiscards, want.correctionDiscards) << what;
+}
+
+void
+expectStrata(const StratifiedEstimate &e, std::uint64_t gateSites,
+             std::uint64_t moveSites,
+             const std::vector<std::uint64_t> &failures,
+             const char *what)
+{
+    EXPECT_EQ(e.gateSites, gateSites) << what;
+    EXPECT_EQ(e.moveSites, moveSites) << what;
+    ASSERT_EQ(e.strata.size(), failures.size()) << what;
+    for (std::size_t i = 0; i < failures.size(); ++i)
+        EXPECT_EQ(e.strata[i].failures, failures[i])
+            << what << " stratum (" << e.strata[i].gateFaults << ","
+            << e.strata[i].moveFaults << ")";
+}
+
+TEST(MonteCarloStreams, TalliesPinnedAtElevatedNoise)
+{
+    ErrorParams errors;
+    errors.pGate = 2e-3;
+    errors.pMove = 1e-4;
+    const MovementModel movement{};
+
+    AncillaPrepSimulator discard(errors, movement, 11);
+    expectTallies(
+        discard.estimateScalar(ZeroPrepStrategy::VerifyAndCorrect,
+                               4000),
+        {1, 404, 14136, 9084, 648}, "scalar discard");
+    AncillaPrepSimulator applyFix(errors, movement, 11,
+                                  CorrectionSemantics::ApplyFix);
+    expectTallies(
+        applyFix.estimateScalar(ZeroPrepStrategy::VerifyAndCorrect,
+                                4000),
+        {20, 414, 17114, 12700, 0}, "scalar apply-fix");
+    AncillaPrepSimulator pi8(errors, movement, 12,
+                             CorrectionSemantics::ApplyFix);
+    expectTallies(pi8.estimateScalarPi8(2000), {30, 217, 8542, 0, 0},
+                  "scalar pi/8");
+
+    // Strata in enumeration order: (0,0) (0,1) (0,2) (1,0) (1,1)
+    // (2,0).
+    ImportanceConfig config;
+    config.maxFaults = 2;
+    config.trialsPerStratum = 500;
+    StratifiedPrepSampler sampler(errors, movement, Rng(13),
+                                  CorrectionSemantics::
+                                      DiscardOnSyndrome);
+    expectStrata(
+        sampler.estimate(ZeroPrepStrategy::VerifyAndCorrect, config),
+        121, 247, {0, 0, 0, 0, 4, 1}, "stratified zero");
+    expectStrata(sampler.estimatePi8(config), 163, 330,
+                 {0, 13, 18, 10, 19, 24}, "stratified pi/8");
+    StratifiedPrepSampler fixSampler(errors, movement, Rng(14),
+                                     CorrectionSemantics::ApplyFix);
+    expectStrata(
+        fixSampler.estimate(ZeroPrepStrategy::VerifyAndCorrect,
+                            config),
+        166, 341, {0, 0, 24, 1, 15, 19}, "stratified apply-fix");
+
+    // Three words per qubit leaves a tail at every vector width.
+    BatchSimConfig batch;
+    batch.wordsPerQubit = 3;
+    BatchAncillaSim fixBatch(errors, movement, 15,
+                             CorrectionSemantics::ApplyFix, batch);
+    expectTallies(
+        fixBatch.estimate(ZeroPrepStrategy::VerifyAndCorrect, 10000),
+        {30, 1194, 42862, 31668, 0}, "batch apply-fix");
+    expectTallies(fixBatch.estimatePi8(4000), {55, 459, 17057, 0, 0},
+                  "batch pi/8");
+    BatchAncillaSim discardBatch(errors, movement, 16,
+                                 CorrectionSemantics::
+                                     DiscardOnSyndrome,
+                                 batch);
+    expectTallies(
+        discardBatch.estimate(ZeroPrepStrategy::VerifyAndCorrect,
+                              10000),
+        {0, 942, 35189, 22667, 1580}, "batch discard");
 }
 
 } // namespace

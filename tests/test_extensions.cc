@@ -10,10 +10,10 @@
 
 #include <utility>
 
+#include "FarmSim.hh"
 #include "arch/Microarch.hh"
 #include "arch/SpeedOfData.hh"
 #include "circuit/Dataflow.hh"
-#include "factory/FarmSim.hh"
 #include "kernels/Workloads.hh"
 #include "sim/TokenPool.hh"
 

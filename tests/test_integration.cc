@@ -11,6 +11,7 @@
 
 #include "api/Qc.hh"
 #include "circuit/Dataflow.hh"
+#include "error/BatchAncillaSim.hh"
 #include "layout/Builders.hh"
 
 namespace qc {
@@ -88,7 +89,7 @@ TEST_F(IntegrationTest, LayoutCalibratedMonteCarloStaysInBand)
     // must remain within the Figure 4 band.
     const MovementModel moves = calibrateMovement(
         buildSimpleFactory(), IonTrapParams::paper());
-    AncillaPrepSimulator sim(ErrorParams::paper(), moves, 4242);
+    BatchAncillaSim sim(ErrorParams::paper(), moves, 4242);
     const PrepEstimate est =
         sim.estimate(ZeroPrepStrategy::Basic, 200000);
     EXPECT_GT(est.errorRate(), 1e-4);

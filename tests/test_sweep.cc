@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -481,33 +481,24 @@ TEST(SweepRunners, McPrepStratifiedPointMatchesDirectSampler)
 
 TEST(SweepRunners, McPrepForcedWidthMatchesAutoByteForByte)
 {
-    // The runner deliberately omits the width from its output:
-    // every width is bit-identical, so the serialized report must
-    // not change when one is forced.
-    const char *base = R"({
+    // Every SIMD width is bit-identical, so forcing one through
+    // QC_FORCE_WIDTH must leave the whole document unchanged.
+    const SweepSpec spec = SweepSpec::fromJson(parse(R"({
       "runner": "mc-prep",
       "base": {"trials": 50000, "seed": 7,
-               "strategy": "basic", "pGate": 1e-3%s}
-    })";
-    char autoSpec[512], forcedSpec[512];
-    std::snprintf(autoSpec, sizeof autoSpec, base, "");
-    std::snprintf(forcedSpec, sizeof forcedSpec, base,
-                  ", \"width\": \"scalar-fallback\"");
-    const SweepReport a =
-        runSweep(SweepSpec::fromJson(parse(autoSpec)));
-    const SweepReport b =
-        runSweep(SweepSpec::fromJson(parse(forcedSpec)));
-    const Json &pa = a.doc.at("points").at(0);
-    const Json &pb = b.doc.at("points").at(0);
-    // Every result key is identical; only the config hash (which
-    // covers the width field itself) may differ.
-    for (const auto &[key, value] : pa.items()) {
-        if (key == "config_hash")
-            continue;
-        ASSERT_TRUE(pb.has(key)) << key;
-        EXPECT_EQ(value.dump(), pb.at(key).dump()) << key;
-    }
-    EXPECT_EQ(pa.items().size(), pb.items().size());
+               "strategy": "basic", "pGate": 1e-3}
+    })"));
+    const char *env = std::getenv("QC_FORCE_WIDTH");
+    const std::string prior = env ? env : "";
+    ASSERT_EQ(unsetenv("QC_FORCE_WIDTH"), 0);
+    const std::string autoDoc = runSweep(spec).doc.dump();
+    ASSERT_EQ(setenv("QC_FORCE_WIDTH", "64", 1), 0);
+    const std::string forcedDoc = runSweep(spec).doc.dump();
+    if (env)
+        setenv("QC_FORCE_WIDTH", prior.c_str(), 1);
+    else
+        unsetenv("QC_FORCE_WIDTH");
+    EXPECT_EQ(autoDoc, forcedDoc);
 }
 
 TEST(SweepRunners, McPrepRejectsUnknownSamplerAndWidth)
@@ -524,15 +515,18 @@ TEST(SweepRunners, McPrepRejectsUnknownSamplerAndWidth)
     EXPECT_NE(p0.at("error").asString().find("sampler"),
               std::string::npos);
 
-    const SweepReport badWidth =
-        runSweep(SweepSpec::fromJson(parse(R"({
-      "runner": "mc-prep",
-      "base": {"trials": 10, "width": "wide"}
-    })")));
-    const Json &p1 = badWidth.doc.at("points").at(0);
-    ASSERT_TRUE(p1.has("error"));
-    EXPECT_NE(p1.at("error").asString().find("width"),
-              std::string::npos);
+    // The SIMD width never changes a result, so it is not a field
+    // (QC_FORCE_WIDTH picks it): a spec naming one fails fast.
+    try {
+        SweepSpec::fromJson(parse(R"({
+          "runner": "mc-prep",
+          "base": {"trials": 10, "width": "64"}
+        })"));
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("width"),
+                  std::string::npos);
+    }
 }
 
 TEST(SweepRunners, ExperimentPointMatchesRunExperiment)

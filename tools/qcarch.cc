@@ -31,7 +31,8 @@
  *   qcarch hoard gc DIR [--max-bytes N] [--max-age-days D]
  *       Inspect, integrity-scan or evict from a hoard store.
  *       `verify` quarantines every invalid object and exits 1 if
- *       it found any.
+ *       it found any. DIR must already hold a store (hoard.json);
+ *       these commands never create one (exit 1).
  *
  *   qcarch list workloads|archs|runners
  *   qcarch list fields [runner]
@@ -418,24 +419,34 @@ cmdHoard(std::vector<std::string> args)
             "stat, verify, gc");
     const std::string what = args[0];
     args.erase(args.begin());
+    if (what != "stat" && what != "verify" && what != "gc")
+        throw UsageError("unknown hoard subcommand \"" + what
+                         + "\"; expected stat, verify, gc");
+
+    // Parse every option before touching DIR, and never create a
+    // store here: inspecting a mistyped DIR must fail, not leave an
+    // empty store behind.
+    std::uint64_t maxBytes = 0;
+    double maxAgeDays = 0.0;
+    if (what == "gc") {
+        const std::string bytes = takeOption(args, "--max-bytes");
+        const std::string days = takeOption(args, "--max-age-days");
+        if (!bytes.empty())
+            maxBytes = static_cast<std::uint64_t>(parseIntOption(
+                "--max-bytes", bytes, 0, std::int64_t(1) << 62));
+        if (!days.empty())
+            maxAgeDays = parseSecondsOption("--max-age-days", days);
+    }
+    expectPositionals(args, 1, "qcarch hoard " + what + " DIR");
+    const std::string &dir = args[0];
+    std::error_code ec;
+    if (!std::filesystem::exists(dir + "/hoard.json", ec))
+        throw std::runtime_error(dir + " is not a hoard store (no "
+                                       "hoard.json)");
+    HoardStore hoard(dir);
 
     if (what == "gc") {
-        const std::string maxBytes =
-            takeOption(args, "--max-bytes");
-        const std::string maxAgeDays =
-            takeOption(args, "--max-age-days");
-        expectPositionals(args, 1, "qcarch hoard gc DIR");
-        HoardStore hoard(args[0]);
-        const HoardGcReport report = hoard.gc(
-            maxBytes.empty()
-                ? 0
-                : static_cast<std::uint64_t>(parseIntOption(
-                      "--max-bytes", maxBytes, 0,
-                      std::int64_t(1) << 62)),
-            maxAgeDays.empty()
-                ? 0.0
-                : parseSecondsOption("--max-age-days",
-                                     maxAgeDays));
+        const HoardGcReport report = hoard.gc(maxBytes, maxAgeDays);
         std::cerr << "hoard: kept " << report.kept << " ("
                   << report.keptBytes << " bytes), evicted "
                   << report.evicted << " (" << report.evictedBytes
@@ -443,30 +454,18 @@ cmdHoard(std::vector<std::string> args)
                   << " temp(s)\n";
         return 0;
     }
-
-    if (what != "stat" && what != "verify")
-        throw UsageError("unknown hoard subcommand \"" + what
-                         + "\"; expected stat, verify, gc");
-    expectPositionals(args, 1, "qcarch hoard " + what + " DIR");
-
     if (what == "stat") {
-        HoardStore hoard(args[0]);
         std::cout << hoard.stat().dump() << "\n";
         return 0;
     }
-    if (what == "verify") {
-        HoardStore hoard(args[0]);
-        const HoardVerifyReport report = hoard.verify();
-        std::cerr << "hoard: " << report.objects
-                  << " object(s), " << report.ok << " ok, "
-                  << report.quarantined << " quarantined, "
-                  << report.orphanedIndexEntries
-                  << " orphaned index entr"
-                  << (report.orphanedIndexEntries == 1 ? "y" : "ies")
-                  << " pruned\n";
-        return report.quarantined == 0 ? 0 : 1;
-    }
-    return 0; // unreachable: the subcommand gate above covered both
+    const HoardVerifyReport report = hoard.verify();
+    std::cerr << "hoard: " << report.objects << " object(s), "
+              << report.ok << " ok, " << report.quarantined
+              << " quarantined, " << report.orphanedIndexEntries
+              << " orphaned index entr"
+              << (report.orphanedIndexEntries == 1 ? "y" : "ies")
+              << " pruned\n";
+    return report.quarantined == 0 ? 0 : 1;
 }
 
 int
