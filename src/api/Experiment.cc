@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "codes/ConcatenatedCode.hh"
 #include "error/RecursiveError.hh"
@@ -30,6 +31,26 @@ ionTrapToJson(const IonTrapParams &tech)
     j.set("tmove_ns", tech.tmove);
     j.set("tturn_ns", tech.tturn);
     return j;
+}
+
+/**
+ * obj[key] as T, or fallback when absent. A value T cannot hold
+ * throws std::invalid_argument naming the field (prefix + key)
+ * rather than wrapping.
+ */
+template <typename T>
+T
+getNarrow(const Json &obj, const std::string &prefix,
+          const std::string &key, T fallback)
+{
+    if (!obj.has(key))
+        return fallback;
+    const std::int64_t v = obj.at(key).asInt();
+    if (!std::in_range<T>(v))
+        throw std::invalid_argument(
+            "config field \"" + prefix + key + "\" = "
+            + std::to_string(v) + " is out of range");
+    return static_cast<T>(v);
 }
 
 IonTrapParams
@@ -151,39 +172,38 @@ ExperimentConfig::fromJson(const Json &j)
 {
     ExperimentConfig config;
     config.workload = j.getString("workload", config.workload);
-    config.params.bits = static_cast<int>(
-        j.getInt("bits", config.params.bits));
+    config.params.bits = getNarrow(j, "", "bits", config.params.bits);
     if (j.has("lowering")) {
-        config.params.lowering.maxRotK = static_cast<int>(
-            j.at("lowering").getInt(
-                "maxRotK", config.params.lowering.maxRotK));
+        config.params.lowering.maxRotK =
+            getNarrow(j.at("lowering"), "lowering.", "maxRotK",
+                      config.params.lowering.maxRotK);
     }
     if (j.has("qft")) {
         const Json &qft = j.at("qft");
-        config.params.qft.maxK = static_cast<int>(
-            qft.getInt("maxK", config.params.qft.maxK));
+        config.params.qft.maxK =
+            getNarrow(qft, "qft.", "maxK", config.params.qft.maxK);
         config.params.qft.withSwaps =
             qft.getBool("withSwaps", config.params.qft.withSwaps);
     }
     if (j.has("synth")) {
         const Json &synth = j.at("synth");
-        config.synth.maxSyllables = static_cast<int>(synth.getInt(
-            "maxSyllables", config.synth.maxSyllables));
+        config.synth.maxSyllables =
+            getNarrow(synth, "synth.", "maxSyllables",
+                      config.synth.maxSyllables);
         config.synth.maxError =
             synth.getDouble("maxError", config.synth.maxError);
         config.synth.pureHT =
             synth.getBool("pureHT", config.synth.pureHT);
-        config.synth.tCostWeight = static_cast<int>(synth.getInt(
-            "tCostWeight", config.synth.tCostWeight));
+        config.synth.tCostWeight =
+            getNarrow(synth, "synth.", "tCostWeight",
+                      config.synth.tCostWeight);
     }
-    config.codeLevel = static_cast<int>(
-        j.getInt("codeLevel", config.codeLevel));
+    config.codeLevel =
+        getNarrow(j, "", "codeLevel", config.codeLevel);
     config.calibrateFactories = j.getBool(
         "calibrateFactories", config.calibrateFactories);
-    config.calibrationTrials =
-        static_cast<std::uint64_t>(j.getInt(
-            "calibrationTrials",
-            static_cast<std::int64_t>(config.calibrationTrials)));
+    config.calibrationTrials = getNarrow(
+        j, "", "calibrationTrials", config.calibrationTrials);
     if (j.has("tech"))
         config.tech = ionTrapFromJson(j.at("tech"));
     if (j.has("errors")) {
@@ -196,18 +216,18 @@ ExperimentConfig::fromJson(const Json &j)
     config.schedule = scheduleModeFromName(j.getString(
         "schedule", scheduleModeName(config.schedule)));
     config.arch = j.getString("arch", config.arch);
-    config.generatorsPerSite = static_cast<int>(
-        j.getInt("generatorsPerSite", config.generatorsPerSite));
-    config.cacheSlots = static_cast<int>(
-        j.getInt("cacheSlots", config.cacheSlots));
+    config.generatorsPerSite = getNarrow(
+        j, "", "generatorsPerSite", config.generatorsPerSite);
+    config.cacheSlots =
+        getNarrow(j, "", "cacheSlots", config.cacheSlots);
     config.areaBudget =
         j.getDouble("areaBudget", config.areaBudget);
     config.teleport = j.getInt("teleport_ns", config.teleport);
     config.zeroPerMs = j.getDouble("zeroPerMs", config.zeroPerMs);
     config.pi8PerMs = j.getDouble("pi8PerMs", config.pi8PerMs);
     config.timeLimit = j.getInt("timeLimit_ns", config.timeLimit);
-    config.demandBins = static_cast<int>(
-        j.getInt("demandBins", config.demandBins));
+    config.demandBins =
+        getNarrow(j, "", "demandBins", config.demandBins);
     return config;
 }
 

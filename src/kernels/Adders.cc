@@ -1,8 +1,8 @@
 #include "kernels/Adders.hh"
 
+#include <stdexcept>
+#include <string>
 #include <vector>
-
-#include "common/Logging.hh"
 
 namespace qc {
 
@@ -40,7 +40,9 @@ AdderKernel
 makeQrca(int n, bool prep_ancilla)
 {
     if (n < 1)
-        fatal("makeQrca: operand width must be >= 1, got ", n);
+        throw std::invalid_argument(
+            "makeQrca: operand width must be >= 1, got "
+            + std::to_string(n));
     const auto un = static_cast<Qubit>(n);
 
     // Register map: a[0..n), b[0..n), c[0..n+1).
@@ -160,7 +162,9 @@ AdderKernel
 makeQcla(int n, bool prep_ancilla)
 {
     if (n < 1)
-        fatal("makeQcla: operand width must be >= 1, got ", n);
+        throw std::invalid_argument(
+            "makeQcla: operand width must be >= 1, got "
+            + std::to_string(n));
     if (n == 1) {
         // Degenerate width: the ripple structure is already optimal
         // and the prefix tree is empty.

@@ -48,7 +48,8 @@ struct AdderKernel
 /**
  * Build the n-bit ripple-carry adder (VBE style).
  *
- * @param n            operand width in bits (>= 1)
+ * @param n            operand width in bits (>= 1, else
+ *                     std::invalid_argument)
  * @param prep_ancilla emit PrepZ on the carry ancillae first
  */
 AdderKernel makeQrca(int n, bool prep_ancilla = true);
@@ -56,7 +57,8 @@ AdderKernel makeQrca(int n, bool prep_ancilla = true);
 /**
  * Build the n-bit carry-lookahead adder (Brent-Kung prefix tree).
  *
- * @param n            operand width in bits (>= 1)
+ * @param n            operand width in bits (>= 1, else
+ *                     std::invalid_argument)
  * @param prep_ancilla emit PrepZ on all ancillae first
  */
 AdderKernel makeQcla(int n, bool prep_ancilla = true);

@@ -1,6 +1,7 @@
 #include "kernels/Qft.hh"
 
-#include "common/Logging.hh"
+#include <stdexcept>
+#include <string>
 
 namespace qc {
 
@@ -8,7 +9,8 @@ Circuit
 makeQft(int n, const QftOptions &options)
 {
     if (n < 1)
-        fatal("makeQft: width must be >= 1, got ", n);
+        throw std::invalid_argument(
+            "makeQft: width must be >= 1, got " + std::to_string(n));
     const auto un = static_cast<Qubit>(n);
     Circuit circ(un, "qft" + std::to_string(n));
 

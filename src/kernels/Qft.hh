@@ -33,7 +33,8 @@ struct QftOptions
 };
 
 /**
- * Build the n-qubit QFT over qubits [0, n).
+ * Build the n-qubit QFT over qubits [0, n); n < 1 throws
+ * std::invalid_argument.
  */
 Circuit makeQft(int n, const QftOptions &options = {});
 

@@ -1,6 +1,7 @@
 #include "kernels/Synthetic.hh"
 
-#include "common/Logging.hh"
+#include <stdexcept>
+#include <string>
 
 namespace qc {
 
@@ -8,7 +9,9 @@ Circuit
 makeChain(int length)
 {
     if (length < 1)
-        panic("makeChain: length must be positive, got ", length);
+        throw std::invalid_argument(
+            "makeChain: length must be positive, got "
+            + std::to_string(length));
     Circuit c(1, "chain-" + std::to_string(length));
     for (int i = 0; i < length; ++i) {
         if (i % 2 == 0)
@@ -23,8 +26,9 @@ Circuit
 makeLadder(int width, int layers)
 {
     if (width < 2 || layers < 1)
-        panic("makeLadder: need width >= 2 and layers >= 1, got ",
-              width, "x", layers);
+        throw std::invalid_argument(
+            "makeLadder: need width >= 2 and layers >= 1, got "
+            + std::to_string(width) + "x" + std::to_string(layers));
     const Qubit w = static_cast<Qubit>(width);
     Circuit c(w, "ladder-" + std::to_string(width) + "x"
                   + std::to_string(layers));

@@ -19,7 +19,7 @@ namespace qc {
  * gates: one gate per dependence level, so the speed-of-data
  * critical path is exactly `length` gates long and the pi/8 demand
  * is length/2. The worst case for any ancilla-sharing scheme (zero
- * exploitable parallelism).
+ * exploitable parallelism). length < 1 throws std::invalid_argument.
  */
 Circuit makeChain(int length);
 
@@ -28,7 +28,8 @@ Circuit makeChain(int length);
  * each layer applies H to every qubit, then CX between alternating
  * neighbor pairs (brick pattern). Parallelism equals the width at
  * every level — the best case for shared ancilla factories, with
- * gate count width * layers + ~(width/2) * layers.
+ * gate count width * layers + ~(width/2) * layers. width < 2 or
+ * layers < 1 throws std::invalid_argument.
  */
 Circuit makeLadder(int width, int layers);
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -364,6 +365,56 @@ TEST(ExperimentConfig, MissingKeysKeepDefaults)
     EXPECT_EQ(config.cacheSlots, defaults.cacheSlots);
     EXPECT_EQ(scheduleModeName(config.schedule),
               scheduleModeName(defaults.schedule));
+}
+
+TEST(ExperimentConfig, OutOfRangeIntegersAreRejectedNotWrapped)
+{
+    // Each of these used to wrap: 2^32 + 8 bits ran as an 8-bit
+    // adder, 2^32 + 6 syllables as 6, and -1 calibration trials as
+    // 2^64 - 1.
+    const struct
+    {
+        const char *doc;
+        const char *field;
+    } cases[] = {
+        {R"({"bits": 4294967304})", "\"bits\""},
+        {R"({"synth": {"maxSyllables": 4294967302}})",
+         "\"synth.maxSyllables\""},
+        {R"({"synth": {"tCostWeight": -2147483649}})",
+         "\"synth.tCostWeight\""},
+        {R"({"calibrationTrials": -1})", "\"calibrationTrials\""},
+        {R"({"lowering": {"maxRotK": 2147483648}})",
+         "\"lowering.maxRotK\""},
+        {R"({"qft": {"maxK": 1e15}})", "\"qft.maxK\""},
+        {R"({"codeLevel": 4294967297})", "\"codeLevel\""},
+        {R"({"generatorsPerSite": -4294967295})",
+         "\"generatorsPerSite\""},
+        {R"({"cacheSlots": 4294967296})", "\"cacheSlots\""},
+        {R"({"demandBins": 4294967336})", "\"demandBins\""},
+    };
+    for (const auto &c : cases) {
+        try {
+            ExperimentConfig::fromJson(Json::parse(c.doc));
+            ADD_FAILURE() << "accepted " << c.doc;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The ends of each range still parse.
+    EXPECT_EQ(ExperimentConfig::fromJson(
+                  Json::parse(R"({"bits": 2147483647})"))
+                  .params.bits,
+              INT_MAX);
+    EXPECT_EQ(ExperimentConfig::fromJson(
+                  Json::parse(R"({"bits": -2147483648})"))
+                  .params.bits,
+              INT_MIN);
+    EXPECT_EQ(ExperimentConfig::fromJson(
+                  Json::parse(R"({"calibrationTrials": 0})"))
+                  .calibrationTrials,
+              0u);
 }
 
 TEST(ExperimentConfig, ScheduleModeNamesRoundTrip)

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -391,6 +392,62 @@ TEST(SweepEngine, PointErrorsAreCapturedNotFatal)
     EXPECT_NE(
         archPoints.at(1).at("error").asString().find("areaBudget"),
         std::string::npos);
+}
+
+TEST(SweepEngine, BadWorkloadInputsFailTheirPointOnly)
+{
+    // Each bad point here used to end the whole process from a pool
+    // thread: fatal() exited 1 and panic() aborted, so no document
+    // was written.
+    const char *base = R"("runner": "experiment",
+      "base": {"workload": "qrca", "bits": 4,
+               "synth": {"maxSyllables": 3}},)";
+    const SweepSpec spec = SweepSpec::fromJson(parse(std::string("{")
+        + base + R"(
+      "grids": [
+        {"axes": [{"field": "bits", "values": [4, 0, -3]}]},
+        {"axes": [{"field": "synth.maxSyllables", "values": [4, 10]}]},
+        {"base": {"bits": 0},
+         "axes": [{"field": "workload",
+                   "values": ["qcla", "qft", "chain", "ladder"]}]},
+        {"base": {"workload": "ladder"},
+         "axes": [{"field": "bits", "values": [1]}]}
+      ]
+    })"));
+    const char *expected[] = {
+        nullptr,
+        "makeQrca: operand width must be >= 1, got 0",
+        "makeQrca: operand width must be >= 1, got -3",
+        nullptr,
+        "FowlerSynth: maxSyllables must be in [1, 9]",
+        "makeQcla: operand width must be >= 1, got 0",
+        "makeQft: width must be >= 1, got 0",
+        "makeChain: length must be positive, got 0",
+        "makeLadder: need width >= 2 and layers >= 1, got 0x0",
+        "makeLadder: need width >= 2 and layers >= 1, got 1x1",
+    };
+    SweepOptions options;
+    options.threads = 4;
+    const SweepReport report = runSweep(spec, options);
+    const Json &points = report.doc.at("points");
+    ASSERT_EQ(points.size(), std::size(expected));
+    EXPECT_EQ(report.failed, std::size(expected) - 2);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (expected[i]) {
+            EXPECT_EQ(points.at(i).getString("error", ""), expected[i])
+                << "point " << i;
+        } else {
+            EXPECT_FALSE(points.at(i).has("error")) << "point " << i;
+        }
+    }
+
+    // The good point is what it is in a sweep of its own.
+    const SweepSpec alone = SweepSpec::fromJson(parse(std::string("{")
+        + base + R"(
+      "axes": [{"field": "bits", "values": [4]}]
+    })"));
+    EXPECT_EQ(points.at(0).dump(),
+              runSweep(alone).doc.at("points").at(0).dump());
 }
 
 TEST(SweepEngine, ProgressReportsEveryPointOnce)

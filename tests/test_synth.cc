@@ -1,13 +1,22 @@
 /**
  * @file
  * Unit tests for the Fowler rotation-word search: Su2 algebra,
- * exact Clifford/T cases, inversion, and approximation quality.
+ * exact Clifford/T cases, inversion, approximation quality, and the
+ * meet-in-the-middle search against the depth-first oracle
+ * (FowlerDfs.hh): same word, same error bits.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "FowlerDfs.hh"
 #include "synth/Fowler.hh"
 #include "synth/Su2.hh"
 
@@ -189,8 +198,122 @@ TEST(FowlerSearch, SGateFoundAsSingleGate)
 
 TEST(FowlerDeath, RejectsBadOptions)
 {
-    EXPECT_DEATH(FowlerSynth(FowlerSynth::Options{0, 1e-3}),
-                 "maxSyllables");
+    for (int n : {0, 10}) {
+        EXPECT_THROW(FowlerSynth(FowlerSynth::Options{n, 1e-3}),
+                     std::invalid_argument)
+            << "maxSyllables=" << n;
+    }
+}
+
+// ---------------------------------------------------------------
+// The search against the depth-first oracle
+// ---------------------------------------------------------------
+
+std::string
+describe(const FowlerSynth::Options &o)
+{
+    return "{" + std::to_string(o.maxSyllables) + ", "
+        + std::to_string(o.maxError) + (o.pureHT ? ", pureHT" : "")
+        + ", w" + std::to_string(o.tCostWeight) + "}";
+}
+
+/** Same gate string and the same error bits as the oracle. */
+void
+expectSameAsDfs(const ApproxSequence &got, const Su2 &target,
+                const FowlerSynth::Options &opts,
+                const std::string &what)
+{
+    const ApproxSequence want = dfs::search(target, opts);
+    EXPECT_EQ(got.gates, want.gates) << what << " " << describe(opts);
+    EXPECT_EQ(std::memcmp(&got.error, &want.error, sizeof(double)), 0)
+        << what << " " << describe(opts) << ": " << got.error
+        << " vs " << want.error;
+}
+
+void
+expectRotationsMatchDfs(const FowlerSynth::Options &opts, int kLo,
+                        int kHi)
+{
+    FowlerSynth synth(opts);
+    for (int k = kLo; k <= kHi; ++k) {
+        expectSameAsDfs(synth.rotZ(k), Su2::rotZ(k), opts,
+                        "rotZ(" + std::to_string(k) + ")");
+    }
+}
+
+TEST(FowlerOracle, PaperOptionsMatchDfs)
+{
+    // Every shipped spec that synthesizes uses these options.
+    expectRotationsMatchDfs({6, 1e-3, true, 3}, 3, 9);
+}
+
+TEST(FowlerOracle, ShallowOptionsMatchDfsForEveryK)
+{
+    const FowlerSynth::Options sets[] = {
+        {4, 1e-3, true, 3}, // ci_smoke
+        {5, 1e-3},
+        {3, 1e-3},
+        {2, 1e-6},
+        {1, 1e-3},
+    };
+    for (const FowlerSynth::Options &opts : sets)
+        expectRotationsMatchDfs(opts, 3, 16);
+}
+
+/** phase H phase H phase with seeded random phases: targets far from
+ *  the identity. */
+std::vector<Su2>
+randomTargets(int count)
+{
+    std::mt19937_64 rng(2008);
+    std::uniform_real_distribution<double> angle(-M_PI, M_PI);
+    std::vector<Su2> out;
+    for (int i = 0; i < count; ++i) {
+        out.push_back(Su2::phase(angle(rng)) * Su2::hGate()
+                      * Su2::phase(angle(rng)) * Su2::hGate()
+                      * Su2::phase(angle(rng)));
+    }
+    return out;
+}
+
+TEST(FowlerOracle, ReachableAndUnreachableTolerancesMatchDfs)
+{
+    for (double maxError : {0.05, 0.3}) {
+        const FowlerSynth::Options opts{6, maxError, true, 3};
+        FowlerSynth synth(opts);
+        for (const Su2 &target : randomTargets(2)) {
+            const ApproxSequence got = synth.search(target);
+            // Some word is within tolerance: the found path.
+            EXPECT_LE(got.error, maxError);
+            expectSameAsDfs(got, target, opts, "random target");
+        }
+    }
+    // No word is within a tolerance < 0 or NaN, and only an exact one
+    // (T here) within 0; otherwise the 2% band decides.
+    for (double maxError :
+         {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+        const FowlerSynth::Options opts{4, maxError};
+        FowlerSynth synth(opts);
+        for (const Su2 &target : {Su2::rotZ(3), Su2::tGate()})
+            expectSameAsDfs(synth.search(target), target, opts,
+                            "maxError <= 0");
+    }
+}
+
+TEST(FowlerOracle, ArbitraryTargetsMatchDfs)
+{
+    std::vector<Su2> targets = {
+        Su2::hGate() * Su2::tGate() * Su2::hGate(), Su2::identity()};
+    for (const Su2 &target : randomTargets(8))
+        targets.push_back(target);
+    const FowlerSynth::Options sets[] = {{5, 1e-3}, {4, 0.1, true, 3}};
+    for (const FowlerSynth::Options &opts : sets) {
+        FowlerSynth synth(opts);
+        for (std::size_t i = 0; i < targets.size(); ++i) {
+            expectSameAsDfs(synth.search(targets[i]), targets[i], opts,
+                            "target " + std::to_string(i));
+        }
+    }
 }
 
 } // namespace
