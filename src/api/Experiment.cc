@@ -1,10 +1,13 @@
 #include "api/Experiment.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "codes/ConcatenatedCode.hh"
+#include "common/Logging.hh"
 #include "error/RecursiveError.hh"
 #include "factory/ConcatenatedFactory.hh"
 #include "layout/Builders.hh"
@@ -401,6 +404,109 @@ Result::summaryJson() const
     return j;
 }
 
+namespace {
+
+/**
+ * Canonical identity of a config's analytics inputs: exactly the
+ * fields computeAnalytics reads. Integers print exactly and the
+ * error rates as their bit patterns, so configs that differ in any
+ * of those fields never share a key.
+ */
+std::string
+analyticsKey(const ExperimentConfig &config)
+{
+    const IonTrapParams &tech = config.tech;
+    std::string key = detail::concat(
+        "tech ", tech.t1q, ' ', tech.t2q, ' ', tech.tmeas, ' ',
+        tech.tprep, ' ', tech.tmove, ' ', tech.tturn, " level ",
+        config.codeLevel, " bins ", std::max(1, config.demandBins));
+    if (config.calibrateFactories) {
+        key += detail::concat(
+            " calibrated ", config.calibrationTrials, ' ',
+            std::bit_cast<std::uint64_t>(config.errors.pGate), ' ',
+            std::bit_cast<std::uint64_t>(config.errors.pMove));
+    }
+    return key;
+}
+
+AnalyticsMemo::Analytics
+computeAnalytics(const ExperimentConfig &config,
+                 const DataflowGraph &graph)
+{
+    // The encoded-op yardstick: level-1 uses the physical
+    // technology point directly; level 2 prices every encoded
+    // operation with the recursive effective latencies.
+    const IonTrapParams &tech = config.tech;
+    const EncodedOpModel model(
+        ConcatenatedSteane::effectiveTech(tech, config.codeLevel));
+    AnalyticsMemo::Analytics out;
+    out.split = latencySplit(graph, model);
+    out.bandwidth = bandwidthAtSpeedOfData(graph, model);
+    out.demandProfile = ancillaDemandProfile(
+        graph, model,
+        static_cast<std::size_t>(std::max(1, config.demandBins)));
+    if (config.codeLevel >= 2) {
+        // Level-2 cascades; optionally with both verification
+        // acceptances measured by the recursive Monte Carlo.
+        Level2ZeroFactory zero =
+            config.calibrateFactories
+                ? Level2ZeroFactory::calibrated(
+                      tech,
+                      analyzeRecursiveError(
+                          config.errors,
+                          calibrateMovement(buildSimpleFactory(), tech),
+                          /*seed=*/1, config.calibrationTrials,
+                          config.calibrationTrials * 4))
+                : Level2ZeroFactory(tech);
+        const Level2Pi8Factory pi8(tech);
+        out.allocation = allocateForBandwidthLevel2(
+            zero, pi8, out.bandwidth.zeroPerMs(),
+            out.bandwidth.pi8PerMs());
+        out.zeroUnitThroughput = zero.throughput();
+        out.pi8UnitThroughput = pi8.throughput();
+    } else {
+        const ZeroFactory zero =
+            config.calibrateFactories
+                ? ZeroFactory::calibrated(
+                      tech, config.errors,
+                      calibrateMovement(buildSimpleFactory(), tech),
+                      /*seed=*/1, config.calibrationTrials)
+                : ZeroFactory(tech);
+        const Pi8Factory pi8(tech);
+        out.allocation = allocateForBandwidth(
+            zero, pi8, out.bandwidth.zeroPerMs(),
+            out.bandwidth.pi8PerMs());
+        out.zeroUnitThroughput = zero.throughput();
+        out.pi8UnitThroughput = pi8.throughput();
+    }
+    return out;
+}
+
+/** Owns the workload a DataflowGraph references in place, and the
+ *  graph's analytics memo, so aliasing pointers keep all three
+ *  alive together. */
+struct GraphHolder
+{
+    explicit GraphHolder(std::shared_ptr<const Workload> w)
+        : workload(std::move(w)), graph(workload->lowered.circuit),
+          analytics(graph)
+    {
+    }
+    std::shared_ptr<const Workload> workload;
+    DataflowGraph graph;
+    AnalyticsMemo analytics;
+};
+
+} // namespace
+
+const AnalyticsMemo::Analytics &
+AnalyticsMemo::get(const ExperimentConfig &config) const
+{
+    return entries_.get(analyticsKey(config), [&] {
+        return computeAnalytics(config, graph_);
+    });
+}
+
 Experiment::Experiment(ExperimentConfig config)
     : config_(std::move(config))
 {
@@ -411,22 +517,6 @@ Experiment::Experiment(ExperimentConfig config, SharedWorkload shared)
 {
 }
 
-namespace {
-
-/** Owns the workload a DataflowGraph references in place, so an
- *  aliasing graph pointer keeps both alive together. */
-struct GraphHolder
-{
-    explicit GraphHolder(std::shared_ptr<const Workload> w)
-        : workload(std::move(w)), graph(workload->lowered.circuit)
-    {
-    }
-    std::shared_ptr<const Workload> workload;
-    DataflowGraph graph;
-};
-
-} // namespace
-
 SharedWorkload
 makeSharedWorkload(Workload workload)
 {
@@ -435,11 +525,13 @@ makeSharedWorkload(Workload workload)
         std::make_shared<const Workload>(std::move(workload));
     // The graph references the workload's circuit in place, so the
     // graph pointer must co-own the workload: alias into a holder
-    // that keeps both alive even if only `graph` is retained.
-    auto holder =
-        std::make_shared<const GraphHolder>(out.workload);
+    // that keeps all of them alive even if only `graph` or
+    // `analytics` is retained.
+    auto holder = std::make_shared<const GraphHolder>(out.workload);
     out.graph = std::shared_ptr<const DataflowGraph>(
         holder, &holder->graph);
+    out.analytics = std::shared_ptr<const AnalyticsMemo>(
+        holder, &holder->analytics);
     return out;
 }
 
@@ -450,6 +542,10 @@ Experiment::shared()
         FowlerSynth synth(config_.synth);
         shared_ = makeSharedWorkload(WorkloadRegistry::instance().build(
             config_.workload, synth, config_.params));
+    } else if (!shared_.analytics) {
+        // A bundle assembled without makeSharedWorkload.
+        shared_.analytics =
+            std::make_shared<const AnalyticsMemo>(*shared_.graph);
     }
     return shared_;
 }
@@ -458,85 +554,6 @@ const Workload &
 Experiment::workload()
 {
     return *shared().workload;
-}
-
-const Experiment::Analytics &
-Experiment::analytics(const ExperimentConfig &variant)
-{
-    const int bins = std::max(1, variant.demandBins);
-    const IonTrapParams &tech = variant.tech;
-    const bool fresh = !analytics_
-        || analytics_->demandBins != bins
-        || analytics_->codeLevel != variant.codeLevel
-        || analytics_->calibrated != variant.calibrateFactories
-        || (variant.calibrateFactories
-            && (analytics_->calibrationTrials
-                    != variant.calibrationTrials
-                || analytics_->errors.pGate != variant.errors.pGate
-                || analytics_->errors.pMove != variant.errors.pMove))
-        || analytics_->tech.t1q != tech.t1q
-        || analytics_->tech.t2q != tech.t2q
-        || analytics_->tech.tmeas != tech.tmeas
-        || analytics_->tech.tprep != tech.tprep
-        || analytics_->tech.tmove != tech.tmove
-        || analytics_->tech.tturn != tech.tturn;
-    if (fresh) {
-        // The encoded-op yardstick: level-1 uses the physical
-        // technology point directly; level 2 prices every encoded
-        // operation with the recursive effective latencies.
-        const EncodedOpModel model(ConcatenatedSteane::effectiveTech(
-            tech, variant.codeLevel));
-        const DataflowGraph &graph = *shared().graph;
-        Analytics out;
-        out.tech = tech;
-        out.codeLevel = variant.codeLevel;
-        out.calibrated = variant.calibrateFactories;
-        out.calibrationTrials = variant.calibrationTrials;
-        out.errors = variant.errors;
-        out.demandBins = bins;
-        out.split = latencySplit(graph, model);
-        out.bandwidth = bandwidthAtSpeedOfData(graph, model);
-        out.demandProfile = ancillaDemandProfile(
-            graph, model, static_cast<std::size_t>(bins));
-        if (variant.codeLevel >= 2) {
-            // Level-2 cascades; optionally with both verification
-            // acceptances measured by the recursive Monte Carlo.
-            Level2ZeroFactory zero =
-                variant.calibrateFactories
-                    ? Level2ZeroFactory::calibrated(
-                          tech,
-                          analyzeRecursiveError(
-                              variant.errors,
-                              calibrateMovement(buildSimpleFactory(),
-                                                tech),
-                              /*seed=*/1, variant.calibrationTrials,
-                              variant.calibrationTrials * 4))
-                    : Level2ZeroFactory(tech);
-            const Level2Pi8Factory pi8(tech);
-            out.allocation = allocateForBandwidthLevel2(
-                zero, pi8, out.bandwidth.zeroPerMs(),
-                out.bandwidth.pi8PerMs());
-            out.zeroUnitThroughput = zero.throughput();
-            out.pi8UnitThroughput = pi8.throughput();
-        } else {
-            const ZeroFactory zero =
-                variant.calibrateFactories
-                    ? ZeroFactory::calibrated(
-                          tech, variant.errors,
-                          calibrateMovement(buildSimpleFactory(),
-                                            tech),
-                          /*seed=*/1, variant.calibrationTrials)
-                    : ZeroFactory(tech);
-            const Pi8Factory pi8(tech);
-            out.allocation = allocateForBandwidth(
-                zero, pi8, out.bandwidth.zeroPerMs(),
-                out.bandwidth.pi8PerMs());
-            out.zeroUnitThroughput = zero.throughput();
-            out.pi8UnitThroughput = pi8.throughput();
-        }
-        analytics_ = std::move(out);
-    }
-    return *analytics_;
 }
 
 Result
@@ -573,7 +590,8 @@ Experiment::run(const ExperimentConfig &variant)
 
     // The speed-of-data analytics are the common yardstick every
     // schedule mode is reported against.
-    const Analytics &cached = analytics(variant);
+    const AnalyticsMemo::Analytics &cached =
+        shared().analytics->get(variant);
     result.split = cached.split;
     result.bandwidth = cached.bandwidth;
     result.demandProfile = cached.demandProfile;

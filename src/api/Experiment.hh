@@ -27,13 +27,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/Json.hh"
 #include "arch/Microarch.hh"
 #include "arch/SpeedOfData.hh"
+#include "common/OnceMap.hh"
 #include "factory/Allocation.hh"
 #include "kernels/Workloads.hh"
 
@@ -257,29 +257,76 @@ struct Result
 };
 
 /**
+ * The speed-of-data analytics of one workload's dataflow graph,
+ * computed at most once per analytics key and shared by every
+ * Experiment on the bundle. The key holds exactly the inputs the
+ * analytics read: the six tech latencies, codeLevel, the clamped
+ * demandBins, calibrateFactories and, only when calibrating,
+ * calibrationTrials, errors.pGate and errors.pMove.
+ *
+ * Internally synchronized (see OnceMap): the first requester of a
+ * key computes it while later ones wait, and a computation that
+ * throws leaves no entry behind, so a later request retries.
+ */
+class AnalyticsMemo
+{
+  public:
+    /** The yardstick every schedule mode is reported against. */
+    struct Analytics
+    {
+        LatencySplit split;             ///< Table 2
+        BandwidthSummary bandwidth;     ///< Table 3
+        std::vector<double> demandProfile; ///< Figure 7
+        FactoryAllocation allocation;   ///< Table 9 sizing
+        /** Delivered bandwidth of one provisioned zero / pi/8
+         *  factory at this level (per ms), for the throttled-mode
+         *  default supply and the utilization yardsticks. */
+        BandwidthPerMs zeroUnitThroughput = 0;
+        BandwidthPerMs pi8UnitThroughput = 0;
+    };
+
+    /** Memoize analytics of `graph`, which must outlive the memo. */
+    explicit AnalyticsMemo(const DataflowGraph &graph) : graph_(graph)
+    {
+    }
+
+    /** The analytics under `config`'s analytics inputs. */
+    const Analytics &get(const ExperimentConfig &config) const;
+
+  private:
+    const DataflowGraph &graph_;
+    mutable OnceMap<Analytics> entries_;
+};
+
+/**
  * An immutable workload bundle shared across many experiments: the
- * built workload plus the dependency DAG over its lowered circuit.
- * The graph references the workload's circuit in place;
- * makeSharedWorkload therefore builds `graph` as an aliasing
- * pointer that co-owns the workload, so retaining either pointer
- * keeps everything it references alive. Build one with
- * makeSharedWorkload or through the sweep engine's cross-point
- * cache (SweepContext::workload). Everything here is const —
- * concurrent experiments may read it freely.
+ * built workload, the dependency DAG over its lowered circuit, and
+ * the memo of that DAG's analytics. The graph references the
+ * workload's circuit in place; makeSharedWorkload therefore builds
+ * `graph` and `analytics` as aliasing pointers that co-own the
+ * workload, so retaining any one pointer keeps everything it
+ * references alive. Build one with makeSharedWorkload or through the
+ * sweep engine's cross-point cache (SweepContext::workload).
+ * Everything here is const — concurrent experiments may read it
+ * freely; the analytics memo is internally synchronized.
  */
 struct SharedWorkload
 {
     std::shared_ptr<const Workload> workload;
     /** DataflowGraph over workload->lowered.circuit. */
     std::shared_ptr<const DataflowGraph> graph;
+    /** Analytics of `graph`, shared by every copy of the bundle. */
+    std::shared_ptr<const AnalyticsMemo> analytics;
 };
 
-/** Bundle an already-built workload with its dataflow graph. */
+/** Bundle an already-built workload with its dataflow graph and an
+ *  empty analytics memo. */
 SharedWorkload makeSharedWorkload(Workload workload);
 
 /**
  * Builds the workload once and runs one or more schedule variants
- * against it.
+ * against it. Variants read their analytics from the bundle's
+ * memo, so those sharing analytics inputs compute them once.
  */
 class Experiment
 {
@@ -288,15 +335,17 @@ class Experiment
     explicit Experiment(ExperimentConfig config);
 
     /**
-     * Const-shared-workload mode: share both the workload and its
-     * dataflow graph, so the experiment performs *no* per-point
-     * synthesis, copy or graph construction at all — the mode large
-     * sweeps run in (every point of a Table 5-8-scale grid reuses
-     * one immutable bundle, e.g. the sweep engine's cross-point
-     * cache). The config's workload fields are assumed to describe
-     * it, and shared.graph must be the DAG over
-     * shared.workload->lowered.circuit (makeSharedWorkload
-     * guarantees this). Results are bit-identical to building.
+     * Const-shared-workload mode: share the workload, its dataflow
+     * graph and its analytics memo, so the experiment performs *no*
+     * per-point synthesis, copy or graph construction at all, and
+     * computes analytics only for keys no experiment on the bundle
+     * has asked for — the mode large sweeps run in (every point of
+     * a Table 5-8-scale grid reuses one immutable bundle, e.g. the
+     * sweep engine's cross-point cache). The config's workload
+     * fields are assumed to describe it, and shared.graph must be
+     * the DAG over shared.workload->lowered.circuit
+     * (makeSharedWorkload guarantees this); a bundle without a memo
+     * gets a fresh one. Results are bit-identical to building.
      */
     Experiment(ExperimentConfig config, SharedWorkload shared);
 
@@ -317,40 +366,12 @@ class Experiment
     Result run(const ExperimentConfig &variant);
 
   private:
-    /**
-     * The speed-of-data analytics depend only on the cached
-     * workload, the technology point and the bin count, so variant
-     * sweeps (e.g. Figure 15's ~20 arch points per workload) reuse
-     * them instead of re-walking the circuit.
-     */
-    struct Analytics
-    {
-        IonTrapParams tech;
-        int codeLevel = 1;
-        bool calibrated = false;
-        std::uint64_t calibrationTrials = 0;
-        ErrorParams errors;
-        int demandBins = 0;
-        LatencySplit split;
-        BandwidthSummary bandwidth;
-        std::vector<double> demandProfile;
-        FactoryAllocation allocation;
-        /** Delivered bandwidth of one provisioned zero / pi/8
-         *  factory at this level (per ms), for the throttled-mode
-         *  default supply and the utilization yardsticks. */
-        BandwidthPerMs zeroUnitThroughput = 0;
-        BandwidthPerMs pi8UnitThroughput = 0;
-    };
-
-    const Analytics &analytics(const ExperimentConfig &variant);
-
     /** The workload bundle: the shared one when provided, else
      *  built on first use. */
     const SharedWorkload &shared();
 
     ExperimentConfig config_;
     SharedWorkload shared_;
-    std::optional<Analytics> analytics_;
 };
 
 /** One-shot convenience: build, run, discard the workload cache. */

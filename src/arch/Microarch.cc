@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -11,7 +10,7 @@
 #include "factory/ConcatenatedFactory.hh"
 #include "factory/Pi8Factory.hh"
 #include "factory/ZeroFactory.hh"
-#include "sim/Simulator.hh"
+#include "sim/EventQueue.hh"
 #include "sim/TokenPool.hh"
 
 namespace qc {
@@ -29,12 +28,12 @@ ArchExecution::run(const DataflowGraph &graph,
     const auto &gates = graph.circuit().gates();
     const auto n = static_cast<NodeId>(graph.numNodes());
 
-    Simulator sim;
+    EventQueue queue;
     std::vector<int> missing(n, 0);
     for (NodeId i = 0; i < n; ++i)
         missing[i] = static_cast<int>(graph.preds(i).size());
 
-    std::function<void(NodeId)> launch = [&](NodeId node) {
+    const auto launch = [&](NodeId node) {
         const Gate &g = gates[node];
         // Movement/cache bookkeeping first: it determines the QEC
         // site whose bank the ancilla claim goes to.
@@ -44,33 +43,39 @@ ArchExecution::run(const DataflowGraph &graph,
         result.pi8Consumed +=
             static_cast<std::uint64_t>(model.pi8Ancillae(g));
         const Time start =
-            std::max(sim.now(), ancillaReady(g, sim.now()));
+            std::max(queue.now(), ancillaReady(g, queue.now()));
         Time latency = overhead + model.dataLatency(g);
         if (model.needsQec(g.kind))
             latency += model.qecInteractLatency();
-        sim.schedule(start + latency, [&, node]() {
-            result.makespan = std::max(result.makespan, sim.now());
-            ++result.gatesExecuted;
-            for (NodeId succ : graph.succs(node)) {
-                if (--missing[succ] == 0)
-                    launch(succ);
-            }
-        });
+        queue.schedule(start + latency, node,
+                       EventQueue::Kind::Complete);
+    };
+    const auto fire = [&](const EventQueue::Event &event) {
+        if (event.kind == EventQueue::Kind::Launch) {
+            launch(event.node);
+            return;
+        }
+        result.makespan = std::max(result.makespan, event.when);
+        ++result.gatesExecuted;
+        for (NodeId succ : graph.succs(event.node)) {
+            if (--missing[succ] == 0)
+                launch(succ);
+        }
     };
 
     // Kick off the roots at t = 0 through the event queue so token
     // claims happen in deterministic time order.
     for (NodeId root : graph.roots())
-        sim.schedule(0, [&, root]() { launch(root); });
+        queue.schedule(0, root, EventQueue::Kind::Launch);
 
     if (deadline > 0) {
-        sim.runUntil(deadline);
-        if (sim.pending() > 0) {
+        queue.runUntil(deadline, fire);
+        if (queue.pending() > 0) {
             result.completed = false;
-            result.makespan = std::max(result.makespan, sim.now());
+            result.makespan = std::max(result.makespan, queue.now());
         }
     } else {
-        sim.run();
+        queue.run(fire);
     }
     return result;
 }

@@ -166,7 +166,7 @@ class ArchExecution
      * EncodedOpModel must already be at the run's code level.
      *
      * @param deadline cut the simulation off at this time (via
-     *                 Simulator::runUntil) and report a partial
+     *                 EventQueue::runUntil) and report a partial
      *                 result (completed = false); <= 0 runs to
      *                 completion
      * @return the counters in `result` (times ns, areas macroblocks)

@@ -92,6 +92,8 @@ BandwidthSummary bandwidthAtSpeedOfData(const DataflowGraph &graph,
  * holds its two ancillae for the QEC interaction window (the
  * just-in-time envelope).
  *
+ * @param bins  number of time bins; 0 throws std::invalid_argument
+ *              unless the schedule is empty
  * @return per-bin average concurrency (size = bins)
  */
 std::vector<double> ancillaDemandProfile(const DataflowGraph &graph,

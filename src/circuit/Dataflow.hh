@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "circuit/Circuit.hh"
@@ -42,6 +43,10 @@ struct Schedule
  * in program order with no intervening gate on that qubit (i.e.
  * last-writer edges, which are sufficient for scheduling since all
  * our dependencies are read-modify-write).
+ *
+ * The edges live in two flat compressed-row arrays, one per
+ * direction: node n's neighbours are idx[off[n] .. off[n + 1]).
+ * Both lists are deduplicated and ascending.
  */
 class DataflowGraph
 {
@@ -49,25 +54,31 @@ class DataflowGraph
     /** Latency assigned to each gate when scheduling. */
     using LatencyModel = std::function<Time(const Gate &)>;
 
-    /** Build the dependency DAG for a circuit (kept by reference). */
+    /**
+     * Build the dependency DAG for a circuit (kept by reference).
+     * Throws std::invalid_argument when the gate count or the edge
+     * count does not fit a NodeId.
+     */
     explicit DataflowGraph(const Circuit &circuit);
 
     /** The underlying circuit. */
     const Circuit &circuit() const { return circuit_; }
 
     /** Number of gate nodes. */
-    std::size_t numNodes() const { return preds_.size(); }
+    std::size_t numNodes() const { return predOff_.size() - 1; }
 
     /** Immediate predecessors of node n. */
-    const std::vector<NodeId> &preds(NodeId n) const
+    std::span<const NodeId> preds(NodeId n) const
     {
-        return preds_[n];
+        return {predIdx_.data() + predOff_[n],
+                predIdx_.data() + predOff_[n + 1]};
     }
 
     /** Immediate successors of node n. */
-    const std::vector<NodeId> &succs(NodeId n) const
+    std::span<const NodeId> succs(NodeId n) const
     {
-        return succs_[n];
+        return {succIdx_.data() + succOff_[n],
+                succIdx_.data() + succOff_[n + 1]};
     }
 
     /** Nodes with no predecessors. */
@@ -91,8 +102,10 @@ class DataflowGraph
 
   private:
     const Circuit &circuit_;
-    std::vector<std::vector<NodeId>> preds_;
-    std::vector<std::vector<NodeId>> succs_;
+    std::vector<std::uint32_t> predOff_;
+    std::vector<NodeId> predIdx_;
+    std::vector<std::uint32_t> succOff_;
+    std::vector<NodeId> succIdx_;
     std::vector<NodeId> roots_;
 };
 

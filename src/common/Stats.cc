@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace qc {
 
@@ -53,7 +55,14 @@ wilsonInterval(std::uint64_t successes, std::uint64_t trials, double z)
 TimeSeriesBinner::TimeSeriesBinner(double span, std::size_t bins)
     : span_(span), width_(span / static_cast<double>(bins)), bins_(bins, 0.0)
 {
-    assert(bins > 0 && span > 0.0);
+    // Checked in every build: with no bins, add() and addRange()
+    // would index an empty vector.
+    if (bins == 0 || !(span > 0.0)) {
+        throw std::invalid_argument(
+            "TimeSeriesBinner needs bins > 0 and span > 0 (got bins "
+            + std::to_string(bins) + ", span " + std::to_string(span)
+            + ")");
+    }
 }
 
 void

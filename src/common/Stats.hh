@@ -83,8 +83,9 @@ class TimeSeriesBinner
 {
   public:
     /**
-     * @param span  total domain covered
+     * @param span  total domain covered (> 0)
      * @param bins  number of equal-width bins (> 0)
+     * @throws std::invalid_argument when either is not positive
      */
     TimeSeriesBinner(double span, std::size_t bins);
 

@@ -74,8 +74,8 @@ class ExperimentRunner : public SweepRunner
 
         // Figure 8-style derived throttling: a supply rate given as
         // a fraction of this workload's own average bandwidth at
-        // speed of data (computed once per workload, not per
-        // fraction point).
+        // speed of data (from the bundle's analytics memo, so
+        // computed once per workload, not per fraction point).
         const double fraction =
             config.getDouble("zeroPerMsOfAverage", 0.0);
         if (fraction > 0) {
@@ -89,7 +89,8 @@ class ExperimentRunner : public SweepRunner
             }
             ExperimentConfig throttled = c;
             throttled.zeroPerMs =
-                context.averageZeroBandwidth(c, workload) * fraction;
+                workload.analytics->get(c).bandwidth.zeroPerMs()
+                * fraction;
             Experiment experiment(throttled, std::move(workload));
             Json out = experiment.run().summaryJson();
             out.set("zero_supply_per_ms", throttled.zeroPerMs);
@@ -266,74 +267,12 @@ class McPrepRunner : public SweepRunner
 SharedWorkload
 SweepContext::workload(const ExperimentConfig &config)
 {
-    const std::string key = config.workloadKey();
-    std::promise<SharedWorkload> promise;
-    std::shared_future<SharedWorkload> future;
-    bool builder = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(key);
-        if (it == cache_.end()) {
-            future = promise.get_future().share();
-            cache_.emplace(key, future);
-            builder = true;
-        } else {
-            future = it->second;
-        }
-    }
-    // Waiting happens outside the lock so one long synthesis does
-    // not serialize unrelated lookups.
-    if (!builder)
-        return future.get();
-    // First requester builds (synthesis, lowering and the dataflow
-    // graph); concurrent requesters for the same workload block on
-    // the future above.
-    try {
+    // Synthesis, lowering and the dataflow graph, once per workload.
+    return workloads_.get(config.workloadKey(), [&] {
         FowlerSynth synth(config.synth);
-        SharedWorkload built = makeSharedWorkload(
-            WorkloadRegistry::instance().build(
-                config.workload, synth, config.params));
-        promise.set_value(built);
-        return built;
-    } catch (...) {
-        promise.set_exception(std::current_exception());
-        std::lock_guard<std::mutex> lock(mutex_);
-        cache_.erase(key);
-        throw;
-    }
-}
-
-std::size_t
-SweepContext::workloadsBuilt()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.size();
-}
-
-BandwidthPerMs
-SweepContext::averageZeroBandwidth(const ExperimentConfig &config,
-                                   SharedWorkload workload)
-{
-    // Normalize away the supply knobs: fraction points differing
-    // only in their throttle share one yardstick entry.
-    ExperimentConfig ideal = config;
-    ideal.schedule = ScheduleMode::SpeedOfData;
-    ideal.zeroPerMs = 0;
-    ideal.pi8PerMs = 0;
-    ideal.timeLimit = 0;
-    const std::string key = ideal.toJson().dump(0);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = bandwidth_.find(key);
-        if (it != bandwidth_.end())
-            return it->second;
-    }
-    Experiment experiment(ideal, std::move(workload));
-    const BandwidthPerMs rate =
-        experiment.run().bandwidth.zeroPerMs();
-    std::lock_guard<std::mutex> lock(mutex_);
-    bandwidth_.emplace(key, rate);
-    return rate;
+        return makeSharedWorkload(WorkloadRegistry::instance().build(
+            config.workload, synth, config.params));
+    });
 }
 
 SweepRunnerRegistry &

@@ -14,8 +14,9 @@
  *                  plus the derived field "zeroPerMsOfAverage" for
  *                  Figure 8-style throttling at a fraction of the
  *                  workload's own average bandwidth. Workload
- *                  builds (synthesis included) are shared across
- *                  points through the SweepContext cache.
+ *                  builds (synthesis included) and their analytics
+ *                  are shared across points through the
+ *                  SweepContext cache.
  *
  *  - "mc-prep"     BatchAncillaSim Monte Carlo estimation of the
  *                  encoded-zero preparation strategies and the pi/8
@@ -31,15 +32,14 @@
 #ifndef QC_SWEEP_SWEEP_RUNNER_HH
 #define QC_SWEEP_SWEEP_RUNNER_HH
 
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "api/Experiment.hh"
 #include "api/Json.hh"
+#include "common/OnceMap.hh"
 
 namespace qc {
 
@@ -49,7 +49,8 @@ namespace qc {
  * a workload builds it — synthesis, lowering AND the dataflow
  * graph over the lowered circuit — and every other point shares
  * the immutable SharedWorkload bundle (no per-point synthesis,
- * copy or graph construction). Concurrent requests for the same
+ * copy or graph construction) and, through the bundle's memo, its
+ * speed-of-data analytics. Concurrent requests for the same
  * workload block on that one build.
  */
 class SweepContext
@@ -58,26 +59,8 @@ class SweepContext
     /** The built workload bundle for the config's workloadKey(). */
     SharedWorkload workload(const ExperimentConfig &config);
 
-    /** Distinct workloads built so far. */
-    std::size_t workloadsBuilt();
-
-    /**
-     * The workload's average encoded-zero bandwidth (per ms) at
-     * speed of data under this config — the Figure 8 yardstick.
-     * Cached by the normalized speed-of-data config, so fraction
-     * sweeps compute it once per workload instead of once per
-     * point. Racing points may both compute it (deterministic, so
-     * harmless); the first store wins.
-     */
-    BandwidthPerMs
-    averageZeroBandwidth(const ExperimentConfig &config,
-                         SharedWorkload workload);
-
   private:
-    std::mutex mutex_;
-    std::map<std::string, std::shared_future<SharedWorkload>>
-        cache_;
-    std::map<std::string, BandwidthPerMs> bandwidth_;
+    OnceMap<SharedWorkload> workloads_;
 };
 
 /** Turns one point configuration into one point result. */

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "arch/Microarch.hh"
@@ -100,6 +101,13 @@ TEST_F(ArchTest, DemandProfileIntegratesToDemand)
     // zeros (loose envelope).
     EXPECT_GT(mean, 0.0);
     EXPECT_LT(mean, static_cast<double>(bw.zerosConsumed));
+}
+
+TEST_F(ArchTest, DemandProfileRejectsZeroBins)
+{
+    DataflowGraph g(qrca8().lowered.circuit);
+    EXPECT_THROW(ancillaDemandProfile(g, model_, 0),
+                 std::invalid_argument);
 }
 
 TEST_F(ArchTest, ThrottledRunUnconstrainedMatchesSpeedOfData)
@@ -298,6 +306,116 @@ TEST_F(MicroarchTest, AncillaAccountingConsistentAcrossArchs)
     EXPECT_EQ(qla.zerosConsumed, fma.zerosConsumed);
     EXPECT_EQ(qla.zerosConsumed, cqla.zerosConsumed);
     EXPECT_EQ(qla.pi8Consumed, fma.pi8Consumed);
+}
+
+// ---------------------------------------------------------------
+// The executor's absolute outputs on wide circuits. Many gates of a
+// brickwork ladder complete at the same time, so the order in which
+// equal-time events fire decides which gate claims which ancilla
+// first; these pins catch any change to that order.
+// ---------------------------------------------------------------
+
+/** The counters of one executor run, as one comparable row. */
+struct ExecutorPin
+{
+    std::string run;
+    Time makespan = 0;
+    std::uint64_t gatesExecuted = 0;
+    bool completed = true;
+    std::uint64_t zeros = 0;
+    std::uint64_t pi8s = 0;
+    std::uint64_t teleports = 0;
+    std::uint64_t cacheAccesses = 0;
+    std::uint64_t cacheMisses = 0;
+
+    bool operator==(const ExecutorPin &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const ExecutorPin &p)
+{
+    return os << "{\"" << p.run << "\", " << p.makespan << ", "
+              << p.gatesExecuted << ", "
+              << (p.completed ? "true" : "false") << ", " << p.zeros
+              << ", " << p.pi8s << ", " << p.teleports << ", "
+              << p.cacheAccesses << ", " << p.cacheMisses << "}";
+}
+
+/**
+ * Throttled at half the average speed-of-data rates (to completion
+ * and cut off at half that makespan), every ArchRegistry row (gqla
+ * and gcqla at two generators per site and an 8-slot cache, so the
+ * LRU evicts), and tiled Qalypso at 16 qubits per tile.
+ */
+std::vector<ExecutorPin>
+executorRuns(const std::string &workload, int bits)
+{
+    static FowlerSynth synth;
+    WorkloadParams params;
+    params.bits = bits;
+    const Workload w =
+        WorkloadRegistry::instance().build(workload, synth, params);
+    const DataflowGraph g(w.lowered.circuit);
+    const EncodedOpModel model(IonTrapParams::paper());
+
+    std::vector<ExecutorPin> out;
+    const auto add = [&](const std::string &run, const ArchRunResult &r) {
+        out.push_back({run, r.makespan, r.gatesExecuted, r.completed,
+                       r.zerosConsumed, r.pi8Consumed, r.teleports,
+                       r.cacheAccesses, r.cacheMisses});
+    };
+    const BandwidthSummary bw = bandwidthAtSpeedOfData(g, model);
+    const BandwidthPerMs zeroRate = bw.zeroPerMs() / 2;
+    const BandwidthPerMs pi8Rate = bw.pi8PerMs() / 2;
+    const ThrottledResult full = throttledRun(g, model, zeroRate, pi8Rate);
+    add("throttled", full);
+    add("throttled/deadline",
+        throttledRun(g, model, zeroRate, pi8Rate, full.makespan / 2));
+    for (const std::string &key : ArchRegistry::instance().keys()) {
+        MicroarchConfig config;
+        if (key == "gqla" || key == "gcqla") {
+            config.generatorsPerSite = 2;
+            config.cacheSlots = 8;
+        }
+        add(key, ArchRegistry::instance().get(key).run(g, model, config));
+    }
+    QalypsoConfig tiled;
+    tiled.tileSize = 16;
+    const QalypsoRunResult q = runQalypso(g, model, tiled);
+    // runQalypso reports no gate or cache counters.
+    out.push_back({"qalypso/16", q.makespan, 0, true, q.zerosConsumed,
+                   q.pi8Consumed, q.teleports, 0, 0});
+    return out;
+}
+
+TEST(ExecutorPins, Ladder64)
+{
+    const std::vector<ExecutorPin> expected = {
+        {"throttled", 17095000, 6112, true, 12224, 0, 0, 0, 0},
+        {"throttled/deadline", 8547500, 3043, false, 6184, 0, 0, 0, 0},
+        {"cqla", 198885000, 6112, true, 12224, 0, 16192, 8128, 8108},
+        {"fma", 116184983, 6112, true, 12224, 0, 0, 0, 0},
+        {"gcqla", 291780000, 6112, true, 12224, 0, 16238, 8128, 8123},
+        {"gqla", 33023000, 6112, true, 12224, 0, 2016, 0, 0},
+        {"qla", 74300000, 6112, true, 12224, 0, 2016, 0, 0},
+        {"qalypso/16", 44203935, 0, true, 12224, 0, 96, 0, 0},
+    };
+    EXPECT_EQ(executorRuns("ladder", 64), expected);
+}
+
+TEST(ExecutorPins, Qcla16)
+{
+    const std::vector<ExecutorPin> expected = {
+        {"throttled", 33669000, 1792, true, 3536, 784, 0, 0, 0},
+        {"throttled/deadline", 16834500, 909, false, 1786, 386, 0, 0, 0},
+        {"cqla", 164526000, 1792, true, 3536, 784, 2346, 2528, 1185},
+        {"fma", 47962890, 1792, true, 3536, 784, 0, 0, 0},
+        {"gcqla", 150572000, 1792, true, 3536, 784, 4368, 2528, 2188},
+        {"gqla", 77493000, 1792, true, 3536, 784, 736, 0, 0},
+        {"qla", 140052000, 1792, true, 3536, 784, 736, 0, 0},
+        {"qalypso/16", 38443421, 0, true, 3536, 784, 544, 0, 0},
+    };
+    EXPECT_EQ(executorRuns("qcla", 16), expected);
 }
 
 } // namespace

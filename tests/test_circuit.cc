@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "circuit/Circuit.hh"
 #include "circuit/Dataflow.hh"
 
@@ -159,6 +162,86 @@ TEST(Dataflow, PrepStartsNewLifetimeButKeepsOrdering)
     DataflowGraph g(c);
     // Still a chain: reuse of the qubit is ordered.
     EXPECT_EQ(g.depth(), 4u);
+}
+
+/**
+ * Checks the graph's edges against a reference built here from the
+ * last gate on each qubit: preds and succs deduplicated and
+ * ascending, roots in program order.
+ */
+void
+expectLastWriterEdges(const Circuit &c)
+{
+    const DataflowGraph g(c);
+    const auto &gates = c.gates();
+    ASSERT_EQ(g.numNodes(), gates.size());
+    std::vector<std::set<NodeId>> preds(gates.size());
+    std::vector<std::vector<NodeId>> succs(gates.size());
+    std::vector<NodeId> roots;
+    std::vector<int> last(c.numQubits(), -1);
+    for (NodeId i = 0; i < gates.size(); ++i) {
+        for (int slot = 0; slot < gates[i].arity(); ++slot) {
+            const Qubit q = gates[i].ops[static_cast<std::size_t>(slot)];
+            if (last[q] >= 0)
+                preds[i].insert(static_cast<NodeId>(last[q]));
+            last[q] = static_cast<int>(i);
+        }
+        for (NodeId p : preds[i])
+            succs[p].push_back(i);
+        if (preds[i].empty())
+            roots.push_back(i);
+    }
+    for (NodeId i = 0; i < gates.size(); ++i) {
+        EXPECT_EQ(std::vector<NodeId>(g.preds(i).begin(),
+                                      g.preds(i).end()),
+                  std::vector<NodeId>(preds[i].begin(), preds[i].end()))
+            << "preds of node " << i;
+        EXPECT_EQ(std::vector<NodeId>(g.succs(i).begin(),
+                                      g.succs(i).end()),
+                  succs[i])
+            << "succs of node " << i;
+    }
+    EXPECT_EQ(g.roots(), roots);
+}
+
+TEST(Dataflow, EdgesAreTheLastGateOnEachQubit)
+{
+    Circuit c(5);
+    c.h(0).cx(0, 1).cx(0, 1).h(3).toffoli(3, 1, 0).t(2).cx(2, 4);
+    c.toffoli(4, 0, 3).measure(1).prepZ(1).cz(1, 4).crotZ(3, 2, 3);
+    expectLastWriterEdges(c);
+    // The repeated cx(0, 1) depends on the first through one edge.
+    const DataflowGraph g(c);
+    EXPECT_EQ(g.preds(2).size(), 1u);
+    EXPECT_EQ(g.succs(1).size(), 1u);
+    // The first Toffoli's operands were last touched by gates 3
+    // (qubit 3) and 2 (qubits 1 and 0).
+    EXPECT_EQ(std::vector<NodeId>(g.preds(4).begin(), g.preds(4).end()),
+              (std::vector<NodeId>{2, 3}));
+}
+
+TEST(Dataflow, EdgesOfAGeneratedCircuit)
+{
+    // A fixed pseudo-random mix of one-, two- and three-qubit gates.
+    Circuit c(7);
+    std::uint32_t state = 12345;
+    const auto next = [&](std::uint32_t mod) {
+        state = state * 1103515245u + 12345u;
+        return static_cast<Qubit>((state >> 16) % mod);
+    };
+    for (int i = 0; i < 400; ++i) {
+        const Qubit a = next(7);
+        const Qubit b = (a + 1 + next(6)) % 7;
+        Qubit t = (a + 1 + next(6)) % 7;
+        while (t == a || t == b)
+            t = (t + 1) % 7;
+        switch (next(3)) {
+          case 0: c.h(a); break;
+          case 1: c.cx(a, b); break;
+          default: c.toffoli(a, b, t); break;
+        }
+    }
+    expectLastWriterEdges(c);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/Clock.hh"
 #include "common/Params.hh"
@@ -210,6 +211,17 @@ TEST(TimeSeriesBinner, ClampsOutOfRange)
     b.add(42.0);
     EXPECT_DOUBLE_EQ(b.bins()[0], 1.0);
     EXPECT_DOUBLE_EQ(b.bins()[4], 1.0);
+}
+
+TEST(TimeSeriesBinner, RejectsNoBinsAndEmptySpans)
+{
+    // Checked in every build, not only under asserts: with no bins
+    // the binner would write through an empty vector.
+    EXPECT_THROW(TimeSeriesBinner(100.0, 0), std::invalid_argument);
+    EXPECT_THROW(TimeSeriesBinner(0.0, 10), std::invalid_argument);
+    EXPECT_THROW(TimeSeriesBinner(-1.0, 10), std::invalid_argument);
+    EXPECT_THROW(TimeSeriesBinner(std::nan(""), 10),
+                 std::invalid_argument);
 }
 
 TEST(Table, AlignsColumnsAndSeparatesHeader)

@@ -17,6 +17,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "api/Qc.hh"
 #include "error/BatchAncillaSim.hh"
@@ -1002,8 +1003,9 @@ TEST(SweepEngine, MoreThreadsThanPointsIsFine)
 }
 
 // ---------------------------------------------------------------
-// Const-shared-workload mode: one immutable (workload, graph)
-// bundle across points, bit-identical to per-point construction.
+// Const-shared-workload mode: one immutable (workload, graph,
+// analytics memo) bundle across points, bit-identical to per-point
+// construction.
 // ---------------------------------------------------------------
 
 TEST(SharedWorkload, SharedGraphResultsMatchPerPointBuilds)
@@ -1031,6 +1033,91 @@ TEST(SharedWorkload, SharedGraphResultsMatchPerPointBuilds)
                   fresh.run().toJson().dump())
             << scheduleModeName(schedule);
     }
+}
+
+TEST(SharedWorkload, AnalyticsMemoKeysEveryInputAcrossThreads)
+{
+    // A throttled run reads every analytics field: the split, the
+    // bandwidth and profile, the allocation and the unit
+    // throughputs behind the default supply and utilization.
+    ExperimentConfig base;
+    base.workload = "qrca";
+    base.params.bits = 4;
+    base.schedule = ScheduleMode::Throttled;
+
+    // Each variant differs from an earlier one, variants[from[i]], in
+    // exactly one analytics input.
+    std::vector<ExperimentConfig> variants = {base};
+    std::vector<std::size_t> from = {0};
+    const auto vary = [&](std::size_t origin, auto edit) {
+        ExperimentConfig v = variants[origin];
+        edit(v);
+        variants.push_back(v);
+        from.push_back(origin);
+    };
+    using C = ExperimentConfig;
+    vary(0, [](C &v) { v.tech.t1q += 1000; });
+    vary(0, [](C &v) { v.tech.t2q += 1000; });
+    vary(0, [](C &v) { v.tech.tmeas += 1000; });
+    vary(0, [](C &v) { v.tech.tprep += 1000; });
+    vary(0, [](C &v) { v.tech.tmove += 1000; });
+    vary(0, [](C &v) { v.tech.tturn += 1000; });
+    vary(0, [](C &v) { v.codeLevel = 2; });
+    vary(0, [](C &v) { v.demandBins = 7; });
+    vary(0, [](C &v) {
+        v.calibrateFactories = true;
+        v.calibrationTrials = 4096;
+    });
+    const std::size_t calibrated = variants.size() - 1;
+    vary(calibrated, [](C &v) { v.errors.pGate *= 3; });
+    vary(calibrated, [](C &v) { v.errors.pMove = 1e-2; });
+    vary(calibrated, [](C &v) { v.calibrationTrials = 8192; });
+
+    std::vector<std::string> expected;
+    for (const ExperimentConfig &v : variants)
+        expected.push_back(runExperiment(v).toJson().dump());
+    // Every input moves the result, so a memo that left one out of
+    // its key would hand some variant another's analytics.
+    for (std::size_t i = 1; i < variants.size(); ++i)
+        EXPECT_NE(expected[i], expected[from[i]]) << "variant " << i;
+
+    FowlerSynth synth(base.synth);
+    const SharedWorkload shared = makeSharedWorkload(
+        WorkloadRegistry::instance().build("qrca", synth,
+                                           base.params));
+    // Four threads walk the variants from different starting points,
+    // so different keys are first requested, and awaited, at once.
+    constexpr std::size_t kThreads = 4;
+    const std::size_t n = variants.size();
+    const std::size_t steps = 3 * n;
+    const auto variantAt = [n](std::size_t t, std::size_t step) {
+        return (step + t * n / kThreads) % n;
+    };
+    std::vector<std::vector<std::string>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t step = 0; step < steps; ++step) {
+                const ExperimentConfig &v = variants[variantAt(t, step)];
+                got[t].push_back(
+                    Experiment(v, shared).run().toJson().dump());
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        for (std::size_t step = 0; step < steps; ++step) {
+            const std::size_t i = variantAt(t, step);
+            EXPECT_EQ(got[t][step], expected[i])
+                << "thread " << t << ", variant " << i;
+        }
+    }
+
+    // A bundle assembled without makeSharedWorkload gets a memo of
+    // its own.
+    const SharedWorkload bare{shared.workload, shared.graph, nullptr};
+    EXPECT_EQ(Experiment(base, bare).run().toJson().dump(), expected[0]);
 }
 
 // ---------------------------------------------------------------
