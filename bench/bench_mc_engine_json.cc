@@ -32,11 +32,11 @@
  */
 
 #include <chrono>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
 
-#include "BenchCommon.hh"
 #include "error/AncillaSim.hh"
 #include "error/BatchAncillaSim.hh"
 #include "sweep/Sweep.hh"
@@ -45,6 +45,35 @@ namespace {
 
 using namespace qc;
 using Clock = std::chrono::steady_clock;
+
+/** The integer argument name=value, or `fallback` when absent. */
+std::uint64_t
+argValue(int argc, char **argv, const std::string &name,
+         std::uint64_t fallback)
+{
+    const std::string prefix = name + "=";
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind(prefix, 0) == 0)
+            return std::strtoull(arg.c_str() + prefix.size(),
+                                 nullptr, 10);
+    }
+    return fallback;
+}
+
+/** The string argument name=value, or `fallback` when absent. */
+std::string
+argString(int argc, char **argv, const std::string &name,
+          const std::string &fallback)
+{
+    const std::string prefix = name + "=";
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind(prefix, 0) == 0)
+            return arg.substr(prefix.size());
+    }
+    return fallback;
+}
 
 template <typename F>
 double
@@ -131,14 +160,14 @@ stratifiedJson(double p_gate, double p_move, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    const bool quick = bench::argValue(argc, argv, "quick", 0) != 0;
-    const std::uint64_t trials = bench::argValue(
+    const bool quick = argValue(argc, argv, "quick", 0) != 0;
+    const std::uint64_t trials = argValue(
         argc, argv, "trials", quick ? 1048576 : 4000000);
     const std::uint64_t seed =
-        bench::argValue(argc, argv, "seed", 20080623);
+        argValue(argc, argv, "seed", 20080623);
     const bool scaling = !quick
-        && bench::argValue(argc, argv, "scaling", 1) != 0;
-    const std::string out = bench::argString(
+        && argValue(argc, argv, "scaling", 1) != 0;
+    const std::string out = argString(
         argc, argv, "out", "BENCH_mc_engine.json");
 
     Json doc = Json::object();

@@ -437,6 +437,12 @@ computeAnalytics(const ExperimentConfig &config,
     // technology point directly; level 2 prices every encoded
     // operation with the recursive effective latencies.
     const IonTrapParams &tech = config.tech;
+    if (config.calibrateFactories && config.calibrationTrials < 1) {
+        throw std::invalid_argument(
+            "calibrationTrials must be >= 1 when calibrateFactories "
+            "is set, got "
+            + std::to_string(config.calibrationTrials));
+    }
     const EncodedOpModel model(
         ConcatenatedSteane::effectiveTech(tech, config.codeLevel));
     AnalyticsMemo::Analytics out;

@@ -116,7 +116,8 @@ struct ExperimentConfig
      */
     bool calibrateFactories = false;
 
-    /** Trials for the calibration pass (per level). */
+    /** Trials for the calibration pass (per level). Calibrating
+     *  with 0 throws std::invalid_argument at run time. */
     std::uint64_t calibrationTrials = 1 << 20;
 
     /** Schedule mode (see ScheduleMode). */
@@ -161,8 +162,8 @@ struct ExperimentConfig
     /** MicroarchConfig equivalent (for the arch-mode run). */
     MicroarchConfig microarchConfig() const;
 
-    /** Paper-parity baseline for one workload (BenchCommon's old
-     *  hand-wired synthesis options, 32 bits). */
+    /** Paper-parity baseline for one workload: 32 bits and the
+     *  paper's literal {H, T} synthesis options. */
     static ExperimentConfig paper(const std::string &workload);
 
     /** JSON round-trip; missing keys keep their defaults. */

@@ -35,7 +35,7 @@
  * The paper's headline artifacts map to one-liners; see
  * src/api/README.md for the table/figure-to-call map,
  * docs/ARCHITECTURE.md for the module tour, and docs/PAPER_MAP.md
- * for the artifact-to-bench map (level-2 analogs included).
+ * for the artifact-to-ledger map (level-2 analogs included).
  */
 
 #ifndef QC_API_QC_HH

@@ -8,36 +8,6 @@
 
 namespace qc {
 
-void
-RunningStat::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 Interval
 wilsonInterval(std::uint64_t successes, std::uint64_t trials, double z)
 {
@@ -97,12 +67,6 @@ TimeSeriesBinner::addRange(double t0, double t1, double weight)
         if (hi > lo)
             bins_[i] += density * (hi - lo);
     }
-}
-
-double
-TimeSeriesBinner::binCenter(std::size_t i) const
-{
-    return (static_cast<double>(i) + 0.5) * width_;
 }
 
 } // namespace qc

@@ -1,8 +1,8 @@
 /**
  * @file
  * Small statistics helpers used by the Monte Carlo engine and the
- * event-driven simulations: running moments, binomial confidence
- * intervals, and time-series accumulation for the figure benches.
+ * speed-of-data analytics: binomial confidence intervals and
+ * time-series accumulation for the Figure 7 demand profile.
  */
 
 #ifndef QC_COMMON_STATS_HH
@@ -12,45 +12,6 @@
 #include <vector>
 
 namespace qc {
-
-/**
- * Single-pass running mean/variance/extrema (Welford's algorithm).
- */
-class RunningStat
-{
-  public:
-    /** Add one sample. */
-    void add(double x);
-
-    /** Number of samples added. */
-    std::uint64_t count() const { return n_; }
-
-    /** Sample mean (0 if empty). */
-    double mean() const { return n_ ? mean_ : 0.0; }
-
-    /** Unbiased sample variance (0 if fewer than two samples). */
-    double variance() const;
-
-    /** Sample standard deviation. */
-    double stddev() const;
-
-    /** Smallest sample seen (0 if empty). */
-    double min() const { return n_ ? min_ : 0.0; }
-
-    /** Largest sample seen (0 if empty). */
-    double max() const { return n_ ? max_ : 0.0; }
-
-    /** Sum of all samples. */
-    double sum() const { return sum_; }
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
 
 /** A two-sided confidence interval. */
 struct Interval
@@ -77,7 +38,7 @@ Interval wilsonInterval(std::uint64_t successes, std::uint64_t trials,
 
 /**
  * Fixed-bin histogram over a [0, span) domain; used to bin ancilla
- * demand over time for the Figure 7 bench.
+ * demand over time for the Figure 7 profile.
  */
 class TimeSeriesBinner
 {
@@ -97,9 +58,6 @@ class TimeSeriesBinner
 
     /** Accumulated weight per bin. */
     const std::vector<double> &bins() const { return bins_; }
-
-    /** Center position of bin i. */
-    double binCenter(std::size_t i) const;
 
     /** Width of each bin. */
     double binWidth() const { return width_; }

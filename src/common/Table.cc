@@ -61,48 +61,11 @@ TextTable::print(std::ostream &os) const
         emit(r);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto quote = [](const std::string &s) {
-        if (s.find_first_of(",\"\n") == std::string::npos)
-            return s;
-        std::string out = "\"";
-        for (char c : s) {
-            if (c == '"')
-                out += '"';
-            out += c;
-        }
-        out += '"';
-        return out;
-    };
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                os << ',';
-            os << quote(cells[i]);
-        }
-        os << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &r : rows_)
-        emit(r);
-}
-
 std::string
 fmtFixed(double v, int precision)
 {
     std::ostringstream ss;
     ss << std::fixed << std::setprecision(precision) << v;
-    return ss.str();
-}
-
-std::string
-fmtSci(double v, int precision)
-{
-    std::ostringstream ss;
-    ss << std::scientific << std::setprecision(precision) << v;
     return ss.str();
 }
 

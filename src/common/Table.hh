@@ -1,7 +1,7 @@
 /**
  * @file
- * Plain-text table and CSV emission used by the bench binaries to
- * print paper-style tables and figure series.
+ * Plain-text table emission used by the example programs to print
+ * paper-style tables.
  */
 
 #ifndef QC_COMMON_TABLE_HH
@@ -18,7 +18,7 @@ namespace qc {
  * A simple column-aligned text table.
  *
  * Columns are sized to the widest cell; numeric formatting is the
- * caller's responsibility (use fmtFixed/fmtSci below).
+ * caller's responsibility (use the fmt* helpers below).
  */
 class TextTable
 {
@@ -35,9 +35,6 @@ class TextTable
     /** Render with column alignment and a rule under the header. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (no alignment, comma separated, quoted as needed). */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
@@ -45,9 +42,6 @@ class TextTable
 
 /** Format a double with fixed precision. */
 std::string fmtFixed(double v, int precision = 1);
-
-/** Format a double in scientific notation. */
-std::string fmtSci(double v, int precision = 2);
 
 /** Format an integer with no decoration. */
 std::string fmtInt(long long v);

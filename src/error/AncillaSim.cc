@@ -52,15 +52,6 @@ PrepEstimate::discardRate() const
                         : 0.0;
 }
 
-double
-PrepEstimate::correctionDiscardRate() const
-{
-    return correctionTrials
-               ? static_cast<double>(correctionDiscards)
-                     / static_cast<double>(correctionTrials)
-               : 0.0;
-}
-
 AncillaPrepSimulator::AncillaPrepSimulator(ErrorParams errors,
                                            MovementModel movement,
                                            std::uint64_t seed,

@@ -47,7 +47,7 @@ const char *zeroPrepStrategyName(ZeroPrepStrategy strategy);
  * (ApplyFix). A factory producing short-lived ancillae can instead
  * discard and recycle the block (DiscardOnSyndrome), which the paper
  * motivates in Section 3 and which strictly dominates in output
- * fidelity at a small yield cost. The Figure 4 bench reports both.
+ * fidelity at a small yield cost. The paper ledger reports both.
  */
 enum class CorrectionSemantics
 {
@@ -105,9 +105,6 @@ struct PrepEstimate
 
     /** Estimated per-attempt verification failure rate. */
     double discardRate() const;
-
-    /** Estimated per-attempt correction-stage recycle rate. */
-    double correctionDiscardRate() const;
 };
 
 /** The two independently stratified fault classes. */

@@ -21,7 +21,7 @@
  *    larger rotation. The paper does not use this construction in
  *    its main circuits (it requires arbitrary-precision physical
  *    rotations) but analyzes its data-critical-path advantage; this
- *    model backs the corresponding ablation bench.
+ *    model backs the paper ledger's cascade ablation rows.
  *
  * Units: bandwidths in items/ms, areas in macroblocks, times in ns.
  */

@@ -173,7 +173,7 @@ Level2Pi8Factory::Level2Pi8Factory(IonTrapParams tech,
     // Ten block workspaces: seven cat blocks, the level-2 zero
     // being converted, and two staging slots for decode/fix-up.
     const double workspaces = 10;
-    conversionArea_ = workspaces * blockWorkspaceArea()
+    const Area conversionArea = workspaces * blockWorkspaceArea()
         * (1.0 + crossbarShare(Pi8Factory(tech)));
 
     CascadeStage farm;
@@ -189,7 +189,7 @@ Level2Pi8Factory::Level2Pi8Factory(IonTrapParams tech,
         bandwidthOf(conversionLatency_, 1, assemblyStages);
     conversion.inputsPerOutput =
         ConcatenatedSteane::subBlocksPerPi8Cat;
-    conversion.unitArea = conversionArea_;
+    conversion.unitArea = conversionArea;
     conversion.unitLatency = conversionLatency_;
 
     catCascade_ = FactoryCascade({farm, conversion});
@@ -211,12 +211,6 @@ double
 Level2Pi8Factory::level1FeederFactories() const
 {
     return catCascade_.unitsFor(throughput())[0];
-}
-
-Area
-Level2Pi8Factory::conversionArea() const
-{
-    return conversionArea_;
 }
 
 Area

@@ -141,9 +141,6 @@ class Level2Pi8Factory
     /** Fractional level-1 ZeroFactory count feeding the cats. */
     double level1FeederFactories() const;
 
-    /** Conversion-line area (block workspaces + crossbar share). */
-    Area conversionArea() const;
-
     /** Area of the embedded level-1 cat-feeder factories. */
     Area feederArea() const;
 
@@ -160,7 +157,6 @@ class Level2Pi8Factory
     IonTrapParams tech_;
     ZeroFactory level1_;
     Time conversionLatency_ = 0;
-    Area conversionArea_ = 0;
     FactoryCascade catCascade_;
 };
 

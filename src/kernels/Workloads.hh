@@ -6,9 +6,9 @@
  *
  * Builders produce the circuit at the benchmark gate level and
  * lowered to the fault-tolerant [[7,1,3]] gate set in one step, so
- * every consumer — benches, examples, qc::Experiment — shares one
- * construction path instead of wiring makeQrca/lowerToFaultTolerant
- * by hand. A new workload is one row of the table in
+ * every consumer — examples, qc::Experiment, the paper ledger —
+ * shares one construction path instead of wiring
+ * makeQrca/lowerToFaultTolerant by hand. A new workload is one row of the table in
  * kernels/Workloads.cc.
  *
  * Unknown names throw std::invalid_argument listing the known

@@ -1,14 +1,14 @@
 /**
  * @file
  * Single facade header for the sweep subsystem. Consumers — the
- * qcarch CLI, the figure/table benches, tests — include this one
- * header and get:
+ * qcarch CLI, the engine bench, tests — include this one header and
+ * get:
  *
  *  - qc::SweepSpec            declarative sweep descriptions
  *                             (cartesian + zipped axes, grid
  *                             unions, JSON round-trip)
  *  - qc::SweepRunner /        pluggable point executors
- *    qc::SweepRunnerRegistry  ("experiment", "mc-prep")
+ *    qc::SweepRunnerRegistry  ("experiment", "mc-prep", "paper")
  *  - qc::runSweep             the parallel executor: work-stealing
  *                             pool, config-hash memoization,
  *                             deterministic aggregation

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "api/PaperLedger.hh"
 #include "error/BatchAncillaSim.hh"
 #include "layout/Builders.hh"
 #include "sweep/SweepSpec.hh"
@@ -262,6 +263,31 @@ class McPrepRunner : public SweepRunner
     }
 };
 
+// ----------------------------------------------------------------
+// "paper": the paper-fidelity ledger, one point, no fields.
+// ----------------------------------------------------------------
+
+class PaperRunner : public SweepRunner
+{
+  public:
+    std::string name() const override { return "paper"; }
+
+    std::string
+    description() const override
+    {
+        return "the paper-fidelity ledger: Tables 1-9 and Figures 4, "
+               "5b and 7 beside the paper's printed values";
+    }
+
+    std::vector<std::string> fields() const override { return {}; }
+
+    Json
+    runPoint(const Json &, SweepContext &) const override
+    {
+        return paperLedger();
+    }
+};
+
 } // namespace
 
 SharedWorkload
@@ -326,6 +352,7 @@ registerBuiltinSweepRunners(SweepRunnerRegistry &registry)
     registry.add("experiment",
                  std::make_shared<const ExperimentRunner>());
     registry.add("mc-prep", std::make_shared<const McPrepRunner>());
+    registry.add("paper", std::make_shared<const PaperRunner>());
 }
 
 } // namespace qc

@@ -24,6 +24,10 @@
  *                  strategy, pGate, pMove, trials, seed, semantics,
  *                  wordsPerQubit.
  *
+ *  - "paper"       the paper-fidelity ledger (api/PaperLedger.hh):
+ *                  one point, no fields, whose result is every
+ *                  ledger row.
+ *
  * Every runner must be a pure function of the point configuration
  * (seeded Monte Carlo included) so sweep output is bit-identical
  * regardless of thread count or scheduling.

@@ -110,7 +110,7 @@ class FowlerSynth
          * fraction — uses the literal alphabet; the compressed form
          * consumes fewer pi/8 ancillae and is the better
          * engineering choice, so both are supported and the
-         * difference is an ablation in the bench suite.
+         * difference is an ablation study.
          */
         bool pureHT = false;
 

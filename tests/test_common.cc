@@ -134,27 +134,6 @@ TEST(Rng, SplitProducesIndependentStream)
     EXPECT_LT(same, 2);
 }
 
-TEST(RunningStat, MomentsOfKnownSequence)
-{
-    RunningStat s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, EmptyIsSafe)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
 TEST(Wilson, CoversTrueProportion)
 {
     // 30 successes in 1000 trials, p-hat = 0.03.
@@ -238,22 +217,11 @@ TEST(Table, AlignsColumnsAndSeparatesHeader)
     EXPECT_NE(s.find("long-name"), std::string::npos);
 }
 
-TEST(Table, CsvQuotesSpecials)
-{
-    TextTable t;
-    t.header({"a", "b"});
-    t.row({"x,y", "plain"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_NE(os.str().find("\"x,y\""), std::string::npos);
-}
-
 TEST(Table, Formatters)
 {
     EXPECT_EQ(fmtFixed(3.14159, 2), "3.14");
     EXPECT_EQ(fmtInt(42), "42");
     EXPECT_EQ(fmtPct(0.782, 1), "78.2%");
-    EXPECT_EQ(fmtSci(0.000029, 1), "2.9e-05");
 }
 
 TEST(Clock, SystemClockIsTheDefaultAndLooksLikeEpochMs)

@@ -494,23 +494,38 @@ TEST(HoardStore, WrongStoreVersionMarkerThrows)
 
 TEST(HoardSweep, WarmRunExecutesZeroPointsByteIdentical)
 {
-    ScratchDir dir("qc_hoard_warm");
-    const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
-    const Json cold = coldDocument(spec);
+    // The Monte Carlo grid, and an experiment grid whose points
+    // share one workload across schedules and code levels.
+    const char *const experimentSpec = R"({
+      "name": "hoard_experiment",
+      "runner": "experiment",
+      "base": {"workload": "qrca", "bits": 8,
+               "synth": {"maxSyllables": 3}},
+      "axes": [
+        {"field": "schedule", "values": ["speed-of-data", "arch"]},
+        {"field": "codeLevel", "values": [1, 2]}
+      ]
+    })";
+    for (const char *text : {kSpec, experimentSpec}) {
+        SCOPED_TRACE(text);
+        ScratchDir dir("qc_hoard_warm");
+        const SweepSpec spec = SweepSpec::fromJson(parse(text));
+        const Json cold = coldDocument(spec);
 
-    const SweepReport first =
-        hoardedRun(spec, dir.file("store"));
-    EXPECT_EQ(first.executed, 4u);
-    EXPECT_EQ(first.hoardHits, 0u);
-    EXPECT_EQ(first.hoardStored, 4u);
-    EXPECT_EQ(first.doc.dump(), cold.dump());
+        const SweepReport first =
+            hoardedRun(spec, dir.file("store"));
+        EXPECT_EQ(first.executed, 4u);
+        EXPECT_EQ(first.hoardHits, 0u);
+        EXPECT_EQ(first.hoardStored, 4u);
+        EXPECT_EQ(first.doc.dump(), cold.dump());
 
-    const SweepReport second =
-        hoardedRun(spec, dir.file("store"));
-    EXPECT_EQ(second.executed, 0u);
-    EXPECT_EQ(second.hoardHits, 4u);
-    EXPECT_EQ(second.hoardStored, 0u);
-    EXPECT_EQ(second.doc.dump(), cold.dump());
+        const SweepReport second =
+            hoardedRun(spec, dir.file("store"));
+        EXPECT_EQ(second.executed, 0u);
+        EXPECT_EQ(second.hoardHits, 4u);
+        EXPECT_EQ(second.hoardStored, 0u);
+        EXPECT_EQ(second.doc.dump(), cold.dump());
+    }
 }
 
 TEST(HoardSweep, CompatiblePointsReuseAcrossSpecVariants)

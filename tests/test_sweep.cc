@@ -451,6 +451,48 @@ TEST(SweepEngine, BadWorkloadInputsFailTheirPointOnly)
               runSweep(alone).doc.at("points").at(0).dump());
 }
 
+TEST(SweepEngine, ZeroCalibrationTrialsFailTheirPointOnly)
+{
+    // Calibrating from zero trials used to abort the process at code
+    // level 2, and at level 1 to size the factories at the 100%
+    // acceptance "measured" from no trials.
+    const char *base = R"("runner": "experiment",
+      "base": {"workload": "qrca", "bits": 4,
+               "synth": {"maxSyllables": 3},
+               "calibrateFactories": true},)";
+    const SweepSpec spec = SweepSpec::fromJson(parse(std::string("{")
+        + base + R"(
+      "axes": [{"field": "codeLevel", "values": [1, 2]},
+               {"field": "calibrationTrials", "values": [0, 64]}]
+    })"));
+    SweepOptions options;
+    options.threads = 4;
+    const SweepReport report = runSweep(spec, options);
+    const Json &points = report.doc.at("points");
+    ASSERT_EQ(points.size(), 4u);
+    EXPECT_EQ(report.failed, 2u);
+    for (std::size_t level = 1; level <= 2; ++level) {
+        const Json &zero = points.at(2 * level - 2);
+        const Json &good = points.at(2 * level - 1);
+        EXPECT_EQ(zero.getString("error", ""),
+                  "calibrationTrials must be >= 1 when "
+                  "calibrateFactories is set, got 0")
+            << "level " << level;
+        EXPECT_FALSE(good.has("error")) << "level " << level;
+
+        // The good point is what it is in a sweep of its own.
+        const SweepSpec alone = SweepSpec::fromJson(
+            parse(std::string("{") + base + R"(
+          "axes": [{"field": "codeLevel", "values": [)"
+                  + std::to_string(level) + R"(]},
+                   {"field": "calibrationTrials", "values": [64]}]
+        })"));
+        EXPECT_EQ(good.dump(),
+                  runSweep(alone).doc.at("points").at(0).dump())
+            << "level " << level;
+    }
+}
+
 TEST(SweepEngine, ProgressReportsEveryPointOnce)
 {
     std::size_t calls = 0;
