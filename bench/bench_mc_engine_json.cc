@@ -351,7 +351,7 @@ main(int argc, char **argv)
 
     // Multicore thread scaling: the batched engine sharding one
     // estimate across its own threads, and the sweep engine
-    // spreading whole points across its work-stealing pool. Both
+    // spreading whole points across its workers. Both
     // are bit-identical across thread counts; only the rates move.
     if (scaling) {
         const unsigned hw = std::thread::hardware_concurrency();

@@ -36,26 +36,6 @@ ionTrapToJson(const IonTrapParams &tech)
     return j;
 }
 
-/**
- * obj[key] as T, or fallback when absent. A value T cannot hold
- * throws std::invalid_argument naming the field (prefix + key)
- * rather than wrapping.
- */
-template <typename T>
-T
-getNarrow(const Json &obj, const std::string &prefix,
-          const std::string &key, T fallback)
-{
-    if (!obj.has(key))
-        return fallback;
-    const std::int64_t v = obj.at(key).asInt();
-    if (!std::in_range<T>(v))
-        throw std::invalid_argument(
-            "config field \"" + prefix + key + "\" = "
-            + std::to_string(v) + " is out of range");
-    return static_cast<T>(v);
-}
-
 IonTrapParams
 ionTrapFromJson(const Json &j)
 {
@@ -232,12 +212,6 @@ ExperimentConfig::fromJson(const Json &j)
     config.demandBins =
         getNarrow(j, "", "demandBins", config.demandBins);
     return config;
-}
-
-std::uint64_t
-ExperimentConfig::hash() const
-{
-    return toJson().hash();
 }
 
 std::string

@@ -171,13 +171,6 @@ struct ExperimentConfig
     Json toJson() const;
 
     /**
-     * Stable 64-bit configuration hash (Json::hash of toJson), the
-     * key of the sweep engine's per-point memoization cache: two
-     * configs that run identically hash identically.
-     */
-    std::uint64_t hash() const;
-
-    /**
      * Canonical identity of the *workload* part of the config
      * (workload name, construction params, synthesis knobs) — the
      * fields Experiment::run(variant) requires to match. Configs

@@ -29,7 +29,9 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace qc {
@@ -162,6 +164,26 @@ class Json
     std::vector<Json> array_;
     std::map<std::string, Json> object_;
 };
+
+/**
+ * obj[key] as the integer type T, or fallback when absent. A value
+ * T cannot hold throws std::invalid_argument naming the field
+ * (prefix + key) rather than wrapping.
+ */
+template <typename T>
+T
+getNarrow(const Json &obj, const std::string &prefix,
+          const std::string &key, T fallback)
+{
+    if (!obj.has(key))
+        return fallback;
+    const std::int64_t v = obj.at(key).asInt();
+    if (!std::in_range<T>(v))
+        throw std::invalid_argument(
+            "config field \"" + prefix + key + "\" = "
+            + std::to_string(v) + " is out of range");
+    return static_cast<T>(v);
+}
 
 } // namespace qc
 

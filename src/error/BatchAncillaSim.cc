@@ -1,10 +1,9 @@
 #include "error/BatchAncillaSim.hh"
 
-#include <atomic>
-#include <thread>
+#include <memory>
 #include <vector>
 
-#include "common/Mutex.hh"
+#include "common/ParallelFor.hh"
 #include "error/BatchEngine.hh"
 #include "error/ImportanceSampler.hh"
 
@@ -82,7 +81,8 @@ BatchAncillaSim::run(ZeroPrepStrategy strategy, bool pi8,
     // choice: every width is bit-identical.
     const simd::Width width = resolvedWidth();
     const std::uint64_t per = static_cast<std::uint64_t>(64 * words);
-    const std::uint64_t num_batches = (trials + per - 1) / per;
+    const std::uint64_t num_batches =
+        trials / per + (trials % per != 0);
 
     // One independent RNG stream per batch, split deterministically
     // from this run's seed: results depend only on (construction
@@ -92,80 +92,32 @@ BatchAncillaSim::run(ZeroPrepStrategy strategy, bool pi8,
     for (auto &s : seeds)
         s = master();
 
-    int threads = config_.threads;
-    if (threads <= 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        threads = hw ? static_cast<int>(hw) : 1;
-    }
-    if (static_cast<std::uint64_t>(threads) > num_batches)
-        threads = static_cast<int>(num_batches);
-
-    /**
-     * Cross-thread tally aggregation behind an annotated mutex:
-     * each worker folds its whole-run counters in once, at the end.
-     * Unsigned sums commute, so the (scheduling-dependent) merge
-     * order cannot affect the totals — thread-count invariance of
-     * the estimate is preserved by algebra, not by ordering.
-     */
-    struct TallyBoard
-    {
-        Mutex mutex;
-        std::uint64_t failures QC_GUARDED_BY(mutex) = 0;
-        std::uint64_t verifyTrials QC_GUARDED_BY(mutex) = 0;
-        std::uint64_t discards QC_GUARDED_BY(mutex) = 0;
-        std::uint64_t correctionTrials QC_GUARDED_BY(mutex) = 0;
-        std::uint64_t correctionDiscards QC_GUARDED_BY(mutex) = 0;
-    } tallies;
-
-    // The batch-claim counter is memory_order_relaxed on purpose:
-    // it only partitions indices. Each claimed batch touches
-    // nothing shared (worker-local frame, read-only seed table),
-    // and every tally is published under tallies.mutex after the
-    // loop — the counter itself synchronizes nothing. See
-    // docs/ANALYSIS.md ("Relaxed atomics").
-    std::atomic<std::uint64_t> next{0};
-
-    auto work = [&]() {
-        const std::unique_ptr<BatchWorkerBase> worker =
-            makeBatchWorker(width, errors_, movement_, semantics_,
-                            words);
-        for (;;) {
-            const std::uint64_t b =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (b >= num_batches)
-                break;
-            const std::uint64_t lo = b * per;
-            const int k = static_cast<int>(
-                std::min<std::uint64_t>(per, trials - lo));
-            const Word *active = worker->activeMask(k);
-            worker->runBatch(Rng(seeds[b]), strategy, pi8, active);
-        }
-        MutexLock lock(tallies.mutex);
-        tallies.failures += worker->failures;
-        tallies.verifyTrials += worker->verifyAttempts;
-        tallies.discards += worker->verifyFailures;
-        tallies.correctionTrials += worker->correctionAttempts;
-        tallies.correctionDiscards += worker->correctionFailures;
+    // One frame per worker, built on its first batch. Its tallies
+    // are summed after the join; unsigned sums commute, so which
+    // worker ran which batch cannot move the totals.
+    std::vector<std::unique_ptr<BatchWorkerBase>> workers(
+        static_cast<std::size_t>(resolveThreads(config_.threads)));
+    const auto runBatch = [&](std::size_t b, std::size_t w) {
+        std::unique_ptr<BatchWorkerBase> &worker = workers[w];
+        if (!worker)
+            worker = makeBatchWorker(width, errors_, movement_,
+                                     semantics_, words);
+        const std::uint64_t lo = b * per;
+        const int k = static_cast<int>(
+            std::min<std::uint64_t>(per, trials - lo));
+        const Word *active = worker->activeMask(k);
+        worker->runBatch(Rng(seeds[b]), strategy, pi8, active);
     };
+    parallelFor(config_.threads, num_batches, runBatch);
 
-    if (threads == 1) {
-        work();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(threads));
-        for (int t = 0; t < threads; ++t)
-            pool.emplace_back(work);
-        for (auto &th : pool)
-            th.join();
-    }
-
-    {
-        MutexLock lock(tallies.mutex);
-        est.failures = tallies.failures;
-        est.verifyTrials = tallies.verifyTrials;
-        est.discards = tallies.discards;
-        est.correctionTrials = tallies.correctionTrials;
-        est.correctionDiscards = tallies.correctionDiscards;
+    for (const std::unique_ptr<BatchWorkerBase> &worker : workers) {
+        if (!worker)
+            continue;
+        est.failures += worker->failures;
+        est.verifyTrials += worker->verifyAttempts;
+        est.discards += worker->verifyFailures;
+        est.correctionTrials += worker->correctionAttempts;
+        est.correctionDiscards += worker->correctionFailures;
     }
     return est;
 }

@@ -48,9 +48,11 @@ struct BatchSimConfig
     int wordsPerQubit = 64;
 
     /**
-     * Worker threads sharding the batch sequence. 0 selects
-     * std::thread::hardware_concurrency(). Results are independent
-     * of this value.
+     * Worker threads sharding the batch sequence (or, for the
+     * stratified estimates, the strata). 0 selects
+     * std::thread::hardware_concurrency() (resolveThreads in
+     * common/ParallelFor.hh). Results are independent of this
+     * value.
      */
     int threads = 1;
 

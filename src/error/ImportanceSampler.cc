@@ -1,11 +1,22 @@
 #include "error/ImportanceSampler.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
-#include <thread>
+
+#include "common/ParallelFor.hh"
 
 namespace qc {
+
+namespace {
+
+/**
+ * Strata whose prior falls below this are skipped, their mass
+ * folded into the truncation tail (still conservative: the tail is
+ * added to the upper confidence bound).
+ */
+constexpr double kMinStratumPrior = 1e-18;
+
+} // namespace
 
 double
 StratumEstimate::rate() const
@@ -75,7 +86,7 @@ StratifiedPrepSampler::StratifiedPrepSampler(
     ErrorParams errors, MovementModel movement, Rng seeder,
     CorrectionSemantics semantics, int threads)
     : errors_(errors), movement_(movement), semantics_(semantics),
-      seeder_(seeder), threads_(threads < 1 ? 1 : threads)
+      seeder_(seeder), threads_(threads)
 {
 }
 
@@ -135,7 +146,7 @@ StratifiedPrepSampler::run(ZeroPrepStrategy strategy, bool pi8,
             const double prior = pa
                 * binomialPmf(out.moveSites, errors_.pMove,
                               static_cast<std::uint64_t>(b));
-            if (a + b > 0 && prior < config.minStratumPrior)
+            if (a + b > 0 && prior < kMinStratumPrior)
                 continue;
             StratumEstimate s;
             s.gateFaults = a;
@@ -149,18 +160,13 @@ StratifiedPrepSampler::run(ZeroPrepStrategy strategy, bool pi8,
     out.truncatedPrior = std::max(0.0, 1.0 - covered);
 
     // Pre-split one seed per stratum so results are independent of
-    // the thread count, then shard strata across workers.
+    // the thread count, then shard strata across workers; each
+    // stratum writes only its own slot.
     std::vector<std::uint64_t> seeds(out.strata.size());
     for (auto &s : seeds)
         s = seeder_();
 
-    struct Tally
-    {
-        std::uint64_t failures = 0;
-    };
-    std::vector<Tally> tallies(out.strata.size());
-
-    auto runStratum = [&](std::size_t i) {
+    const auto runStratum = [&](std::size_t i, std::size_t) {
         StratumEstimate &s = out.strata[i];
         if (s.analytic)
             return;
@@ -179,40 +185,12 @@ StratifiedPrepSampler::run(ZeroPrepStrategy strategy, bool pi8,
             if (o.failed())
                 ++failures;
         }
-        tallies[i].failures = failures;
+        s.failures = failures;
     };
+    parallelFor(threads_, out.strata.size(), runStratum);
 
-    const int threads = std::min<int>(
-        threads_, static_cast<int>(out.strata.size()) + 1);
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < out.strata.size(); ++i)
-            runStratum(i);
-    } else {
-        // Strata are independent; a relaxed claim counter shards
-        // them (see BatchAncillaSim::run for the memory-order
-        // argument). Per-stratum tallies land in disjoint slots.
-        std::atomic<std::size_t> next{0};
-        auto work = [&]() {
-            for (;;) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= out.strata.size())
-                    break;
-                runStratum(i);
-            }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(threads));
-        for (int t = 0; t < threads; ++t)
-            pool.emplace_back(work);
-        for (auto &th : pool)
-            th.join();
-    }
-
-    for (std::size_t i = 0; i < out.strata.size(); ++i) {
-        out.strata[i].failures = tallies[i].failures;
-        out.totalTrials += out.strata[i].trials;
-    }
+    for (const StratumEstimate &s : out.strata)
+        out.totalTrials += s.trials;
     return out;
 }
 

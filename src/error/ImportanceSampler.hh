@@ -70,13 +70,6 @@ struct ImportanceConfig
 
     /** Monte Carlo trials per (non-analytic) stratum. */
     std::uint64_t trialsPerStratum = 100000;
-
-    /**
-     * Strata whose prior falls below this are skipped, their mass
-     * folded into the truncation tail (still conservative: the
-     * tail is added to the upper confidence bound).
-     */
-    double minStratumPrior = 1e-18;
 };
 
 /** One (gateFaults, moveFaults) stratum's prior and tallies. */
@@ -119,7 +112,8 @@ struct StratifiedEstimate
 /**
  * Stratified rare-event estimator over the scalar preparation
  * circuits. Deterministic for a fixed (seeder, config): per-stratum
- * seeds are pre-split, so results are independent of `threads`.
+ * seeds are pre-split, so results are independent of `threads`
+ * (0 = every core, common/ParallelFor.hh).
  */
 class StratifiedPrepSampler
 {

@@ -1,6 +1,6 @@
 #include "hoard/HoardKey.hh"
 
-#include <cstdio>
+#include "sweep/SweepPlan.hh"
 
 namespace qc {
 
@@ -42,10 +42,7 @@ hoardKeyHash(const std::string &runner, const Json &config)
     Json identity = Json::object();
     identity.set("config", hoardKeyConfig(runner, config));
     identity.set("runner", runner);
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%016llx",
-                  static_cast<unsigned long long>(identity.hash()));
-    return buffer;
+    return hexConfigHash(identity.hash());
 }
 
 std::vector<std::string>

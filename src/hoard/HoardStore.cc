@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "common/Clock.hh"
 #include "common/DurableFile.hh"
 #include "hoard/HoardKey.hh"
+#include "sweep/SweepPlan.hh"
 
 namespace qc {
 
@@ -22,10 +22,7 @@ namespace {
 std::string
 hexDigest(const Json &result)
 {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%016llx",
-                  static_cast<unsigned long long>(result.hash()));
-    return buffer;
+    return hexConfigHash(result.hash());
 }
 
 bool
@@ -37,9 +34,11 @@ isObjectName(const std::string &name)
            && name.compare(name.size() - 5, 5, ".json") == 0;
 }
 
-/** Object files under objects/, sorted by path for determinism. */
+/** Regular files under objects/, sorted by path for determinism:
+ *  the objects themselves, or (objects == false) the leftover
+ *  publish temps. */
 std::vector<std::string>
-objectFiles(const std::string &objectsDir)
+objectFiles(const std::string &objectsDir, bool objects = true)
 {
     std::vector<std::string> paths;
     std::error_code ec;
@@ -48,25 +47,7 @@ objectFiles(const std::string &objectsDir)
          end;
          !ec && it != end; it.increment(ec)) {
         if (it->is_regular_file(ec)
-            && isObjectName(it->path().filename().string()))
-            paths.push_back(it->path().string());
-    }
-    std::sort(paths.begin(), paths.end());
-    return paths;
-}
-
-/** Leftover publish temps (non-".json" regular files). */
-std::vector<std::string>
-tempFiles(const std::string &objectsDir)
-{
-    std::vector<std::string> paths;
-    std::error_code ec;
-    for (fs::recursive_directory_iterator
-             it(objectsDir, ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (it->is_regular_file(ec)
-            && !isObjectName(it->path().filename().string()))
+            && isObjectName(it->path().filename().string()) == objects)
             paths.push_back(it->path().string());
     }
     std::sort(paths.begin(), paths.end());
@@ -199,14 +180,6 @@ HoardStore::quarantineObject(const std::string &path)
     fs::rename(path, target, ec);
     if (ec)
         fs::remove(path, ec); // cross-device fallback: drop it
-    bumpQuarantined();
-}
-
-void
-HoardStore::bumpQuarantined()
-{
-    MutexLock lock(mutex_);
-    ++counters_.quarantined;
 }
 
 bool
@@ -216,11 +189,8 @@ HoardStore::fetch(const std::string &runner, const Json &config,
     const std::string key = hoardKeyHash(runner, config);
     const std::string path = objectPath(key);
     std::error_code ec;
-    if (!fs::exists(path, ec) || ec) {
-        MutexLock lock(mutex_);
-        ++counters_.misses;
+    if (!fs::exists(path, ec) || ec)
         return false;
-    }
     Json object;
     std::string why;
     bool valid = false;
@@ -243,13 +213,9 @@ HoardStore::fetch(const std::string &runner, const Json &config,
     }
     if (!valid) {
         quarantineObject(path);
-        MutexLock lock(mutex_);
-        ++counters_.misses;
         return false;
     }
     result = *object.find("result");
-    MutexLock lock(mutex_);
-    ++counters_.hits;
     return true;
 }
 
@@ -268,8 +234,6 @@ HoardStore::store(const std::string &runner, const Json &config,
         // Idempotent duplicate publish: the existing object's
         // content is identical by construction (same key → same
         // key config → same deterministic result), so first wins.
-        MutexLock lock(mutex_);
-        ++counters_.duplicates;
         return false;
     }
     Json object = Json::object();
@@ -291,8 +255,6 @@ HoardStore::store(const std::string &runner, const Json &config,
     }
     writeFileDurable(path, body, ".tmp-" + nonce_);
     fault_.fire("crash-after-hoard-publish");
-    MutexLock lock(mutex_);
-    ++counters_.stores;
     return true;
 }
 
@@ -398,13 +360,6 @@ HoardStore::heartbeat()
     }
 }
 
-HoardCounters
-HoardStore::counters() const
-{
-    MutexLock lock(mutex_);
-    return counters_;
-}
-
 std::vector<HoardObjectInfo>
 HoardStore::list() const
 {
@@ -427,38 +382,18 @@ HoardStore::list() const
     return infos;
 }
 
-void
-HoardStore::writeIndex(const std::vector<HoardObjectInfo> &infos)
-{
-    Json entries = Json::object();
-    for (const HoardObjectInfo &info : infos) {
-        Json entry = Json::object();
-        entry.set("bytes", info.bytes);
-        entry.set("runner", info.runner);
-        entry.set("stored_ms", info.storedMs);
-        entries.set(info.key, std::move(entry));
-    }
-    Json index = Json::object();
-    index.set("entries", std::move(entries));
-    index.set("hoard_version", kStoreVersion);
-    writeFileDurable(root_ + "/index.json", index.dump(2) + "\n",
-                     ".tmp-" + nonce_);
-}
-
 HoardVerifyReport
 HoardStore::verify()
 {
     HoardVerifyReport report;
-    std::vector<HoardObjectInfo> survivors;
     for (const std::string &path : objectFiles(root_ + "/objects")) {
         ++report.objects;
-        const std::string key = fs::path(path).stem().string();
         bool valid = false;
         std::string why;
-        Json object;
         try {
-            object = Json::loadFile(path);
-            valid = validateObject(object, key, why);
+            valid = validateObject(Json::loadFile(path),
+                                   fs::path(path).stem().string(),
+                                   why);
         } catch (const std::exception &) {
         }
         if (!valid) {
@@ -467,40 +402,7 @@ HoardStore::verify()
             continue;
         }
         ++report.ok;
-        HoardObjectInfo info;
-        info.key = key;
-        info.path = path;
-        info.bytes = fileBytes(path);
-        info.runner = object.getString("runner", "");
-        info.storedMs = object.getInt("stored_ms", 0);
-        survivors.push_back(std::move(info));
     }
-    // Prune index entries whose object is gone (orphans from a
-    // crash between an eviction and its index rewrite).
-    const std::string indexPath = root_ + "/index.json";
-    std::error_code ec;
-    if (fs::exists(indexPath, ec) && !ec) {
-        try {
-            const Json index = Json::loadFile(indexPath);
-            const Json *entries = index.find("entries");
-            if (entries && entries->isObject()) {
-                for (const auto &[key, entry] :
-                     entries->items()) {
-                    (void)entry;
-                    const bool present = std::any_of(
-                        survivors.begin(), survivors.end(),
-                        [&](const HoardObjectInfo &info) {
-                            return info.key == key;
-                        });
-                    if (!present)
-                        ++report.orphanedIndexEntries;
-                }
-            }
-        } catch (const std::exception &) {
-            // Unparsable index: the rewrite below replaces it.
-        }
-    }
-    writeIndex(survivors);
     return report;
 }
 
@@ -508,7 +410,8 @@ HoardGcReport
 HoardStore::gc(std::uint64_t maxBytes, double maxAgeDays)
 {
     HoardGcReport report;
-    for (const std::string &temp : tempFiles(root_ + "/objects")) {
+    for (const std::string &temp :
+         objectFiles(root_ + "/objects", /*objects=*/false)) {
         std::error_code ec;
         if (fs::remove(temp, ec) && !ec)
             ++report.tempsRemoved;
@@ -531,9 +434,7 @@ HoardStore::gc(std::uint64_t maxBytes, double maxAgeDays)
                   - static_cast<std::int64_t>(maxAgeDays
                                               * 86400.0 * 1000.0)
             : 0;
-    std::vector<HoardObjectInfo> kept;
-    for (std::size_t i = 0; i < infos.size(); ++i) {
-        const HoardObjectInfo &info = infos[i];
+    for (const HoardObjectInfo &info : infos) {
         const bool tooOld = maxAgeDays > 0
                             && info.storedMs < cutoffMs;
         const bool overBudget = maxBytes > 0
@@ -548,9 +449,7 @@ HoardStore::gc(std::uint64_t maxBytes, double maxAgeDays)
         }
         ++report.kept;
         report.keptBytes += info.bytes;
-        kept.push_back(info);
     }
-    writeIndex(kept);
     return report;
 }
 
@@ -566,19 +465,8 @@ HoardStore::stat() const
             info.runner.empty() ? "(unreadable)" : info.runner;
         runners.set(name, runners.getInt(name, 0) + 1);
     }
-    std::size_t indexEntries = 0;
-    const std::string indexPath = root_ + "/index.json";
-    std::error_code ec;
-    if (fs::exists(indexPath, ec) && !ec) {
-        try {
-            const Json index = Json::loadFile(indexPath);
-            const Json *entries = index.find("entries");
-            if (entries && entries->isObject())
-                indexEntries = entries->items().size();
-        } catch (const std::exception &) {
-        }
-    }
     std::size_t quarantined = 0;
+    std::error_code ec;
     for (fs::directory_iterator it(root_ + "/quarantine", ec), end;
          !ec && it != end; it.increment(ec)) {
         if (it->is_regular_file(ec))
@@ -587,8 +475,6 @@ HoardStore::stat() const
     Json out = Json::object();
     out.set("bytes", totalBytes);
     out.set("hoard_version", kStoreVersion);
-    out.set("index_entries",
-            static_cast<std::int64_t>(indexEntries));
     out.set("objects", static_cast<std::int64_t>(infos.size()));
     out.set("quarantined_files",
             static_cast<std::int64_t>(quarantined));

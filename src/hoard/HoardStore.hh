@@ -14,11 +14,6 @@
  *                              (<hh> = first two hex digits);
  *                              published with writeFileDurable, so
  *                              a reader never sees a torn object
- *     ROOT/index.json          advisory listing rebuilt by
- *                              verify()/gc(); fetch/store never
- *                              read it, so a stale or orphaned
- *                              index can only mislead `hoard stat`,
- *                              never a sweep
  *     ROOT/quarantine/         objects that failed validation,
  *                              moved aside (never deleted) for
  *                              post-mortem
@@ -87,16 +82,6 @@
 
 namespace qc {
 
-/** Session accounting (since this HoardStore was opened). */
-struct HoardCounters
-{
-    std::size_t hits = 0;        ///< fetches served from the store
-    std::size_t misses = 0;      ///< fetches that found nothing
-    std::size_t stores = 0;      ///< objects newly published
-    std::size_t duplicates = 0;  ///< publishes of an existing key
-    std::size_t quarantined = 0; ///< invalid objects moved aside
-};
-
 /** One stored object, as listed by list(). */
 struct HoardObjectInfo
 {
@@ -113,7 +98,6 @@ struct HoardVerifyReport
     std::size_t objects = 0;     ///< object files scanned
     std::size_t ok = 0;          ///< passed full validation
     std::size_t quarantined = 0; ///< failed and moved aside
-    std::size_t orphanedIndexEntries = 0; ///< pruned from index
 };
 
 /** Outcome of gc(). */
@@ -194,18 +178,13 @@ class HoardStore final : public ResultCache
     void release(const std::string &runner,
                  const Json &config) override;
 
-    /** Session counters (snapshot). Thread-safe. */
-    HoardCounters counters() const;
-
     /** All stored objects, ordered by key. */
     std::vector<HoardObjectInfo> list() const;
 
     /**
      * Full integrity scan: every object is re-validated
      * (filename/key/digest/key_config/version) and failures are
-     * quarantined; the index is rebuilt, pruning entries whose
-     * object is gone. Not safe against concurrent writers of the
-     * index (fetch/store remain safe).
+     * quarantined.
      */
     HoardVerifyReport verify();
 
@@ -213,22 +192,20 @@ class HoardStore final : public ResultCache
      * Size/age eviction, oldest publish stamp first: drop objects
      * older than `maxAgeDays` (0 = no age bound), then drop oldest
      * until the store fits `maxBytes` (0 = no size bound). Also
-     * sweeps leftover publish temps and rebuilds the index.
-     * Unreadable objects sort oldest, so they evict first.
+     * sweeps leftover publish temps. Unreadable objects sort
+     * oldest, so they evict first.
      */
     HoardGcReport gc(std::uint64_t maxBytes, double maxAgeDays);
 
     /** Store statistics as a JSON document (for `qcarch hoard
-     *  stat`): object/byte totals, per-runner counts, index and
-     *  quarantine state. */
+     *  stat`): object/byte totals, per-runner counts and the
+     *  quarantine's file count. */
     Json stat() const;
 
   private:
     bool validateObject(const Json &object, const std::string &key,
                         std::string &why) const;
     void quarantineObject(const std::string &path);
-    void writeIndex(const std::vector<HoardObjectInfo> &infos);
-    void bumpQuarantined();
     void hold(const std::string &path, const LeaseInfo &lease)
         QC_EXCLUDES(claimMutex_);
     void stallStale(const std::string &path, LeaseInfo mine) const;
@@ -237,9 +214,6 @@ class HoardStore final : public ResultCache
     std::string root_;
     FaultInjector fault_;
     std::string nonce_; ///< process-unique temp suffix and claim owner
-
-    mutable Mutex mutex_;
-    HoardCounters counters_ QC_GUARDED_BY(mutex_);
 
     Mutex claimMutex_;
     /** The claims the heartbeat renews, by path. */

@@ -9,9 +9,9 @@
  *                             unions, JSON round-trip)
  *  - qc::SweepRunner /        pluggable point executors
  *    qc::SweepRunnerRegistry  ("experiment", "mc-prep", "paper")
- *  - qc::runSweep             the parallel executor: work-stealing
- *                             pool, config-hash memoization,
- *                             deterministic aggregation
+ *  - qc::runSweep             the parallel executor: points on
+ *                             qc::parallelFor, config-hash
+ *                             memoization, deterministic aggregation
  *
  * See docs/SWEEPS.md for the spec format and CLI usage, and
  * src/sweep/README.md for the module tour.

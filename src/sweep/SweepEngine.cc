@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/Mutex.hh"
+#include "common/ParallelFor.hh"
 #include "sweep/SweepPlan.hh"
-#include "sweep/WorkStealingPool.hh"
 
 namespace qc {
 
@@ -33,8 +33,8 @@ struct PointOutcome
 /**
  * The engine's shared mutable state during the parallel phase:
  * result slots, store accounting and progress ticks, serialized
- * under one annotated mutex. Pool workers call commit(); the main
- * thread calls memoTick()/account() after the pool has drained
+ * under one annotated mutex. Workers call commit(); the main
+ * thread calls memoTick()/account() after parallelFor returns
  * (still through the lock — cheap, and it keeps the annotations
  * unconditional).
  *
@@ -202,12 +202,12 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
 
     // One pass over every unique point, then passes over the ones
     // other processes held, until each is fetched or computed here.
-    WorkStealingPool pool(options.threads);
     std::vector<std::size_t> tasks(plan.unique.size());
     std::iota(tasks.begin(), tasks.end(), std::size_t{0});
     for (;;) {
-        pool.run(
-            tasks.size(), [&](std::size_t i) { finish(tasks[i]); },
+        parallelFor(
+            options.threads, tasks.size(),
+            [&](std::size_t i, std::size_t) { finish(tasks[i]); },
             options.stopRequested);
         tasks = sink.takeDeferred();
         if (tasks.empty()

@@ -1,9 +1,10 @@
 /**
  * @file
  * The parallel sweep executor: expands a SweepSpec, memoizes
- * duplicate points by configuration hash, runs the unique points on
- * a work-stealing thread pool, and aggregates the results into one
- * JSON document in deterministic (expansion) order.
+ * duplicate points by configuration hash, runs the unique points
+ * through qc::parallelFor (common/ParallelFor.hh), and aggregates
+ * the results into one JSON document in deterministic (expansion)
+ * order.
  *
  * Output is bit-identical for a given spec regardless of thread
  * count: results land in expansion-order slots, the memo cache is
@@ -68,8 +69,8 @@ struct SweepOptions
 
     /**
      * Graceful-drain hook, polled between points (a running point
-     * always completes). When it returns true the pool stops
-     * taking new work and runSweep returns without a document,
+     * always completes). When it returns true no further point
+     * starts, and runSweep returns without a document,
      * with SweepReport::interrupted counting the undone points.
      * Every finished point is already in `hoard`, so re-running
      * against the same store computes only the rest. `qcarch
@@ -81,7 +82,7 @@ struct SweepOptions
      * The result store, and the sweep's only persistence (`qcarch
      * sweep --hoard DIR` or the private `<out>.hoard/` store,
      * docs/HOARD.md). Each unique point is first looked up
-     * (read-through, from the pool workers), then claimed; a point
+     * (read-through, from the workers), then claimed; a point
      * another process holds is revisited after the rest. Each newly
      * computed non-error result is published back before its claim
      * is released and before its progress tick, so a crash after

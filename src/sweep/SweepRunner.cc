@@ -1,5 +1,6 @@
 #include "sweep/SweepRunner.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "api/PaperLedger.hh"
@@ -31,39 +32,13 @@ class ExperimentRunner : public SweepRunner
     std::vector<std::string>
     fields() const override
     {
-        return {
-            "arch",
-            "areaBudget",
-            "bits",
-            "cacheSlots",
-            "calibrateFactories",
-            "calibrationTrials",
-            "codeLevel",
-            "demandBins",
-            "errors.pGate",
-            "errors.pMove",
-            "generatorsPerSite",
-            "lowering.maxRotK",
-            "pi8PerMs",
-            "qft.maxK",
-            "qft.withSwaps",
-            "schedule",
-            "synth.maxError",
-            "synth.maxSyllables",
-            "synth.pureHT",
-            "synth.tCostWeight",
-            "tech.t1q_ns",
-            "tech.t2q_ns",
-            "tech.tmeas_ns",
-            "tech.tmove_ns",
-            "tech.tprep_ns",
-            "tech.tturn_ns",
-            "teleport_ns",
-            "timeLimit_ns",
-            "workload",
-            "zeroPerMs",
-            "zeroPerMsOfAverage",
-        };
+        // Every leaf ExperimentConfig::toJson() writes, plus the
+        // derived Figure 8 fraction below.
+        std::vector<std::string> out;
+        flattenPaths(ExperimentConfig{}.toJson(), "", out);
+        out.push_back("zeroPerMsOfAverage");
+        std::sort(out.begin(), out.end());
+        return out;
     }
 
     Json
@@ -137,6 +112,19 @@ mcStrategy(const std::string &key)
                                 + joinNames(keys));
 }
 
+/** config[key] as a trial count: absent gives fallback, and a
+ *  value below 1 throws naming the field. */
+std::uint64_t
+mcTrials(const Json &config, const std::string &key,
+         std::uint64_t fallback)
+{
+    const std::uint64_t trials = getNarrow(config, "", key, fallback);
+    if (trials < 1)
+        throw std::invalid_argument("config field \"" + key
+                                    + "\" must be >= 1");
+    return trials;
+}
+
 CorrectionSemantics
 mcSemantics(const std::string &key)
 {
@@ -183,8 +171,8 @@ class McPrepRunner : public SweepRunner
         ErrorParams errors;
         errors.pGate = config.getDouble("pGate", errors.pGate);
         errors.pMove = config.getDouble("pMove", errors.pMove);
-        const std::uint64_t trials = static_cast<std::uint64_t>(
-            config.getInt("trials", 400000));
+        const std::uint64_t trials =
+            mcTrials(config, "trials", 400000);
         const std::uint64_t seed = static_cast<std::uint64_t>(
             config.getInt("seed", 20080623));
         const McStrategy &strategy =
@@ -193,8 +181,8 @@ class McPrepRunner : public SweepRunner
             config.getString("semantics", "discard_on_syndrome"));
 
         BatchSimConfig batch;
-        batch.wordsPerQubit = static_cast<int>(config.getInt(
-            "wordsPerQubit", batch.wordsPerQubit));
+        batch.wordsPerQubit = getNarrow(config, "", "wordsPerQubit",
+                                        batch.wordsPerQubit);
         // One thread per point: the sweep engine owns parallelism
         // across points. (The engine is bit-identical across its
         // own thread counts anyway; this keeps a point's cost
@@ -222,12 +210,10 @@ class McPrepRunner : public SweepRunner
             // deep-subthreshold points where `trials` naive trials
             // would record zero failures.
             ImportanceConfig ic;
-            ic.maxFaults = static_cast<int>(
-                config.getInt("maxFaults", ic.maxFaults));
-            ic.trialsPerStratum = static_cast<std::uint64_t>(
-                config.getInt("trialsPerStratum",
-                              static_cast<std::int64_t>(
-                                  ic.trialsPerStratum)));
+            ic.maxFaults =
+                getNarrow(config, "", "maxFaults", ic.maxFaults);
+            ic.trialsPerStratum = mcTrials(
+                config, "trialsPerStratum", ic.trialsPerStratum);
             const StratifiedEstimate est = strategy.pi8
                 ? sim.estimateStratifiedPi8(ic)
                 : sim.estimateStratified(strategy.strategy, ic);

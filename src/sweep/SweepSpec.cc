@@ -238,9 +238,6 @@ SweepSpec::points() const
     return n;
 }
 
-namespace {
-
-/** Dotted leaf paths of a config object ({"a": {"b": 1}} -> a.b). */
 void
 flattenPaths(const Json &json, const std::string &prefix,
              std::vector<std::string> &out)
@@ -254,8 +251,6 @@ flattenPaths(const Json &json, const std::string &prefix,
             out.push_back(path);
     }
 }
-
-} // namespace
 
 void
 SweepSpec::validate() const

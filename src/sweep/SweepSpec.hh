@@ -144,6 +144,11 @@ struct SweepSpec
  */
 void setJsonPath(Json &object, const std::string &path, Json value);
 
+/** Append the dotted leaf paths of a config object to `out`
+ *  ({"a": {"b": 1}} -> a.b); an empty object is a leaf. */
+void flattenPaths(const Json &json, const std::string &prefix,
+                  std::vector<std::string> &out);
+
 /** Deep-merge overlay onto base: overlay's keys win; nested
  *  objects merge recursively. */
 Json mergeJson(const Json &base, const Json &overlay);

@@ -250,9 +250,10 @@ TEST(BatchAncillaSim, BitReproducibleAcrossThreadCounts)
     const std::uint64_t trials = 300000;
     for (auto strat : {ZeroPrepStrategy::VerifyAndCorrect,
                        ZeroPrepStrategy::VerifyOnly}) {
-        PrepEstimate results[3];
-        const int thread_counts[3] = {1, 2, 4};
-        for (int i = 0; i < 3; ++i) {
+        // 0 = every core (resolveThreads).
+        PrepEstimate results[4];
+        const int thread_counts[4] = {1, 2, 4, 0};
+        for (int i = 0; i < 4; ++i) {
             BatchSimConfig config;
             config.threads = thread_counts[i];
             BatchAncillaSim sim(ErrorParams::paper(),
@@ -266,6 +267,8 @@ TEST(BatchAncillaSim, BitReproducibleAcrossThreadCounts)
             << zeroPrepStrategyName(strat) << " 1 vs 2 threads";
         EXPECT_TRUE(sameEstimate(results[0], results[2]))
             << zeroPrepStrategyName(strat) << " 1 vs 4 threads";
+        EXPECT_TRUE(sameEstimate(results[0], results[3]))
+            << zeroPrepStrategyName(strat) << " 1 vs 0 threads";
     }
 }
 
@@ -288,9 +291,9 @@ TEST(BatchAncillaSim, ReproducibleAcrossInstancesAndFreshPerCall)
 
 TEST(BatchAncillaSim, Pi8BitReproducibleAcrossThreadCounts)
 {
-    PrepEstimate results[2];
-    const int thread_counts[2] = {1, 3};
-    for (int i = 0; i < 2; ++i) {
+    PrepEstimate results[3];
+    const int thread_counts[3] = {1, 3, 0};
+    for (int i = 0; i < 3; ++i) {
         BatchSimConfig config;
         config.threads = thread_counts[i];
         BatchAncillaSim sim(
@@ -299,6 +302,7 @@ TEST(BatchAncillaSim, Pi8BitReproducibleAcrossThreadCounts)
         results[i] = sim.estimatePi8(200000);
     }
     EXPECT_TRUE(sameEstimate(results[0], results[1]));
+    EXPECT_TRUE(sameEstimate(results[0], results[2]));
 }
 
 // ---------------------------------------------------------------

@@ -1,18 +1,23 @@
 /**
  * @file
  * Unit tests for the common module: units, parameters, RNG,
- * statistics, table formatting and the injectable wall clock.
+ * statistics, table formatting, the injectable wall clock and the
+ * one parallel-for.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/Clock.hh"
+#include "common/ParallelFor.hh"
 #include "common/Params.hh"
 #include "common/Rng.hh"
 #include "common/Stats.hh"
@@ -257,6 +262,128 @@ TEST(Clock, ScopedInstallRestoresThePreviousClock)
     // Leaving the inner scope restores the outer fake, not the
     // system clock.
     EXPECT_EQ(wallClockEpochMs(), 10);
+}
+
+TEST(ParallelFor, RunsEveryTaskExactlyOnce)
+{
+    std::vector<std::atomic<int>> hits(503);
+    parallelFor(4, hits.size(), [&](std::size_t i, std::size_t) {
+        hits[i].fetch_add(1);
+    });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, PropagatesTheFirstException)
+{
+    std::atomic<int> completed{0};
+    EXPECT_THROW(parallelFor(2, 64,
+                             [&](std::size_t i, std::size_t) {
+                                 if (i == 13)
+                                     throw std::runtime_error("boom");
+                                 completed.fetch_add(1);
+                             }),
+                 std::runtime_error);
+    // The failing task does not abandon the rest of the sweep.
+    EXPECT_EQ(completed.load(), 63);
+}
+
+TEST(ParallelFor, SurvivesEveryTaskThrowing)
+{
+    // Worst case for the drain-then-rethrow contract: all tasks
+    // throw on all workers. parallelFor must still terminate (no
+    // deadlock, no std::terminate from a second in-flight
+    // exception) and rethrow exactly one of them.
+    std::atomic<int> attempts{0};
+    EXPECT_THROW(parallelFor(4, 97,
+                             [&](std::size_t, std::size_t) {
+                                 attempts.fetch_add(1);
+                                 throw std::invalid_argument("all");
+                             }),
+                 std::invalid_argument);
+    EXPECT_EQ(attempts.load(), 97);
+
+    // Nothing is left behind for the next call.
+    std::atomic<int> completed{0};
+    parallelFor(4, 16, [&](std::size_t, std::size_t) {
+        completed.fetch_add(1);
+    });
+    EXPECT_EQ(completed.load(), 16);
+}
+
+TEST(ParallelFor, StopPredicateDrainsWithoutNewTasks)
+{
+    // A stop that is true from the start runs nothing.
+    std::atomic<int> ran{0};
+    parallelFor(
+        2, 64, [&](std::size_t, std::size_t) { ran.fetch_add(1); },
+        [] { return true; });
+    EXPECT_EQ(ran.load(), 0);
+
+    // A stop raised mid-run keeps every started task's effect and
+    // never starts another after the flag is observed.
+    std::atomic<bool> stop{false};
+    std::atomic<int> started{0};
+    parallelFor(
+        1, 64,
+        [&](std::size_t, std::size_t) {
+            if (started.fetch_add(1) + 1 == 5)
+                stop.store(true);
+        },
+        [&] { return stop.load(); });
+    EXPECT_EQ(started.load(), 5);
+
+    // A stop that throws ends the claims and surfaces like a task's
+    // exception instead of escaping a worker thread.
+    EXPECT_THROW(parallelFor(
+                     2, 64,
+                     [&](std::size_t, std::size_t) { ran.fetch_add(1); },
+                     []() -> bool { throw std::runtime_error("stop"); }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(ParallelFor, WorkerIndexIsBelowTheResolvedThreadCount)
+{
+    EXPECT_EQ(resolveThreads(3), 3);
+    EXPECT_GE(resolveThreads(0), 1);
+    for (const int threads : {0, 1, 3, 8}) {
+        std::vector<std::size_t> workerOf(200);
+        parallelFor(threads, workerOf.size(),
+                    [&](std::size_t task, std::size_t worker) {
+                        workerOf[task] = worker;
+                    });
+        for (const std::size_t worker : workerOf) {
+            EXPECT_LT(worker,
+                      static_cast<std::size_t>(resolveThreads(threads)))
+                << "threads " << threads;
+        }
+    }
+}
+
+TEST(ParallelFor, OneThreadRunsOnTheCallersThread)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    parallelFor(1, 10, [&](std::size_t task, std::size_t worker) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(worker, 0u);
+        order.push_back(task);
+    });
+    // One worker claims the tasks in ascending order.
+    ASSERT_EQ(order.size(), 10u);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, NoTasksCallsNothing)
+{
+    parallelFor(
+        4, 0, [](std::size_t, std::size_t) { ADD_FAILURE(); },
+        [] {
+            ADD_FAILURE() << "stop polled with nothing to run";
+            return false;
+        });
 }
 
 } // namespace

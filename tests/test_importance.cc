@@ -219,24 +219,28 @@ TEST(StratifiedPrepSampler, DeterministicAcrossThreadCounts)
     errors.pMove = 1e-6;
     ImportanceConfig config;
     config.trialsPerStratum = 5000;
-    StratifiedEstimate results[2];
-    const int threads[2] = {1, 4};
-    for (int i = 0; i < 2; ++i) {
+    // 0 = every core, the same rule as BatchAncillaSim's batches.
+    StratifiedEstimate results[3];
+    const int threads[3] = {1, 4, 0};
+    for (int i = 0; i < 3; ++i) {
         StratifiedPrepSampler sampler(
             errors, MovementModel{}, Rng(0xd00d),
             CorrectionSemantics::DiscardOnSyndrome, threads[i]);
         results[i] = sampler.estimate(
             ZeroPrepStrategy::VerifyAndCorrect, config);
     }
-    ASSERT_EQ(results[0].strata.size(), results[1].strata.size());
-    for (std::size_t i = 0; i < results[0].strata.size(); ++i) {
-        EXPECT_EQ(results[0].strata[i].failures,
-                  results[1].strata[i].failures)
-            << "stratum " << i;
-        EXPECT_EQ(results[0].strata[i].prior,
-                  results[1].strata[i].prior);
+    for (int r = 1; r < 3; ++r) {
+        ASSERT_EQ(results[0].strata.size(), results[r].strata.size());
+        for (std::size_t i = 0; i < results[0].strata.size(); ++i) {
+            EXPECT_EQ(results[0].strata[i].failures,
+                      results[r].strata[i].failures)
+                << "stratum " << i << ", threads " << threads[r];
+            EXPECT_EQ(results[0].strata[i].prior,
+                      results[r].strata[i].prior);
+        }
+        EXPECT_EQ(results[0].errorRate(), results[r].errorRate());
+        EXPECT_EQ(results[0].totalTrials, results[r].totalTrials);
     }
-    EXPECT_EQ(results[0].errorRate(), results[1].errorRate());
 }
 
 TEST(StratifiedPrepSampler, DeepPointGetsTightNonzeroInterval)

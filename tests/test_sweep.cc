@@ -23,7 +23,6 @@
 #include "error/BatchAncillaSim.hh"
 #include "layout/Builders.hh"
 #include "sweep/Sweep.hh"
-#include "sweep/WorkStealingPool.hh"
 
 namespace qc {
 namespace {
@@ -256,9 +255,9 @@ TEST(ConfigHash, DistinguishesConfigsAndIgnoresKeyOrder)
 {
     ExperimentConfig a;
     ExperimentConfig b;
-    EXPECT_EQ(a.hash(), b.hash());
+    EXPECT_EQ(a.toJson().hash(), b.toJson().hash());
     b.errors.pGate = 2e-4;
-    EXPECT_NE(a.hash(), b.hash());
+    EXPECT_NE(a.toJson().hash(), b.toJson().hash());
 
     // Json::hash is order-insensitive by construction (sorted
     // keys).
@@ -491,6 +490,69 @@ TEST(SweepEngine, ZeroCalibrationTrialsFailTheirPointOnly)
                   runSweep(alone).doc.at("points").at(0).dump())
             << "level " << level;
     }
+}
+
+TEST(SweepEngine, BadMcPrepIntegersFailTheirPointOnly)
+{
+    // These used to be cast without a range check: "trials": -1
+    // wrapped to zero batches and a point claiming 1.8e19 trials,
+    // and a maxFaults or wordsPerQubit past 32 bits ran truncated
+    // under the value the spec gave.
+    const char *base = R"("runner": "mc-prep",
+      "base": {"trials": 2000, "seed": 3},)";
+    const SweepSpec spec = SweepSpec::fromJson(parse(std::string("{")
+        + base + R"(
+      "grids": [
+        {"axes": [{"field": "trials", "values": [2000, -1, 0]}]},
+        {"base": {"sampler": "stratified", "trialsPerStratum": 200},
+         "axes": [{"field": "maxFaults", "values": [4294967296]}]},
+        {"axes": [{"field": "wordsPerQubit", "values": [4294967360]}]},
+        {"base": {"sampler": "stratified"},
+         "axes": [{"field": "trialsPerStratum", "values": [0]}]}
+      ]
+    })"));
+    const char *expected[] = {
+        nullptr,
+        "config field \"trials\" = -1 is out of range",
+        "config field \"trials\" must be >= 1",
+        "config field \"maxFaults\" = 4294967296 is out of range",
+        "config field \"wordsPerQubit\" = 4294967360 is out of range",
+        "config field \"trialsPerStratum\" must be >= 1",
+    };
+    SweepOptions options;
+    options.threads = 4;
+    const SweepReport report = runSweep(spec, options);
+    const Json &points = report.doc.at("points");
+    ASSERT_EQ(points.size(), std::size(expected));
+    ASSERT_EQ(report.failed, std::size(expected) - 1);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (expected[i]) {
+            EXPECT_EQ(points.at(i).getString("error", ""), expected[i])
+                << "point " << i;
+        } else {
+            EXPECT_FALSE(points.at(i).has("error")) << "point " << i;
+        }
+    }
+
+    // The good point is what it is in a sweep of its own.
+    const SweepSpec alone = SweepSpec::fromJson(parse(std::string("{")
+        + base + R"(
+      "axes": [{"field": "trials", "values": [2000]}]
+    })"));
+    EXPECT_EQ(points.at(0).dump(),
+              runSweep(alone).doc.at("points").at(0).dump());
+
+    // A stratum of 2^64 - 1 trials never finished, and no drain
+    // could stop it: a sweep of its own, reached only once the
+    // checks above hold.
+    const SweepSpec endless = SweepSpec::fromJson(parse(R"({
+      "runner": "mc-prep",
+      "base": {"sampler": "stratified", "trialsPerStratum": -1},
+      "axes": []
+    })"));
+    EXPECT_EQ(runSweep(endless).doc.at("points").at(0).getString(
+                  "error", ""),
+              "config field \"trialsPerStratum\" = -1 is out of range");
 }
 
 TEST(SweepEngine, ProgressReportsEveryPointOnce)
@@ -1189,83 +1251,6 @@ TEST(ShippedSpecs, ParseAndExpandToExpectedCounts)
         EXPECT_EQ(spec.runner, s.runner) << s.file;
         EXPECT_EQ(spec.expand().size(), s.points) << s.file;
     }
-}
-
-// ---------------------------------------------------------------
-// Work-stealing pool
-// ---------------------------------------------------------------
-
-TEST(WorkStealingPool, RunsEveryTaskExactlyOnce)
-{
-    WorkStealingPool pool(4);
-    std::vector<std::atomic<int>> hits(503);
-    pool.run(hits.size(), [&](std::size_t i) {
-        hits[i].fetch_add(1);
-    });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkStealingPool, PropagatesTheFirstException)
-{
-    WorkStealingPool pool(2);
-    std::atomic<int> completed{0};
-    EXPECT_THROW(pool.run(64,
-                          [&](std::size_t i) {
-                              if (i == 13)
-                                  throw std::runtime_error("boom");
-                              completed.fetch_add(1);
-                          }),
-                 std::runtime_error);
-    // The failing task does not abandon the rest of the sweep.
-    EXPECT_EQ(completed.load(), 63);
-}
-
-TEST(WorkStealingPool, SurvivesEveryTaskThrowing)
-{
-    // Worst case for the drain-then-rethrow contract: all tasks
-    // throw on all workers. run() must still terminate (no
-    // deadlock, no std::terminate from a second in-flight
-    // exception) and rethrow exactly one of them.
-    WorkStealingPool pool(4);
-    std::atomic<int> attempts{0};
-    EXPECT_THROW(pool.run(97,
-                          [&](std::size_t) {
-                              attempts.fetch_add(1);
-                              throw std::invalid_argument("all");
-                          }),
-                 std::invalid_argument);
-    EXPECT_EQ(attempts.load(), 97);
-
-    // The pool object is reusable after a throwing run.
-    std::atomic<int> completed{0};
-    pool.run(16, [&](std::size_t) { completed.fetch_add(1); });
-    EXPECT_EQ(completed.load(), 16);
-}
-
-TEST(WorkStealingPool, StopPredicateDrainsWithoutNewTasks)
-{
-    // A stop that is true from the start runs nothing.
-    WorkStealingPool pool(2);
-    std::atomic<int> ran{0};
-    pool.run(
-        64, [&](std::size_t) { ran.fetch_add(1); },
-        [] { return true; });
-    EXPECT_EQ(ran.load(), 0);
-
-    // A stop raised mid-run keeps every started task's effect and
-    // never starts another after the flag is observed.
-    std::atomic<bool> stop{false};
-    std::atomic<int> started{0};
-    WorkStealingPool serial(1);
-    serial.run(
-        64,
-        [&](std::size_t) {
-            if (started.fetch_add(1) + 1 == 5)
-                stop.store(true);
-        },
-        [&] { return stop.load(); });
-    EXPECT_EQ(started.load(), 5);
 }
 
 } // namespace

@@ -461,10 +461,7 @@ cmdHoard(std::vector<std::string> args)
     const HoardVerifyReport report = hoard.verify();
     std::cerr << "hoard: " << report.objects << " object(s), "
               << report.ok << " ok, " << report.quarantined
-              << " quarantined, " << report.orphanedIndexEntries
-              << " orphaned index entr"
-              << (report.orphanedIndexEntries == 1 ? "y" : "ies")
-              << " pruned\n";
+              << " quarantined\n";
     return report.quarantined == 0 ? 0 : 1;
 }
 
