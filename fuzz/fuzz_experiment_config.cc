@@ -6,12 +6,12 @@
  * is a fixed point: fromJson(toJson(c)) serializes identically.
  * (The config hash feeding the sweep memo and the hoard key is
  * Json::hash of that serialization, so the fixed point is what
- * keeps cache identities stable.) An accepted config also keeps
- * every integral number the document gave it: a value its field
- * cannot hold is rejected, never wrapped.
+ * keeps cache identities stable.) An accepted config also lies
+ * inside every range and set of names of ExperimentConfig::table(),
+ * and keeps every number the document gave it: a value its field
+ * cannot hold is rejected, never wrapped, truncated or clamped.
  */
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -21,10 +21,10 @@
 
 namespace {
 
-/** Each integral number in `in` reads back unchanged in `out`, the
- *  accepted config's toJson(), wherever `out` has the same key. */
+/** Each number in `in` reads back unchanged in `out`, the accepted
+ *  config's toJson(), wherever `out` has the same key. */
 void
-assertIntegersKept(const qc::Json &in, const qc::Json &out)
+assertNumbersKept(const qc::Json &in, const qc::Json &out)
 {
     if (!in.isObject() || !out.isObject())
         return;
@@ -32,12 +32,26 @@ assertIntegersKept(const qc::Json &in, const qc::Json &out)
         const qc::Json *kept = out.find(key);
         if (!kept)
             continue;
-        if (value.isNumber() && kept->isNumber()) {
-            const double v = value.asDouble();
-            QC_FUZZ_ASSERT(v != std::floor(v) || kept->asDouble() == v,
-                           "an accepted integer field was wrapped");
-        } else {
-            assertIntegersKept(value, *kept);
+        if (value.isNumber())
+            QC_FUZZ_ASSERT(kept->isNumber()
+                               && kept->asDouble() == value.asDouble(),
+                           "an accepted number did not read back");
+        else
+            assertNumbersKept(value, *kept);
+    }
+}
+
+/** Every field of the accepted config's toJson() passes its row's
+ *  check: inside its range or set of names. */
+void
+assertInsideTable(const qc::Json &written)
+{
+    for (const qc::FieldSpec &spec : qc::ExperimentConfig::table().specs) {
+        try {
+            spec.check(*spec.find(written));
+        } catch (const std::invalid_argument &) {
+            QC_FUZZ_ASSERT(false, "an accepted field lies outside its "
+                                  "table range");
         }
     }
 }
@@ -59,7 +73,8 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     } catch (const std::invalid_argument &) {
         return 0; // rejected cleanly
     }
-    assertIntegersKept(doc, config.toJson());
+    assertInsideTable(config.toJson());
+    assertNumbersKept(doc, config.toJson());
     const std::string once = config.toJson().dump(2);
     qc::ExperimentConfig again;
     try {

@@ -1,13 +1,11 @@
 #include "api/Experiment.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "codes/ConcatenatedCode.hh"
-#include "common/Logging.hh"
 #include "error/RecursiveError.hh"
 #include "factory/ConcatenatedFactory.hh"
 #include "layout/Builders.hh"
@@ -23,57 +21,16 @@ provisionedUnits(double fractional)
     return fractional > 0 ? std::ceil(fractional) : 0.0;
 }
 
-Json
-ionTrapToJson(const IonTrapParams &tech)
-{
-    Json j = Json::object();
-    j.set("t1q_ns", tech.t1q);
-    j.set("t2q_ns", tech.t2q);
-    j.set("tmeas_ns", tech.tmeas);
-    j.set("tprep_ns", tech.tprep);
-    j.set("tmove_ns", tech.tmove);
-    j.set("tturn_ns", tech.tturn);
-    return j;
-}
-
-IonTrapParams
-ionTrapFromJson(const Json &j)
-{
-    IonTrapParams tech;
-    tech.t1q = j.getInt("t1q_ns", tech.t1q);
-    tech.t2q = j.getInt("t2q_ns", tech.t2q);
-    tech.tmeas = j.getInt("tmeas_ns", tech.tmeas);
-    tech.tprep = j.getInt("tprep_ns", tech.tprep);
-    tech.tmove = j.getInt("tmove_ns", tech.tmove);
-    tech.tturn = j.getInt("tturn_ns", tech.tturn);
-    return tech;
-}
+/** Display names, indexed by ScheduleMode. */
+const std::vector<std::string> kScheduleModeNames = {
+    "speed-of-data", "throttled", "arch"};
 
 } // namespace
 
 std::string
 scheduleModeName(ScheduleMode mode)
 {
-    switch (mode) {
-      case ScheduleMode::SpeedOfData: return "speed-of-data";
-      case ScheduleMode::Throttled:   return "throttled";
-      case ScheduleMode::Arch:        return "arch";
-    }
-    return "?";
-}
-
-ScheduleMode
-scheduleModeFromName(const std::string &name)
-{
-    if (name == "speed-of-data")
-        return ScheduleMode::SpeedOfData;
-    if (name == "throttled")
-        return ScheduleMode::Throttled;
-    if (name == "arch")
-        return ScheduleMode::Arch;
-    throw std::invalid_argument(
-        "unknown schedule mode \"" + name
-        + "\"; expected speed-of-data, throttled, or arch");
+    return kScheduleModeNames.at(static_cast<std::size_t>(mode));
 }
 
 MicroarchConfig
@@ -103,133 +60,84 @@ ExperimentConfig::paper(const std::string &workload)
     return config;
 }
 
-Json
-ExperimentConfig::toJson() const
+namespace {
+
+/**
+ * ExperimentConfig's field table: each row's path, domain, and
+ * whether the field enters the workload, analytics and hoard keys.
+ * The workload builders check bits, synth.maxSyllables and
+ * codeLevel, the arch models cacheSlots and areaBudget, and the
+ * calibration pass calibrationTrials. A 0 teleport_ns derives the
+ * latency, 0 timeLimit_ns runs to the end, 0 zeroPerMs takes the
+ * sized supply and 0 pi8PerMs sets no limit.
+ */
+const auto &
+experimentTable()
 {
-    Json j = Json::object();
-    j.set("workload", workload);
-    j.set("bits", params.bits);
+    const auto fields = [](auto &c, auto &&row) {
+        constexpr KeyUse N = KeyUse::No, Y = KeyUse::Yes,
+                         G = KeyUse::Gated; // only when calibrating
+        row(c.workload, {"workload", {}, Y, N, Y});
+        row(c.params.bits, {"bits", {}, Y, N, Y});
+        row(c.params.lowering.maxRotK,
+            {"lowering.maxRotK", atLeast(0), Y, N, Y});
+        row(c.params.qft.maxK, {"qft.maxK", atLeast(0), Y, N, Y});
+        row(c.params.qft.withSwaps, {"qft.withSwaps", {}, Y, N, Y});
+        row(c.synth.maxSyllables, {"synth.maxSyllables", {}, Y, N, Y});
+        row(c.synth.maxError, {"synth.maxError", {}, Y, N, Y});
+        row(c.synth.pureHT, {"synth.pureHT", {}, Y, N, Y});
+        row(c.synth.tCostWeight, {"synth.tCostWeight", {}, Y, N, Y});
+        row(c.codeLevel, {"codeLevel", {}, N, Y, Y});
+        row(c.calibrateFactories, {"calibrateFactories", {}, N, Y, Y});
+        row(c.calibrationTrials, {"calibrationTrials", {}, N, G, G});
+        row(c.tech.t1q, {"tech.t1q_ns", atLeast(0), N, Y, Y});
+        row(c.tech.t2q, {"tech.t2q_ns", atLeast(0), N, Y, Y});
+        row(c.tech.tmeas, {"tech.tmeas_ns", atLeast(0), N, Y, Y});
+        row(c.tech.tprep, {"tech.tprep_ns", atLeast(0), N, Y, Y});
+        row(c.tech.tmove, {"tech.tmove_ns", atLeast(0), N, Y, Y});
+        row(c.tech.tturn, {"tech.tturn_ns", atLeast(0), N, Y, Y});
+        row(c.errors.pGate, {"errors.pGate", within(0, 1), N, G, Y});
+        row(c.errors.pMove, {"errors.pMove", within(0, 1), N, G, Y});
+        row(c.schedule, {"schedule", oneOf(kScheduleModeNames), N, N, Y});
+        row(c.arch, {"arch", {}, N, N, Y});
+        row(c.generatorsPerSite, {"generatorsPerSite", atLeast(1), N, N, Y});
+        row(c.cacheSlots, {"cacheSlots", {}, N, N, Y});
+        row(c.areaBudget, {"areaBudget", {}, N, N, Y});
+        row(c.teleport, {"teleport_ns", atLeast(0), N, N, Y});
+        row(c.zeroPerMs, {"zeroPerMs", atLeast(0), N, N, Y});
+        row(c.pi8PerMs, {"pi8PerMs", atLeast(0), N, N, Y});
+        row(c.timeLimit, {"timeLimit_ns", atLeast(0), N, N, Y});
+        row(c.demandBins, {"demandBins", atLeast(1), N, Y, N});
+    };
+    static const FieldTable<ExperimentConfig, decltype(fields)> table(
+        fields, "calibrateFactories");
+    return table;
+}
 
-    Json lowering = Json::object();
-    lowering.set("maxRotK", params.lowering.maxRotK);
-    j.set("lowering", lowering);
+} // namespace
 
-    Json qft = Json::object();
-    qft.set("maxK", params.qft.maxK);
-    qft.set("withSwaps", params.qft.withSwaps);
-    j.set("qft", qft);
-
-    Json synthJson = Json::object();
-    synthJson.set("maxSyllables", synth.maxSyllables);
-    synthJson.set("maxError", synth.maxError);
-    synthJson.set("pureHT", synth.pureHT);
-    synthJson.set("tCostWeight", synth.tCostWeight);
-    j.set("synth", synthJson);
-
-    j.set("codeLevel", codeLevel);
-    j.set("calibrateFactories", calibrateFactories);
-    j.set("calibrationTrials",
-          static_cast<std::int64_t>(calibrationTrials));
-    j.set("tech", ionTrapToJson(tech));
-
-    Json errorsJson = Json::object();
-    errorsJson.set("pGate", errors.pGate);
-    errorsJson.set("pMove", errors.pMove);
-    j.set("errors", errorsJson);
-
-    j.set("schedule", scheduleModeName(schedule));
-    j.set("arch", arch);
-    j.set("generatorsPerSite", generatorsPerSite);
-    j.set("cacheSlots", cacheSlots);
-    j.set("areaBudget", areaBudget);
-    j.set("teleport_ns", teleport);
-    j.set("zeroPerMs", zeroPerMs);
-    j.set("pi8PerMs", pi8PerMs);
-    j.set("timeLimit_ns", timeLimit);
-    j.set("demandBins", demandBins);
-    return j;
+const FieldSchema &
+ExperimentConfig::table()
+{
+    return experimentTable();
 }
 
 ExperimentConfig
-ExperimentConfig::fromJson(const Json &j)
+ExperimentConfig::fromJson(const Json &json)
 {
-    ExperimentConfig config;
-    config.workload = j.getString("workload", config.workload);
-    config.params.bits = getNarrow(j, "", "bits", config.params.bits);
-    if (j.has("lowering")) {
-        config.params.lowering.maxRotK =
-            getNarrow(j.at("lowering"), "lowering.", "maxRotK",
-                      config.params.lowering.maxRotK);
-    }
-    if (j.has("qft")) {
-        const Json &qft = j.at("qft");
-        config.params.qft.maxK =
-            getNarrow(qft, "qft.", "maxK", config.params.qft.maxK);
-        config.params.qft.withSwaps =
-            qft.getBool("withSwaps", config.params.qft.withSwaps);
-    }
-    if (j.has("synth")) {
-        const Json &synth = j.at("synth");
-        config.synth.maxSyllables =
-            getNarrow(synth, "synth.", "maxSyllables",
-                      config.synth.maxSyllables);
-        config.synth.maxError =
-            synth.getDouble("maxError", config.synth.maxError);
-        config.synth.pureHT =
-            synth.getBool("pureHT", config.synth.pureHT);
-        config.synth.tCostWeight =
-            getNarrow(synth, "synth.", "tCostWeight",
-                      config.synth.tCostWeight);
-    }
-    config.codeLevel =
-        getNarrow(j, "", "codeLevel", config.codeLevel);
-    config.calibrateFactories = j.getBool(
-        "calibrateFactories", config.calibrateFactories);
-    config.calibrationTrials = getNarrow(
-        j, "", "calibrationTrials", config.calibrationTrials);
-    if (j.has("tech"))
-        config.tech = ionTrapFromJson(j.at("tech"));
-    if (j.has("errors")) {
-        const Json &errors = j.at("errors");
-        config.errors.pGate =
-            errors.getDouble("pGate", config.errors.pGate);
-        config.errors.pMove =
-            errors.getDouble("pMove", config.errors.pMove);
-    }
-    config.schedule = scheduleModeFromName(j.getString(
-        "schedule", scheduleModeName(config.schedule)));
-    config.arch = j.getString("arch", config.arch);
-    config.generatorsPerSite = getNarrow(
-        j, "", "generatorsPerSite", config.generatorsPerSite);
-    config.cacheSlots =
-        getNarrow(j, "", "cacheSlots", config.cacheSlots);
-    config.areaBudget =
-        j.getDouble("areaBudget", config.areaBudget);
-    config.teleport = j.getInt("teleport_ns", config.teleport);
-    config.zeroPerMs = j.getDouble("zeroPerMs", config.zeroPerMs);
-    config.pi8PerMs = j.getDouble("pi8PerMs", config.pi8PerMs);
-    config.timeLimit = j.getInt("timeLimit_ns", config.timeLimit);
-    config.demandBins =
-        getNarrow(j, "", "demandBins", config.demandBins);
-    return config;
+    return experimentTable().read(json);
+}
+
+Json
+ExperimentConfig::toJson() const
+{
+    return experimentTable().write(*this);
 }
 
 std::string
 ExperimentConfig::workloadKey() const
 {
-    // Exactly the fields the built workload depends on: configs
-    // differing only elsewhere may share one built workload.
-    Json j = Json::object();
-    j.set("workload", workload);
-    j.set("bits", params.bits);
-    j.set("maxRotK", params.lowering.maxRotK);
-    j.set("qftMaxK", params.qft.maxK);
-    j.set("qftWithSwaps", params.qft.withSwaps);
-    j.set("maxSyllables", synth.maxSyllables);
-    j.set("maxError", synth.maxError);
-    j.set("pureHT", synth.pureHT);
-    j.set("tCostWeight", synth.tCostWeight);
-    return j.dump(0);
+    return experimentTable().key(*this, ConfigKey::Workload);
 }
 
 ExperimentConfig
@@ -380,29 +288,6 @@ Result::summaryJson() const
 
 namespace {
 
-/**
- * Canonical identity of a config's analytics inputs: exactly the
- * fields computeAnalytics reads. Integers print exactly and the
- * error rates as their bit patterns, so configs that differ in any
- * of those fields never share a key.
- */
-std::string
-analyticsKey(const ExperimentConfig &config)
-{
-    const IonTrapParams &tech = config.tech;
-    std::string key = detail::concat(
-        "tech ", tech.t1q, ' ', tech.t2q, ' ', tech.tmeas, ' ',
-        tech.tprep, ' ', tech.tmove, ' ', tech.tturn, " level ",
-        config.codeLevel, " bins ", std::max(1, config.demandBins));
-    if (config.calibrateFactories) {
-        key += detail::concat(
-            " calibrated ", config.calibrationTrials, ' ',
-            std::bit_cast<std::uint64_t>(config.errors.pGate), ' ',
-            std::bit_cast<std::uint64_t>(config.errors.pMove));
-    }
-    return key;
-}
-
 AnalyticsMemo::Analytics
 computeAnalytics(const ExperimentConfig &config,
                  const DataflowGraph &graph)
@@ -482,7 +367,9 @@ struct GraphHolder
 const AnalyticsMemo::Analytics &
 AnalyticsMemo::get(const ExperimentConfig &config) const
 {
-    return entries_.get(analyticsKey(config), [&] {
+    const std::string key =
+        experimentTable().key(config, ConfigKey::Analytics);
+    return entries_.get(key, [&] {
         return computeAnalytics(config, graph_);
     });
 }

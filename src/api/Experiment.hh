@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "api/FieldTable.hh"
 #include "api/Json.hh"
 #include "arch/Microarch.hh"
 #include "arch/SpeedOfData.hh"
@@ -62,11 +63,9 @@ enum class ScheduleMode
     Arch,
 };
 
-/** Round-trippable display name ("speed-of-data", ...). */
+/** Display name ("speed-of-data", ...), as the config's
+ *  "schedule" field spells it. */
 std::string scheduleModeName(ScheduleMode mode);
-
-/** Inverse of scheduleModeName; throws on unknown names. */
-ScheduleMode scheduleModeFromName(const std::string &name);
 
 /**
  * Everything one experiment needs, JSON-round-trippable. Defaults
@@ -166,7 +165,14 @@ struct ExperimentConfig
      *  paper's literal {H, T} synthesis options. */
     static ExperimentConfig paper(const std::string &workload);
 
-    /** JSON round-trip; missing keys keep their defaults. */
+    /** The rows of the field table (api/FieldTable.hh) that the
+     *  JSON round trip and the workload and analytics keys derive
+     *  from. */
+    static const FieldSchema &table();
+
+    /** JSON round-trip; missing keys keep their defaults, unknown
+     *  keys are ignored, and a value its field does not admit
+     *  throws std::invalid_argument naming the field. */
     static ExperimentConfig fromJson(const Json &json);
     Json toJson() const;
 
@@ -254,9 +260,10 @@ struct Result
  * The speed-of-data analytics of one workload's dataflow graph,
  * computed at most once per analytics key and shared by every
  * Experiment on the bundle. The key holds exactly the inputs the
- * analytics read: the six tech latencies, codeLevel, the clamped
- * demandBins, calibrateFactories and, only when calibrating,
- * calibrationTrials, errors.pGate and errors.pMove.
+ * analytics read, the analytics column of ExperimentConfig::table():
+ * the six tech latencies, codeLevel, demandBins, calibrateFactories
+ * and, only when calibrating, calibrationTrials, errors.pGate and
+ * errors.pMove.
  *
  * Internally synchronized (see OnceMap): the first requester of a
  * key computes it while later ones wait, and a computation that

@@ -653,4 +653,34 @@ Json::operator==(const Json &other) const
     return false;
 }
 
+void
+setJsonPath(Json &object, const std::string &path, Json value)
+{
+    const std::size_t dot = path.find('.');
+    if (dot == std::string::npos) {
+        object.set(path, std::move(value));
+        return;
+    }
+    const std::string head = path.substr(0, dot);
+    Json child = object.has(head) && object.at(head).isObject()
+        ? object.at(head)
+        : Json::object();
+    setJsonPath(child, path.substr(dot + 1), std::move(value));
+    object.set(head, std::move(child));
+}
+
+void
+flattenPaths(const Json &json, const std::string &prefix,
+             std::vector<std::string> &out)
+{
+    for (const auto &[key, value] : json.items()) {
+        const std::string path =
+            prefix.empty() ? key : prefix + "." + key;
+        if (value.isObject() && value.items().size() > 0)
+            flattenPaths(value, path, out);
+        else
+            out.push_back(path);
+    }
+}
+
 } // namespace qc

@@ -166,24 +166,15 @@ class Json
 };
 
 /**
- * obj[key] as the integer type T, or fallback when absent. A value
- * T cannot hold throws std::invalid_argument naming the field
- * (prefix + key) rather than wrapping.
+ * Set a dotted path ("errors.pGate") in a JSON object, creating
+ * intermediate objects as needed.
  */
-template <typename T>
-T
-getNarrow(const Json &obj, const std::string &prefix,
-          const std::string &key, T fallback)
-{
-    if (!obj.has(key))
-        return fallback;
-    const std::int64_t v = obj.at(key).asInt();
-    if (!std::in_range<T>(v))
-        throw std::invalid_argument(
-            "config field \"" + prefix + key + "\" = "
-            + std::to_string(v) + " is out of range");
-    return static_cast<T>(v);
-}
+void setJsonPath(Json &object, const std::string &path, Json value);
+
+/** Append the dotted leaf paths of a config object to `out`
+ *  ({"a": {"b": 1}} -> a.b); an empty object is a leaf. */
+void flattenPaths(const Json &json, const std::string &prefix,
+                  std::vector<std::string> &out);
 
 } // namespace qc
 

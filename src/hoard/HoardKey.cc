@@ -1,22 +1,22 @@
 #include "hoard/HoardKey.hh"
 
 #include "sweep/SweepPlan.hh"
+#include "sweep/SweepRunner.hh"
 
 namespace qc {
 
 namespace {
 
-/** Rebuild an object without one top-level key (Json has no erase;
- *  objects are small). No-op when the key is absent. */
-Json
-withoutKey(const Json &object, const std::string &key)
+/** The runner's field table; empty (the identity policy) for
+ *  runners the registry does not know. */
+const FieldSchema &
+runnerSchema(const std::string &runner)
 {
-    Json out = Json::object();
-    for (const auto &[name, value] : object.items()) {
-        if (name != key)
-            out.set(name, value);
-    }
-    return out;
+    static const FieldSchema unknown;
+    const SweepRunnerRegistry &registry =
+        SweepRunnerRegistry::instance();
+    return registry.contains(runner) ? registry.get(runner).schema()
+                                     : unknown;
 }
 
 } // namespace
@@ -24,16 +24,7 @@ withoutKey(const Json &object, const std::string &key)
 Json
 hoardKeyConfig(const std::string &runner, const Json &config)
 {
-    if (runner != "experiment" || !config.isObject())
-        return config;
-    // demandBins only shapes the demand-profile report, which
-    // summaryJson() (the stored result) does not include.
-    Json key = withoutKey(config, "demandBins");
-    // calibrationTrials is read only by the factory-calibration
-    // pass; with calibration off it is inert.
-    if (!key.getBool("calibrateFactories", false))
-        key = withoutKey(key, "calibrationTrials");
-    return key;
+    return runnerSchema(runner).keyConfig(config, ConfigKey::Hoard);
 }
 
 std::string
@@ -48,9 +39,12 @@ hoardKeyHash(const std::string &runner, const Json &config)
 std::vector<std::string>
 hoardReportingOnlyFields(const std::string &runner)
 {
-    if (runner == "experiment")
-        return {"demandBins", "calibrationTrials"};
-    return {};
+    std::vector<std::string> out;
+    for (const FieldSpec &spec : runnerSchema(runner).specs) {
+        if (spec.use(ConfigKey::Hoard) != KeyUse::Yes)
+            out.push_back(spec.path);
+    }
+    return out;
 }
 
 } // namespace qc

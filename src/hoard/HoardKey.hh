@@ -14,22 +14,14 @@
  * semantic or reporting-only, so adding a field without deciding
  * fails a test).
  *
- * Policy per runner:
- *
- *   experiment  drops `demandBins` (the runner stores
- *               Result::summaryJson(), which carries no demand
- *               profile, so the binning resolution cannot reach the
- *               cached bytes) and drops `calibrationTrials` when
- *               `calibrateFactories` is false/absent (the trial
- *               count is read only by the calibration pass).
- *               Everything else — including unknown fields — is
- *               semantic.
- *   (others)    identity: every field is semantic. Unknown runners
- *               get no normalization, which is always safe (worst
- *               case is a needless cache miss, never a wrong hit).
- *
- * The policy is deliberately conservative: a field is normalized
- * away only when the stored result provably cannot depend on it.
+ * The policy is the hoard column of the runner's field table
+ * (SweepRunner::schema()). For "experiment" it leaves out
+ * `demandBins` (the stored Result::summaryJson() has no demand
+ * profile) and, unless `calibrateFactories` is on,
+ * `calibrationTrials`. Unknown fields stay in the key, and runners
+ * without a table get the identity policy: every field semantic,
+ * which is always safe (worst case a needless miss, never a wrong
+ * hit). No JSON value makes the policy throw.
  */
 
 #ifndef QC_HOARD_HOARD_KEY_HH

@@ -1,6 +1,5 @@
 #include "sweep/SweepRunner.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "api/PaperLedger.hh"
@@ -16,6 +15,18 @@ namespace {
 // "experiment": the qc::Experiment facade, one point = one Result.
 // ----------------------------------------------------------------
 
+/** The experiment runner's one field beyond ExperimentConfig:
+ *  Figure 8-style throttling at a fraction of the workload's own
+ *  average zero bandwidth at speed of data; 0 = off. */
+const FieldSpec &
+fig8Fraction()
+{
+    static const FieldSpec spec({"zeroPerMsOfAverage", atLeast(0),
+                                 KeyUse::No, KeyUse::No, KeyUse::Yes},
+                                0.0);
+    return spec;
+}
+
 class ExperimentRunner : public SweepRunner
 {
   public:
@@ -29,16 +40,15 @@ class ExperimentRunner : public SweepRunner
                "error rates)";
     }
 
-    std::vector<std::string>
-    fields() const override
+    const FieldSchema &
+    schema() const override
     {
-        // Every leaf ExperimentConfig::toJson() writes, plus the
-        // derived Figure 8 fraction below.
-        std::vector<std::string> out;
-        flattenPaths(ExperimentConfig{}.toJson(), "", out);
-        out.push_back("zeroPerMsOfAverage");
-        std::sort(out.begin(), out.end());
-        return out;
+        static const FieldSchema schema = [] {
+            FieldSchema out = ExperimentConfig::table();
+            out.specs.push_back(fig8Fraction());
+            return out;
+        }();
+        return schema;
     }
 
     Json
@@ -46,14 +56,14 @@ class ExperimentRunner : public SweepRunner
              SweepContext &context) const override
     {
         const ExperimentConfig c = ExperimentConfig::fromJson(config);
+        double fraction = 0;
+        if (const Json *value = fig8Fraction().find(config))
+            fig8Fraction().assign(*value, fraction);
         SharedWorkload workload = context.workload(c);
 
-        // Figure 8-style derived throttling: a supply rate given as
-        // a fraction of this workload's own average bandwidth at
-        // speed of data (from the bundle's analytics memo, so
-        // computed once per workload, not per fraction point).
-        const double fraction =
-            config.getDouble("zeroPerMsOfAverage", 0.0);
+        // The fraction's yardstick comes from the bundle's analytics
+        // memo, so it is computed once per workload, not per
+        // fraction point.
         if (fraction > 0) {
             if (c.schedule != ScheduleMode::Throttled) {
                 throw std::invalid_argument(
@@ -81,60 +91,67 @@ class ExperimentRunner : public SweepRunner
 // "mc-prep": BatchAncillaSim Monte Carlo points (Figure 4 planes).
 // ----------------------------------------------------------------
 
-struct McStrategy
+/** The mc-prep strategies: ZeroPrepStrategy's, in its order, then
+ *  the pi/8 conversion from verified-and-corrected zeros. */
+enum class McStrategy
 {
-    const char *key;
-    ZeroPrepStrategy strategy;
-    bool pi8;
+    Basic,
+    VerifyOnly,
+    CorrectOnly,
+    VerifyAndCorrect,
+    Pi8Conversion,
+};
+static_assert(static_cast<int>(ZeroPrepStrategy::VerifyAndCorrect)
+              == static_cast<int>(McStrategy::VerifyAndCorrect));
+
+/** One mc-prep point. */
+struct McPrepPoint
+{
+    ErrorParams errors;
+    std::uint64_t trials = 400000;
+    std::int64_t seed = 20080623;
+    McStrategy strategy = McStrategy::Basic;
+    CorrectionSemantics semantics =
+        CorrectionSemantics::DiscardOnSyndrome;
+    std::string sampler = "naive";
+    BatchSimConfig batch;
+    ImportanceConfig importance;
 };
 
-constexpr McStrategy kMcStrategies[] = {
-    {"basic", ZeroPrepStrategy::Basic, false},
-    {"verify_only", ZeroPrepStrategy::VerifyOnly, false},
-    {"correct_only", ZeroPrepStrategy::CorrectOnly, false},
-    {"verify_and_correct", ZeroPrepStrategy::VerifyAndCorrect,
-     false},
-    {"pi8_conversion", ZeroPrepStrategy::VerifyAndCorrect, true},
-};
-
-const McStrategy &
-mcStrategy(const std::string &key)
+/**
+ * The mc-prep field table: every field enters the hoard key only;
+ * strategy and semantics in their enums' order. The batch engine is
+ * measured at 4 to 64 words per qubit plane, and 1024 keeps its
+ * 64 * wordsPerQubit trials per batch far inside int. The importance
+ * sampler rejects a negative maxFaults.
+ */
+const auto &
+mcPrepTable()
 {
-    for (const McStrategy &s : kMcStrategies) {
-        if (key == s.key)
-            return s;
-    }
-    std::vector<std::string> keys;
-    for (const McStrategy &s : kMcStrategies)
-        keys.push_back(s.key);
-    throw std::invalid_argument("unknown mc-prep strategy \"" + key
-                                + "\"; expected one of: "
-                                + joinNames(keys));
-}
-
-/** config[key] as a trial count: absent gives fallback, and a
- *  value below 1 throws naming the field. */
-std::uint64_t
-mcTrials(const Json &config, const std::string &key,
-         std::uint64_t fallback)
-{
-    const std::uint64_t trials = getNarrow(config, "", key, fallback);
-    if (trials < 1)
-        throw std::invalid_argument("config field \"" + key
-                                    + "\" must be >= 1");
-    return trials;
-}
-
-CorrectionSemantics
-mcSemantics(const std::string &key)
-{
-    if (key == "discard_on_syndrome")
-        return CorrectionSemantics::DiscardOnSyndrome;
-    if (key == "apply_fix")
-        return CorrectionSemantics::ApplyFix;
-    throw std::invalid_argument(
-        "unknown mc-prep semantics \"" + key
-        + "\"; expected discard_on_syndrome or apply_fix");
+    const auto fields = [](auto &p, auto &&row) {
+        constexpr KeyUse N = KeyUse::No, Y = KeyUse::Yes;
+        row(p.errors.pGate, {"pGate", within(0, 1), N, N, Y});
+        row(p.errors.pMove, {"pMove", within(0, 1), N, N, Y});
+        row(p.trials, {"trials", atLeast(1), N, N, Y});
+        row(p.seed, {"seed", {}, N, N, Y});
+        row(p.strategy,
+            {"strategy",
+             oneOf({"basic", "verify_only", "correct_only",
+                    "verify_and_correct", "pi8_conversion"}),
+             N, N, Y});
+        row(p.semantics,
+            {"semantics", oneOf({"discard_on_syndrome", "apply_fix"}),
+             N, N, Y});
+        row(p.sampler,
+            {"sampler", oneOf({"naive", "stratified"}), N, N, Y});
+        row(p.batch.wordsPerQubit,
+            {"wordsPerQubit", within(1, 1024), N, N, Y});
+        row(p.importance.maxFaults, {"maxFaults", {}, N, N, Y});
+        row(p.importance.trialsPerStratum,
+            {"trialsPerStratum", atLeast(1), N, N, Y});
+    };
+    static const FieldTable<McPrepPoint, decltype(fields)> table(fields);
+    return table;
 }
 
 class McPrepRunner : public SweepRunner
@@ -149,13 +166,7 @@ class McPrepRunner : public SweepRunner
                "rates over (strategy, pGate, pMove) grids";
     }
 
-    std::vector<std::string>
-    fields() const override
-    {
-        return {"maxFaults", "pGate", "pMove", "sampler", "seed",
-                "semantics", "strategy", "trials",
-                "trialsPerStratum", "wordsPerQubit"};
-    }
+    const FieldSchema &schema() const override { return mcPrepTable(); }
 
     Json
     metadata() const override
@@ -168,21 +179,12 @@ class McPrepRunner : public SweepRunner
     Json
     runPoint(const Json &config, SweepContext &) const override
     {
-        ErrorParams errors;
-        errors.pGate = config.getDouble("pGate", errors.pGate);
-        errors.pMove = config.getDouble("pMove", errors.pMove);
-        const std::uint64_t trials =
-            mcTrials(config, "trials", 400000);
-        const std::uint64_t seed = static_cast<std::uint64_t>(
-            config.getInt("seed", 20080623));
-        const McStrategy &strategy =
-            mcStrategy(config.getString("strategy", "basic"));
-        const CorrectionSemantics semantics = mcSemantics(
-            config.getString("semantics", "discard_on_syndrome"));
-
-        BatchSimConfig batch;
-        batch.wordsPerQubit = getNarrow(config, "", "wordsPerQubit",
-                                        batch.wordsPerQubit);
+        const McPrepPoint point = mcPrepTable().read(config);
+        const bool pi8 = point.strategy == McStrategy::Pi8Conversion;
+        const ZeroPrepStrategy strategy = pi8
+            ? ZeroPrepStrategy::VerifyAndCorrect
+            : static_cast<ZeroPrepStrategy>(point.strategy);
+        BatchSimConfig batch = point.batch;
         // One thread per point: the sweep engine owns parallelism
         // across points. (The engine is bit-identical across its
         // own thread counts anyway; this keeps a point's cost
@@ -196,27 +198,21 @@ class McPrepRunner : public SweepRunner
 
         const ErrorParams paper = ErrorParams::paper();
         Json out = Json::object();
-        out.set("paper_point", errors.pGate == paper.pGate
-                                   && errors.pMove == paper.pMove);
+        out.set("paper_point", point.errors.pGate == paper.pGate
+                                   && point.errors.pMove == paper.pMove);
 
-        BatchAncillaSim sim(errors, movement, seed, semantics,
-                            batch);
+        BatchAncillaSim sim(point.errors, movement,
+                            static_cast<std::uint64_t>(point.seed),
+                            point.semantics, batch);
 
-        const std::string sampler =
-            config.getString("sampler", "naive");
-        if (sampler == "stratified") {
+        if (point.sampler == "stratified") {
             // Rare-event importance sampling (see
             // error/ImportanceSampler.hh): tight CIs at
             // deep-subthreshold points where `trials` naive trials
             // would record zero failures.
-            ImportanceConfig ic;
-            ic.maxFaults =
-                getNarrow(config, "", "maxFaults", ic.maxFaults);
-            ic.trialsPerStratum = mcTrials(
-                config, "trialsPerStratum", ic.trialsPerStratum);
-            const StratifiedEstimate est = strategy.pi8
-                ? sim.estimateStratifiedPi8(ic)
-                : sim.estimateStratified(strategy.strategy, ic);
+            const StratifiedEstimate est = pi8
+                ? sim.estimateStratifiedPi8(point.importance)
+                : sim.estimateStratified(strategy, point.importance);
             const Interval ci = est.errorInterval();
             out.set("error_rate", est.errorRate());
             out.set("ci_lo", ci.lo);
@@ -231,14 +227,10 @@ class McPrepRunner : public SweepRunner
             out.set("trials", est.totalTrials);
             return out;
         }
-        if (sampler != "naive")
-            throw std::invalid_argument(
-                "unknown mc-prep sampler \"" + sampler
-                + "\"; expected naive or stratified");
 
-        const PrepEstimate est = strategy.pi8
-            ? sim.estimatePi8(trials)
-            : sim.estimate(strategy.strategy, trials);
+        const PrepEstimate est = pi8
+            ? sim.estimatePi8(point.trials)
+            : sim.estimate(strategy, point.trials);
         const Interval ci = est.errorInterval();
         out.set("error_rate", est.errorRate());
         out.set("ci_lo", ci.lo);
@@ -265,8 +257,6 @@ class PaperRunner : public SweepRunner
                "5b and 7 beside the paper's printed values";
     }
 
-    std::vector<std::string> fields() const override { return {}; }
-
     Json
     runPoint(const Json &, SweepContext &) const override
     {
@@ -275,6 +265,19 @@ class PaperRunner : public SweepRunner
 };
 
 } // namespace
+
+const FieldSchema &
+SweepRunner::schema() const
+{
+    static const FieldSchema empty;
+    return empty;
+}
+
+std::vector<std::string>
+SweepRunner::fields() const
+{
+    return schema().paths();
+}
 
 SharedWorkload
 SweepContext::workload(const ExperimentConfig &config)

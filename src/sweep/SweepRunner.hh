@@ -3,26 +3,24 @@
  * The unit of work a sweep executes: a SweepRunner turns one point
  * configuration (JSON) into one point result (JSON). Runners are
  * registered by string key — the SweepSpec's "runner" field — and
- * publish the configuration fields a spec may put on its axes, so
- * bad specs fail fast with the valid field list in the error.
+ * publish their config's field table (api/FieldTable.hh): the fields
+ * a spec may put on its axes, so bad specs fail fast with the valid
+ * field list in the error, each field's type and range, and the
+ * fields the hoard key leaves out.
  *
  * Built-ins:
  *
- *  - "experiment"  qc::runExperiment over ExperimentConfig JSON
- *                  (workload, bits, codeLevel, schedule, arch,
- *                  errors.pGate, ... — every knob of the facade),
- *                  plus the derived field "zeroPerMsOfAverage" for
- *                  Figure 8-style throttling at a fraction of the
- *                  workload's own average bandwidth. Workload
- *                  builds (synthesis included) and their analytics
- *                  are shared across points through the
- *                  SweepContext cache.
+ *  - "experiment"  qc::runExperiment over ExperimentConfig::table(),
+ *                  plus "zeroPerMsOfAverage" for Figure 8-style
+ *                  throttling at a fraction of the workload's own
+ *                  average bandwidth. Workload builds (synthesis
+ *                  included) and their analytics are shared across
+ *                  points through the SweepContext cache.
  *
  *  - "mc-prep"     BatchAncillaSim Monte Carlo estimation of the
  *                  encoded-zero preparation strategies and the pi/8
- *                  conversion (Figure 4 error-rate planes):
- *                  strategy, pGate, pMove, trials, seed, semantics,
- *                  wordsPerQubit.
+ *                  conversion (Figure 4 error-rate planes), over
+ *                  the table in SweepRunner.cc.
  *
  *  - "paper"       the paper-fidelity ledger (api/PaperLedger.hh):
  *                  one point, no fields, whose result is every
@@ -42,6 +40,7 @@
 #include <vector>
 
 #include "api/Experiment.hh"
+#include "api/FieldTable.hh"
 #include "api/Json.hh"
 #include "common/OnceMap.hh"
 
@@ -79,8 +78,14 @@ class SweepRunner
     /** One-line description for `qcarch list runners`. */
     virtual std::string description() const = 0;
 
-    /** Dotted config fields a spec may sweep, sorted. */
-    virtual std::vector<std::string> fields() const = 0;
+    /** The rows of the runner's field table; the hoard key policy
+     *  is derived from them. Empty by default: every field then
+     *  enters the hoard key. */
+    virtual const FieldSchema &schema() const;
+
+    /** Dotted config fields a spec may sweep, sorted: the schema's
+     *  paths by default. */
+    virtual std::vector<std::string> fields() const;
 
     /** Document-level keys merged into the aggregated output
      *  ("engine": "BatchAncillaSim"). */

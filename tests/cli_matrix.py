@@ -90,14 +90,32 @@ CASES = [
     ("--help", ["--help"], 0, False),
 ]
 
+# `qcarch run` on configs its field table rejects: exit 1, naming the
+# field. (description, config text, text stderr must contain)
+BAD_CONFIGS = [
+    ("run with a negative latency", '{"tech": {"t1q_ns": -5}}',
+     '"tech.t1q_ns"'),
+    ("run with fractional bits", '{"workload": "qrca", "bits": 4.5}',
+     '"bits"'),
+    ("run with misspelled keys",
+     '{"workload": "qrca", "bitz": 4, "tech": {"t1q": 5}}', '"bitz"'),
+]
+
 
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_matrix.py <qcarch>", file=sys.stderr)
         return 2
     qcarch = os.path.abspath(sys.argv[1])
+    configs = tempfile.TemporaryDirectory()
+    cases = list(CASES)
+    for i, (description, text, mention) in enumerate(BAD_CONFIGS):
+        path = os.path.join(configs.name, "c%d.json" % i)
+        with open(path, "w") as f:
+            f.write(text)
+        cases.append((description, ["run", path], 1, False, mention))
     failures = []
-    for description, argv, want_exit, want_usage, *mention in CASES:
+    for description, argv, want_exit, want_usage, *mention in cases:
         with tempfile.TemporaryDirectory() as cwd:
             proc = subprocess.run([qcarch] + argv, capture_output=True,
                                   text=True, timeout=60, cwd=cwd)
@@ -130,8 +148,9 @@ def main():
               file=sys.stderr)
         for problem in problems:
             print("  " + problem, file=sys.stderr)
+    configs.cleanup()
     print("cli_matrix: %d/%d cases pass"
-          % (len(CASES) - len(failures), len(CASES)))
+          % (len(cases) - len(failures), len(cases)))
     return 1 if failures else 0
 
 

@@ -417,14 +417,47 @@ TEST(ExperimentConfig, OutOfRangeIntegersAreRejectedNotWrapped)
               0u);
 }
 
+TEST(ExperimentConfig, FractionalIntegersAreRejectedNotTruncated)
+{
+    // Each of these used to run truncated under a label and hoard
+    // key of its own: 4.5 bits as the 4-bit adder, a 1.5 ns
+    // teleport as 1 ns.
+    const struct
+    {
+        const char *doc;
+        const char *field;
+    } cases[] = {
+        {R"({"bits": 4.5})", "\"bits\""},
+        {R"({"teleport_ns": 1.5})", "\"teleport_ns\""},
+        {R"({"tech": {"t2q_ns": 0.25}})", "\"tech.t2q_ns\""},
+        {R"({"calibrationTrials": 64.5})", "\"calibrationTrials\""},
+    };
+    for (const auto &c : cases) {
+        try {
+            ExperimentConfig::fromJson(Json::parse(c.doc));
+            ADD_FAILURE() << "accepted " << c.doc;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(c.field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(ExperimentConfig, ScheduleModeNamesRoundTrip)
 {
     for (ScheduleMode mode :
          {ScheduleMode::SpeedOfData, ScheduleMode::Throttled,
-          ScheduleMode::Arch})
-        EXPECT_EQ(scheduleModeFromName(scheduleModeName(mode)),
+          ScheduleMode::Arch}) {
+        ExperimentConfig config;
+        config.schedule = mode;
+        EXPECT_EQ(ExperimentConfig::fromJson(config.toJson()).schedule,
                   mode);
-    EXPECT_THROW(scheduleModeFromName("asap"),
+        EXPECT_EQ(config.toJson().at("schedule").asString(),
+                  scheduleModeName(mode));
+    }
+    EXPECT_THROW(ExperimentConfig::fromJson(
+                     Json::parse(R"({"schedule": "asap"})")),
                  std::invalid_argument);
 }
 

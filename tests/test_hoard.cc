@@ -592,6 +592,42 @@ TEST(HoardSweep, FailedPointsAreNotCached)
     EXPECT_EQ(second.doc.dump(), first.doc.dump());
 }
 
+TEST(HoardSweep, MistypedCalibrationGateFailsItsPointOnly)
+{
+    // The key policy reads calibrateFactories before the point runs,
+    // outside the point's error capture. A non-bool there used to
+    // throw out of the sweep: exit 1, no document, the store left
+    // behind.
+    ScratchDir dir("qc_hoard_gate");
+    const char *base = R"("runner": "experiment",
+      "base": {"workload": "qrca", "bits": 4,
+               "synth": {"maxSyllables": 3}},)";
+    const SweepSpec spec = SweepSpec::fromJson(parse(std::string("{")
+        + base + R"(
+      "axes": [{"field": "calibrateFactories",
+                "values": [false, 1, "yes"]}]
+    })"));
+    const SweepReport report = hoardedRun(spec, dir.file("store"));
+    const Json &points = report.doc.at("points");
+    ASSERT_EQ(points.size(), 3u);
+    EXPECT_EQ(report.failed, 2u);
+    EXPECT_FALSE(points.at(0).has("error"));
+    for (std::size_t i = 1; i < points.size(); ++i) {
+        EXPECT_NE(points.at(i).getString("error", "").find(
+                      "\"calibrateFactories\""),
+                  std::string::npos)
+            << points.at(i).dump(0);
+    }
+
+    // The good point is what it is in a sweep of its own.
+    const SweepSpec alone = SweepSpec::fromJson(parse(std::string("{")
+        + base + R"(
+      "axes": [{"field": "calibrateFactories", "values": [false]}]
+    })"));
+    EXPECT_EQ(points.at(0).dump(),
+              coldDocument(alone).at("points").at(0).dump());
+}
+
 // ---------------------------------------------------------------
 // Corruption matrix: every damage mode quarantines + recomputes
 // ---------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -553,6 +554,100 @@ TEST(SweepEngine, BadMcPrepIntegersFailTheirPointOnly)
     EXPECT_EQ(runSweep(endless).doc.at("points").at(0).getString(
                   "error", ""),
               "config field \"trialsPerStratum\" = -1 is out of range");
+}
+
+/** For each field of `runner`'s table: the values just outside its
+ *  range or names, a fraction when it is an integer, and a value of
+ *  the wrong JSON type. */
+std::vector<std::pair<std::string, Json>>
+badValues(const std::string &runner)
+{
+    std::vector<std::pair<std::string, Json>> out;
+    for (const FieldSpec &spec :
+         SweepRunnerRegistry::instance().get(runner).schema().specs) {
+        const FieldDomain &d = spec.domain;
+        const auto add = [&](Json value) {
+            out.emplace_back(spec.path, std::move(value));
+        };
+        if (std::isfinite(d.lo))
+            add(spec.integral() ? d.lo - 1 : std::nextafter(d.lo, -1e9));
+        if (std::isfinite(d.hi))
+            add(spec.integral() ? d.hi + 1 : std::nextafter(d.hi, 1e9));
+        if (!d.names.empty())
+            add("no_such_name");
+        if (spec.integral())
+            add(0.5);
+        add(spec.kind() == Json::Kind::Number ? Json("7")
+            : spec.kind() == Json::Kind::Bool ? Json(1)
+                                              : Json(5));
+    }
+    return out;
+}
+
+TEST(SweepEngine, EveryFieldOutsideItsTableFailsItsPointOnly)
+{
+    // Driven by the runners' field tables, so a field added later is
+    // covered too. Many of these values used to run: clamped,
+    // truncated, accepted as given or, for a negative gate latency,
+    // aborting the whole process at panic().
+    const struct
+    {
+        const char *runner;
+        const char *base;
+    } runners[] = {
+        {"experiment", R"({"workload": "qrca", "bits": 4,
+                           "synth": {"maxSyllables": 3}})"},
+        {"mc-prep", R"({"trials": 2000, "seed": 3})"},
+    };
+    for (const auto &r : runners) {
+        const std::vector<std::pair<std::string, Json>> bad =
+            badValues(r.runner);
+        Json spec = Json::object();
+        spec.set("runner", r.runner);
+        spec.set("base", parse(r.base));
+        Json grids = Json::array();
+        grids.push(Json::object()); // the good point
+        for (const auto &[path, value] : bad) {
+            Json values = Json::array();
+            values.push(value);
+            Json axis = Json::object();
+            axis.set("field", path);
+            axis.set("values", values);
+            Json axes = Json::array();
+            axes.push(axis);
+            Json grid = Json::object();
+            grid.set("axes", axes);
+            grids.push(grid);
+        }
+        spec.set("grids", grids);
+        SweepOptions options;
+        options.threads = 4;
+        const SweepReport report =
+            runSweep(SweepSpec::fromJson(spec), options);
+        const Json &points = report.doc.at("points");
+        ASSERT_EQ(points.size(), bad.size() + 1) << r.runner;
+        EXPECT_EQ(report.failed, bad.size()) << r.runner;
+        EXPECT_FALSE(points.at(0).has("error")) << r.runner;
+        for (std::size_t i = 0; i < bad.size(); ++i) {
+            const std::string error =
+                points.at(i + 1).getString("error", "");
+            EXPECT_NE(error.find('"' + bad[i].first + '"'),
+                      std::string::npos)
+                << r.runner << " " << bad[i].first << " = "
+                << bad[i].second.dump(0) << ": " << error;
+        }
+
+        // The good point is what it is in a sweep of its own.
+        Json alone = Json::object();
+        alone.set("runner", r.runner);
+        alone.set("base", parse(r.base));
+        EXPECT_EQ(points.at(0).dump(),
+                  runSweep(SweepSpec::fromJson(alone))
+                      .doc.at("points")
+                      .at(0)
+                      .dump())
+            << r.runner;
+    }
 }
 
 TEST(SweepEngine, ProgressReportsEveryPointOnce)
@@ -1222,6 +1317,64 @@ TEST(SharedWorkload, AnalyticsMemoKeysEveryInputAcrossThreads)
     // its own.
     const SharedWorkload bare{shared.workload, shared.graph, nullptr};
     EXPECT_EQ(Experiment(base, bare).run().toJson().dump(), expected[0]);
+}
+
+TEST(SharedWorkload, FieldsOutsideAKeyShareItsEntry)
+{
+    // The converse of AnalyticsMemoKeysEveryInputAcrossThreads: a
+    // field the analytics do not read must not split their key (the
+    // 7 ladder_scale variants share one entry), and one the built
+    // workload does not depend on must not split the workload cache.
+    ExperimentConfig base;
+    base.workload = "qrca";
+    base.params.bits = 4;
+    using C = ExperimentConfig;
+    const std::vector<std::pair<const char *, void (*)(C &)>> run = {
+        {"schedule", [](C &v) { v.schedule = ScheduleMode::Arch; }},
+        {"arch", [](C &v) { v.arch = "qla"; }},
+        {"generatorsPerSite", [](C &v) { v.generatorsPerSite = 4; }},
+        {"cacheSlots", [](C &v) { v.cacheSlots = 8; }},
+        {"areaBudget", [](C &v) { v.areaBudget = 100; }},
+        {"teleport_ns", [](C &v) { v.teleport = 5000; }},
+        {"zeroPerMs", [](C &v) { v.zeroPerMs = 3; }},
+        {"pi8PerMs", [](C &v) { v.pi8PerMs = 2; }},
+        {"timeLimit_ns", [](C &v) { v.timeLimit = 1000; }},
+        // Read only by the calibration pass, which is off.
+        {"errors.pGate", [](C &v) { v.errors.pGate = 1e-3; }},
+        {"errors.pMove", [](C &v) { v.errors.pMove = 1e-5; }},
+        {"calibrationTrials", [](C &v) { v.calibrationTrials = 7; }},
+    };
+    FowlerSynth synth(base.synth);
+    const SharedWorkload shared = makeSharedWorkload(
+        WorkloadRegistry::instance().build("qrca", synth,
+                                           base.params));
+    const AnalyticsMemo::Analytics &analytics =
+        shared.analytics->get(base);
+    for (const auto &[field, edit] : run) {
+        ExperimentConfig v = base;
+        edit(v);
+        EXPECT_EQ(&shared.analytics->get(v), &analytics) << field;
+    }
+
+    // The analytics inputs split the analytics key, not the
+    // workload's.
+    std::vector<std::pair<const char *, void (*)(C &)>> outside = run;
+    outside.insert(
+        outside.end(),
+        {{"codeLevel", [](C &v) { v.codeLevel = 2; }},
+         {"tech.t1q_ns", [](C &v) { v.tech.t1q += 1000; }},
+         {"demandBins", [](C &v) { v.demandBins = 7; }},
+         {"calibrateFactories",
+          [](C &v) { v.calibrateFactories = true; }}});
+    SweepContext context;
+    const SharedWorkload built = context.workload(base);
+    for (const auto &[field, edit] : outside) {
+        ExperimentConfig v = base;
+        edit(v);
+        const SharedWorkload again = context.workload(v);
+        EXPECT_EQ(again.workload, built.workload) << field;
+        EXPECT_EQ(again.analytics, built.analytics) << field;
+    }
 }
 
 // ---------------------------------------------------------------

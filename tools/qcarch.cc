@@ -6,7 +6,8 @@
  *
  *   qcarch run <config.json> [--out PATH]
  *       One qc::runExperiment call; prints the full Result JSON
- *       (stdout, or --out).
+ *       (stdout, or --out). A key ExperimentConfig has no field for
+ *       is an input error.
  *
  *   qcarch sweep <spec.json> [--threads N] [--out PATH] [--quiet]
  *                [--hoard DIR]
@@ -47,6 +48,7 @@
  * point in a store, 42 injected fault fired.
  */
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -275,7 +277,19 @@ cmdRun(std::vector<std::string> args)
 {
     const std::string out = takeOption(args, "--out");
     expectPositionals(args, 1, "qcarch run <config.json>");
-    const ExperimentConfig config = ExperimentConfig::load(args[0]);
+    const Json doc = Json::loadFile(args[0]);
+    const ExperimentConfig config = ExperimentConfig::fromJson(doc);
+    // A misspelled key must not run at its default.
+    std::vector<std::string> keys;
+    flattenPaths(doc, "", keys);
+    const std::vector<std::string> known =
+        ExperimentConfig::table().paths();
+    for (const std::string &key : keys) {
+        if (!std::binary_search(known.begin(), known.end(), key))
+            throw std::invalid_argument("unknown config field \""
+                                        + key + "\"; valid fields: "
+                                        + joinNames(known));
+    }
     emit(runExperiment(config).toJson(), out);
     return 0;
 }
