@@ -16,8 +16,8 @@
 #include <iostream>
 #include <string>
 
+#include "Table.hh"
 #include "api/Qc.hh"
-#include "common/Table.hh"
 
 int
 main(int argc, char **argv)

@@ -15,7 +15,7 @@
 
 #include <iostream>
 
-#include "common/Table.hh"
+#include "Table.hh"
 #include "factory/Pi8Factory.hh"
 #include "factory/ZeroFactory.hh"
 

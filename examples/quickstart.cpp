@@ -19,7 +19,6 @@
 #include <iostream>
 
 #include "api/Qc.hh"
-#include "layout/Builders.hh"
 
 int
 main()
@@ -56,7 +55,7 @@ main()
               << " KLOPS\n";
 
     // Factory sizing and area split come with the result.
-    const Area data = dataQubitArea() * result.qubits;
+    const Area data = kDataQubitArea * result.qubits;
     const Area factories = result.allocation.totalArea();
     std::cout << "chip area: data " << data << " MB, QEC factories "
               << result.allocation.qecArea() << " MB, pi/8 chain "

@@ -1,6 +1,5 @@
 #include "api/Experiment.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -8,7 +7,6 @@
 #include "codes/ConcatenatedCode.hh"
 #include "error/RecursiveError.hh"
 #include "factory/ConcatenatedFactory.hh"
-#include "layout/Builders.hh"
 
 namespace qc {
 
@@ -302,14 +300,18 @@ computeAnalytics(const ExperimentConfig &config,
             "is set, got "
             + std::to_string(config.calibrationTrials));
     }
+    if (config.demandBins < 1) {
+        throw std::invalid_argument(
+            "demandBins must be >= 1, got "
+            + std::to_string(config.demandBins));
+    }
     const EncodedOpModel model(
         ConcatenatedSteane::effectiveTech(tech, config.codeLevel));
     AnalyticsMemo::Analytics out;
     out.split = latencySplit(graph, model);
     out.bandwidth = bandwidthAtSpeedOfData(graph, model);
     out.demandProfile = ancillaDemandProfile(
-        graph, model,
-        static_cast<std::size_t>(std::max(1, config.demandBins)));
+        graph, model, static_cast<std::size_t>(config.demandBins));
     if (config.codeLevel >= 2) {
         // Level-2 cascades; optionally with both verification
         // acceptances measured by the recursive Monte Carlo.
@@ -318,8 +320,7 @@ computeAnalytics(const ExperimentConfig &config,
                 ? Level2ZeroFactory::calibrated(
                       tech,
                       analyzeRecursiveError(
-                          config.errors,
-                          calibrateMovement(buildSimpleFactory(), tech),
+                          config.errors, kFig11Movement,
                           /*seed=*/1, config.calibrationTrials,
                           config.calibrationTrials * 4))
                 : Level2ZeroFactory(tech);
@@ -333,8 +334,7 @@ computeAnalytics(const ExperimentConfig &config,
         const ZeroFactory zero =
             config.calibrateFactories
                 ? ZeroFactory::calibrated(
-                      tech, config.errors,
-                      calibrateMovement(buildSimpleFactory(), tech),
+                      tech, config.errors, kFig11Movement,
                       /*seed=*/1, config.calibrationTrials)
                 : ZeroFactory(tech);
         const Pi8Factory pi8(tech);

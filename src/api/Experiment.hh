@@ -106,10 +106,11 @@ struct ExperimentConfig
      * designs behind the Table 9 allocation, the throttled-mode
      * default supply rate and the utilization yardsticks are sized
      * from the verification acceptance *measured* at `errors` by
-     * the batched Pauli-frame engine (ZeroFactory::calibrated, with
-     * movement charges calibrated from the routed Fig 11 layout)
-     * instead of the hard-coded Table 6 constant. At codeLevel 2
-     * the recursive analysis calibrates both level acceptances.
+     * the batched Pauli-frame engine (ZeroFactory::calibrated,
+     * charging the Fig 11 factory's kFig11Movement at every tech
+     * point) instead of the hard-coded Table 6 constant. At
+     * codeLevel 2 the recursive analysis calibrates both level
+     * acceptances.
      * Off by default: the paper's constants keep results
      * bit-reproducible without a Monte Carlo pass.
      */
@@ -155,7 +156,8 @@ struct ExperimentConfig
     Time timeLimit = 0;
 
     // --- Reporting -------------------------------------------------
-    /** Bins in the Figure 7 ancilla-demand profile. */
+    /** Bins in the Figure 7 ancilla-demand profile (at least 1;
+     *  fewer throws std::invalid_argument at run time). */
     int demandBins = 40;
 
     /** MicroarchConfig equivalent (for the arch-mode run). */

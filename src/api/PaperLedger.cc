@@ -13,7 +13,6 @@
 #include "error/BatchAncillaSim.hh"
 #include "factory/Cascade.hh"
 #include "factory/FunctionalUnit.hh"
-#include "layout/Builders.hh"
 
 namespace qc {
 
@@ -282,7 +281,7 @@ workloadRows(Ledger &ledger)
                    100 * static_cast<double>(r.pi8Gates)
                        / static_cast<double>(r.gates));
 
-        const Area data = dataQubitArea() * r.qubits;
+        const Area data = kDataQubitArea * r.qubits;
         const Area total = data + r.allocation.totalArea();
         const std::string t9 = "table9." + name + ".";
         ledger.add(t9 + "data_area", data);
@@ -397,8 +396,6 @@ monteCarloRows(Ledger &ledger)
 {
     constexpr std::uint64_t kSeed = 20080623;
     constexpr std::uint64_t kTrials = 2000000;
-    const MovementModel movement = calibrateMovement(
-        buildSimpleFactory(), IonTrapParams::paper());
     BatchSimConfig batch;
     batch.threads = 1;
     const struct
@@ -413,8 +410,9 @@ monteCarloRows(Ledger &ledger)
     };
 
     // The paper's Fig 4b/4c apply the decoded fix in place.
-    BatchAncillaSim applyFix(ErrorParams::paper(), movement, kSeed,
-                             CorrectionSemantics::ApplyFix, batch);
+    BatchAncillaSim applyFix(ErrorParams::paper(), kFig11Movement,
+                             kSeed, CorrectionSemantics::ApplyFix,
+                             batch);
     for (const auto &s : strategies) {
         const PrepEstimate est = applyFix.estimate(s.strategy, kTrials);
         ledger.add(std::string("fig4.") + s.key + ".error_rate",
@@ -430,8 +428,8 @@ monteCarloRows(Ledger &ledger)
     // Extension: a factory that recycles every block with a detected
     // error, as the factory throughput model assumes. Only the two
     // correcting strategies depend on the semantics.
-    BatchAncillaSim recycle(ErrorParams::paper(), movement, kSeed,
-                            CorrectionSemantics::DiscardOnSyndrome,
+    BatchAncillaSim recycle(ErrorParams::paper(), kFig11Movement,
+                            kSeed, CorrectionSemantics::DiscardOnSyndrome,
                             batch);
     for (const auto &s : strategies) {
         if (s.strategy != ZeroPrepStrategy::CorrectOnly

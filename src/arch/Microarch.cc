@@ -179,6 +179,18 @@ pi8Extra(const EncodedOpModel &model)
     return model.pi8PrepLatency() - model.zeroPrepLatency();
 }
 
+/** Generators per (G)QLA qubit or (G)CQLA slot: at least one. */
+int
+generatorsPerSite(const MicroarchConfig &config)
+{
+    if (config.generatorsPerSite < 1) {
+        throw std::invalid_argument(detail::concat(
+            "generatorsPerSite must be >= 1 (got ",
+            config.generatorsPerSite, ")"));
+    }
+    return config.generatorsPerSite;
+}
+
 // ----------------------------------------------------------------
 // Throttled supply (Figure 8): no movement; steady rate-limited
 // pools of encoded zeros and pi/8 ancillae.
@@ -226,7 +238,7 @@ class QlaExecution : public ArchExecution
           teleport_(config.teleportLatency()),
           pi8Extra_(pi8Extra(model))
     {
-        const int k = std::max(1, config.generatorsPerSite);
+        const int k = generatorsPerSite(config);
         const Qubit nq = graph.circuit().numQubits();
         // The dedicated serial generator is the Fig 11 schedule at
         // the configured level's block-operation latencies, on a
@@ -298,7 +310,7 @@ class CqlaExecution : public ArchExecution
           ballistic_(ballistic2q(config.cacheSlots, config.effTech())),
           cache_(static_cast<std::size_t>(config.cacheSlots))
     {
-        const int k = std::max(1, config.generatorsPerSite);
+        const int k = generatorsPerSite(config);
         const SimpleZeroFactory simple(config.effTech());
         const Area tileScale =
             ConcatenatedSteane::tileArea(config.codeLevel);

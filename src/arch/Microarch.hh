@@ -66,7 +66,8 @@ struct MicroarchConfig
 
     /**
      * (G)QLA / (G)CQLA: parallel generators per site; 1 reproduces
-     * the original QLA/CQLA proposals.
+     * the original QLA/CQLA proposals. Fewer than 1 throws
+     * std::invalid_argument.
      */
     int generatorsPerSite = 1;
 

@@ -77,13 +77,6 @@ Circuit::prepZ(Qubit q)
 }
 
 Circuit &
-Circuit::prepX(Qubit q)
-{
-    append(make1(GateKind::PrepX, q));
-    return *this;
-}
-
-Circuit &
 Circuit::h(Qubit q)
 {
     append(make1(GateKind::H, q));
@@ -115,13 +108,6 @@ Circuit &
 Circuit::s(Qubit q)
 {
     append(make1(GateKind::S, q));
-    return *this;
-}
-
-Circuit &
-Circuit::sdg(Qubit q)
-{
-    append(make1(GateKind::Sdg, q));
     return *this;
 }
 

@@ -76,13 +76,11 @@ class Circuit
     /** @name Fluent builders (validated, return *this). */
     /** @{ */
     Circuit &prepZ(Qubit q);
-    Circuit &prepX(Qubit q);
     Circuit &h(Qubit q);
     Circuit &x(Qubit q);
     Circuit &y(Qubit q);
     Circuit &z(Qubit q);
     Circuit &s(Qubit q);
-    Circuit &sdg(Qubit q);
     Circuit &t(Qubit q);
     Circuit &tdg(Qubit q);
     Circuit &cx(Qubit control, Qubit target);

@@ -1,6 +1,8 @@
 #include "error/BatchAncillaSim.hh"
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/ParallelFor.hh"
@@ -19,8 +21,11 @@ BatchAncillaSim::BatchAncillaSim(ErrorParams errors,
     : errors_(errors), movement_(movement), semantics_(semantics),
       config_(config), seeder_(seed)
 {
-    if (config_.wordsPerQubit < 1)
-        config_.wordsPerQubit = 1;
+    if (config_.wordsPerQubit < 1) {
+        throw std::invalid_argument(
+            "wordsPerQubit must be >= 1, got "
+            + std::to_string(config_.wordsPerQubit));
+    }
 }
 
 simd::Width

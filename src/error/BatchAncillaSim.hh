@@ -43,7 +43,8 @@ struct BatchSimConfig
      * SIMD lanes (the frame still fits L1 at 64 words) without
      * inflating straggler rework in the retry loops; measured
      * throughput on the basic-prep workload more than doubles going
-     * from 4 to 64 words at every width.
+     * from 4 to 64 words at every width. At least 1: the engine's
+     * constructor throws std::invalid_argument on fewer.
      */
     int wordsPerQubit = 64;
 

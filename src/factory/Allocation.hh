@@ -16,6 +16,14 @@
 
 namespace qc {
 
+/**
+ * Area charged to one encoded data qubit: the Figure 10 compute
+ * region, a column of seven gate macroblocks, one per physical qubit
+ * of the [[7,1,3]] block (its flanking channels belong to the
+ * interconnect budget).
+ */
+inline constexpr Area kDataQubitArea = SteaneCode::numPhysical;
+
 /** Factory counts and areas for a bandwidth requirement. */
 struct FactoryAllocation
 {

@@ -1,48 +1,39 @@
 /**
  * @file
- * Canonical layout builders: the single-encoded-data-qubit compute
- * region of Figure 10, the simple (non-pipelined) ancilla factory of
- * Figure 11, and movement-model calibration from routed layouts.
+ * The two layout names perfbench/replay.cc calls: its mc-prep set-up
+ * computes calibrateMovement(buildSimpleFactory(), tech). perfbench
+ * builds the benchmark against this header and its sources change
+ * only with the benchmark, so the names stay here as thin wrappers
+ * over kFig11Movement. Nothing in the library, the tests, the
+ * examples or the tools calls them; the routed Figure 11 layout that
+ * derives the constant is the test oracle tests/LayoutRouter.hh.
  */
 
 #ifndef QC_LAYOUT_BUILDERS_HH
 #define QC_LAYOUT_BUILDERS_HH
 
 #include "error/AncillaSim.hh"
-#include "layout/Grid.hh"
-#include "layout/Route.hh"
 
 namespace qc {
 
-/**
- * The data-qubit compute region of Figure 10: one column of seven
- * Straight Channel Gate macroblocks (one gate location per physical
- * qubit of the [[7,1,3]] block), with vertical channels on both
- * sides connecting to the surrounding interconnect.
- *
- * The returned grid is 3 wide x 7 high; its *data area* in the
- * paper's accounting is the 7 gate macroblocks (the flanking
- * channels belong to the interconnect budget).
- */
-LayoutGrid buildDataQubitRegion();
+/** Stands for the simple ancilla factory of Figure 11. */
+struct SimpleFactoryLayout
+{
+};
 
-/** Area charged to one encoded data qubit (m macroblocks). */
-Area dataQubitArea();
+/** The simple ancilla factory of Figure 11. */
+inline SimpleFactoryLayout
+buildSimpleFactory()
+{
+    return {};
+}
 
-/**
- * The simple ancilla factory of Figure 11: three rows of ten gate
- * macroblocks (seven encode + three verification qubits each),
- * interleaved with communication rows; 90 macroblocks total.
- */
-LayoutGrid buildSimpleFactory();
-
-/**
- * Calibrate an error-simulation MovementModel from a routed layout:
- * averages the straight/turn counts over all gate-location pairs at
- * the layout's typical interaction distance (adjacent gate rows).
- */
-MovementModel calibrateMovement(const LayoutGrid &layout,
-                                const IonTrapParams &tech);
+/** The Figure 11 factory's movement charges, at any technology. */
+inline MovementModel
+calibrateMovement(SimpleFactoryLayout, const IonTrapParams &)
+{
+    return kFig11Movement;
+}
 
 } // namespace qc
 

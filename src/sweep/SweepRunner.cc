@@ -4,7 +4,6 @@
 
 #include "api/PaperLedger.hh"
 #include "error/BatchAncillaSim.hh"
-#include "layout/Builders.hh"
 #include "sweep/SweepSpec.hh"
 
 namespace qc {
@@ -191,17 +190,12 @@ class McPrepRunner : public SweepRunner
         // independent of the pool size.)
         batch.threads = 1;
 
-        // Movement charges calibrated from the routed Fig 11
-        // layout — identical for every point, so computed once.
-        static const MovementModel movement = calibrateMovement(
-            buildSimpleFactory(), IonTrapParams::paper());
-
         const ErrorParams paper = ErrorParams::paper();
         Json out = Json::object();
         out.set("paper_point", point.errors.pGate == paper.pGate
                                    && point.errors.pMove == paper.pMove);
 
-        BatchAncillaSim sim(point.errors, movement,
+        BatchAncillaSim sim(point.errors, kFig11Movement,
                             static_cast<std::uint64_t>(point.seed),
                             point.semantics, batch);
 

@@ -1,10 +1,34 @@
-#include "kernels/ClassicalSim.hh"
+/**
+ * @file
+ * Exact classical simulation of computational-basis circuits: the
+ * test suite's arithmetic oracle.
+ *
+ * The adder kernels use only {PrepZ, X, CX, Toffoli}, all of which
+ * permute computational basis states, so their arithmetic can be
+ * verified exactly on classical bit vectors.
+ */
 
+#ifndef QC_TESTS_CLASSICAL_SIM_HH
+#define QC_TESTS_CLASSICAL_SIM_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "circuit/Circuit.hh"
 #include "common/Logging.hh"
 
-namespace qc {
+namespace qc::classical {
 
-std::vector<bool>
+/**
+ * Run a computational-basis circuit on an initial bit assignment.
+ *
+ * @param circuit  circuit containing only PrepZ/X/CX/Toffoli/Measure
+ * @param initial  initial bit per qubit (padded with zeros if short)
+ * @return final bit per qubit
+ *
+ * Panics on any non-classical gate.
+ */
+inline std::vector<bool>
 runClassical(const Circuit &circuit, std::vector<bool> initial)
 {
     initial.resize(circuit.numQubits(), false);
@@ -36,7 +60,8 @@ runClassical(const Circuit &circuit, std::vector<bool> initial)
     return initial;
 }
 
-std::uint64_t
+/** Pack bits [base, base+count) of a state into an integer, LSB first. */
+inline std::uint64_t
 packBits(const std::vector<bool> &state, Qubit base, Qubit count)
 {
     std::uint64_t value = 0;
@@ -47,7 +72,8 @@ packBits(const std::vector<bool> &state, Qubit base, Qubit count)
     return value;
 }
 
-void
+/** Unpack an integer into bits [base, base+count) of a state. */
+inline void
 unpackBits(std::vector<bool> &state, Qubit base, Qubit count,
            std::uint64_t value)
 {
@@ -55,4 +81,6 @@ unpackBits(std::vector<bool> &state, Qubit base, Qubit count,
         state[base + i] = (value >> i) & 1;
 }
 
-} // namespace qc
+} // namespace qc::classical
+
+#endif // QC_TESTS_CLASSICAL_SIM_HH

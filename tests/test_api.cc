@@ -595,6 +595,27 @@ TEST(Experiment, RejectsUnsupportedCodeLevel)
     EXPECT_THROW(runExperiment(config), std::invalid_argument);
 }
 
+TEST(Experiment, RejectsFewerThanOneDemandBin)
+{
+    // A config built in C++ never meets the JSON range check; zero
+    // or negative bins used to give a one-bin demand profile.
+    ExperimentConfig config;
+    config.workload = "chain";
+    config.params.bits = 4;
+    for (int bins : {0, -1}) {
+        config.demandBins = bins;
+        try {
+            runExperiment(config);
+            ADD_FAILURE() << "expected std::invalid_argument for "
+                          << bins << " bins";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("demandBins"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Level-2 concatenation through the facade.
 // ---------------------------------------------------------------

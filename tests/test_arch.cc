@@ -229,6 +229,16 @@ TEST_F(MicroarchTest, RejectsKnobsThatWouldHandOutFreeAncillae)
     EXPECT_GT(run("cqla", 1, 3000, 2).makespan, 0);
 }
 
+TEST_F(MicroarchTest, RejectsFewerThanOneGeneratorPerSite)
+{
+    // A config built in C++ never meets the JSON range check; zero
+    // or negative generators per site used to run as one.
+    for (const char *arch : {"qla", "gqla", "cqla", "gcqla"}) {
+        for (int k : {0, -3})
+            expectRejects("generatorsPerSite", [&] { run(arch, k); });
+    }
+}
+
 TEST_F(MicroarchTest, MoreGeneratorsNeverSlower)
 {
     const ArchRunResult k1 = run("qla", 1);

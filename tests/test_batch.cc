@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "codes/SteaneCode.hh"
@@ -303,6 +304,28 @@ TEST(BatchAncillaSim, Pi8BitReproducibleAcrossThreadCounts)
     }
     EXPECT_TRUE(sameEstimate(results[0], results[1]));
     EXPECT_TRUE(sameEstimate(results[0], results[2]));
+}
+
+TEST(BatchAncillaSim, RejectsFewerThanOneWordPerQubit)
+{
+    // A config built in C++ never meets the JSON range check; zero
+    // or negative words per qubit used to run as one.
+    for (int words : {0, -5}) {
+        BatchSimConfig config;
+        config.wordsPerQubit = words;
+        try {
+            BatchAncillaSim sim(ErrorParams::paper(), MovementModel{},
+                                1, CorrectionSemantics::
+                                       DiscardOnSyndrome,
+                                config);
+            ADD_FAILURE() << "expected std::invalid_argument for "
+                          << words << " words";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("wordsPerQubit"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------

@@ -14,15 +14,16 @@
 #include <stdexcept>
 #include <string>
 
+#include "StateVector.hh"
 #include "codes/ConcatenatedCode.hh"
 #include "codes/EncodedOp.hh"
 #include "codes/SteaneCode.hh"
-#include "kernels/StateVector.hh"
 
 namespace qc {
 namespace {
 
 using Mask = SteaneCode::Mask;
+using sv::StateVector;
 
 TEST(Steane, SyndromeOfSingleErrors)
 {

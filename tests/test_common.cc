@@ -16,12 +16,12 @@
 #include <thread>
 #include <vector>
 
+#include "../examples/Table.hh"
 #include "common/Clock.hh"
 #include "common/ParallelFor.hh"
 #include "common/Params.hh"
 #include "common/Rng.hh"
 #include "common/Stats.hh"
-#include "common/Table.hh"
 #include "common/Types.hh"
 
 namespace qc {

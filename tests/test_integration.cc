@@ -12,7 +12,6 @@
 #include "api/Qc.hh"
 #include "circuit/Dataflow.hh"
 #include "error/BatchAncillaSim.hh"
-#include "layout/Builders.hh"
 
 namespace qc {
 namespace {
@@ -78,18 +77,17 @@ TEST_F(IntegrationTest, AncillaGenerationDominatesChipArea)
     // Section 5.1: even the serial QRCA needs about two thirds of
     // the chip for ancilla generation; data area is the small part.
     const Result qrca = speedOfData("qrca", 32);
-    const Area data_area = dataQubitArea() * qrca.qubits;
+    const Area data_area = kDataQubitArea * qrca.qubits;
     EXPECT_GT(qrca.allocation.totalArea(), data_area);
 }
 
 TEST_F(IntegrationTest, LayoutCalibratedMonteCarloStaysInBand)
 {
-    // Calibrate movement from the routed Fig 11 factory layout and
-    // re-run the basic-prep Monte Carlo: with pMove = 1e-6 the rate
-    // must remain within the Figure 4 band.
-    const MovementModel moves = calibrateMovement(
-        buildSimpleFactory(), IonTrapParams::paper());
-    BatchAncillaSim sim(ErrorParams::paper(), moves, 4242);
+    // Charge the Fig 11 factory's movement (the routed layout's
+    // counts, pinned by test_layout) and re-run the basic-prep Monte
+    // Carlo: with pMove = 1e-6 the rate must remain within the
+    // Figure 4 band.
+    BatchAncillaSim sim(ErrorParams::paper(), kFig11Movement, 4242);
     const PrepEstimate est =
         sim.estimate(ZeroPrepStrategy::Basic, 200000);
     EXPECT_GT(est.errorRate(), 1e-4);

@@ -12,17 +12,22 @@
 #include <cmath>
 #include <complex>
 
+#include "ClassicalSim.hh"
+#include "StateVector.hh"
 #include "circuit/Dataflow.hh"
 #include "common/Rng.hh"
 #include "kernels/Adders.hh"
-#include "kernels/ClassicalSim.hh"
 #include "kernels/Lower.hh"
 #include "kernels/Qft.hh"
-#include "kernels/StateVector.hh"
 #include "kernels/Workloads.hh"
 
 namespace qc {
 namespace {
+
+using classical::packBits;
+using classical::runClassical;
+using classical::unpackBits;
+using sv::StateVector;
 
 // ---------------------------------------------------------------
 // Adder correctness (exact, classical).

@@ -1,18 +1,30 @@
 /**
  * @file
- * Tests for the macroblock layout abstraction: port semantics,
- * routing costs (straights vs turns), and the canonical builders'
- * areas (Figures 10 and 11).
+ * Tests for the layout oracle (tests/LayoutRouter.hh): port
+ * semantics, routing costs (straights vs turns), the canonical
+ * builders' areas (Figures 10 and 11), and the library's two layout
+ * constants against the routed layouts they stand for.
  */
 
 #include <gtest/gtest.h>
 
-#include "layout/Builders.hh"
-#include "layout/Grid.hh"
-#include "layout/Route.hh"
+#include <array>
+
+#include "LayoutRouter.hh"
+#include "error/AncillaSim.hh"
+#include "factory/Allocation.hh"
 
 namespace qc {
 namespace {
+
+using namespace layout;
+
+/** A MovementModel's four counts, compared as one value. */
+std::array<int, 4>
+counts(const MovementModel &m)
+{
+    return {m.movesPerCx, m.turnsPerCx, m.movesPerMeas, m.movesPer1q};
+}
 
 TEST(Macroblock, PortMasks)
 {
@@ -139,7 +151,8 @@ TEST(Builders, DataRegionMatchesFigure10)
 {
     const LayoutGrid region = buildDataQubitRegion();
     EXPECT_EQ(region.gateLocationCount(), 7);
-    EXPECT_DOUBLE_EQ(dataQubitArea(), 7.0);
+    // Production charges a data qubit its gate macroblocks.
+    EXPECT_DOUBLE_EQ(region.gateLocationCount(), kDataQubitArea);
     // Every gate location must be reachable from the top-left
     // interconnect corner.
     const IonTrapParams tech;
@@ -150,14 +163,14 @@ TEST(Builders, DataRegionMatchesFigure10)
 
 TEST(Builders, SimpleFactoryMatchesFigure11)
 {
-    const LayoutGrid factory = buildSimpleFactory();
+    const LayoutGrid factory = buildFig11Factory();
     EXPECT_DOUBLE_EQ(factory.occupiedArea(), 90.0);
     EXPECT_EQ(factory.gateLocationCount(), 30); // 3 rows of 10
 }
 
 TEST(Builders, SimpleFactoryFullyRoutable)
 {
-    const LayoutGrid factory = buildSimpleFactory();
+    const LayoutGrid factory = buildFig11Factory();
     const IonTrapParams tech;
     const auto gates = factory.gateLocations();
     // Every pair of gate locations must be mutually reachable.
@@ -170,17 +183,42 @@ TEST(Builders, SimpleFactoryFullyRoutable)
     }
 }
 
-TEST(Builders, CalibratedMovementIsReasonable)
+TEST(Builders, RoutedMovementIsTheFig11Constant)
 {
-    const LayoutGrid factory = buildSimpleFactory();
-    const MovementModel model =
-        calibrateMovement(factory, IonTrapParams::paper());
-    // Adjacent gate rows are three cells apart; expect a handful of
-    // moves and a couple of turns per two-qubit interaction.
-    EXPECT_GE(model.movesPerCx, 2);
-    EXPECT_LE(model.movesPerCx, 8);
-    EXPECT_GE(model.turnsPerCx, 1);
-    EXPECT_LE(model.turnsPerCx, 4);
+    // Production charges kFig11Movement instead of routing the
+    // factory. The routed counts must equal it wherever a move costs
+    // time: move and turn latencies from 1 ns through the paper's
+    // values to a million times them, and free turns.
+    const LayoutGrid factory = buildFig11Factory();
+    const IonTrapParams paper = IonTrapParams::paper();
+    for (Time tmove : {Time{1}, paper.tmove, paper.tmove * 1000000}) {
+        for (Time tturn : {Time{0}, Time{1}, paper.tturn,
+                           paper.tturn * 1000000}) {
+            IonTrapParams tech = paper;
+            tech.tmove = tmove;
+            tech.tturn = tturn;
+            EXPECT_EQ(counts(routedMovement(factory, tech)),
+                      counts(kFig11Movement))
+                << "tmove " << tmove << " ns, tturn " << tturn << " ns";
+        }
+    }
+}
+
+TEST(Builders, FreeMovesRouteByTieBreak)
+{
+    // With free straight moves, paths differ in cost only by their
+    // turns (and not at all when turns are free too), so the
+    // search's tie-break picks these counts. Production does not
+    // follow them: it charges kFig11Movement at every technology
+    // point.
+    const LayoutGrid factory = buildFig11Factory();
+    IonTrapParams tech = IonTrapParams::paper();
+    tech.tmove = 0;
+    EXPECT_EQ(counts(routedMovement(factory, tech)),
+              (std::array{6, 2, 1, 0}));
+    tech.tturn = 0;
+    EXPECT_EQ(counts(routedMovement(factory, tech)),
+              (std::array{12, 4, 1, 0}));
 }
 
 } // namespace

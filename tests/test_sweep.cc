@@ -22,7 +22,6 @@
 
 #include "api/Qc.hh"
 #include "error/BatchAncillaSim.hh"
-#include "layout/Builders.hh"
 #include "sweep/Sweep.hh"
 
 namespace qc {
@@ -685,11 +684,9 @@ TEST(SweepRunners, McPrepPointMatchesDirectBatchSim)
     ASSERT_EQ(report.points, 1u);
     const Json &point = report.doc.at("points").at(0);
 
-    const MovementModel movement = calibrateMovement(
-        buildSimpleFactory(), IonTrapParams::paper());
     ErrorParams errors;
     errors.pGate = 3e-4;
-    BatchAncillaSim sim(errors, movement, 20080623);
+    BatchAncillaSim sim(errors, kFig11Movement, 20080623);
     const PrepEstimate est =
         sim.estimate(ZeroPrepStrategy::VerifyAndCorrect, 100000);
     EXPECT_DOUBLE_EQ(point.at("error_rate").asDouble(),
@@ -712,12 +709,10 @@ TEST(SweepRunners, McPrepStratifiedPointMatchesDirectSampler)
     ASSERT_EQ(report.points, 1u);
     const Json &point = report.doc.at("points").at(0);
 
-    const MovementModel movement = calibrateMovement(
-        buildSimpleFactory(), IonTrapParams::paper());
     ErrorParams errors;
     errors.pGate = 1e-5;
     errors.pMove = 1e-7;
-    BatchAncillaSim sim(errors, movement, 20080623);
+    BatchAncillaSim sim(errors, kFig11Movement, 20080623);
     ImportanceConfig config;
     config.maxFaults = 3;
     config.trialsPerStratum = 5000;
