@@ -1,9 +1,10 @@
 /**
  * @file
  * Machine-readable Monte Carlo engine baseline: times the scalar
- * reference engine against the bit-parallel batched engine on the
- * Figure 4 workloads, measures the batched engine at every SIMD
- * width the build supports, compares the naive and stratified
+ * reference engine (the test oracle, tests/ScalarAncillaSim.hh)
+ * against the bit-parallel batched engine on the Figure 4
+ * workloads, measures the batched engine at every SIMD width the
+ * build supports, compares the naive and stratified
  * (rare-event importance sampling) estimators, measures multicore
  * thread scaling of both the batched engine and the sweep engine,
  * and writes everything to BENCH_mc_engine.json so future PRs can
@@ -40,6 +41,8 @@
 #include "error/AncillaSim.hh"
 #include "error/BatchAncillaSim.hh"
 #include "sweep/Sweep.hh"
+
+#include "../tests/ScalarAncillaSim.hh"
 
 namespace {
 
@@ -191,8 +194,8 @@ main(int argc, char **argv)
 
         if (!quick) {
             const std::uint64_t scalar_trials = trials / 16;
-            AncillaPrepSimulator scalar(ErrorParams::paper(),
-                                        MovementModel{}, seed);
+            scalar::AncillaPrepSimulator scalar(ErrorParams::paper(),
+                                                MovementModel{}, seed);
             PrepEstimate scalar_est;
             const double scalar_rate =
                 trialsPerSec(scalar_trials, [&] {

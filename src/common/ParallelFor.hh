@@ -1,10 +1,11 @@
 /**
  * @file
  * The one way work is spread over threads: the sweep engine's
- * points, BatchAncillaSim's batches and StratifiedPrepSampler's
- * strata all run through parallelFor. Tasks are index-addressed
- * and write their results to index-addressed slots, so the order
- * in which workers claim them never reaches an output.
+ * points and BatchAncillaSim's batches (a stratified estimate's
+ * strata among them) all run through parallelFor. Tasks are
+ * index-addressed and write their results to index-addressed
+ * slots, so the order in which workers claim them never reaches an
+ * output.
  */
 
 #ifndef QC_COMMON_PARALLEL_FOR_HH

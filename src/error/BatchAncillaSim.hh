@@ -2,36 +2,41 @@
  * @file
  * Batched (bit-parallel) Monte Carlo estimation of the encoded-zero
  * ancilla preparation strategies and the pi/8 conversion: the
- * 64-trials-per-word-op production engine and the one front door
- * for every estimate, naive or stratified.
+ * 64-trials-per-word-op engine and the one front door for every
+ * estimate, naive or stratified.
  *
- * Semantics match the scalar reference (AncillaPrepSimulator::
- * simulateOnce) trial-for-trial in distribution: the same circuits,
- * the same error injection sites and Pauli kinds, the same
- * verification-retry and correction-discard control flow. Per-trial
- * divergence (a block failing verification, a correction stage
- * detecting an error) is handled with active-trial masks: finished
- * trials are tallied by popcount and dropped from the mask, while
- * stragglers rerun in lockstep until the batch drains.
+ * Semantics match the scalar reference engine
+ * (tests/ScalarAncillaSim.hh, the test oracle) trial-for-trial in
+ * distribution: the same circuits, the same error injection sites
+ * and Pauli kinds, the same verification-retry and
+ * correction-discard control flow. Per-trial divergence (a block
+ * failing verification, a correction stage detecting an error) is
+ * handled with active-trial masks: finished trials are tallied by
+ * popcount and dropped from the mask, while stragglers rerun in
+ * lockstep until the batch drains.
  *
- * estimate()/estimatePi8() shard the batch sequence across worker
- * threads. Each 64*wordsPerQubit-trial batch owns an independent RNG
- * stream split deterministically from the run seed, so results are
- * bit-identical for a given (seed, trial count) regardless of thread
- * count or scheduling.
+ * Every estimate shards its batch sequence across worker threads,
+ * a stratified one the batches of all its strata in one sequence.
+ * Each 64*wordsPerQubit-trial batch owns an independent RNG stream
+ * split deterministically from the run seed, so results are
+ * bit-identical for a given (seed, trial count, wordsPerQubit)
+ * regardless of thread count, scheduling or SIMD width.
  */
 
 #ifndef QC_ERROR_BATCH_ANCILLA_SIM_HH
 #define QC_ERROR_BATCH_ANCILLA_SIM_HH
 
 #include <cstdint>
+#include <vector>
 
+#include "common/Rng.hh"
 #include "common/simd/SimdDispatch.hh"
 #include "error/AncillaSim.hh"
-#include "error/BatchPauliFrame.hh"
 #include "error/ImportanceSampler.hh"
 
 namespace qc {
+
+struct FaultPlan;
 
 /** Tuning knobs for the batched engine. */
 struct BatchSimConfig
@@ -49,8 +54,7 @@ struct BatchSimConfig
     int wordsPerQubit = 64;
 
     /**
-     * Worker threads sharding the batch sequence (or, for the
-     * stratified estimates, the strata). 0 selects
+     * Worker threads sharding the batch sequence. 0 selects
      * std::thread::hardware_concurrency() (resolveThreads in
      * common/ParallelFor.hh). Results are independent of this
      * value.
@@ -68,9 +72,9 @@ struct BatchSimConfig
 };
 
 /**
- * Bit-parallel batched counterpart of AncillaPrepSimulator.
+ * The Monte Carlo engine for the preparation circuits.
  *
- * Successive estimate() calls on one instance consume a
+ * Successive estimate calls on one instance consume a
  * deterministic sequence of run seeds, so repeated estimates are
  * independent but a freshly constructed instance always reproduces
  * the same sequence.
@@ -84,13 +88,13 @@ class BatchAncillaSim
                         CorrectionSemantics::DiscardOnSyndrome,
                     BatchSimConfig config = {});
 
-    /** Batched equivalent of AncillaPrepSimulator::estimateScalar. */
+    /** Naive Monte Carlo estimate of a zero-prep strategy. */
     PrepEstimate estimate(ZeroPrepStrategy strategy,
                           std::uint64_t trials);
 
     /**
-     * Batched equivalent of AncillaPrepSimulator::estimateScalarPi8
-     * (only the verification tallies are reported).
+     * Naive Monte Carlo estimate of the pi/8 conversion (only the
+     * verification tallies are reported).
      */
     PrepEstimate estimatePi8(std::uint64_t trials);
 
@@ -99,12 +103,12 @@ class BatchAncillaSim
      * the number of injected (gate, movement) faults, weight each
      * stratum by its binomial prior, and combine per-stratum Wilson
      * intervals (see error/ImportanceSampler.hh for the estimator
-     * math). Runs the scalar reference circuit under a fault
-     * schedule, so its throughput is the scalar engine's, but
-     * deep-subthreshold points get tight CIs at fixed cost where
+     * math). The nominal site counts come from one noiseless trial;
+     * each stratum then runs as batches under its FaultPlan
+     * (error/BatchEngine.hh), in the same batch loop as estimate().
+     * Deep-subthreshold points get tight CIs at fixed cost where
      * naive MC would need billions of trials. Seeds draw from the
-     * same seeder sequence as estimate(); sharded over
-     * config.threads deterministically.
+     * same seeder sequence as estimate().
      */
     StratifiedEstimate estimateStratified(ZeroPrepStrategy strategy,
                                           const ImportanceConfig &config);
@@ -120,8 +124,17 @@ class BatchAncillaSim
     simd::Width resolvedWidth() const;
 
   private:
-    PrepEstimate run(ZeroPrepStrategy strategy, bool pi8,
-                     std::uint64_t trials);
+    StratifiedEstimate stratified(ZeroPrepStrategy strategy, bool pi8,
+                                  const ImportanceConfig &config);
+
+    /**
+     * The batch loop: one job per plan, each `trials` trials under
+     * it (a null plan runs naive MC), every job's batches in one
+     * sequence over config_.threads. One estimate per job.
+     */
+    std::vector<PrepEstimate>
+    run(ZeroPrepStrategy strategy, bool pi8, std::uint64_t trials,
+        const std::vector<const FaultPlan *> &plans);
 
     ErrorParams errors_;
     MovementModel movement_;

@@ -4,12 +4,17 @@
  *
  * BatchWorkerT<Ops> is the engine behind BatchAncillaSim: a frame
  * wide enough for one batch plus the masked circuit routines and
- * popcount tallies, mirroring AncillaPrepSimulator step for step.
- * The Ops policy (common/simd/SimdOps.hh) picks how many 64-bit
- * words the pure-bitwise frame loops advance per step; every
- * RNG-consuming routine is ordered per 64-bit word of the *bit
- * stream* (RareBernoulliStream), so a batch's results are a pure
- * function of its seed — bit-identical across every width.
+ * popcount tallies, mirroring the scalar reference engine
+ * (tests/ScalarAncillaSim.hh) step for step. The Ops policy
+ * (common/simd/SimdOps.hh) picks how many 64-bit words the
+ * pure-bitwise frame loops advance per step; every RNG-consuming
+ * routine is ordered per 64-bit word of the *bit stream*
+ * (RareBernoulliStream) or per trial, so a batch's results are a
+ * pure function of its seed — bit-identical across every width.
+ *
+ * A batch runs naive Monte Carlo, every fault site drawing at its
+ * natural rate, or one stratum of the stratified estimator
+ * (error/ImportanceSampler.hh) under a FaultPlan.
  *
  * Each width is instantiated in its own translation unit
  * (src/error/simd/BatchEngine*.cc) so the 256/512-bit ones can be
@@ -23,6 +28,8 @@
 #define QC_ERROR_BATCH_ENGINE_HH
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -36,10 +43,30 @@
 namespace qc {
 
 /**
- * Width-erased interface of one batch worker. Tallies accumulate
- * across runBatch calls; BatchAncillaSim::run folds them into the
- * shared board once per worker thread.
+ * Where a stratified batch places its faults: one stratum (a, b) of
+ * error/ImportanceSampler.hh. Each trial faults at exactly
+ * `gateFaults` of its first `gateSites` gate-class sites and
+ * `moveFaults` of its first `moveSites` movement sites, a uniformly
+ * random subset per trial drawn from the batch's RNG before the
+ * batch runs (the distribution the scalar engine's online r-of-m
+ * rule samples); its later sites draw at the natural rate.
  */
+struct FaultPlan
+{
+    std::uint64_t gateSites = 0;
+    std::uint64_t moveSites = 0;
+    int gateFaults = 0;
+    int moveFaults = 0;
+};
+
+/** Fault sites per class on one path through a circuit. */
+struct SiteCounts
+{
+    std::uint64_t gate = 0;
+    std::uint64_t move = 0;
+};
+
+/** Width-erased interface of one batch worker. */
 class BatchWorkerBase
 {
   public:
@@ -52,16 +79,25 @@ class BatchWorkerBase
 
     /**
      * Run one batch of trials under the active mask: a zero prep,
-     * then the pi/8 conversion (Fig 5b) if `pi8`.
+     * then the pi/8 conversion (Fig 5b) if `pi8`. Faults follow
+     * `plan`, or the natural rates (naive Monte Carlo) when it is
+     * null. Adds the batch's tallies to `tally`, all but `trials`.
      */
     virtual void runBatch(Rng rng, ZeroPrepStrategy strategy,
-                          bool pi8, const Word *active) = 0;
+                          bool pi8, const Word *active,
+                          const FaultPlan *plan,
+                          PrepEstimate &tally) = 0;
 
-    std::uint64_t failures = 0;
-    std::uint64_t verifyAttempts = 0;
-    std::uint64_t verifyFailures = 0;
-    std::uint64_t correctionAttempts = 0;
-    std::uint64_t correctionFailures = 0;
+    /**
+     * The nominal path's fault sites per class: one noiseless trial
+     * with the pi/8 fix-up coin pinned to "no fix-up". Faults only
+     * add work (verify retries, correction recycles, extra
+     * extraction rounds), so every realized path visits at least
+     * these many sites of each class — the bound a FaultPlan's
+     * subsets rely on.
+     */
+    virtual SiteCounts countSites(ZeroPrepStrategy strategy,
+                                  bool pi8) = 0;
 };
 
 /**
@@ -140,8 +176,9 @@ constexpr int frameQubits = 28;
 
 /**
  * One shard of the batched Monte Carlo at a fixed SIMD width. The
- * control flow mirrors AncillaPrepSimulator step for step; every
- * routine takes the active-trial mask of the trials it advances.
+ * control flow mirrors the scalar reference engine step for step;
+ * every routine takes the active-trial mask of the trials it
+ * advances.
  */
 template <class Ops>
 class BatchWorkerT final : public BatchWorkerBase
@@ -151,13 +188,14 @@ class BatchWorkerT final : public BatchWorkerBase
                  const MovementModel &movement,
                  CorrectionSemantics semantics, int words)
         : movement_(movement), semantics_(semantics), words_(words),
-          pGate_(errors.pGate), pMove_(errors.pMove),
+          gate_(errors.pGate), move_(errors.pMove),
           frame_(batch_detail::frameQubits, words), meas_(7 * wv()),
           active_(wv()), pending_(wv()), survivors_(wv()),
           done_(wv()), ok_(wv()), prepMask_(wv()), flip_(wv()),
           measTmp_(wv()), eq_(wv()), confirm_(wv()),
           have_(wv()), agree_(wv()), prevS0_(wv()), prevS1_(wv()),
-          prevS2_(wv()), prevP_(wv()), coin_(wv())
+          prevS2_(wv()), prevP_(wv()), coin_(wv()), due_(wv()),
+          hits_(wv()), draws_(wv())
     {
     }
 
@@ -178,11 +216,18 @@ class BatchWorkerT final : public BatchWorkerBase
 
     void
     runBatch(Rng rng, ZeroPrepStrategy strategy, bool pi8,
-             const Word *active) override
+             const Word *active, const FaultPlan *plan,
+             PrepEstimate &tally) override
     {
         rng_ = rng;
-        pGate_.reset(rng_);
-        pMove_.reset(rng_);
+        gate_.stream.reset(rng_);
+        move_.stream.reset(rng_);
+        plan_ = plan;
+        tally_ = &tally;
+        if (plan) {
+            arm(gate_, plan->gateSites, plan->gateFaults, active);
+            arm(move_, plan->moveSites, plan->moveFaults, active);
+        }
         frame_.clear();
         const bool verified =
             strategy == ZeroPrepStrategy::VerifyOnly ||
@@ -200,8 +245,220 @@ class BatchWorkerT final : public BatchWorkerBase
         classifyTally(active);
     }
 
+    SiteCounts
+    countSites(ZeroPrepStrategy strategy, bool pi8) override
+    {
+        // No planned faults and an N_c no path reaches: every
+        // countdown only steps down, by one per site visited.
+        constexpr std::uint64_t kUnreached = 0xffffffffu;
+        const FaultPlan plan{kUnreached, kUnreached, 0, 0};
+        const FaultSites gate = gate_, move = move_;
+        gate_.stream = move_.stream = RareBernoulliStream();
+        coinOff_ = true;
+        PrepEstimate tally;
+        runBatch(Rng(), strategy, pi8, activeMask(1), &plan, tally);
+        coinOff_ = false;
+        const SiteCounts sites{kUnreached - countdownOf(gate_, 0),
+                               kUnreached - countdownOf(move_, 0)};
+        gate_ = gate;
+        move_ = move;
+        return sites;
+    }
+
   private:
+    /**
+     * One fault class's sites: its natural-rate stream and, in a
+     * planned batch, a bit-sliced countdown per trial — the sites
+     * left before the trial's next planned fault, or before its
+     * N_c-th site, where it turns natural and draws from the stream
+     * like every later site of the class.
+     */
+    struct FaultSites
+    {
+        explicit FaultSites(double p) : stream(p) {}
+
+        RareBernoulliStream stream;
+        int faults = 0; ///< planned faults per trial
+        int bits = 0;   ///< countdown bit-planes in use
+        /** Plane i of the countdown, word w, at i * words + w. */
+        std::vector<Word> countdown;
+        std::vector<Word> natural; ///< trials past their N_c sites
+        /** Per trial: the countdown's start value, then one reload
+         *  per planned fault, faults + 1 in all. */
+        std::vector<std::uint64_t> gaps;
+        std::vector<std::uint32_t> next; ///< per trial: gaps used
+    };
+
     std::size_t wv() const { return static_cast<std::size_t>(words_); }
+
+    /**
+     * Draw each active trial's planned sites of one class: a uniform
+     * `faults`-subset of its first `sites` sites by Floyd's
+     * algorithm (`faults` draws per trial, in trial order), kept as
+     * the countdown's start and reload values.
+     */
+    void
+    arm(FaultSites &c, std::uint64_t sites, int faults,
+        const Word *active)
+    {
+        assert(faults >= 0 && static_cast<std::uint64_t>(faults) <= sites);
+        const auto per = static_cast<std::size_t>(faults) + 1;
+        c.faults = faults;
+        c.bits = std::max(1, static_cast<int>(std::bit_width(sites)));
+        c.countdown.assign(static_cast<std::size_t>(c.bits) * wv(),
+                           Word{0});
+        c.natural.assign(wv(), Word{0});
+        c.gaps.resize(64 * wv() * per);
+        c.next.assign(64 * wv(), 0);
+        for (int w = 0; w < words_; ++w) {
+            for (Word left = active[w]; left; left &= left - 1) {
+                const std::size_t t =
+                    64 * static_cast<std::size_t>(w)
+                    + static_cast<std::size_t>(std::countr_zero(left));
+                picks_.clear();
+                for (std::uint64_t j =
+                         sites - static_cast<std::uint64_t>(faults);
+                     j < sites; ++j) {
+                    const std::uint64_t r = rng_.below(j + 1);
+                    picks_.push_back(std::find(picks_.begin(),
+                                               picks_.end(), r)
+                                             != picks_.end()
+                                         ? j
+                                         : r);
+                }
+                std::sort(picks_.begin(), picks_.end());
+                std::uint64_t *gap = &c.gaps[t * per];
+                std::uint64_t from = 0;
+                for (std::uint64_t site : picks_) {
+                    *gap++ = site - from;
+                    from = site + 1;
+                }
+                *gap = sites - from;
+                setCountdown(c, t, c.gaps[t * per]);
+            }
+        }
+    }
+
+    void
+    setCountdown(FaultSites &c, std::size_t t, std::uint64_t v)
+    {
+        const Word bit = Word{1} << (t & 63);
+        for (int i = 0; i < c.bits; ++i) {
+            Word &plane =
+                c.countdown[static_cast<std::size_t>(i) * wv() + t / 64];
+            plane = (v >> i) & 1 ? plane | bit : plane & ~bit;
+        }
+    }
+
+    std::uint64_t
+    countdownOf(const FaultSites &c, std::size_t t) const
+    {
+        std::uint64_t v = 0;
+        for (int i = 0; i < c.bits; ++i)
+            v |= ((c.countdown[static_cast<std::size_t>(i) * wv()
+                               + t / 64]
+                   >> (t & 63))
+                  & 1)
+                << i;
+        return v;
+    }
+
+    /**
+     * One class-c site of a planned batch for the trials in m. Each
+     * counting trial's countdown steps down by one, with the borrow
+     * rippling through the bit-planes; a borrow out of the top plane
+     * marks a trial whose count was already 0, whose event is this
+     * site. A planned fault joins hits_ and reloads the count; the
+     * N_c-th site turns the trial natural. On return draws_ holds
+     * m's natural trials, the ones that draw from the stream here.
+     * Returns whether hits_ has any trial.
+     */
+    bool
+    advance(FaultSites &c, const Word *m)
+    {
+        Word *planes = c.countdown.data();
+        const Word *natural = c.natural.data();
+        const int bits = c.bits;
+        simd::spans<Ops>(words_, [&](auto ops, int w) {
+            using O = decltype(ops);
+            const auto mm = O::load(m + w);
+            const auto nat = O::load(natural + w);
+            auto borrow = mm & ~nat;
+            for (int i = 0; i < bits; ++i) {
+                Word *p = planes + static_cast<std::size_t>(i) * wv() + w;
+                const auto v = O::load(p);
+                O::store(p, v ^ borrow);
+                borrow = borrow & ~v;
+            }
+            O::store(due_.data() + w, borrow);
+            O::store(hits_.data() + w, O::zero());
+            O::store(draws_.data() + w, mm & nat);
+        });
+        bool any = false;
+        const auto per = static_cast<std::size_t>(c.faults) + 1;
+        for (int w = 0; w < words_; ++w) {
+            for (Word due = due_[w]; due; due &= due - 1) {
+                const Word bit = due & -due;
+                const std::size_t t =
+                    64 * static_cast<std::size_t>(w)
+                    + static_cast<std::size_t>(std::countr_zero(due));
+                std::uint32_t &used = c.next[t];
+                if (used == static_cast<std::uint32_t>(c.faults)) {
+                    c.natural[w] |= bit;
+                    draws_[w] |= bit;
+                    continue;
+                }
+                hits_[w] |= bit;
+                any = true;
+                setCountdown(c, t, c.gaps[t * per + ++used]);
+            }
+        }
+        return any;
+    }
+
+    /**
+     * A one-qubit fault site of class c on q for the trials in m.
+     * Inlined: at low rates a naive site is a compare in the stream
+     * and costs less than a call; a planned one is not.
+     */
+    [[gnu::always_inline]] void
+    inject1(FaultSites &c, int q, const Word *m)
+    {
+        if (plan_)
+            plannedInject1(c, q, m);
+        else
+            frame_.inject1q(rng_, c.stream, q, m);
+    }
+
+    /** A two-qubit fault site of class c on (a, b). */
+    [[gnu::always_inline]] void
+    inject2(FaultSites &c, int a, int b, const Word *m)
+    {
+        if (plan_)
+            plannedInject2(c, a, b, m);
+        else
+            frame_.inject2q(rng_, c.stream, a, b, m);
+    }
+
+    /** A planned batch's site: its placed faults, plus the
+     *  stream's draws for the trials already natural. */
+    [[gnu::noinline]] void
+    plannedInject1(FaultSites &c, int q, const Word *m)
+    {
+        const bool planned = advance(c, m);
+        frame_.inject1q(rng_, c.stream, q, draws_.data());
+        if (planned)
+            frame_.fault1q(rng_, q, hits_.data());
+    }
+
+    [[gnu::noinline]] void
+    plannedInject2(FaultSites &c, int a, int b, const Word *m)
+    {
+        const bool planned = advance(c, m);
+        frame_.inject2q(rng_, c.stream, a, b, draws_.data());
+        if (planned)
+            frame_.fault2q(rng_, a, b, hits_.data());
+    }
 
     /** The Fig 5b conversion of the corrected zero on block A. */
     void
@@ -223,13 +480,12 @@ class BatchWorkerT final : public BatchWorkerBase
                              active);
             frame_.applyCz(cat7 + i, batch_detail::blockA + i,
                            active);
-            frame_.inject2q(rng_, pGate_, cat7 + i,
-                            batch_detail::blockA + i, active);
+            inject2(gate_, cat7 + i, batch_detail::blockA + i,
+                    active);
         }
         for (int i = 0; i < 7; ++i) {
             frame_.applyS(batch_detail::blockA + i, active);
-            frame_.inject1q(rng_, pGate_, batch_detail::blockA + i,
-                            active);
+            inject1(gate_, batch_detail::blockA + i, active);
         }
 
         // Decode the cat block and measure it out.
@@ -242,12 +498,12 @@ class BatchWorkerT final : public BatchWorkerBase
 
         // Conditional transversal Z fix-up on half the outcomes: the
         // intended gate leaves the frame untouched but its physical
-        // ops still inject errors. One fair coin per trial.
+        // ops still inject errors. One fair coin per trial, pinned
+        // to "no fix-up" while counting sites.
         for (int w = 0; w < words_; ++w)
-            coin_[w] = rng_() & active[w];
+            coin_[w] = coinOff_ ? 0 : rng_() & active[w];
         for (int i = 0; i < 7; ++i)
-            frame_.inject1q(rng_, pGate_, batch_detail::blockA + i,
-                            coin_.data());
+            inject1(gate_, batch_detail::blockA + i, coin_.data());
     }
 
     /**
@@ -317,32 +573,32 @@ class BatchWorkerT final : public BatchWorkerBase
     chargeCxMovement(int a, int b, const Word *m)
     {
         for (int i = 0; i < movement_.movesPerCx; ++i)
-            frame_.inject1q(rng_, pMove_, (i & 1) ? b : a, m);
+            inject1(move_, (i & 1) ? b : a, m);
         for (int i = 0; i < movement_.turnsPerCx; ++i)
-            frame_.inject1q(rng_, pMove_, (i & 1) ? b : a, m);
+            inject1(move_, (i & 1) ? b : a, m);
     }
 
     void
     chargeMeasMovement(int q, const Word *m)
     {
         for (int i = 0; i < movement_.movesPerMeas; ++i)
-            frame_.inject1q(rng_, pMove_, q, m);
+            inject1(move_, q, m);
     }
 
     void
     gateH(int q, const Word *m)
     {
         for (int i = 0; i < movement_.movesPer1q; ++i)
-            frame_.inject1q(rng_, pMove_, q, m);
+            inject1(move_, q, m);
         frame_.applyH(q, m);
-        frame_.inject1q(rng_, pGate_, q, m);
+        inject1(gate_, q, m);
     }
 
     void
     gatePrep(int q, const Word *m)
     {
         frame_.clearQubit(q, m);
-        frame_.inject1q(rng_, pGate_, q, m);
+        inject1(gate_, q, m);
     }
 
     void
@@ -350,7 +606,7 @@ class BatchWorkerT final : public BatchWorkerBase
     {
         chargeCxMovement(control, target, m);
         frame_.applyCx(control, target, m);
-        frame_.inject2q(rng_, pGate_, control, target, m);
+        inject2(gate_, control, target, m);
     }
 
     /**
@@ -358,16 +614,23 @@ class BatchWorkerT final : public BatchWorkerBase
      * (`xBasis`: phase errors flip the outcome) or the Z basis (bit
      * errors do). The flip stream advances over all words
      * regardless of the mask (width-invariant RNG); flips outside
-     * the mask are discarded.
+     * the mask (or, in a planned batch, outside draws_) are
+     * discarded.
      */
     void
     measureFlip(bool xBasis, int q, const Word *m, Word *out)
     {
         chargeMeasMovement(q, m);
         const Word *plane = xBasis ? frame_.z(q) : frame_.x(q);
+        if (plan_)
+            advance(gate_, m);
         std::fill(out, out + words_, Word{0});
-        pGate_.window(rng_, words_,
-                      [&](int w, Word f) { out[w] = f; });
+        gate_.stream.window(rng_, words_,
+                            [&](int w, Word f) { out[w] = f; });
+        if (plan_) {
+            for (int w = 0; w < words_; ++w)
+                out[w] = (out[w] & draws_[w]) | hits_[w];
+        }
         simd::spans<Ops>(words_, [&](auto ops, int w) {
             using O = decltype(ops);
             O::store(out + w, (O::load(plane + w) ^ O::load(out + w))
@@ -395,7 +658,7 @@ class BatchWorkerT final : public BatchWorkerBase
     verifyBlock(int base, const Word *m)
     {
         using batch_detail::catBase;
-        verifyAttempts += batch_detail::popcount(m, words_);
+        tally_->verifyTrials += batch_detail::popcount(m, words_);
 
         for (int i = 0; i < 3; ++i)
             gatePrep(catBase + i, m);
@@ -408,7 +671,7 @@ class BatchWorkerT final : public BatchWorkerBase
             if (SteaneCode::verifyMask & (SteaneCode::Mask{1} << q)) {
                 chargeCxMovement(base + q, cat, m);
                 frame_.applyCz(base + q, cat, m);
-                frame_.inject2q(rng_, pGate_, base + q, cat, m);
+                inject2(gate_, base + q, cat, m);
                 ++cat;
             }
         }
@@ -424,7 +687,8 @@ class BatchWorkerT final : public BatchWorkerBase
                              ^ O::load(measTmp_.data() + w));
             });
         }
-        verifyFailures += batch_detail::popcount(flip_.data(), words_);
+        tally_->discards +=
+            batch_detail::popcount(flip_.data(), words_);
     }
 
     /**
@@ -462,7 +726,7 @@ class BatchWorkerT final : public BatchWorkerBase
     void
     extract(bool phase, int base_a, int base_anc, const Word *m)
     {
-        correctionAttempts += batch_detail::popcount(m, words_);
+        tally_->correctionTrials += batch_detail::popcount(m, words_);
         for (int q = 0; q < SteaneCode::numPhysical; ++q) {
             if (phase)
                 gateCx(base_anc + q, base_a + q, m);
@@ -499,7 +763,7 @@ class BatchWorkerT final : public BatchWorkerBase
             O::store(measTmp_.data() + w, bad);
             O::store(ok_.data() + w, O::load(m + w) & ~bad);
         });
-        correctionFailures +=
+        tally_->correctionDiscards +=
             batch_detail::popcount(measTmp_.data(), words_);
     }
 
@@ -547,8 +811,7 @@ class BatchWorkerT final : public BatchWorkerBase
                         frame_.flipZ(base_a + q, eq_.data());
                     else
                         frame_.flipX(base_a + q, eq_.data());
-                    frame_.inject1q(rng_, pGate_, base_a + q,
-                                    eq_.data());
+                    inject1(gate_, base_a + q, eq_.data());
                 }
             }
         }
@@ -631,15 +894,19 @@ class BatchWorkerT final : public BatchWorkerBase
             }
             O::store(measTmp_.data() + w, fail & O::load(m + w));
         });
-        failures += batch_detail::popcount(measTmp_.data(), words_);
+        tally_->failures +=
+            batch_detail::popcount(measTmp_.data(), words_);
     }
 
     MovementModel movement_;
     CorrectionSemantics semantics_;
     int words_;
     Rng rng_;
-    RareBernoulliStream pGate_;
-    RareBernoulliStream pMove_;
+    FaultSites gate_;
+    FaultSites move_;
+    const FaultPlan *plan_ = nullptr; ///< this batch's, or naive
+    PrepEstimate *tally_ = nullptr;   ///< this batch's tallies
+    bool coinOff_ = false;            ///< countSites' pinned coin
     BatchPauliFrameT<Ops> frame_;
 
     std::vector<Word> meas_; ///< 7 readout-flip planes (7 * words_)
@@ -662,6 +929,13 @@ class BatchWorkerT final : public BatchWorkerBase
     std::vector<Word> prevS2_;
     std::vector<Word> prevP_;
     std::vector<Word> coin_;
+    // Planned-batch site state (advance): trials whose event is
+    // this site, their planned faults, and the trials that draw
+    // from the stream.
+    std::vector<Word> due_;
+    std::vector<Word> hits_;
+    std::vector<Word> draws_;
+    std::vector<std::uint64_t> picks_; ///< arm's subset scratch
 };
 
 } // namespace qc

@@ -1,7 +1,8 @@
 /**
  * @file
  * Bit-parallel batched Pauli-frame tracking: the trial-major
- * transposition of PauliFrame.
+ * transposition of the scalar reference engine's PauliFrame
+ * (tests/ScalarAncillaSim.hh).
  *
  * Where PauliFrame stores one trial as an X and a Z mask over 64
  * qubits, BatchPauliFrameT stores, per qubit, `wordsPerQubit` 64-bit
@@ -202,17 +203,7 @@ class BatchPauliFrameT
         Word *xq = x(q);
         Word *zq = z(q);
         p.window(rng, words_, [&](int w, Word raw) {
-            Word hit = raw & m[w];
-            while (hit) {
-                const int t = __builtin_ctzll(hit);
-                hit &= hit - 1;
-                const int pauli =
-                    static_cast<int>(rng.below(3)) + 1;
-                if (pauli & 1)
-                    xq[w] ^= Word{1} << t;
-                if (pauli & 2)
-                    zq[w] ^= Word{1} << t;
-            }
+            pauli1q(rng, raw & m[w], xq[w], zq[w]);
         });
     }
 
@@ -226,27 +217,75 @@ class BatchPauliFrameT
         Word *xb = x(b);
         Word *zb = z(b);
         p.window(rng, words_, [&](int w, Word raw) {
-            Word hit = raw & m[w];
-            while (hit) {
-                const int t = __builtin_ctzll(hit);
-                hit &= hit - 1;
-                const int pauli =
-                    static_cast<int>(rng.below(15)) + 1;
-                if (pauli & 1)
-                    xa[w] ^= Word{1} << t;
-                if (pauli & 2)
-                    za[w] ^= Word{1} << t;
-                if (pauli & 4)
-                    xb[w] ^= Word{1} << t;
-                if (pauli & 8)
-                    zb[w] ^= Word{1} << t;
-            }
+            pauli2q(rng, raw & m[w], xa[w], za[w], xb[w], zb[w]);
         });
+    }
+
+    /**
+     * A uniform non-identity Pauli on q in every trial of `hits`
+     * (faults a plan placed, not drawn): one kind draw per trial, in
+     * trial order.
+     */
+    void
+    fault1q(Rng &rng, int q, const Word *hits)
+    {
+        Word *xq = x(q);
+        Word *zq = z(q);
+        for (int w = 0; w < words_; ++w)
+            pauli1q(rng, hits[w], xq[w], zq[w]);
+    }
+
+    /** Two-qubit counterpart of fault1q. */
+    void
+    fault2q(Rng &rng, int a, int b, const Word *hits)
+    {
+        Word *xa = x(a);
+        Word *za = z(a);
+        Word *xb = x(b);
+        Word *zb = z(b);
+        for (int w = 0; w < words_; ++w)
+            pauli2q(rng, hits[w], xa[w], za[w], xb[w], zb[w]);
     }
 
     /** @} */
 
   private:
+    /** A uniform draw of X, Z or Y per set bit of `hit`. */
+    static void
+    pauli1q(Rng &rng, Word hit, Word &xq, Word &zq)
+    {
+        while (hit) {
+            const int t = __builtin_ctzll(hit);
+            hit &= hit - 1;
+            const int pauli = static_cast<int>(rng.below(3)) + 1;
+            if (pauli & 1)
+                xq ^= Word{1} << t;
+            if (pauli & 2)
+                zq ^= Word{1} << t;
+        }
+    }
+
+    /** A uniform draw of the 15 non-identity two-qubit Paulis per
+     *  set bit of `hit`. */
+    static void
+    pauli2q(Rng &rng, Word hit, Word &xa, Word &za, Word &xb,
+            Word &zb)
+    {
+        while (hit) {
+            const int t = __builtin_ctzll(hit);
+            hit &= hit - 1;
+            const int pauli = static_cast<int>(rng.below(15)) + 1;
+            if (pauli & 1)
+                xa ^= Word{1} << t;
+            if (pauli & 2)
+                za ^= Word{1} << t;
+            if (pauli & 4)
+                xb ^= Word{1} << t;
+            if (pauli & 8)
+                zb ^= Word{1} << t;
+        }
+    }
+
     std::size_t
     plane(int q) const
     {

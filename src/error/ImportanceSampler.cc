@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/ParallelFor.hh"
-
 namespace qc {
 
 namespace {
@@ -58,8 +56,7 @@ StratifiedEstimate::errorInterval() const
 }
 
 double
-StratifiedPrepSampler::binomialPmf(std::uint64_t n, double p,
-                                   std::uint64_t k)
+binomialPmf(std::uint64_t n, double p, std::uint64_t k)
 {
     if (k > n)
         return 0.0;
@@ -82,52 +79,17 @@ StratifiedPrepSampler::binomialPmf(std::uint64_t n, double p,
     return pmf;
 }
 
-StratifiedPrepSampler::StratifiedPrepSampler(
-    ErrorParams errors, MovementModel movement, Rng seeder,
-    CorrectionSemantics semantics, int threads)
-    : errors_(errors), movement_(movement), semantics_(semantics),
-      seeder_(seeder), threads_(threads)
-{
-}
-
 StratifiedEstimate
-StratifiedPrepSampler::estimate(ZeroPrepStrategy strategy,
-                                const ImportanceConfig &config)
-{
-    return run(strategy, /*pi8=*/false, config);
-}
-
-StratifiedEstimate
-StratifiedPrepSampler::estimatePi8(const ImportanceConfig &config)
-{
-    return run(ZeroPrepStrategy::VerifyAndCorrect, /*pi8=*/true,
-               config);
-}
-
-StratifiedEstimate
-StratifiedPrepSampler::run(ZeroPrepStrategy strategy, bool pi8,
-                           const ImportanceConfig &config)
+stratify(std::uint64_t gateSites, std::uint64_t moveSites,
+         const ErrorParams &errors, const ImportanceConfig &config)
 {
     if (config.maxFaults < 0)
         throw std::invalid_argument(
             "ImportanceConfig.maxFaults must be >= 0");
 
     StratifiedEstimate out;
-
-    // Nominal-path site counts from a noiseless dry run. A dry run
-    // never consumes RNG, so it is exactly the deterministic
-    // noiseless path.
-    {
-        AncillaPrepSimulator sim(errors_, movement_, /*seed=*/0,
-                                 semantics_);
-        sim.faultSchedule().dryRun = true;
-        if (pi8)
-            sim.simulatePi8Once();
-        else
-            sim.simulateOnce(strategy);
-        out.gateSites = sim.faultSchedule().gate.seen;
-        out.moveSites = sim.faultSchedule().move.seen;
-    }
+    out.gateSites = gateSites;
+    out.moveSites = moveSites;
 
     // Enumerate strata (a, b), a + b <= maxFaults, with their
     // binomial priors; (0,0) is analytic. Total prior mass not
@@ -138,13 +100,13 @@ StratifiedPrepSampler::run(ZeroPrepStrategy strategy, bool pi8,
         if (static_cast<std::uint64_t>(a) > out.gateSites)
             break;
         const double pa =
-            binomialPmf(out.gateSites, errors_.pGate,
+            binomialPmf(out.gateSites, errors.pGate,
                         static_cast<std::uint64_t>(a));
         for (int b = 0; a + b <= config.maxFaults; ++b) {
             if (static_cast<std::uint64_t>(b) > out.moveSites)
                 break;
             const double prior = pa
-                * binomialPmf(out.moveSites, errors_.pMove,
+                * binomialPmf(out.moveSites, errors.pMove,
                               static_cast<std::uint64_t>(b));
             if (a + b > 0 && prior < kMinStratumPrior)
                 continue;
@@ -158,39 +120,6 @@ StratifiedPrepSampler::run(ZeroPrepStrategy strategy, bool pi8,
         }
     }
     out.truncatedPrior = std::max(0.0, 1.0 - covered);
-
-    // Pre-split one seed per stratum so results are independent of
-    // the thread count, then shard strata across workers; each
-    // stratum writes only its own slot.
-    std::vector<std::uint64_t> seeds(out.strata.size());
-    for (auto &s : seeds)
-        s = seeder_();
-
-    const auto runStratum = [&](std::size_t i, std::size_t) {
-        StratumEstimate &s = out.strata[i];
-        if (s.analytic)
-            return;
-        s.trials = config.trialsPerStratum;
-        AncillaPrepSimulator sim(errors_, movement_, seeds[i],
-                                 semantics_);
-        FaultSchedule &schedule = sim.faultSchedule();
-        schedule.gate.sites = out.gateSites;
-        schedule.gate.faults = static_cast<std::uint64_t>(s.gateFaults);
-        schedule.move.sites = out.moveSites;
-        schedule.move.faults = static_cast<std::uint64_t>(s.moveFaults);
-        std::uint64_t failures = 0;
-        for (std::uint64_t t = 0; t < s.trials; ++t) {
-            const PrepOutcome o = pi8 ? sim.simulatePi8Once()
-                                      : sim.simulateOnce(strategy);
-            if (o.failed())
-                ++failures;
-        }
-        s.failures = failures;
-    };
-    parallelFor(threads_, out.strata.size(), runStratum);
-
-    for (const StratumEstimate &s : out.strata)
-        out.totalTrials += s.trials;
     return out;
 }
 

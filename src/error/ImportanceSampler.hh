@@ -25,14 +25,14 @@
  *      Bernoulli, so the first-N indicators are i.i.d. even though
  *      sites are revealed adaptively).
  *   3. Each stratum (a, b) with a + b <= maxFaults is estimated by
- *      dedicated trials whose fault schedule plants *exactly* a
- *      gate and b movement faults among those first sites, via
- *      sequential conditional sampling: at a class-c site with r
- *      faults left to place among m remaining slots, fault with
- *      probability r/m (a uniformly random size-r subset, valid
- *      under adaptive revelation). Sites beyond the first N_c
- *      (only reachable when a fault already fired) sample at the
- *      natural rate.
+ *      dedicated trials that place *exactly* a gate and b movement
+ *      faults among those first sites: each trial's faulting sites
+ *      are a uniformly random a-subset of its first N_g gate sites
+ *      and b-subset of its first N_m movement sites, drawn before
+ *      the trial runs. Sites beyond the first N_c (only reachable
+ *      when a fault already fired) sample at the natural rate.
+ *      BatchAncillaSim::estimateStratified runs the strata on the
+ *      batch engine (error/BatchEngine.hh, FaultPlan).
  *      The (0, 0) stratum is analytic: zero faults on the nominal
  *      path cannot fail, f_00 = 0.
  *
@@ -40,13 +40,9 @@
  * binomial priors; the truncated tail mass (strata beyond
  * maxFaults) is added to the upper bound, so the interval is
  * conservative. Priors use iterative pmf recurrences (no lgamma /
- * pow), keeping results bit-identical across platforms.
- *
- * The sampler drives the *scalar* reference circuit under a
- * FaultSchedule (error/AncillaSim.hh), so its throughput is the
- * scalar engine's; its win is statistical: variance concentrates in
- * strata that actually fail, giving deep-subthreshold points tight
- * CIs at fixed cost.
+ * pow), keeping results bit-identical across platforms. The win is
+ * statistical: variance concentrates in strata that actually fail,
+ * giving deep-subthreshold points tight CIs at fixed cost.
  */
 
 #ifndef QC_ERROR_IMPORTANCE_SAMPLER_HH
@@ -56,9 +52,7 @@
 #include <vector>
 
 #include "common/Params.hh"
-#include "common/Rng.hh"
 #include "common/Stats.hh"
-#include "error/AncillaSim.hh"
 
 namespace qc {
 
@@ -110,43 +104,21 @@ struct StratifiedEstimate
 };
 
 /**
- * Stratified rare-event estimator over the scalar preparation
- * circuits. Deterministic for a fixed (seeder, config): per-stratum
- * seeds are pre-split, so results are independent of `threads`
- * (0 = every core, common/ParallelFor.hh).
+ * Binomial pmf P(K = k | n, p) by iterative recurrence (no
+ * transcendentals beyond +-*-/ — bit-identical across platforms).
  */
-class StratifiedPrepSampler
-{
-  public:
-    StratifiedPrepSampler(ErrorParams errors, MovementModel movement,
-                          Rng seeder, CorrectionSemantics semantics,
-                          int threads = 1);
+double binomialPmf(std::uint64_t n, double p, std::uint64_t k);
 
-    /** Stratified estimate of a zero-prep strategy's failure rate. */
-    StratifiedEstimate estimate(ZeroPrepStrategy strategy,
-                                const ImportanceConfig &config);
-
-    /** Stratified estimate of the pi/8 conversion failure rate. */
-    StratifiedEstimate estimatePi8(const ImportanceConfig &config);
-
-    /**
-     * Binomial pmf P(K = k | n, p) by iterative recurrence (no
-     * transcendentals beyond +-*-/ — bit-identical across
-     * platforms). Exposed for the stratum-weight unit tests.
-     */
-    static double binomialPmf(std::uint64_t n, double p,
-                              std::uint64_t k);
-
-  private:
-    StratifiedEstimate run(ZeroPrepStrategy strategy, bool pi8,
-                           const ImportanceConfig &config);
-
-    ErrorParams errors_;
-    MovementModel movement_;
-    CorrectionSemantics semantics_;
-    Rng seeder_;
-    int threads_;
-};
+/**
+ * The strata of a circuit with `gateSites` / `moveSites` nominal-path
+ * sites, in enumeration order (a ascending, then b), with their
+ * binomial priors and the truncated prior mass; no trials yet.
+ * Throws std::invalid_argument on a negative maxFaults.
+ */
+StratifiedEstimate stratify(std::uint64_t gateSites,
+                            std::uint64_t moveSites,
+                            const ErrorParams &errors,
+                            const ImportanceConfig &config);
 
 } // namespace qc
 

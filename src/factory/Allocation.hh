@@ -10,6 +10,7 @@
 #ifndef QC_FACTORY_ALLOCATION_HH
 #define QC_FACTORY_ALLOCATION_HH
 
+#include "codes/SteaneCode.hh"
 #include "factory/ConcatenatedFactory.hh"
 #include "factory/Pi8Factory.hh"
 #include "factory/ZeroFactory.hh"

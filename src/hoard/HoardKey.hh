@@ -22,6 +22,13 @@
  * without a table get the identity policy: every field semantic,
  * which is always safe (worst case a needless miss, never a wrong
  * hit). No JSON value makes the policy throw.
+ *
+ * A runner whose SweepRunner::resultVersion() is not 0 adds it to
+ * the key configuration as `result_version`, a key no runner's
+ * table has. Objects an older version stored keep their own key
+ * configuration and name: the current code never looks them up,
+ * `qcarch hoard verify` still finds them valid (stale, not
+ * corrupt), and gc reclaims them by age or size.
  */
 
 #ifndef QC_HOARD_HOARD_KEY_HH
@@ -48,6 +55,11 @@ Json hoardKeyConfig(const std::string &runner, const Json &config);
  *  happen to collide still get distinct objects). */
 std::string hoardKeyHash(const std::string &runner,
                          const Json &config);
+
+/** The store key of a stored key configuration as it stands: what
+ *  an object's name must be, whichever result version wrote it. */
+std::string hoardObjectKey(const std::string &runner,
+                           const Json &keyConfig);
 
 /** The dotted config fields the policy normalizes away for this
  *  runner (empty for runners with an identity policy). Exposed so

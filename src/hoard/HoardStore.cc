@@ -163,7 +163,7 @@ HoardStore::validateObject(const Json &object,
     }
     // The name must be the hash of the stored identity — catches
     // an object renamed (or hand-copied) onto the wrong key.
-    if (hoardKeyHash(runner->asString(), *keyConfig) != key) {
+    if (hoardObjectKey(runner->asString(), *keyConfig) != key) {
         why = "key_config does not hash to the key";
         return false;
     }

@@ -167,6 +167,9 @@ class McPrepRunner : public SweepRunner
 
     const FieldSchema &schema() const override { return mcPrepTable(); }
 
+    /** 1: stratified points run their strata on the batch engine. */
+    int resultVersion() const override { return 1; }
+
     Json
     metadata() const override
     {

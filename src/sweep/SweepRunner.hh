@@ -87,6 +87,14 @@ class SweepRunner
      *  paths by default. */
     virtual std::vector<std::string> fields() const;
 
+    /**
+     * The version of the code that computes this runner's results,
+     * 0 unless set. A change that moves a result bumps it; a version
+     * other than 0 enters the hoard key (hoard/HoardKey.hh), so a
+     * store never serves an older version's results.
+     */
+    virtual int resultVersion() const { return 0; }
+
     /** Document-level keys merged into the aggregated output
      *  ("engine": "BatchAncillaSim"). */
     virtual Json metadata() const { return Json::object(); }

@@ -3,7 +3,9 @@
  * Tests for the bit-parallel batched Monte Carlo engine: masked
  * BatchPauliFrame algebra against the scalar PauliFrame,
  * statistical equivalence of BatchAncillaSim with the scalar
- * reference engine, and bit-reproducibility across thread counts.
+ * reference engine (ScalarAncillaSim.hh), and bit-reproducibility
+ * of naive and stratified estimates across thread counts and SIMD
+ * widths.
  */
 
 #include <algorithm>
@@ -20,10 +22,14 @@
 #include "error/AncillaSim.hh"
 #include "error/BatchAncillaSim.hh"
 #include "error/BatchPauliFrame.hh"
-#include "error/PauliFrame.hh"
+
+#include "ScalarAncillaSim.hh"
 
 namespace qc {
 namespace {
+
+using scalar::AncillaPrepSimulator;
+using scalar::PauliFrame;
 
 // ---------------------------------------------------------------
 // Masked BatchPauliFrame algebra vs the scalar PauliFrame.
@@ -246,6 +252,31 @@ sameEstimate(const PrepEstimate &a, const PrepEstimate &b)
         && a.correctionTrials == b.correctionTrials;
 }
 
+bool
+sameStratified(const StratifiedEstimate &a, const StratifiedEstimate &b)
+{
+    if (a.gateSites != b.gateSites || a.moveSites != b.moveSites
+        || a.totalTrials != b.totalTrials
+        || a.strata.size() != b.strata.size())
+        return false;
+    for (std::size_t i = 0; i < a.strata.size(); ++i) {
+        if (a.strata[i].trials != b.strata[i].trials
+            || a.strata[i].failures != b.strata[i].failures)
+            return false;
+    }
+    return true;
+}
+
+/** A stratified run small enough to repeat across shapes. */
+ImportanceConfig
+smallStrata(std::uint64_t trialsPerStratum)
+{
+    ImportanceConfig config;
+    config.maxFaults = 2;
+    config.trialsPerStratum = trialsPerStratum;
+    return config;
+}
+
 TEST(BatchAncillaSim, BitReproducibleAcrossThreadCounts)
 {
     const std::uint64_t trials = 300000;
@@ -253,6 +284,7 @@ TEST(BatchAncillaSim, BitReproducibleAcrossThreadCounts)
                        ZeroPrepStrategy::VerifyOnly}) {
         // 0 = every core (resolveThreads).
         PrepEstimate results[4];
+        StratifiedEstimate strata[4];
         const int thread_counts[4] = {1, 2, 4, 0};
         for (int i = 0; i < 4; ++i) {
             BatchSimConfig config;
@@ -263,13 +295,16 @@ TEST(BatchAncillaSim, BitReproducibleAcrossThreadCounts)
                                     DiscardOnSyndrome,
                                 config);
             results[i] = sim.estimate(strat, trials);
+            strata[i] = sim.estimateStratified(strat, smallStrata(5000));
         }
-        EXPECT_TRUE(sameEstimate(results[0], results[1]))
-            << zeroPrepStrategyName(strat) << " 1 vs 2 threads";
-        EXPECT_TRUE(sameEstimate(results[0], results[2]))
-            << zeroPrepStrategyName(strat) << " 1 vs 4 threads";
-        EXPECT_TRUE(sameEstimate(results[0], results[3]))
-            << zeroPrepStrategyName(strat) << " 1 vs 0 threads";
+        for (int i = 1; i < 4; ++i) {
+            EXPECT_TRUE(sameEstimate(results[0], results[i]))
+                << zeroPrepStrategyName(strat) << " 1 vs "
+                << thread_counts[i] << " threads";
+            EXPECT_TRUE(sameStratified(strata[0], strata[i]))
+                << zeroPrepStrategyName(strat) << " stratified 1 vs "
+                << thread_counts[i] << " threads";
+        }
     }
 }
 
@@ -466,6 +501,7 @@ TEST(SimdWidth, CrossWidthBitIdentityOverFullSurface)
              {ZeroPrepStrategy::Basic,
               ZeroPrepStrategy::VerifyAndCorrect}) {
             PrepEstimate ref, refPi8;
+            StratifiedEstimate refStrata, refStrataPi8;
             bool first = true;
             for (simd::Width w : widths) {
                 if (!simd::widthSupported(w))
@@ -479,9 +515,15 @@ TEST(SimdWidth, CrossWidthBitIdentityOverFullSurface)
                 const PrepEstimate est =
                     sim.estimate(strat, 150000);
                 const PrepEstimate pi8 = sim.estimatePi8(50000);
+                const StratifiedEstimate strata =
+                    sim.estimateStratified(strat, smallStrata(3000));
+                const StratifiedEstimate strataPi8 =
+                    sim.estimateStratifiedPi8(smallStrata(3000));
                 if (first) {
                     ref = est;
                     refPi8 = pi8;
+                    refStrata = strata;
+                    refStrataPi8 = strataPi8;
                     first = false;
                     continue;
                 }
@@ -490,6 +532,11 @@ TEST(SimdWidth, CrossWidthBitIdentityOverFullSurface)
                     << simd::widthName(w);
                 EXPECT_TRUE(sameEstimate(refPi8, pi8))
                     << "pi8 width " << simd::widthName(w);
+                EXPECT_TRUE(sameStratified(refStrata, strata))
+                    << zeroPrepStrategyName(strat)
+                    << " stratified width " << simd::widthName(w);
+                EXPECT_TRUE(sameStratified(refStrataPi8, strataPi8))
+                    << "pi8 stratified width " << simd::widthName(w);
             }
         }
     }
@@ -501,6 +548,7 @@ TEST(SimdWidth, OddBatchShapesStayBitIdenticalAcrossWidths)
     // (words % kLanes != 0) must not change results either.
     for (int words : {1, 3, 7}) {
         PrepEstimate ref;
+        StratifiedEstimate refStrata;
         bool first = true;
         for (simd::Width w :
              {simd::Width::W64, simd::Width::W128,
@@ -515,13 +563,19 @@ TEST(SimdWidth, OddBatchShapesStayBitIdenticalAcrossWidths)
                 CorrectionSemantics::DiscardOnSyndrome, config);
             const PrepEstimate est = sim.estimate(
                 ZeroPrepStrategy::VerifyAndCorrect, 20000);
+            const StratifiedEstimate strata = sim.estimateStratified(
+                ZeroPrepStrategy::VerifyAndCorrect, smallStrata(1000));
             if (first) {
                 ref = est;
+                refStrata = strata;
                 first = false;
                 continue;
             }
             EXPECT_TRUE(sameEstimate(ref, est))
                 << "words=" << words << " width "
+                << simd::widthName(w);
+            EXPECT_TRUE(sameStratified(refStrata, strata))
+                << "stratified words=" << words << " width "
                 << simd::widthName(w);
         }
     }

@@ -13,11 +13,15 @@
 #include "error/AncillaSim.hh"
 #include "error/BatchAncillaSim.hh"
 #include "error/ImportanceSampler.hh"
-#include "error/PauliFrame.hh"
 #include "error/RecursiveError.hh"
+
+#include "ScalarAncillaSim.hh"
 
 namespace qc {
 namespace {
+
+using scalar::AncillaPrepSimulator;
+using scalar::PauliFrame;
 
 TEST(PauliFrame, StartsClean)
 {
@@ -437,10 +441,10 @@ TEST(RecursiveError, LevelOneLogicalRatesComposition)
 // ---------------------------------------------------------------
 // Pinned Monte Carlo streams. Every other tally this suite checks
 // exactly runs at zero noise; these run at an elevated noise point
-// so each retry loop, correction stage, fix-up coin and scheduled
+// so each retry loop, correction stage, fix-up coin and planned
 // fault site consumes random numbers. A change that reorders or
-// drops one RNG call in the scalar engine, the stratified sampler
-// or the batch engine changes a count below.
+// drops one RNG call in the scalar oracle or the batch engine
+// (naive or stratified) changes a count below.
 // ---------------------------------------------------------------
 
 struct Tallies
@@ -499,28 +503,29 @@ TEST(MonteCarloStreams, TalliesPinnedAtElevatedNoise)
                   "scalar pi/8");
 
     // Strata in enumeration order: (0,0) (0,1) (0,2) (1,0) (1,1)
-    // (2,0).
+    // (2,0). Three words per qubit leaves a tail at every vector
+    // width, and 500 trials per stratum split into three batches.
+    BatchSimConfig batch;
+    batch.wordsPerQubit = 3;
     ImportanceConfig config;
     config.maxFaults = 2;
     config.trialsPerStratum = 500;
-    StratifiedPrepSampler sampler(errors, movement, Rng(13),
-                                  CorrectionSemantics::
-                                      DiscardOnSyndrome);
+    BatchAncillaSim sampler(errors, movement, 13,
+                            CorrectionSemantics::DiscardOnSyndrome,
+                            batch);
     expectStrata(
-        sampler.estimate(ZeroPrepStrategy::VerifyAndCorrect, config),
-        121, 247, {0, 0, 0, 0, 4, 1}, "stratified zero");
-    expectStrata(sampler.estimatePi8(config), 163, 330,
-                 {0, 13, 18, 10, 19, 24}, "stratified pi/8");
-    StratifiedPrepSampler fixSampler(errors, movement, Rng(14),
-                                     CorrectionSemantics::ApplyFix);
+        sampler.estimateStratified(ZeroPrepStrategy::VerifyAndCorrect,
+                                   config),
+        121, 247, {0, 0, 3, 0, 1, 4}, "stratified zero");
+    expectStrata(sampler.estimateStratifiedPi8(config), 163, 330,
+                 {0, 14, 23, 10, 23, 19}, "stratified pi/8");
+    BatchAncillaSim fixSampler(errors, movement, 14,
+                               CorrectionSemantics::ApplyFix, batch);
     expectStrata(
-        fixSampler.estimate(ZeroPrepStrategy::VerifyAndCorrect,
-                            config),
-        166, 341, {0, 0, 24, 1, 15, 19}, "stratified apply-fix");
+        fixSampler.estimateStratified(
+            ZeroPrepStrategy::VerifyAndCorrect, config),
+        166, 341, {0, 0, 18, 0, 17, 24}, "stratified apply-fix");
 
-    // Three words per qubit leaves a tail at every vector width.
-    BatchSimConfig batch;
-    batch.wordsPerQubit = 3;
     BatchAncillaSim fixBatch(errors, movement, 15,
                              CorrectionSemantics::ApplyFix, batch);
     expectTallies(

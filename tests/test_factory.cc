@@ -295,9 +295,10 @@ INSTANTIATE_TEST_SUITE_P(UniformScales, FactoryScalingTest,
                                            TechScale{4.0},
                                            TechScale{10.0}),
                          [](const auto &info) {
-                             return "x"
-                                 + std::to_string(static_cast<int>(
-                                     info.param.factor));
+                             std::string name(1, 'x');
+                             name += std::to_string(
+                                 static_cast<int>(info.param.factor));
+                             return name;
                          });
 
 TEST(FactoryDesign, LowerAcceptanceNeedsMoreCorrectionHeadroom)

@@ -378,7 +378,11 @@ TEST(HoardKey, OtherRunnersUseTheIdentityPolicy)
 {
     const Json config =
         parse(R"({"trials": 1000, "seed": 7, "pGate": 1e-4})");
-    EXPECT_EQ(hoardKeyConfig("mc-prep", config), config);
+    // Every mc-prep field is kept, plus the runner's result version.
+    Json versioned = config;
+    versioned.set("result_version", std::int64_t{1});
+    EXPECT_EQ(hoardKeyConfig("mc-prep", config), versioned);
+    EXPECT_EQ(hoardKeyConfig("paper", config), config);
     EXPECT_TRUE(hoardReportingOnlyFields("mc-prep").empty());
     Json changed = config;
     changed.set("trials", 2000);
@@ -387,6 +391,79 @@ TEST(HoardKey, OtherRunnersUseTheIdentityPolicy)
     // The runner name is part of the identity.
     EXPECT_NE(hoardKeyHash("mc-prep", config),
               hoardKeyHash("experiment", config));
+}
+
+/** The mc-prep runner at result version 0: the code that filled a
+ *  store before mc-prep had a version. */
+class VersionZeroRunner : public SweepRunner
+{
+  public:
+    explicit VersionZeroRunner(const SweepRunner &real) : real_(real) {}
+
+    std::string name() const override { return real_.name(); }
+    std::string
+    description() const override
+    {
+        return real_.description();
+    }
+    const FieldSchema &schema() const override { return real_.schema(); }
+    Json metadata() const override { return real_.metadata(); }
+    Json
+    runPoint(const Json &config, SweepContext &context) const override
+    {
+        return real_.runPoint(config, context);
+    }
+
+  private:
+    const SweepRunner &real_;
+};
+
+TEST(HoardKey, ResultVersionMakesOlderObjectsStaleNotCorrupt)
+{
+    ScratchDir dir("qc_hoard_version");
+    const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
+    SweepRunnerRegistry builtins;
+    registerBuiltinSweepRunners(builtins);
+    SweepReport old;
+    {
+        // Put the built-in runners back however the run ends.
+        struct Restore
+        {
+            ~Restore()
+            {
+                registerBuiltinSweepRunners(
+                    SweepRunnerRegistry::instance());
+            }
+        } restore;
+        SweepRunnerRegistry::instance().add(
+            "mc-prep", std::make_shared<const VersionZeroRunner>(
+                           builtins.get("mc-prep")));
+        old = hoardedRun(spec, dir.file("store"));
+    }
+    ASSERT_EQ(old.hoardStored, 4u);
+
+    // The current version misses every object version 0 stored and
+    // recomputes it.
+    const Json cold = coldDocument(spec);
+    const SweepReport current = hoardedRun(spec, dir.file("store"));
+    EXPECT_EQ(current.hoardHits, 0u);
+    EXPECT_EQ(current.executed, 4u);
+    EXPECT_EQ(current.doc.dump(), cold.dump());
+    EXPECT_EQ(hoardedRun(spec, dir.file("store")).executed, 0u);
+
+    // The old objects are stale, not corrupt: verify keeps them, and
+    // only the new ones record the version in their key_config.
+    HoardStore hoard(dir.file("store"));
+    const HoardVerifyReport report = hoard.verify();
+    EXPECT_EQ(report.objects, 8u);
+    EXPECT_EQ(report.quarantined, 0u);
+    std::size_t versioned = 0;
+    for (const HoardObjectInfo &info : hoard.list()) {
+        const Json object = Json::loadFile(info.path);
+        versioned +=
+            object.at("key_config").getInt("result_version", 0) == 1;
+    }
+    EXPECT_EQ(versioned, 4u);
 }
 
 TEST(HoardKey, ReportingOnlyChangesProduceIdenticalResults)

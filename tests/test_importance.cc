@@ -1,24 +1,31 @@
 /**
  * @file
  * Tests for the rare-event importance sampler
- * (error/ImportanceSampler.hh): stratum weights against the
- * closed-form binomial pmf, site counts against the nominal
- * circuit, agreement with naive Monte Carlo at a feasible point,
- * determinism across thread counts, and the conservative handling
- * of the truncated prior tail.
+ * (error/ImportanceSampler.hh) on the batch engine: stratum weights
+ * against the closed-form binomial pmf, site counts against the
+ * nominal circuit and the scalar oracle's dry run, each stratum
+ * against the scalar oracle's r-of-m schedule, agreement with naive
+ * Monte Carlo at a feasible point, determinism across thread
+ * counts, and the conservative handling of the truncated prior
+ * tail.
  */
 
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
 
 #include "codes/SteaneCode.hh"
 #include "common/Stats.hh"
 #include "error/BatchAncillaSim.hh"
 #include "error/ImportanceSampler.hh"
 
+#include "ScalarAncillaSim.hh"
+
 namespace qc {
 namespace {
+
+using scalar::AncillaPrepSimulator;
 
 bool
 overlap(const Interval &a, const Interval &b)
@@ -45,8 +52,7 @@ TEST(BinomialPmf, MatchesClosedFormAcrossRegimes)
             double sum = 0.0;
             const std::uint64_t kMax = n < 6 ? n : 6;
             for (std::uint64_t k = 0; k <= kMax; ++k) {
-                const double got =
-                    StratifiedPrepSampler::binomialPmf(n, p, k);
+                const double got = binomialPmf(n, p, k);
                 const double want = referencePmf(n, p, k);
                 EXPECT_NEAR(got, want, want * 1e-10 + 1e-300)
                     << "n=" << n << " p=" << p << " k=" << k;
@@ -63,11 +69,57 @@ TEST(BinomialPmf, MatchesClosedFormAcrossRegimes)
 
 TEST(BinomialPmf, EdgeCases)
 {
-    EXPECT_EQ(StratifiedPrepSampler::binomialPmf(10, 0.0, 0), 1.0);
-    EXPECT_EQ(StratifiedPrepSampler::binomialPmf(10, 0.0, 1), 0.0);
-    EXPECT_EQ(StratifiedPrepSampler::binomialPmf(10, 1.0, 10), 1.0);
-    EXPECT_EQ(StratifiedPrepSampler::binomialPmf(10, 1.0, 9), 0.0);
-    EXPECT_EQ(StratifiedPrepSampler::binomialPmf(3, 0.5, 4), 0.0);
+    EXPECT_EQ(binomialPmf(10, 0.0, 0), 1.0);
+    EXPECT_EQ(binomialPmf(10, 0.0, 1), 0.0);
+    EXPECT_EQ(binomialPmf(10, 1.0, 10), 1.0);
+    EXPECT_EQ(binomialPmf(10, 1.0, 9), 0.0);
+    EXPECT_EQ(binomialPmf(3, 0.5, 4), 0.0);
+}
+
+/** One prep circuit: a zero-prep strategy, or the pi/8 conversion
+ *  of a verified-and-corrected zero. */
+struct PrepCircuit
+{
+    ZeroPrepStrategy strategy;
+    bool pi8;
+};
+
+constexpr PrepCircuit kCircuits[] = {
+    {ZeroPrepStrategy::Basic, false},
+    {ZeroPrepStrategy::VerifyOnly, false},
+    {ZeroPrepStrategy::CorrectOnly, false},
+    {ZeroPrepStrategy::VerifyAndCorrect, false},
+    {ZeroPrepStrategy::VerifyAndCorrect, true},
+};
+
+struct Sites
+{
+    std::uint64_t gate, move;
+};
+
+/** The scalar oracle's dry-run site counts. */
+Sites
+oracleSites(const MovementModel &movement,
+            CorrectionSemantics semantics, ZeroPrepStrategy strategy,
+            bool pi8)
+{
+    AncillaPrepSimulator sim(ErrorParams{}, movement, /*seed=*/0,
+                             semantics);
+    sim.faultSchedule().dryRun = true;
+    if (pi8)
+        sim.simulatePi8Once();
+    else
+        sim.simulateOnce(strategy);
+    return {sim.faultSchedule().gate.seen,
+            sim.faultSchedule().move.seen};
+}
+
+StratifiedEstimate
+stratified(BatchAncillaSim &sim, ZeroPrepStrategy strategy, bool pi8,
+           const ImportanceConfig &config)
+{
+    return pi8 ? sim.estimateStratifiedPi8(config)
+               : sim.estimateStratified(strategy, config);
 }
 
 TEST(StratifiedPrepSampler, SiteCountsMatchNominalBasicCircuit)
@@ -79,14 +131,13 @@ TEST(StratifiedPrepSampler, SiteCountsMatchNominalBasicCircuit)
     errors.pGate = 1e-3;
     errors.pMove = 1e-5;
     const MovementModel movement{};
-    StratifiedPrepSampler sampler(errors, movement, Rng(1),
-                                  CorrectionSemantics::
-                                      DiscardOnSyndrome);
+    BatchAncillaSim sampler(errors, movement, 1,
+                            CorrectionSemantics::DiscardOnSyndrome);
     ImportanceConfig config;
     config.maxFaults = 1;
     config.trialsPerStratum = 10;
     const StratifiedEstimate est =
-        sampler.estimate(ZeroPrepStrategy::Basic, config);
+        sampler.estimateStratified(ZeroPrepStrategy::Basic, config);
 
     std::uint64_t cxs = 0;
     for (const auto &cx : SteaneCode::encoderCxs) {
@@ -106,6 +157,91 @@ TEST(StratifiedPrepSampler, SiteCountsMatchNominalBasicCircuit)
                                      + movement.turnsPerCx);
     EXPECT_EQ(est.gateSites, gates);
     EXPECT_EQ(est.moveSites, moves);
+
+    // Every circuit's batch dry run counts what the scalar oracle's
+    // dry run counts (maxFaults 0 runs no trials).
+    config.maxFaults = 0;
+    for (const MovementModel &model :
+         {MovementModel{}, kFig11Movement}) {
+        for (auto semantics : {CorrectionSemantics::DiscardOnSyndrome,
+                               CorrectionSemantics::ApplyFix}) {
+            BatchAncillaSim sim(errors, model, 1, semantics);
+            for (const PrepCircuit &c : kCircuits) {
+                SCOPED_TRACE(
+                    std::string(zeroPrepStrategyName(c.strategy))
+                    + (c.pi8 ? ", pi/8" : "")
+                    + (semantics == CorrectionSemantics::ApplyFix
+                           ? ", apply-fix"
+                           : ", discard")
+                    + ", movesPerCx "
+                    + std::to_string(model.movesPerCx));
+                const StratifiedEstimate batch =
+                    stratified(sim, c.strategy, c.pi8, config);
+                const Sites want =
+                    oracleSites(model, semantics, c.strategy, c.pi8);
+                EXPECT_EQ(batch.gateSites, want.gate);
+                EXPECT_EQ(batch.moveSites, want.move);
+            }
+        }
+    }
+}
+
+TEST(StratifiedPrepSampler, StrataMatchScalarOracle)
+{
+    // Each stratum's conditional failure rate on the batch engine
+    // (per-trial fault subsets drawn up front, placed by bit-sliced
+    // countdowns) against the scalar oracle's online r-of-m
+    // schedule: the check that every trial gets exactly its planned
+    // faults. The MonteCarloStreams noise point, where strata fail
+    // often enough to tell.
+    ErrorParams errors;
+    errors.pGate = 2e-3;
+    errors.pMove = 1e-4;
+    const MovementModel movement{};
+    ImportanceConfig config;
+    config.maxFaults = 2;
+    config.trialsPerStratum = 20000;
+    const std::uint64_t oracleTrials = 4000;
+    for (auto semantics : {CorrectionSemantics::DiscardOnSyndrome,
+                           CorrectionSemantics::ApplyFix}) {
+        for (bool pi8 : {false, true}) {
+            BatchAncillaSim sim(errors, movement, 0x57a7, semantics);
+            const StratifiedEstimate batch = stratified(
+                sim, ZeroPrepStrategy::VerifyAndCorrect, pi8, config);
+            for (const StratumEstimate &s : batch.strata) {
+                if (s.analytic)
+                    continue;
+                AncillaPrepSimulator oracle(errors, movement, 0x0ac1e,
+                                            semantics);
+                scalar::FaultSchedule &schedule =
+                    oracle.faultSchedule();
+                schedule.gate.sites = batch.gateSites;
+                schedule.gate.faults =
+                    static_cast<std::uint64_t>(s.gateFaults);
+                schedule.move.sites = batch.moveSites;
+                schedule.move.faults =
+                    static_cast<std::uint64_t>(s.moveFaults);
+                const PrepEstimate want = pi8
+                    ? oracle.estimateScalarPi8(oracleTrials)
+                    : oracle.estimateScalar(
+                          ZeroPrepStrategy::VerifyAndCorrect,
+                          oracleTrials);
+                const Interval got = s.interval();
+                const Interval ref = want.errorInterval();
+                EXPECT_TRUE(overlap(got, ref))
+                    << (pi8 ? "pi/8" : "VAC")
+                    << (semantics == CorrectionSemantics::ApplyFix
+                            ? " apply-fix"
+                            : " discard")
+                    << " stratum (" << s.gateFaults << ","
+                    << s.moveFaults << "): batch " << s.failures << "/"
+                    << s.trials << " [" << got.lo << ", " << got.hi
+                    << "], oracle " << want.failures << "/"
+                    << want.trials << " [" << ref.lo << ", " << ref.hi
+                    << "]";
+            }
+        }
+    }
 }
 
 TEST(StratifiedPrepSampler, ZeroFaultStratumIsAnalyticZero)
@@ -113,13 +249,12 @@ TEST(StratifiedPrepSampler, ZeroFaultStratumIsAnalyticZero)
     ErrorParams errors;
     errors.pGate = 1e-3;
     errors.pMove = 1e-5;
-    StratifiedPrepSampler sampler(errors, MovementModel{}, Rng(2),
-                                  CorrectionSemantics::
-                                      DiscardOnSyndrome);
+    BatchAncillaSim sampler(errors, MovementModel{}, 2,
+                            CorrectionSemantics::DiscardOnSyndrome);
     ImportanceConfig config;
     config.trialsPerStratum = 2000;
     const StratifiedEstimate est =
-        sampler.estimate(ZeroPrepStrategy::Basic, config);
+        sampler.estimateStratified(ZeroPrepStrategy::Basic, config);
     ASSERT_FALSE(est.strata.empty());
     const StratumEstimate &zero = est.strata.front();
     EXPECT_EQ(zero.gateFaults, 0);
@@ -137,16 +272,15 @@ TEST(StratifiedPrepSampler, TruncationIsConservative)
     ErrorParams errors;
     errors.pGate = 1e-3;
     errors.pMove = 1e-5;
-    StratifiedPrepSampler sampler(errors, MovementModel{}, Rng(3),
-                                  CorrectionSemantics::
-                                      DiscardOnSyndrome);
+    BatchAncillaSim sampler(errors, MovementModel{}, 3,
+                            CorrectionSemantics::DiscardOnSyndrome);
     // maxFaults = 0 keeps only the analytic stratum: the point
     // estimate is 0 but the whole non-(0,0) mass lands in the
     // upper confidence bound.
     ImportanceConfig config;
     config.maxFaults = 0;
     const StratifiedEstimate est =
-        sampler.estimate(ZeroPrepStrategy::Basic, config);
+        sampler.estimateStratified(ZeroPrepStrategy::Basic, config);
     EXPECT_EQ(est.strata.size(), 1u);
     EXPECT_EQ(est.errorRate(), 0.0);
     const Interval ci = est.errorInterval();
@@ -223,10 +357,12 @@ TEST(StratifiedPrepSampler, DeterministicAcrossThreadCounts)
     StratifiedEstimate results[3];
     const int threads[3] = {1, 4, 0};
     for (int i = 0; i < 3; ++i) {
-        StratifiedPrepSampler sampler(
-            errors, MovementModel{}, Rng(0xd00d),
-            CorrectionSemantics::DiscardOnSyndrome, threads[i]);
-        results[i] = sampler.estimate(
+        BatchSimConfig batch;
+        batch.threads = threads[i];
+        BatchAncillaSim sampler(errors, MovementModel{}, 0xd00d,
+                                CorrectionSemantics::DiscardOnSyndrome,
+                                batch);
+        results[i] = sampler.estimateStratified(
             ZeroPrepStrategy::VerifyAndCorrect, config);
     }
     for (int r = 1; r < 3; ++r) {
