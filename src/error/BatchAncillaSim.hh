@@ -5,6 +5,17 @@
  * 64-trials-per-word-op engine and the one front door for every
  * estimate, naive or stratified.
  *
+ * A naive estimate simulates only the trials that fault. One
+ * noiseless probe trial per pi/8 fix-up coin value records the
+ * nominal path: its fault sites and its tallies. A trial that meets
+ * no fault on that path passes verification, sees trivial syndromes
+ * and cannot fail. So the estimate draws how many of its N trials
+ * fault, K ~ Binomial(N, q) with q the exact chance of at least one
+ * fault on the path, tallies the other N - K exactly as N - K copies
+ * of the probe, and simulates the K (error/BatchEngine.hh,
+ * FirstFaults). The estimator and its distribution are those of
+ * simulating all N trials.
+ *
  * Semantics match the scalar reference engine
  * (tests/ScalarAncillaSim.hh, the test oracle) trial-for-trial in
  * distribution: the same circuits, the same error injection sites
@@ -36,7 +47,8 @@
 
 namespace qc {
 
-struct FaultPlan;
+struct BatchJob;
+struct NominalPath;
 
 /** Tuning knobs for the batched engine. */
 struct BatchSimConfig
@@ -103,9 +115,10 @@ class BatchAncillaSim
      * the number of injected (gate, movement) faults, weight each
      * stratum by its binomial prior, and combine per-stratum Wilson
      * intervals (see error/ImportanceSampler.hh for the estimator
-     * math). The nominal site counts come from one noiseless trial;
-     * each stratum then runs as batches under its FaultPlan
-     * (error/BatchEngine.hh), in the same batch loop as estimate().
+     * math). The nominal site counts come from the noiseless probe
+     * with the pi/8 coin off; each stratum then runs as batches
+     * under its FaultPlan (error/BatchEngine.hh), in the same batch
+     * loop as estimate().
      * Deep-subthreshold points get tight CIs at fixed cost where
      * naive MC would need billions of trials. Seeds draw from the
      * same seeder sequence as estimate().
@@ -124,17 +137,24 @@ class BatchAncillaSim
     simd::Width resolvedWidth() const;
 
   private:
+    PrepEstimate naive(ZeroPrepStrategy strategy, bool pi8,
+                       std::uint64_t trials);
+
     StratifiedEstimate stratified(ZeroPrepStrategy strategy, bool pi8,
                                   const ImportanceConfig &config);
 
+    /** The nominal path with the pi/8 fix-up coin pinned to `coin`. */
+    NominalPath probe(ZeroPrepStrategy strategy, bool pi8,
+                      bool coin) const;
+
     /**
-     * The batch loop: one job per plan, each `trials` trials under
-     * it (a null plan runs naive MC), every job's batches in one
-     * sequence over config_.threads. One estimate per job.
+     * The batch loop: every job's batches in one sequence over
+     * config_.threads, each batch's RNG seeded from `master`. The
+     * tallies of each job, all but `trials`.
      */
-    std::vector<PrepEstimate>
-    run(ZeroPrepStrategy strategy, bool pi8, std::uint64_t trials,
-        const std::vector<const FaultPlan *> &plans);
+    std::vector<PrepEstimate> run(ZeroPrepStrategy strategy, bool pi8,
+                                  const std::vector<BatchJob> &jobs,
+                                  Rng &master);
 
     ErrorParams errors_;
     MovementModel movement_;

@@ -12,9 +12,15 @@
  * (RareBernoulliStream) or per trial, so a batch's results are a
  * pure function of its seed — bit-identical across every width.
  *
- * A batch runs naive Monte Carlo, every fault site drawing at its
- * natural rate, or one stratum of the stratified estimator
- * (error/ImportanceSampler.hh) under a FaultPlan.
+ * A batch runs one of two kinds of trials:
+ *  - naive Monte Carlo trials conditioned on at least one fault on
+ *    their nominal (fault-free) path, under FirstFaults: each
+ *    trial's first fault is placed at a nominal site and every
+ *    later site draws at its natural rate. The trials that meet no
+ *    fault cannot fail, and BatchAncillaSim tallies them exactly
+ *    from the nominal path (NominalPath) without simulating them;
+ *  - one stratum of the stratified estimator
+ *    (error/ImportanceSampler.hh) under a FaultPlan.
  *
  * Each width is instantiated in its own translation unit
  * (src/error/simd/BatchEngine*.cc) so the 256/512-bit ones can be
@@ -39,6 +45,7 @@
 #include "common/simd/SimdDispatch.hh"
 #include "error/AncillaSim.hh"
 #include "error/BatchPauliFrame.hh"
+#include "error/ImportanceSampler.hh"
 
 namespace qc {
 
@@ -59,11 +66,68 @@ struct FaultPlan
     int moveFaults = 0;
 };
 
-/** Fault sites per class on one path through a circuit. */
-struct SiteCounts
+/**
+ * A noiseless trial's walk through the circuits
+ * (BatchWorkerBase::probe): its fault sites in visit order and its
+ * tallies. Every trial that meets no fault walks this path. Faults
+ * only add work (verify retries, correction recycles, extra
+ * extraction rounds), so every trial visits at least its sites of
+ * each class — the bound a FaultPlan's subsets rely on.
+ */
+struct NominalPath
 {
-    std::uint64_t gate = 0;
-    std::uint64_t move = 0;
+    /** One fault site. */
+    struct Site
+    {
+        bool gate;     ///< gate class (pGate), else movement (pMove)
+        bool readout;  ///< a measurement: a fault flips its outcome
+        std::int8_t a; ///< the site's qubit
+        std::int8_t b; ///< its second qubit, or -1
+
+        bool operator==(const Site &) const = default;
+    };
+
+    std::vector<Site> sites;
+    PrepEstimate tally; ///< the trial's tallies; trials = 1
+
+    /** Gate-class sites (N_g). */
+    std::uint64_t
+    gateSites() const
+    {
+        return static_cast<std::uint64_t>(std::count_if(
+            sites.begin(), sites.end(),
+            [](const Site &s) { return s.gate; }));
+    }
+
+    /** Movement sites (N_m). */
+    std::uint64_t
+    moveSites() const
+    {
+        return sites.size() - gateSites();
+    }
+};
+
+/**
+ * The naive trials of a batch that fault on their nominal path,
+ * each conditioned on its first fault. Per nominal site j the
+ * hazard is p_j / P(a fault at sites j..end): the chance that a
+ * trial with no fault before j, and at least one from j on, faults
+ * first at j. The batch draws how many of its trials first fault
+ * at each site, one binomial per site over the trials not yet
+ * placed, and lays its trials out in that order.
+ */
+struct FirstFaults
+{
+    std::vector<double> hazard; ///< per nominal site, in visit order
+    bool coin = false;          ///< every trial's pi/8 fix-up coin
+};
+
+/** One job of a batch loop: `trials` trials under one of the two. */
+struct BatchJob
+{
+    std::uint64_t trials = 0;
+    const FaultPlan *plan = nullptr;     ///< a stratum's trials
+    const FirstFaults *faults = nullptr; ///< or naive faulty trials
 };
 
 /** Width-erased interface of one batch worker. */
@@ -74,30 +138,27 @@ class BatchWorkerBase
 
     virtual ~BatchWorkerBase() = default;
 
-    /** Build the batch's active mask for its first k trials. */
-    virtual const Word *activeMask(int k) = 0;
-
     /**
-     * Run one batch of trials under the active mask: a zero prep,
-     * then the pi/8 conversion (Fig 5b) if `pi8`. Faults follow
-     * `plan`, or the natural rates (naive Monte Carlo) when it is
-     * null. Adds the batch's tallies to `tally`, all but `trials`.
+     * Run `trials` (at most the batch width) trials of one stratum
+     * under `plan`: a zero prep, then the pi/8 conversion (Fig 5b)
+     * if `pi8`. Adds the batch's tallies to `tally`, all but
+     * `trials`.
      */
     virtual void runBatch(Rng rng, ZeroPrepStrategy strategy,
-                          bool pi8, const Word *active,
-                          const FaultPlan *plan,
+                          bool pi8, int trials, const FaultPlan &plan,
                           PrepEstimate &tally) = 0;
 
-    /**
-     * The nominal path's fault sites per class: one noiseless trial
-     * with the pi/8 fix-up coin pinned to "no fix-up". Faults only
-     * add work (verify retries, correction recycles, extra
-     * extraction rounds), so every realized path visits at least
-     * these many sites of each class — the bound a FaultPlan's
-     * subsets rely on.
-     */
-    virtual SiteCounts countSites(ZeroPrepStrategy strategy,
-                                  bool pi8) = 0;
+    /** Run `trials` naive trials that fault on the nominal path
+     *  whose hazards `faults` holds. */
+    virtual void runBatch(Rng rng, ZeroPrepStrategy strategy,
+                          bool pi8, int trials,
+                          const FirstFaults &faults,
+                          PrepEstimate &tally) = 0;
+
+    /** One noiseless trial with the pi/8 fix-up coin pinned to
+     *  `coin`: the nominal path it walks. */
+    virtual NominalPath probe(ZeroPrepStrategy strategy, bool pi8,
+                              bool coin) = 0;
 };
 
 /**
@@ -199,70 +260,51 @@ class BatchWorkerT final : public BatchWorkerBase
     {
     }
 
-    const Word *
-    activeMask(int k) override
+    void
+    runBatch(Rng rng, ZeroPrepStrategy strategy, bool pi8, int trials,
+             const FaultPlan &plan, PrepEstimate &tally) override
     {
-        for (int w = 0; w < words_; ++w) {
-            const int lo = 64 * w;
-            if (k >= lo + 64)
-                active_[w] = ~Word{0};
-            else if (k <= lo)
-                active_[w] = 0;
-            else
-                active_[w] = (Word{1} << (k - lo)) - 1;
-        }
-        return active_.data();
+        const Word *active = start(rng, trials, tally, &plan);
+        arm(gate_, plan.gateSites, plan.gateFaults, active);
+        arm(move_, plan.moveSites, plan.moveFaults, active);
+        simulate(strategy, pi8, active);
     }
 
     void
-    runBatch(Rng rng, ZeroPrepStrategy strategy, bool pi8,
-             const Word *active, const FaultPlan *plan,
-             PrepEstimate &tally) override
+    runBatch(Rng rng, ZeroPrepStrategy strategy, bool pi8, int trials,
+             const FirstFaults &faults, PrepEstimate &tally) override
     {
-        rng_ = rng;
-        gate_.stream.reset(rng_);
-        move_.stream.reset(rng_);
-        plan_ = plan;
-        tally_ = &tally;
-        if (plan) {
-            arm(gate_, plan->gateSites, plan->gateFaults, active);
-            arm(move_, plan->moveSites, plan->moveFaults, active);
+        const Word *active = start(rng, trials, tally, nullptr);
+        coinOn_ = faults.coin;
+        // Per nominal site, how many of the trials not yet placed
+        // fault first there; the last site's hazard is 1.
+        firstFaults_.assign(faults.hazard.size(), 0);
+        std::uint64_t left = static_cast<std::uint64_t>(trials);
+        for (std::size_t j = 0; left > 0 && j < faults.hazard.size();
+             ++j) {
+            const std::uint64_t n =
+                drawBinomial(rng_, left, faults.hazard[j]);
+            firstFaults_[j] = static_cast<std::uint32_t>(n);
+            left -= n;
         }
-        frame_.clear();
-        const bool verified =
-            strategy == ZeroPrepStrategy::VerifyOnly ||
-            strategy == ZeroPrepStrategy::VerifyAndCorrect;
-        const bool corrected =
-            strategy == ZeroPrepStrategy::CorrectOnly ||
-            strategy == ZeroPrepStrategy::VerifyAndCorrect;
-
-        if (corrected)
-            drainCorrectedPrep(active, verified);
-        else
-            prepareBlock(batch_detail::blockA, verified, active);
-        if (pi8)
-            convertPi8(active);
-        classifyTally(active);
+        assert(left == 0);
+        simulate(strategy, pi8, active);
     }
 
-    SiteCounts
-    countSites(ZeroPrepStrategy strategy, bool pi8) override
+    NominalPath
+    probe(ZeroPrepStrategy strategy, bool pi8, bool coin) override
     {
-        // No planned faults and an N_c no path reaches: every
-        // countdown only steps down, by one per site visited.
-        constexpr std::uint64_t kUnreached = 0xffffffffu;
-        const FaultPlan plan{kUnreached, kUnreached, 0, 0};
-        const FaultSites gate = gate_, move = move_;
-        gate_.stream = move_.stream = RareBernoulliStream();
-        coinOff_ = true;
-        PrepEstimate tally;
-        runBatch(Rng(), strategy, pi8, activeMask(1), &plan, tally);
-        coinOff_ = false;
-        const SiteCounts sites{kUnreached - countdownOf(gate_, 0),
-                               kUnreached - countdownOf(move_, 0)};
-        gate_ = gate;
-        move_ = move;
-        return sites;
+        // One trial that never faults: every site it visits is
+        // nominal, and no stream draws for it (no lane is past its
+        // first fault).
+        NominalPath path;
+        const Word *active = start(Rng(), 1, path.tally, nullptr);
+        coinOn_ = coin;
+        record_ = &path;
+        simulate(strategy, pi8, active);
+        record_ = nullptr;
+        path.tally.trials = 1;
+        return path;
     }
 
   private:
@@ -290,6 +332,44 @@ class BatchWorkerT final : public BatchWorkerBase
     };
 
     std::size_t wv() const { return static_cast<std::size_t>(words_); }
+
+    /** Reset the batch state for `trials` trials; their mask. */
+    const Word *
+    start(Rng rng, int trials, PrepEstimate &tally,
+          const FaultPlan *plan)
+    {
+        rng_ = rng;
+        gate_.stream.reset(rng_);
+        move_.stream.reset(rng_);
+        tally_ = &tally;
+        plan_ = plan;
+        trials_ = trials;
+        placed_ = 0;
+        site_ = 0;
+        for (int w = 0; w < words_; ++w)
+            active_[w] = laneRange(w, 0, trials);
+        return active_.data();
+    }
+
+    void
+    simulate(ZeroPrepStrategy strategy, bool pi8, const Word *active)
+    {
+        frame_.clear();
+        const bool verified =
+            strategy == ZeroPrepStrategy::VerifyOnly ||
+            strategy == ZeroPrepStrategy::VerifyAndCorrect;
+        const bool corrected =
+            strategy == ZeroPrepStrategy::CorrectOnly ||
+            strategy == ZeroPrepStrategy::VerifyAndCorrect;
+
+        if (corrected)
+            drainCorrectedPrep(active, verified);
+        else
+            prepareBlock(batch_detail::blockA, verified, active);
+        if (pi8)
+            convertPi8(active);
+        classifyTally(active);
+    }
 
     /**
      * Draw each active trial's planned sites of one class: a uniform
@@ -350,19 +430,6 @@ class BatchWorkerT final : public BatchWorkerBase
         }
     }
 
-    std::uint64_t
-    countdownOf(const FaultSites &c, std::size_t t) const
-    {
-        std::uint64_t v = 0;
-        for (int i = 0; i < c.bits; ++i)
-            v |= ((c.countdown[static_cast<std::size_t>(i) * wv()
-                               + t / 64]
-                   >> (t & 63))
-                  & 1)
-                << i;
-        return v;
-    }
-
     /**
      * One class-c site of a planned batch for the trials in m. Each
      * counting trial's countdown steps down by one, with the borrow
@@ -416,6 +483,46 @@ class BatchWorkerT final : public BatchWorkerBase
         return any;
     }
 
+    /** Trials [0, from) draw from the stream at a site; [from, to)
+     *  fault first there. */
+    struct Lanes
+    {
+        int from, to;
+    };
+
+    /**
+     * A naive batch's site of class c for the trials in m. Its
+     * trials are laid out in first-fault order, so the ones not yet
+     * placed, [placed_, trials_), have met no fault: they walk the
+     * nominal path, all in m at a nominal site and none elsewhere,
+     * and the last one's bit tells which. At a nominal site the next
+     * firstFaults_ count of them fault first (a probe records the
+     * site instead); the trials before them draw from the stream.
+     */
+    [[gnu::always_inline]] Lanes
+    firstFault(FaultSites &c, int a, int b, bool readout, const Word *m)
+    {
+        const int from = placed_;
+        const int last = trials_ - 1;
+        if (from < trials_ && (m[last / 64] >> (last % 64) & 1)) {
+            if (record_) {
+                record(c, a, b, readout);
+            } else {
+                assert(site_ < firstFaults_.size());
+                placed_ += static_cast<int>(firstFaults_[site_++]);
+            }
+        }
+        return {from, placed_};
+    }
+
+    [[gnu::noinline]] void
+    record(const FaultSites &c, int a, int b, bool readout)
+    {
+        record_->sites.push_back({&c == &gate_, readout,
+                                  static_cast<std::int8_t>(a),
+                                  static_cast<std::int8_t>(b)});
+    }
+
     /**
      * A one-qubit fault site of class c on q for the trials in m.
      * Inlined: at low rates a naive site is a compare in the stream
@@ -424,20 +531,28 @@ class BatchWorkerT final : public BatchWorkerBase
     [[gnu::always_inline]] void
     inject1(FaultSites &c, int q, const Word *m)
     {
-        if (plan_)
+        if (plan_) {
             plannedInject1(c, q, m);
-        else
-            frame_.inject1q(rng_, c.stream, q, m);
+            return;
+        }
+        const Lanes l = firstFault(c, q, -1, false, m);
+        frame_.inject1q(rng_, c.stream, q, m, l.from);
+        if (l.to > l.from)
+            frame_.fault1q(rng_, q, l.from, l.to);
     }
 
     /** A two-qubit fault site of class c on (a, b). */
     [[gnu::always_inline]] void
     inject2(FaultSites &c, int a, int b, const Word *m)
     {
-        if (plan_)
+        if (plan_) {
             plannedInject2(c, a, b, m);
-        else
-            frame_.inject2q(rng_, c.stream, a, b, m);
+            return;
+        }
+        const Lanes l = firstFault(c, a, b, false, m);
+        frame_.inject2q(rng_, c.stream, a, b, m, l.from);
+        if (l.to > l.from)
+            frame_.fault2q(rng_, a, b, l.from, l.to);
     }
 
     /** A planned batch's site: its placed faults, plus the
@@ -446,7 +561,7 @@ class BatchWorkerT final : public BatchWorkerBase
     plannedInject1(FaultSites &c, int q, const Word *m)
     {
         const bool planned = advance(c, m);
-        frame_.inject1q(rng_, c.stream, q, draws_.data());
+        frame_.inject1q(rng_, c.stream, q, draws_.data(), 64 * words_);
         if (planned)
             frame_.fault1q(rng_, q, hits_.data());
     }
@@ -455,7 +570,8 @@ class BatchWorkerT final : public BatchWorkerBase
     plannedInject2(FaultSites &c, int a, int b, const Word *m)
     {
         const bool planned = advance(c, m);
-        frame_.inject2q(rng_, c.stream, a, b, draws_.data());
+        frame_.inject2q(rng_, c.stream, a, b, draws_.data(),
+                        64 * words_);
         if (planned)
             frame_.fault2q(rng_, a, b, hits_.data());
     }
@@ -498,10 +614,12 @@ class BatchWorkerT final : public BatchWorkerBase
 
         // Conditional transversal Z fix-up on half the outcomes: the
         // intended gate leaves the frame untouched but its physical
-        // ops still inject errors. One fair coin per trial, pinned
-        // to "no fix-up" while counting sites.
+        // ops still inject errors. One fair coin per trial, drawn
+        // here in a planned batch; a naive batch draws it up front
+        // (FirstFaults::coin), a probe pins it.
         for (int w = 0; w < words_; ++w)
-            coin_[w] = coinOff_ ? 0 : rng_() & active[w];
+            coin_[w] = plan_ ? rng_() & active[w]
+                             : coinOn_ ? active[w] : Word{0};
         for (int i = 0; i < 7; ++i)
             inject1(gate_, batch_detail::blockA + i, coin_.data());
     }
@@ -612,24 +730,32 @@ class BatchWorkerT final : public BatchWorkerBase
     /**
      * Per-trial recorded-outcome flips of measuring q in the X basis
      * (`xBasis`: phase errors flip the outcome) or the Z basis (bit
-     * errors do). The flip stream advances over all words
-     * regardless of the mask (width-invariant RNG); flips outside
-     * the mask (or, in a planned batch, outside draws_) are
-     * discarded.
+     * errors do). The flip stream advances regardless of the mask
+     * (width-invariant RNG), over all words in a planned batch and
+     * over the trials past their first fault in a naive one; flips
+     * outside the mask (or outside draws_, resp. those trials) are
+     * discarded. A trial whose first fault is this site flips.
      */
     void
     measureFlip(bool xBasis, int q, const Word *m, Word *out)
     {
         chargeMeasMovement(q, m);
         const Word *plane = xBasis ? frame_.z(q) : frame_.x(q);
-        if (plan_)
-            advance(gate_, m);
         std::fill(out, out + words_, Word{0});
-        gate_.stream.window(rng_, words_,
-                            [&](int w, Word f) { out[w] = f; });
         if (plan_) {
+            advance(gate_, m);
+            gate_.stream.window(rng_, words_,
+                                [&](int w, Word f) { out[w] = f; });
             for (int w = 0; w < words_; ++w)
                 out[w] = (out[w] & draws_[w]) | hits_[w];
+        } else {
+            const Lanes l = firstFault(gate_, q, -1, true, m);
+            gate_.stream.window(rng_, (l.from + 63) / 64,
+                                [&](int w, Word f) {
+                                    out[w] = f & laneRange(w, 0, l.from);
+                                });
+            for (int w = l.from / 64; w < (l.to + 63) / 64; ++w)
+                out[w] |= laneRange(w, l.from, l.to);
         }
         simd::spans<Ops>(words_, [&](auto ops, int w) {
             using O = decltype(ops);
@@ -906,7 +1032,15 @@ class BatchWorkerT final : public BatchWorkerBase
     FaultSites move_;
     const FaultPlan *plan_ = nullptr; ///< this batch's, or naive
     PrepEstimate *tally_ = nullptr;   ///< this batch's tallies
-    bool coinOff_ = false;            ///< countSites' pinned coin
+    int trials_ = 0;                  ///< this batch's active lanes
+    // Naive batch state (firstFault): trials past their first fault,
+    // [0, placed_); per nominal site, the trials that fault first
+    // there; the next nominal site; the pi/8 coin; a probe's record.
+    int placed_ = 0;
+    std::vector<std::uint32_t> firstFaults_;
+    std::size_t site_ = 0;
+    bool coinOn_ = false;
+    NominalPath *record_ = nullptr;
     BatchPauliFrameT<Ops> frame_;
 
     std::vector<Word> meas_; ///< 7 readout-flip planes (7 * words_)

@@ -28,9 +28,10 @@
  *
  * Error injection draws from a RareBernoulliStream (one uniform
  * draw per *hit*, O(1) skip over hit-free injection sites). The
- * stream always advances over all words_ regardless of the mask —
- * masked-out hits are discarded, they draw no Pauli kind — so the
- * RNG stream is a pure function of the injection sequence.
+ * stream advances over the words that hold the caller's first
+ * `lanes` trials regardless of the mask — masked-out hits are
+ * discarded, they draw no Pauli kind — so the RNG stream is a pure
+ * function of the injection sequence.
  */
 
 #ifndef QC_ERROR_BATCH_PAULI_FRAME_HH
@@ -45,6 +46,18 @@
 #include "common/simd/SimdOps.hh"
 
 namespace qc {
+
+/** The bits of word w that hold trials [from, to). */
+inline std::uint64_t
+laneRange(int w, int from, int to)
+{
+    const auto below = [w](int lane) {
+        const int n = std::clamp(lane - 64 * w, 0, 64);
+        return n == 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << n) - 1;
+    };
+    return below(to) & ~below(from);
+}
 
 /** X/Z error bit-planes over numQubits x (64 * wordsPerQubit) trials. */
 template <class Ops = simd::WordOps>
@@ -192,32 +205,37 @@ class BatchPauliFrameT
 
     /**
      * Uniform non-identity Pauli with probability p on qubit q, per
-     * masked trial: the stream advances over all wordsPerQubit()
-     * words unconditionally (one uniform draw per hit bit, none
-     * otherwise); hits outside the mask are dropped without drawing
-     * a Pauli kind.
+     * masked trial among the first `lanes`: the stream advances over
+     * the words holding those trials unconditionally (one uniform
+     * draw per hit bit, none otherwise); hits outside the mask or
+     * past `lanes` are dropped without drawing a Pauli kind.
      */
     void
-    inject1q(Rng &rng, RareBernoulliStream &p, int q, const Word *m)
+    inject1q(Rng &rng, RareBernoulliStream &p, int q, const Word *m,
+             int lanes)
     {
         Word *xq = x(q);
         Word *zq = z(q);
-        p.window(rng, words_, [&](int w, Word raw) {
-            pauli1q(rng, raw & m[w], xq[w], zq[w]);
+        const int words = (lanes + 63) / 64;
+        p.window(rng, words, [&](int w, Word raw) {
+            pauli1q(rng, raw & m[w] & laneRange(w, 0, lanes), xq[w],
+                    zq[w]);
         });
     }
 
     /** Uniform non-identity two-qubit Pauli (see inject1q). */
     void
     inject2q(Rng &rng, RareBernoulliStream &p, int a, int b,
-             const Word *m)
+             const Word *m, int lanes)
     {
         Word *xa = x(a);
         Word *za = z(a);
         Word *xb = x(b);
         Word *zb = z(b);
-        p.window(rng, words_, [&](int w, Word raw) {
-            pauli2q(rng, raw & m[w], xa[w], za[w], xb[w], zb[w]);
+        const int words = (lanes + 63) / 64;
+        p.window(rng, words, [&](int w, Word raw) {
+            pauli2q(rng, raw & m[w] & laneRange(w, 0, lanes), xa[w],
+                    za[w], xb[w], zb[w]);
         });
     }
 
@@ -245,6 +263,29 @@ class BatchPauliFrameT
         Word *zb = z(b);
         for (int w = 0; w < words_; ++w)
             pauli2q(rng, hits[w], xa[w], za[w], xb[w], zb[w]);
+    }
+
+    /** fault1q on the trials [from, to), visiting only their words. */
+    void
+    fault1q(Rng &rng, int q, int from, int to)
+    {
+        Word *xq = x(q);
+        Word *zq = z(q);
+        for (int w = from / 64; w < (to + 63) / 64; ++w)
+            pauli1q(rng, laneRange(w, from, to), xq[w], zq[w]);
+    }
+
+    /** fault2q on the trials [from, to). */
+    void
+    fault2q(Rng &rng, int a, int b, int from, int to)
+    {
+        Word *xa = x(a);
+        Word *za = z(a);
+        Word *xb = x(b);
+        Word *zb = z(b);
+        for (int w = from / 64; w < (to + 63) / 64; ++w)
+            pauli2q(rng, laneRange(w, from, to), xa[w], za[w], xb[w],
+                    zb[w]);
     }
 
     /** @} */

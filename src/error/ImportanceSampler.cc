@@ -19,7 +19,9 @@ constexpr double kMinStratumPrior = 1e-18;
 double
 StratumEstimate::rate() const
 {
-    if (analytic || trials == 0)
+    if (analytic)
+        return exactRate;
+    if (trials == 0)
         return 0.0;
     return static_cast<double>(failures)
         / static_cast<double>(trials);
@@ -28,7 +30,9 @@ StratumEstimate::rate() const
 Interval
 StratumEstimate::interval() const
 {
-    if (analytic || trials == 0)
+    if (analytic)
+        return {exactRate, exactRate};
+    if (trials == 0)
         return {0.0, 0.0};
     return wilsonInterval(failures, trials);
 }
@@ -77,6 +81,88 @@ binomialPmf(std::uint64_t n, double p, std::uint64_t k)
         pmf *= ratio * static_cast<double>(n - j)
             / static_cast<double>(j + 1);
     return pmf;
+}
+
+std::uint64_t
+drawBinomial(Rng &rng, std::uint64_t n, double p)
+{
+    if (n == 0 || p <= 0.0)
+        return 0;
+    if (p >= 1.0)
+        return n;
+    if (p > 0.5)
+        return n - drawBinomial(rng, n, 1.0 - p); // 1 - p is exact
+    double pmf = 1.0;
+    double base = 1.0 - p;
+    for (std::uint64_t e = n; e; e >>= 1) {
+        if (e & 1)
+            pmf *= base;
+        base *= base;
+    }
+    if (pmf < 1e-200) {
+        const std::uint64_t half = n / 2;
+        return drawBinomial(rng, half, p)
+            + drawBinomial(rng, n - half, p);
+    }
+    double u = rng.uniform01();
+    const double ratio = p / (1.0 - p);
+    std::uint64_t k = 0;
+    while (u >= pmf && k < n) {
+        u -= pmf;
+        pmf *= ratio * static_cast<double>(n - k)
+            / static_cast<double>(k + 1);
+        ++k;
+    }
+    return k;
+}
+
+BinomialTable::BinomialTable(std::uint64_t n, double p)
+{
+    if (n == 0 || p <= 0.0 || p >= 1.0) {
+        lo_ = p >= 1.0 ? n : 0;
+        cdf_ = {1.0};
+        return;
+    }
+    constexpr double kNegligible = 0x1p-64;
+    const auto mode = std::min<std::uint64_t>(
+        n, static_cast<std::uint64_t>(static_cast<double>(n + 1) * p));
+    // pmf(i) / pmf(mode), down from and up from the mode.
+    std::vector<double> below;
+    double t = 1.0;
+    for (std::uint64_t i = mode; i > 0; --i) {
+        t *= static_cast<double>(i) / static_cast<double>(n - i + 1)
+            * ((1.0 - p) / p);
+        if (t < kNegligible)
+            break;
+        below.push_back(t);
+    }
+    std::vector<double> above;
+    t = 1.0;
+    for (std::uint64_t i = mode; i < n; ++i) {
+        t *= static_cast<double>(n - i) / static_cast<double>(i + 1)
+            * (p / (1.0 - p));
+        if (t < kNegligible)
+            break;
+        above.push_back(t);
+    }
+    lo_ = mode - below.size();
+    double sum = 0.0;
+    for (auto it = below.rbegin(); it != below.rend(); ++it)
+        cdf_.push_back(sum += *it);
+    cdf_.push_back(sum += 1.0);
+    for (double v : above)
+        cdf_.push_back(sum += v);
+    for (double &c : cdf_)
+        c /= sum;
+    cdf_.back() = 1.0;
+}
+
+std::uint64_t
+BinomialTable::draw(Rng &rng) const
+{
+    const auto it =
+        std::upper_bound(cdf_.begin(), cdf_.end() - 1, rng.uniform01());
+    return lo_ + static_cast<std::uint64_t>(it - cdf_.begin());
 }
 
 StratifiedEstimate

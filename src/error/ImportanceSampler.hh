@@ -1,19 +1,22 @@
 /**
  * @file
  * Fixed-fault-count importance sampling for deep-subthreshold
- * preparation error rates (Bravyi & Vargo-style subset sampling).
+ * preparation error rates (Bravyi & Vargo-style subset sampling),
+ * and the binomial draws of the naive estimator, which cuts the
+ * same decomposition at "no fault" versus "at least one"
+ * (error/BatchAncillaSim.hh).
  *
  * Naive Monte Carlo at a failure rate f needs ~100/f trials for a
  * tight CI — hopeless at the apply-fix 4.5e-6 point and impossible
  * at projected level-2 rates (~1e-12). This sampler instead
  * stratifies trials by the number of injected faults per class:
  *
- *   1. A noiseless dry run counts the nominal path's fault sites
- *      per class: N_g gate sites (prep/1q/2q/measurement at pGate)
- *      and N_m movement sites (at pMove). Faults only ever add
- *      work (verify retries, correction recycles, extra extraction
- *      rounds), so every realized path visits at least N_g / N_m
- *      sites of each class.
+ *   1. A noiseless probe, with the pi/8 fix-up coin off, counts
+ *      the nominal path's fault sites per class: N_g gate sites
+ *      (prep/1q/2q/measurement at pGate) and N_m movement sites
+ *      (at pMove). Faults only ever add work (verify retries,
+ *      correction recycles, extra extraction rounds), so every
+ *      realized path visits at least N_g / N_m sites of each class.
  *   2. The failure probability decomposes exactly over the joint
  *      count (A, B) of faults among the first N_g gate and first
  *      N_m movement sites realized:
@@ -33,8 +36,12 @@
  *      when a fault already fired) sample at the natural rate.
  *      BatchAncillaSim::estimateStratified runs the strata on the
  *      batch engine (error/BatchEngine.hh, FaultPlan).
- *      The (0, 0) stratum is analytic: zero faults on the nominal
- *      path cannot fail, f_00 = 0.
+ *      The (0, 0) stratum is analytic. A zero prep with zero faults
+ *      on its nominal path cannot fail, f_00 = 0. A pi/8 trial
+ *      can: with the fix-up coin on (one half) it runs 7 gate
+ *      sites past N_g at the natural rate, and f_00 is one half
+ *      times the chance that their faults leave a logical error,
+ *      summed exactly over their Pauli patterns.
  *
  * The combined estimate weighs per-stratum Wilson intervals by the
  * binomial priors; the truncated tail mass (strata beyond
@@ -52,6 +59,7 @@
 #include <vector>
 
 #include "common/Params.hh"
+#include "common/Rng.hh"
 #include "common/Stats.hh"
 
 namespace qc {
@@ -74,12 +82,14 @@ struct StratumEstimate
     double prior = 0.0; ///< P(A=a) * P(B=b)
     std::uint64_t trials = 0;
     std::uint64_t failures = 0;
-    bool analytic = false; ///< (0,0): f == 0 exactly, no trials
+    bool analytic = false; ///< (0,0): f known exactly, no trials
+    double exactRate = 0.0; ///< the analytic stratum's f_ab
 
     /** Conditional failure rate estimate f_ab. */
     double rate() const;
 
-    /** 95% Wilson interval on f_ab ({0,0} for the analytic stratum). */
+    /** 95% Wilson interval on f_ab (zero width for the analytic
+     *  stratum). */
     Interval interval() const;
 };
 
@@ -108,6 +118,36 @@ struct StratifiedEstimate
  * transcendentals beyond +-*-/ — bit-identical across platforms).
  */
 double binomialPmf(std::uint64_t n, double p, std::uint64_t k);
+
+/**
+ * One Binomial(n, p) draw by inversion of one uniform per draw,
+ * walking the pmf up from (1 - p)^n (taken by squaring; +-*-/
+ * only). Cost O(1 + n min(p, 1 - p)): meant for small means, as in
+ * the batch engine's first-fault counts. A p above 1/2 draws the
+ * complement, and an n whose (1 - p)^n would underflow is split in
+ * halves.
+ */
+std::uint64_t drawBinomial(Rng &rng, std::uint64_t n, double p);
+
+/**
+ * Binomial(n, p) by inversion over a table of its pmf: one table
+ * per (n, p), then O(log n) per draw. The table is built outward
+ * from the mode with +-*-/ only, because the from-zero recurrence
+ * of binomialPmf underflows once (1 - p)^n does (at n = 4096 for p
+ * above about 0.16). Terms below 2^-64 of the mode's are dropped:
+ * their mass is far under a uniform's 53-bit resolution.
+ */
+class BinomialTable
+{
+  public:
+    BinomialTable(std::uint64_t n, double p);
+
+    std::uint64_t draw(Rng &rng) const;
+
+  private:
+    std::uint64_t lo_ = 0;    ///< the table's least outcome
+    std::vector<double> cdf_; ///< P(K <= lo_ + i)
+};
 
 /**
  * The strata of a circuit with `gateSites` / `moveSites` nominal-path

@@ -50,6 +50,10 @@ class ExperimentRunner : public SweepRunner
         return schema;
     }
 
+    /** 1: calibrated points read the naive Monte Carlo that
+     *  simulates only the trials that fault. */
+    int resultVersion() const override { return 1; }
+
     Json
     runPoint(const Json &config,
              SweepContext &context) const override
@@ -167,8 +171,11 @@ class McPrepRunner : public SweepRunner
 
     const FieldSchema &schema() const override { return mcPrepTable(); }
 
-    /** 1: stratified points run their strata on the batch engine. */
-    int resultVersion() const override { return 1; }
+    /** 1: stratified points run their strata on the batch engine.
+     *  2: naive points simulate only the trials that fault, and
+     *  stratified pi/8 points count their (0,0) stratum's fix-up
+     *  failures. */
+    int resultVersion() const override { return 2; }
 
     Json
     metadata() const override
@@ -253,6 +260,10 @@ class PaperRunner : public SweepRunner
         return "the paper-fidelity ledger: Tables 1-9 and Figures 4, "
                "5b and 7 beside the paper's printed values";
     }
+
+    /** 1: the Monte Carlo rows simulate only the trials that
+     *  fault. */
+    int resultVersion() const override { return 1; }
 
     Json
     runPoint(const Json &, SweepContext &) const override

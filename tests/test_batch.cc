@@ -21,6 +21,7 @@
 #include "common/Stats.hh"
 #include "error/AncillaSim.hh"
 #include "error/BatchAncillaSim.hh"
+#include "error/BatchEngine.hh"
 #include "error/BatchPauliFrame.hh"
 
 #include "ScalarAncillaSim.hh"
@@ -95,14 +96,14 @@ TEST(BatchPauliFrame, InjectionRespectsMaskAndProbability)
     RareBernoulliStream certain(1.0);
     const std::uint64_t mask = 0xAAAAAAAAAAAAAAAAull;
 
-    frame.inject1q(rng, certain, 0, &mask);
+    frame.inject1q(rng, certain, 0, &mask, 64);
     for (int t = 0; t < 64; ++t) {
         const bool hit = ((frame.x(0)[0] | frame.z(0)[0]) >> t) & 1;
         EXPECT_EQ(hit, ((mask >> t) & 1) != 0) << "t=" << t;
     }
 
     frame.clear();
-    frame.inject2q(rng, certain, 0, 1, &mask);
+    frame.inject2q(rng, certain, 0, 1, &mask, 64);
     for (int t = 0; t < 64; ++t) {
         const bool hit = ((frame.x(0)[0] | frame.z(0)[0]
                            | frame.x(1)[0] | frame.z(1)[0])
@@ -121,7 +122,7 @@ TEST(BatchPauliFrame, InjectionRespectsMaskAndProbability)
     const int rounds = 20000;
     for (int i = 0; i < rounds; ++i) {
         frame.clearQubit(0, &all);
-        frame.inject1q(rng, pctw, 0, &all);
+        frame.inject1q(rng, pctw, 0, &all, 64);
         faults += __builtin_popcountll(frame.x(0)[0]
                                        | frame.z(0)[0]);
     }
@@ -157,91 +158,6 @@ overlap(const Interval &a, const Interval &b)
     return a.lo <= b.hi && b.lo <= a.hi;
 }
 
-TEST(BatchAncillaSim, MatchesScalarEngineForAllStrategies)
-{
-    const std::uint64_t scalar_trials = 150000;
-    const std::uint64_t batch_trials = 1200000;
-    for (auto semantics :
-         {CorrectionSemantics::DiscardOnSyndrome,
-          CorrectionSemantics::ApplyFix}) {
-        for (auto strat :
-             {ZeroPrepStrategy::Basic, ZeroPrepStrategy::VerifyOnly,
-              ZeroPrepStrategy::CorrectOnly,
-              ZeroPrepStrategy::VerifyAndCorrect}) {
-            AncillaPrepSimulator scalar(ErrorParams::paper(),
-                                        MovementModel{}, 0xabc,
-                                        semantics);
-            BatchAncillaSim batch(ErrorParams::paper(),
-                                  MovementModel{}, 0xdef,
-                                  semantics);
-            const PrepEstimate s =
-                scalar.estimateScalar(strat, scalar_trials);
-            const PrepEstimate b =
-                batch.estimate(strat, batch_trials);
-            EXPECT_TRUE(overlap(s.errorInterval(),
-                                b.errorInterval()))
-                << zeroPrepStrategyName(strat) << " scalar ["
-                << s.errorInterval().lo << ", "
-                << s.errorInterval().hi << "] batch ["
-                << b.errorInterval().lo << ", "
-                << b.errorInterval().hi << "]";
-            // Verification discard rates must agree as well.
-            if (s.verifyTrials && b.verifyTrials) {
-                EXPECT_TRUE(overlap(
-                    wilsonInterval(s.discards, s.verifyTrials),
-                    wilsonInterval(b.discards, b.verifyTrials)))
-                    << zeroPrepStrategyName(strat);
-            }
-        }
-    }
-}
-
-TEST(BatchAncillaSim, MatchesScalarEngineForPi8)
-{
-    AncillaPrepSimulator scalar(ErrorParams::paper(),
-                                MovementModel{}, 0x314);
-    BatchAncillaSim batch(ErrorParams::paper(), MovementModel{},
-                          0x159);
-    const PrepEstimate s = scalar.estimateScalarPi8(100000);
-    const PrepEstimate b = batch.estimatePi8(800000);
-    EXPECT_TRUE(overlap(s.errorInterval(), b.errorInterval()))
-        << "scalar [" << s.errorInterval().lo << ", "
-        << s.errorInterval().hi << "] batch ["
-        << b.errorInterval().lo << ", " << b.errorInterval().hi
-        << "]";
-}
-
-TEST(BatchAncillaSim, ZeroNoiseMeansZeroFailuresExactTallies)
-{
-    ErrorParams clean;
-    clean.pGate = 0;
-    clean.pMove = 0;
-    BatchAncillaSim sim(clean, MovementModel{}, 3);
-    // 100 is deliberately not a multiple of the 64-trial word
-    // width: the partial-batch mask must keep tallies exact.
-    const PrepEstimate est =
-        sim.estimate(ZeroPrepStrategy::VerifyOnly, 100);
-    EXPECT_EQ(est.trials, 100u);
-    EXPECT_EQ(est.failures, 0u);
-    EXPECT_EQ(est.discards, 0u);
-    // Noiseless verification passes first try for every trial.
-    EXPECT_EQ(est.verifyTrials, 100u);
-
-    const PrepEstimate vc =
-        sim.estimate(ZeroPrepStrategy::VerifyAndCorrect, 100);
-    EXPECT_EQ(vc.failures, 0u);
-    EXPECT_EQ(vc.correctionDiscards, 0u);
-    // Bit and phase stage once per trial.
-    EXPECT_EQ(vc.correctionTrials, 200u);
-
-    EXPECT_EQ(sim.estimate(ZeroPrepStrategy::Basic, 0).trials, 0u);
-}
-
-// ---------------------------------------------------------------
-// Determinism: fixed seed + trial count => identical estimates,
-// independent of threading and repeatable across instances.
-// ---------------------------------------------------------------
-
 bool
 sameEstimate(const PrepEstimate &a, const PrepEstimate &b)
 {
@@ -251,6 +167,209 @@ sameEstimate(const PrepEstimate &a, const PrepEstimate &b)
         && a.correctionDiscards == b.correctionDiscards
         && a.correctionTrials == b.correctionTrials;
 }
+
+/**
+ * The noise points the engines are compared at: the paper's, and an
+ * elevated one where most batches retry, recycle and fault past
+ * their first fault.
+ */
+const ErrorParams kComparedNoise[] = {ErrorParams::paper(), {2e-3, 1e-4}};
+
+/** One fixed-seed comparison of the two engines' naive estimates. */
+void
+expectEnginesAgree(const ErrorParams &errors,
+                   CorrectionSemantics semantics,
+                   ZeroPrepStrategy strat)
+{
+    AncillaPrepSimulator scalar(errors, MovementModel{}, 0xabc,
+                                semantics);
+    BatchAncillaSim batch(errors, MovementModel{}, 0xdef, semantics);
+    const PrepEstimate s = scalar.estimateScalar(strat, 150000);
+    const PrepEstimate b = batch.estimate(strat, 1200000);
+    const std::string what = std::string(zeroPrepStrategyName(strat))
+        + " at pGate " + std::to_string(errors.pGate);
+    EXPECT_TRUE(overlap(s.errorInterval(), b.errorInterval()))
+        << what << " scalar [" << s.errorInterval().lo << ", "
+        << s.errorInterval().hi << "] batch [" << b.errorInterval().lo
+        << ", " << b.errorInterval().hi << "]";
+    // Verification discard rates must agree as well.
+    if (s.verifyTrials && b.verifyTrials) {
+        EXPECT_TRUE(overlap(wilsonInterval(s.discards, s.verifyTrials),
+                            wilsonInterval(b.discards, b.verifyTrials)))
+            << what;
+    }
+    // And the correction stages' recycle rates.
+    if (s.correctionTrials && b.correctionTrials) {
+        EXPECT_TRUE(overlap(wilsonInterval(s.correctionDiscards,
+                                           s.correctionTrials),
+                            wilsonInterval(b.correctionDiscards,
+                                           b.correctionTrials)))
+            << what;
+    }
+}
+
+TEST(BatchAncillaSim, MatchesScalarEngineForAllStrategies)
+{
+    for (const ErrorParams &errors : kComparedNoise) {
+        for (auto semantics : {CorrectionSemantics::DiscardOnSyndrome,
+                               CorrectionSemantics::ApplyFix}) {
+            for (auto strat :
+                 {ZeroPrepStrategy::Basic, ZeroPrepStrategy::VerifyOnly,
+                  ZeroPrepStrategy::CorrectOnly,
+                  ZeroPrepStrategy::VerifyAndCorrect})
+                expectEnginesAgree(errors, semantics, strat);
+        }
+    }
+}
+
+TEST(BatchAncillaSim, MatchesScalarEngineForPi8)
+{
+    for (const ErrorParams &errors : kComparedNoise) {
+        AncillaPrepSimulator scalar(errors, MovementModel{}, 0x314);
+        BatchAncillaSim batch(errors, MovementModel{}, 0x159);
+        const PrepEstimate s = scalar.estimateScalarPi8(100000);
+        const PrepEstimate b = batch.estimatePi8(800000);
+        EXPECT_TRUE(overlap(s.errorInterval(), b.errorInterval()))
+            << "pGate " << errors.pGate << " scalar ["
+            << s.errorInterval().lo << ", " << s.errorInterval().hi
+            << "] batch [" << b.errorInterval().lo << ", "
+            << b.errorInterval().hi << "]";
+        EXPECT_TRUE(
+            overlap(wilsonInterval(s.discards, s.verifyTrials),
+                    wilsonInterval(b.discards, b.verifyTrials)))
+            << "pGate " << errors.pGate;
+    }
+}
+
+TEST(BatchAncillaSim, ZeroNoiseMeansZeroFailuresExactTallies)
+{
+    // With no noise no trial faults: every one is tallied from the
+    // nominal path without being simulated.
+    ErrorParams clean;
+    clean.pGate = 0;
+    clean.pMove = 0;
+    struct Want
+    {
+        ZeroPrepStrategy strategy;
+        std::uint64_t verify[2];     ///< per trial: discard, apply-fix
+        std::uint64_t correction[2];
+    };
+    const Want wants[] = {
+        {ZeroPrepStrategy::Basic, {0, 0}, {0, 0}},
+        {ZeroPrepStrategy::VerifyOnly, {1, 1}, {0, 0}},
+        {ZeroPrepStrategy::CorrectOnly, {0, 0}, {2, 2}},
+        // Apply-fix confirms the phase syndrome with a second
+        // extraction on a second verified ancilla.
+        {ZeroPrepStrategy::VerifyAndCorrect, {3, 4}, {2, 3}},
+    };
+    const CorrectionSemantics semantics[] = {
+        CorrectionSemantics::DiscardOnSyndrome,
+        CorrectionSemantics::ApplyFix};
+    for (int i = 0; i < 2; ++i) {
+        BatchAncillaSim sim(clean, MovementModel{}, 3, semantics[i]);
+        for (const Want &want : wants) {
+            // 100 is deliberately not a multiple of the 64-trial
+            // word width.
+            const PrepEstimate est = sim.estimate(want.strategy, 100);
+            const std::string what =
+                std::string(zeroPrepStrategyName(want.strategy))
+                + (i ? " apply-fix" : " discard");
+            EXPECT_EQ(est.trials, 100u) << what;
+            EXPECT_EQ(est.failures, 0u) << what;
+            EXPECT_EQ(est.discards, 0u) << what;
+            EXPECT_EQ(est.correctionDiscards, 0u) << what;
+            EXPECT_EQ(est.verifyTrials, 100 * want.verify[i]) << what;
+            EXPECT_EQ(est.correctionTrials, 100 * want.correction[i])
+                << what;
+        }
+        const PrepEstimate pi8 = sim.estimatePi8(100);
+        EXPECT_EQ(pi8.trials, 100u);
+        EXPECT_EQ(pi8.failures, 0u);
+        EXPECT_EQ(pi8.discards, 0u);
+        EXPECT_EQ(pi8.verifyTrials, 100 * wants[3].verify[i]);
+        EXPECT_EQ(pi8.correctionTrials, 0u);
+    }
+
+    BatchAncillaSim sim(clean, MovementModel{}, 3);
+    EXPECT_EQ(sim.estimate(ZeroPrepStrategy::Basic, 0).trials, 0u);
+}
+
+TEST(BatchAncillaSim, Pi8CoinOnPathIsCoinOffPathPlusFixUp)
+{
+    // The naive estimator's two nominal paths, and the stratified
+    // pi/8 (0,0) rate, rest on this shape: the fix-up is one gate
+    // site per block-A qubit, after every other site.
+    for (auto semantics : {CorrectionSemantics::DiscardOnSyndrome,
+                           CorrectionSemantics::ApplyFix}) {
+        const auto worker =
+            makeBatchWorker(simd::Width::W64, ErrorParams::paper(),
+                            kFig11Movement, semantics, 1);
+        const NominalPath off = worker->probe(
+            ZeroPrepStrategy::VerifyAndCorrect, true, false);
+        const NominalPath on = worker->probe(
+            ZeroPrepStrategy::VerifyAndCorrect, true, true);
+        ASSERT_EQ(on.sites.size(), off.sites.size() + 7);
+        EXPECT_TRUE(std::equal(off.sites.begin(), off.sites.end(),
+                               on.sites.begin()));
+        for (int i = 0; i < 7; ++i) {
+            const NominalPath::Site &s =
+                on.sites[off.sites.size() + static_cast<std::size_t>(i)];
+            EXPECT_TRUE(s.gate && !s.readout);
+            EXPECT_EQ(s.a, i);
+            EXPECT_EQ(s.b, -1);
+        }
+        EXPECT_EQ(on.gateSites(), off.gateSites() + 7);
+        EXPECT_EQ(on.moveSites(), off.moveSites());
+        EXPECT_TRUE(sameEstimate(on.tally, off.tally));
+        if (semantics == CorrectionSemantics::DiscardOnSyndrome) {
+            EXPECT_EQ(off.gateSites(), 163u);
+            EXPECT_EQ(on.gateSites(), 170u);
+        }
+    }
+}
+
+TEST(BatchAncillaSim, Pi8ZeroStratumIsItsFixUpFailureRate)
+{
+    // A trial with no fault among the coin-off path's sites still
+    // fails when the coin is on and two fix-up faults leave a
+    // logical error. The stratified estimate's exact (0,0) rate must
+    // match batches planned with zero faults there.
+    ErrorParams errors;
+    errors.pGate = 1e-2;
+    errors.pMove = 1e-4;
+    BatchAncillaSim sim(errors, kFig11Movement, 7);
+    ImportanceConfig config;
+    config.maxFaults = 0;
+    const StratifiedEstimate est = sim.estimateStratifiedPi8(config);
+    ASSERT_EQ(est.strata.size(), 1u);
+    const StratumEstimate &zero = est.strata.front();
+    ASSERT_TRUE(zero.analytic);
+    EXPECT_EQ(zero.interval().lo, zero.rate());
+    EXPECT_EQ(zero.interval().hi, zero.rate());
+
+    const auto worker = makeBatchWorker(
+        simd::Width::W64, errors, kFig11Movement,
+        CorrectionSemantics::DiscardOnSyndrome, 64);
+    const FaultPlan plan{est.gateSites, est.moveSites, 0, 0};
+    PrepEstimate tally;
+    const int batches = 100;
+    Rng seeds(11);
+    for (int b = 0; b < batches; ++b)
+        worker->runBatch(Rng(seeds()), ZeroPrepStrategy::VerifyAndCorrect,
+                         true, 4096, plan, tally);
+    // A 4-sigma interval: a false alarm once in ~16,000 seeds.
+    const Interval ci =
+        wilsonInterval(tally.failures, 4096u * batches, 4.0);
+    EXPECT_TRUE(ci.contains(zero.rate()))
+        << zero.rate() << " outside [" << ci.lo << ", " << ci.hi << "]";
+    EXPECT_FALSE(ci.contains(0.0));
+}
+
+// ---------------------------------------------------------------
+// Determinism: fixed seed + trial count => identical estimates,
+// independent of threading and repeatable across instances.
+// ---------------------------------------------------------------
+
 
 bool
 sameStratified(const StratifiedEstimate &a, const StratifiedEstimate &b)

@@ -378,11 +378,14 @@ TEST(HoardKey, OtherRunnersUseTheIdentityPolicy)
 {
     const Json config =
         parse(R"({"trials": 1000, "seed": 7, "pGate": 1e-4})");
-    // Every mc-prep field is kept, plus the runner's result version.
+    // Every mc-prep field is kept, plus the runner's result version;
+    // the paper runner has no fields, so it keeps the whole config.
     Json versioned = config;
-    versioned.set("result_version", std::int64_t{1});
+    versioned.set("result_version", std::int64_t{2});
     EXPECT_EQ(hoardKeyConfig("mc-prep", config), versioned);
-    EXPECT_EQ(hoardKeyConfig("paper", config), config);
+    Json paper = config;
+    paper.set("result_version", std::int64_t{1});
+    EXPECT_EQ(hoardKeyConfig("paper", config), paper);
     EXPECT_TRUE(hoardReportingOnlyFields("mc-prep").empty());
     Json changed = config;
     changed.set("trials", 2000);
@@ -457,11 +460,13 @@ TEST(HoardKey, ResultVersionMakesOlderObjectsStaleNotCorrupt)
     const HoardVerifyReport report = hoard.verify();
     EXPECT_EQ(report.objects, 8u);
     EXPECT_EQ(report.quarantined, 0u);
+    const int version = builtins.get("mc-prep").resultVersion();
+    ASSERT_NE(version, 0);
     std::size_t versioned = 0;
     for (const HoardObjectInfo &info : hoard.list()) {
         const Json object = Json::loadFile(info.path);
-        versioned +=
-            object.at("key_config").getInt("result_version", 0) == 1;
+        versioned += object.at("key_config").getInt("result_version", 0)
+            == version;
     }
     EXPECT_EQ(versioned, 4u);
 }

@@ -76,6 +76,53 @@ TEST(BinomialPmf, EdgeCases)
     EXPECT_EQ(binomialPmf(3, 0.5, 4), 0.0);
 }
 
+TEST(BinomialDraws, MatchTheirMeanAndVarianceAcrossRegimes)
+{
+    // Both samplers of the naive estimator, including where
+    // (1 - p)^n underflows (drawBinomial splits n; the table starts
+    // at the mode) and where p > 1/2 (drawBinomial takes the
+    // complement).
+    struct Case
+    {
+        std::uint64_t n;
+        double p;
+    };
+    for (const Case c : {Case{4096, 1e-3}, Case{4096, 0.3},
+                         Case{4096, 0.9}, Case{7, 0.5},
+                         Case{16384, 0.05}}) {
+        Rng rng(42);
+        const BinomialTable table(c.n, c.p);
+        const int draws = 20000;
+        double sum[2] = {0, 0}, squares[2] = {0, 0};
+        for (int i = 0; i < draws; ++i) {
+            const double x[2] = {
+                static_cast<double>(drawBinomial(rng, c.n, c.p)),
+                static_cast<double>(table.draw(rng))};
+            for (int k = 0; k < 2; ++k) {
+                sum[k] += x[k];
+                squares[k] += x[k] * x[k];
+            }
+        }
+        const double mean = static_cast<double>(c.n) * c.p;
+        const double var = mean * (1 - c.p);
+        for (int k = 0; k < 2; ++k) {
+            const char *what = k ? "table" : "drawBinomial";
+            const double m = sum[k] / draws;
+            EXPECT_NEAR(m, mean, 5 * std::sqrt(var / draws))
+                << what << " n=" << c.n << " p=" << c.p;
+            // The variance estimate's standard error is ~1%.
+            EXPECT_NEAR(squares[k] / draws - m * m, var, 0.1 * var)
+                << what << " n=" << c.n << " p=" << c.p;
+        }
+    }
+    Rng rng(1);
+    EXPECT_EQ(drawBinomial(rng, 10, 0.0), 0u);
+    EXPECT_EQ(drawBinomial(rng, 10, 1.0), 10u);
+    EXPECT_EQ(drawBinomial(rng, 0, 0.5), 0u);
+    EXPECT_EQ(BinomialTable(10, 1.0).draw(rng), 10u);
+    EXPECT_EQ(BinomialTable(10, 0.0).draw(rng), 0u);
+}
+
 /** One prep circuit: a zero-prep strategy, or the pi/8 conversion
  *  of a verified-and-corrected zero. */
 struct PrepCircuit
@@ -158,7 +205,7 @@ TEST(StratifiedPrepSampler, SiteCountsMatchNominalBasicCircuit)
     EXPECT_EQ(est.gateSites, gates);
     EXPECT_EQ(est.moveSites, moves);
 
-    // Every circuit's batch dry run counts what the scalar oracle's
+    // Every circuit's batch probe counts what the scalar oracle's
     // dry run counts (maxFaults 0 runs no trials).
     config.maxFaults = 0;
     for (const MovementModel &model :
