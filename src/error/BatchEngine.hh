@@ -38,6 +38,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "codes/SteaneCode.hh"
@@ -255,8 +256,8 @@ class BatchWorkerT final : public BatchWorkerBase
           done_(wv()), ok_(wv()), prepMask_(wv()), flip_(wv()),
           measTmp_(wv()), eq_(wv()), confirm_(wv()),
           have_(wv()), agree_(wv()), prevS0_(wv()), prevS1_(wv()),
-          prevS2_(wv()), prevP_(wv()), coin_(wv()), due_(wv()),
-          hits_(wv()), draws_(wv())
+          prevS2_(wv()), prevP_(wv()), coin_(wv()),
+          hitBuffer_(64 * wv() + 1)
     {
     }
 
@@ -309,26 +310,41 @@ class BatchWorkerT final : public BatchWorkerBase
 
   private:
     /**
+     * Trials not yet natural that stood in and out of a class's site
+     * masks together, so they stand at one index: the count of class
+     * sites each has visited.
+     */
+    struct Cohort
+    {
+        bool present;      ///< in the last site's mask
+        std::uint32_t key; ///< present: clock - index; else index
+        std::vector<Word> members;
+    };
+
+    /**
      * One fault class's sites: its natural-rate stream and, in a
-     * planned batch, a bit-sliced countdown per trial — the sites
-     * left before the trial's next planned fault, or before its
-     * N_c-th site, where it turns natural and draws from the stream
-     * like every later site of the class.
+     * planned batch, each trial's planned faults by index into the
+     * class sites it visits; at index N_c it turns natural and draws
+     * from the stream. The clock counts the batch's class sites. A
+     * trial's index trails it by the sites it missed, which change
+     * only where it leaves or rejoins the site mask, so trials that
+     * moved together share it as a cohort. A site costs a mask
+     * compare plus the trials filed at its present cohorts' indices.
      */
     struct FaultSites
     {
         explicit FaultSites(double p) : stream(p) {}
 
         RareBernoulliStream stream;
-        int faults = 0; ///< planned faults per trial
-        int bits = 0;   ///< countdown bit-planes in use
-        /** Plane i of the countdown, word w, at i * words + w. */
-        std::vector<Word> countdown;
+        std::uint32_t sites = 0; ///< N_c
+        std::uint32_t clock = 0; ///< class sites so far
+        /** Per index, ascending, the trials yet to fault there. */
+        std::vector<std::vector<int>> due;
+        std::vector<Cohort> cohorts;
+        std::vector<Word> seen;    ///< the last site's mask
         std::vector<Word> natural; ///< trials past their N_c sites
-        /** Per trial: the countdown's start value, then one reload
-         *  per planned fault, faults + 1 in all. */
-        std::vector<std::uint64_t> gaps;
-        std::vector<std::uint32_t> next; ///< per trial: gaps used
+        std::vector<Word> draws;   ///< seen & natural
+        std::vector<Word> moved;   ///< regroup's scratch
     };
 
     std::size_t wv() const { return static_cast<std::size_t>(words_); }
@@ -374,113 +390,128 @@ class BatchWorkerT final : public BatchWorkerBase
     /**
      * Draw each active trial's planned sites of one class: a uniform
      * `faults`-subset of its first `sites` sites by Floyd's
-     * algorithm (`faults` draws per trial, in trial order), kept as
-     * the countdown's start and reload values.
+     * algorithm (`faults` draws per trial, in trial order), filed by
+     * index. Every trial starts at index 0, in one present cohort.
      */
     void
     arm(FaultSites &c, std::uint64_t sites, int faults,
         const Word *active)
     {
-        assert(faults >= 0 && static_cast<std::uint64_t>(faults) <= sites);
-        const auto per = static_cast<std::size_t>(faults) + 1;
-        c.faults = faults;
-        c.bits = std::max(1, static_cast<int>(std::bit_width(sites)));
-        c.countdown.assign(static_cast<std::size_t>(c.bits) * wv(),
-                           Word{0});
+        assert(faults >= 0 && static_cast<std::uint64_t>(faults) <= sites
+               && sites < (std::uint64_t{1} << 31));
+        c.sites = static_cast<std::uint32_t>(sites);
+        c.clock = 0;
+        c.seen.assign(active, active + words_);
         c.natural.assign(wv(), Word{0});
-        c.gaps.resize(64 * wv() * per);
-        c.next.assign(64 * wv(), 0);
+        c.draws.assign(wv(), Word{0});
+        c.moved.resize(wv());
+        c.cohorts.assign(1, {true, 0, c.seen});
+        c.due.resize(std::max<std::size_t>(c.due.size(), sites));
+        for (auto &d : c.due)
+            d.clear();
+        picks_.resize(static_cast<std::size_t>(faults));
         for (int w = 0; w < words_; ++w) {
             for (Word left = active[w]; left; left &= left - 1) {
-                const std::size_t t =
-                    64 * static_cast<std::size_t>(w)
-                    + static_cast<std::size_t>(std::countr_zero(left));
-                picks_.clear();
-                for (std::uint64_t j =
-                         sites - static_cast<std::uint64_t>(faults);
-                     j < sites; ++j) {
-                    const std::uint64_t r = rng_.below(j + 1);
-                    picks_.push_back(std::find(picks_.begin(),
-                                               picks_.end(), r)
-                                             != picks_.end()
-                                         ? j
-                                         : r);
+                const int t = 64 * w + std::countr_zero(left);
+                for (int n = 0; n < faults; ++n) {
+                    // Floyd: r, or j if r is taken.
+                    const std::uint64_t j = sites - faults + n;
+                    const auto r =
+                        static_cast<std::uint32_t>(rng_.below(j + 1));
+                    const auto e = picks_.begin() + n;
+                    *e = std::find(picks_.begin(), e, r) != e
+                        ? static_cast<std::uint32_t>(j)
+                        : r;
+                    c.due[*e].push_back(t);
                 }
-                std::sort(picks_.begin(), picks_.end());
-                std::uint64_t *gap = &c.gaps[t * per];
-                std::uint64_t from = 0;
-                for (std::uint64_t site : picks_) {
-                    *gap++ = site - from;
-                    from = site + 1;
-                }
-                *gap = sites - from;
-                setCountdown(c, t, c.gaps[t * per]);
             }
-        }
-    }
-
-    void
-    setCountdown(FaultSites &c, std::size_t t, std::uint64_t v)
-    {
-        const Word bit = Word{1} << (t & 63);
-        for (int i = 0; i < c.bits; ++i) {
-            Word &plane =
-                c.countdown[static_cast<std::size_t>(i) * wv() + t / 64];
-            plane = (v >> i) & 1 ? plane | bit : plane & ~bit;
         }
     }
 
     /**
-     * One class-c site of a planned batch for the trials in m. Each
-     * counting trial's countdown steps down by one, with the borrow
-     * rippling through the bit-planes; a borrow out of the top plane
-     * marks a trial whose count was already 0, whose event is this
-     * site. A planned fault joins hits_ and reloads the count; the
-     * N_c-th site turns the trial natural. On return draws_ holds
-     * m's natural trials, the ones that draw from the stream here.
-     * Returns whether hits_ has any trial.
+     * The site mask changed from c.seen to m. The members of each
+     * cohort that moved in or out split off to the other side, at
+     * the same index; cohorts on one side at one index merge. The
+     * draws follow the mask.
      */
-    bool
-    advance(FaultSites &c, const Word *m)
+    void
+    regroup(FaultSites &c, const Word *m)
     {
-        Word *planes = c.countdown.data();
-        const Word *natural = c.natural.data();
-        const int bits = c.bits;
-        simd::spans<Ops>(words_, [&](auto ops, int w) {
-            using O = decltype(ops);
-            const auto mm = O::load(m + w);
-            const auto nat = O::load(natural + w);
-            auto borrow = mm & ~nat;
-            for (int i = 0; i < bits; ++i) {
-                Word *p = planes + static_cast<std::size_t>(i) * wv() + w;
-                const auto v = O::load(p);
-                O::store(p, v ^ borrow);
-                borrow = borrow & ~v;
+        auto &cs = c.cohorts;
+        for (std::size_t i = 0, n = cs.size(); i < n; ++i) {
+            Word moving = 0;
+            for (int w = 0; w < words_; ++w) {
+                c.moved[w] = cs[i].members[w] & (m[w] ^ c.seen[w]);
+                cs[i].members[w] &= ~c.moved[w];
+                moving |= c.moved[w];
             }
-            O::store(due_.data() + w, borrow);
-            O::store(hits_.data() + w, O::zero());
-            O::store(draws_.data() + w, mm & nat);
+            // The movers keep their index, so their key is the other
+            // side's reading of it.
+            if (moving)
+                cs.push_back({!cs[i].present, c.clock - cs[i].key, c.moved});
+        }
+        std::erase_if(cs, [&](const Cohort &g) {
+            return !batch_detail::any(g.members.data(), words_);
         });
-        bool any = false;
-        const auto per = static_cast<std::size_t>(c.faults) + 1;
-        for (int w = 0; w < words_; ++w) {
-            for (Word due = due_[w]; due; due &= due - 1) {
-                const Word bit = due & -due;
-                const std::size_t t =
-                    64 * static_cast<std::size_t>(w)
-                    + static_cast<std::size_t>(std::countr_zero(due));
-                std::uint32_t &used = c.next[t];
-                if (used == static_cast<std::uint32_t>(c.faults)) {
-                    c.natural[w] |= bit;
-                    draws_[w] |= bit;
+        for (std::size_t i = 0; i < cs.size(); ++i) {
+            for (std::size_t j = cs.size(); j-- > i + 1;) {
+                if (cs[j].present != cs[i].present
+                    || cs[j].key != cs[i].key)
                     continue;
-                }
-                hits_[w] |= bit;
-                any = true;
-                setCountdown(c, t, c.gaps[t * per + ++used]);
+                for (int w = 0; w < words_; ++w)
+                    cs[i].members[w] |= cs[j].members[w];
+                cs.erase(cs.begin() + static_cast<std::ptrdiff_t>(j));
             }
         }
-        return any;
+        std::copy(m, m + words_, c.seen.begin());
+        for (int w = 0; w < words_; ++w)
+            c.draws[w] = m[w] & c.natural[w];
+    }
+
+    /**
+     * One class-c site of a planned batch for the trials in m. A
+     * present cohort at index N_c turns natural; at an earlier index
+     * its trials filed there fault, and hits_ lists them in trial
+     * order. On return c.draws holds m's natural trials, the ones
+     * that draw from the stream here.
+     */
+    void
+    place(FaultSites &c, const Word *m)
+    {
+        if (!std::equal(m, m + words_, c.seen.begin()))
+            regroup(c, m);
+        int *hit = hitBuffer_.data();
+        for (Cohort &g : c.cohorts) {
+            if (!g.present)
+                continue;
+            const std::uint32_t index = c.clock - g.key;
+            assert(index <= c.sites);
+            if (index == c.sites) {
+                for (int w = 0; w < words_; ++w) {
+                    c.natural[w] |= g.members[w];
+                    c.draws[w] |= g.members[w];
+                    g.members[w] = 0;
+                }
+                g.present = false; // empty: the next regroup drops it
+                continue;
+            }
+            // Branch-free: each trial is written to both lists, and
+            // the one it belongs to keeps it.
+            int *const run = hit;
+            std::vector<int> &due = c.due[index];
+            int *kept = due.data();
+            for (const int t : due) {
+                const bool faults = g.members[t / 64] >> (t & 63) & 1;
+                *hit = t;
+                hit += faults;
+                *kept = t;
+                kept += !faults;
+            }
+            due.resize(static_cast<std::size_t>(kept - due.data()));
+            std::inplace_merge(hitBuffer_.data(), run, hit);
+        }
+        hits_ = {hitBuffer_.data(), hit};
+        ++c.clock;
     }
 
     /** Trials [0, from) draw from the stream at a site; [from, to)
@@ -555,25 +586,25 @@ class BatchWorkerT final : public BatchWorkerBase
             frame_.fault2q(rng_, a, b, l.from, l.to);
     }
 
-    /** A planned batch's site: its placed faults, plus the
-     *  stream's draws for the trials already natural. */
+    /** A planned batch's site: the stream's draws for the trials
+     *  already natural, then its placed faults. */
     [[gnu::noinline]] void
     plannedInject1(FaultSites &c, int q, const Word *m)
     {
-        const bool planned = advance(c, m);
-        frame_.inject1q(rng_, c.stream, q, draws_.data(), 64 * words_);
-        if (planned)
-            frame_.fault1q(rng_, q, hits_.data());
+        place(c, m);
+        frame_.inject1q(rng_, c.stream, q, c.draws.data(), 64 * words_);
+        for (const int t : hits_)
+            frame_.fault1q(rng_, q, t, t + 1);
     }
 
     [[gnu::noinline]] void
     plannedInject2(FaultSites &c, int a, int b, const Word *m)
     {
-        const bool planned = advance(c, m);
-        frame_.inject2q(rng_, c.stream, a, b, draws_.data(),
+        place(c, m);
+        frame_.inject2q(rng_, c.stream, a, b, c.draws.data(),
                         64 * words_);
-        if (planned)
-            frame_.fault2q(rng_, a, b, hits_.data());
+        for (const int t : hits_)
+            frame_.fault2q(rng_, a, b, t, t + 1);
     }
 
     /** The Fig 5b conversion of the corrected zero on block A. */
@@ -743,11 +774,12 @@ class BatchWorkerT final : public BatchWorkerBase
         const Word *plane = xBasis ? frame_.z(q) : frame_.x(q);
         std::fill(out, out + words_, Word{0});
         if (plan_) {
-            advance(gate_, m);
-            gate_.stream.window(rng_, words_,
-                                [&](int w, Word f) { out[w] = f; });
-            for (int w = 0; w < words_; ++w)
-                out[w] = (out[w] & draws_[w]) | hits_[w];
+            place(gate_, m);
+            gate_.stream.window(rng_, words_, [&](int w, Word f) {
+                out[w] = f & gate_.draws[w];
+            });
+            for (const int t : hits_)
+                out[t / 64] |= Word{1} << (t & 63);
         } else {
             const Lanes l = firstFault(gate_, q, -1, true, m);
             gate_.stream.window(rng_, (l.from + 63) / 64,
@@ -1063,13 +1095,9 @@ class BatchWorkerT final : public BatchWorkerBase
     std::vector<Word> prevS2_;
     std::vector<Word> prevP_;
     std::vector<Word> coin_;
-    // Planned-batch site state (advance): trials whose event is
-    // this site, their planned faults, and the trials that draw
-    // from the stream.
-    std::vector<Word> due_;
-    std::vector<Word> hits_;
-    std::vector<Word> draws_;
-    std::vector<std::uint64_t> picks_; ///< arm's subset scratch
+    std::vector<std::uint32_t> picks_; ///< arm's subset
+    std::vector<int> hitBuffer_; ///< every trial, plus place's spare
+    std::span<const int> hits_;  ///< a planned site's faults
 };
 
 } // namespace qc

@@ -240,32 +240,10 @@ class BatchPauliFrameT
     }
 
     /**
-     * A uniform non-identity Pauli on q in every trial of `hits`
-     * (faults a plan placed, not drawn): one kind draw per trial, in
-     * trial order.
+     * A uniform non-identity Pauli on q in each trial of [from, to)
+     * (faults placed, not drawn): one kind draw per trial, in trial
+     * order, visiting only their words.
      */
-    void
-    fault1q(Rng &rng, int q, const Word *hits)
-    {
-        Word *xq = x(q);
-        Word *zq = z(q);
-        for (int w = 0; w < words_; ++w)
-            pauli1q(rng, hits[w], xq[w], zq[w]);
-    }
-
-    /** Two-qubit counterpart of fault1q. */
-    void
-    fault2q(Rng &rng, int a, int b, const Word *hits)
-    {
-        Word *xa = x(a);
-        Word *za = z(a);
-        Word *xb = x(b);
-        Word *zb = z(b);
-        for (int w = 0; w < words_; ++w)
-            pauli2q(rng, hits[w], xa[w], za[w], xb[w], zb[w]);
-    }
-
-    /** fault1q on the trials [from, to), visiting only their words. */
     void
     fault1q(Rng &rng, int q, int from, int to)
     {
@@ -275,7 +253,7 @@ class BatchPauliFrameT
             pauli1q(rng, laneRange(w, from, to), xq[w], zq[w]);
     }
 
-    /** fault2q on the trials [from, to). */
+    /** Two-qubit counterpart of fault1q. */
     void
     fault2q(Rng &rng, int a, int b, int from, int to)
     {
@@ -298,11 +276,9 @@ class BatchPauliFrameT
         while (hit) {
             const int t = __builtin_ctzll(hit);
             hit &= hit - 1;
-            const int pauli = static_cast<int>(rng.below(3)) + 1;
-            if (pauli & 1)
-                xq ^= Word{1} << t;
-            if (pauli & 2)
-                zq ^= Word{1} << t;
+            const Word pauli = rng.below(3) + 1;
+            xq ^= (pauli & 1) << t;
+            zq ^= (pauli >> 1) << t;
         }
     }
 
@@ -315,15 +291,11 @@ class BatchPauliFrameT
         while (hit) {
             const int t = __builtin_ctzll(hit);
             hit &= hit - 1;
-            const int pauli = static_cast<int>(rng.below(15)) + 1;
-            if (pauli & 1)
-                xa ^= Word{1} << t;
-            if (pauli & 2)
-                za ^= Word{1} << t;
-            if (pauli & 4)
-                xb ^= Word{1} << t;
-            if (pauli & 8)
-                zb ^= Word{1} << t;
+            const Word pauli = rng.below(15) + 1;
+            xa ^= (pauli & 1) << t;
+            za ^= (pauli >> 1 & 1) << t;
+            xb ^= (pauli >> 2 & 1) << t;
+            zb ^= (pauli >> 3) << t;
         }
     }
 

@@ -13,8 +13,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codes/SteaneCode.hh"
@@ -363,6 +366,313 @@ TEST(BatchAncillaSim, Pi8ZeroStratumIsItsFixUpFailureRate)
     EXPECT_TRUE(ci.contains(zero.rate()))
         << zero.rate() << " outside [" << ci.lo << ", " << ci.hi << "]";
     EXPECT_FALSE(ci.contains(0.0));
+}
+
+// ---------------------------------------------------------------
+// Planned batches: where a FaultPlan puts each trial's faults.
+// ---------------------------------------------------------------
+
+/** A circuit the planned-batch checks run. */
+struct PlannedCircuit
+{
+    ZeroPrepStrategy strategy;
+    bool pi8;
+    const char *name;
+};
+
+const PlannedCircuit kPlannedCircuits[] = {
+    {ZeroPrepStrategy::Basic, false, "basic"},
+    {ZeroPrepStrategy::VerifyOnly, false, "verify_only"},
+    {ZeroPrepStrategy::CorrectOnly, false, "correct_only"},
+    {ZeroPrepStrategy::VerifyAndCorrect, false, "verify_and_correct"},
+    {ZeroPrepStrategy::VerifyAndCorrect, true, "pi8"},
+};
+
+const CorrectionSemantics kBothSemantics[] = {
+    CorrectionSemantics::DiscardOnSyndrome,
+    CorrectionSemantics::ApplyFix};
+
+const int kPlannedWords[] = {1, 3, 64};
+
+/** Run a full batch and a partial one under `plan`; their tallies. */
+PrepEstimate
+plannedTallies(BatchWorkerBase &worker, const PlannedCircuit &c,
+               int words, const FaultPlan &plan, Rng &seeds)
+{
+    PrepEstimate tally;
+    for (int trials : {64 * words, 64 * words - 25})
+        worker.runBatch(Rng(seeds()), c.strategy, c.pi8, trials, plan,
+                        tally);
+    return tally;
+}
+
+/**
+ * Every planned batch shape's exact tallies at elevated noise: any
+ * change to where a plan puts a trial's faults, which Pauli kinds it
+ * draws or where the trial turns natural moves some of them. Per
+ * circuit and semantics, seven plans: the six strata below, then
+ * (2,2) planned over half the nominal sites, where trials turn
+ * natural mid-path; per plan, words per qubit 1, 3 and 64, each a
+ * full batch and a partial one.
+ */
+TEST(PlannedBatch, TalliesPinnedPerCircuitPlanAndShape)
+{
+    struct Tallies
+    {
+        std::uint64_t failures, discards, verifyTrials,
+            correctionTrials, correctionDiscards;
+    };
+    static const Tallies kPinned[][3] = {
+        // basic, discard
+        {{0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}},
+        {{31, 0, 0, 0, 0}, {115, 0, 0, 0, 0}, {2613, 0, 0, 0, 0}},
+        {{41, 0, 0, 0, 0}, {122, 0, 0, 0, 0}, {2855, 0, 0, 0, 0}},
+        {{63, 0, 0, 0, 0}, {265, 0, 0, 0, 0}, {5628, 0, 0, 0, 0}},
+        {{68, 0, 0, 0, 0}, {248, 0, 0, 0, 0}, {5667, 0, 0, 0, 0}},
+        {{76, 0, 0, 0, 0}, {257, 0, 0, 0, 0}, {5503, 0, 0, 0, 0}},
+        {{72, 0, 0, 0, 0}, {218, 0, 0, 0, 0}, {5103, 0, 0, 0, 0}},
+        // basic, apply-fix
+        {{0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}, {0, 0, 0, 0, 0}},
+        {{38, 0, 0, 0, 0}, {112, 0, 0, 0, 0}, {2523, 0, 0, 0, 0}},
+        {{31, 0, 0, 0, 0}, {116, 0, 0, 0, 0}, {2879, 0, 0, 0, 0}},
+        {{79, 0, 0, 0, 0}, {248, 0, 0, 0, 0}, {5623, 0, 0, 0, 0}},
+        {{75, 0, 0, 0, 0}, {257, 0, 0, 0, 0}, {5737, 0, 0, 0, 0}},
+        {{67, 0, 0, 0, 0}, {249, 0, 0, 0, 0}, {5539, 0, 0, 0, 0}},
+        {{64, 0, 0, 0, 0}, {228, 0, 0, 0, 0}, {5066, 0, 0, 0, 0}},
+        // verify_only, discard
+        {{0, 0, 103, 0, 0}, {0, 0, 359, 0, 0}, {0, 0, 8167, 0, 0}},
+        {{22, 40, 143, 0, 0}, {70, 141, 500, 0, 0}, {1451, 3365, 11532, 0, 0}},
+        {{18, 45, 148, 0, 0}, {53, 158, 517, 0, 0}, {1301, 3478, 11645, 0, 0}},
+        {{30, 55, 158, 0, 0}, {121, 190, 549, 0, 0}, {2720, 4154, 12321, 0, 0}},
+        {{40, 50, 153, 0, 0}, {116, 182, 541, 0, 0}, {2673, 4172, 12339, 0, 0}},
+        {{28, 63, 166, 0, 0}, {136, 170, 529, 0, 0}, {2654, 4301, 12468, 0, 0}},
+        {{41, 49, 152, 0, 0}, {95, 186, 545, 0, 0}, {2622, 3867, 12034, 0, 0}},
+        // verify_only, apply-fix
+        {{0, 0, 103, 0, 0}, {0, 0, 359, 0, 0}, {0, 0, 8167, 0, 0}},
+        {{20, 31, 134, 0, 0}, {60, 137, 496, 0, 0}, {1477, 3222, 11389, 0, 0}},
+        {{14, 47, 150, 0, 0}, {62, 133, 492, 0, 0}, {1329, 3479, 11646, 0, 0}},
+        {{42, 51, 154, 0, 0}, {124, 182, 541, 0, 0}, {2642, 4208, 12375, 0, 0}},
+        {{34, 60, 163, 0, 0}, {110, 199, 558, 0, 0}, {2663, 4238, 12405, 0, 0}},
+        {{37, 50, 153, 0, 0}, {131, 186, 545, 0, 0}, {2696, 4250, 12417, 0, 0}},
+        {{38, 44, 147, 0, 0}, {120, 157, 516, 0, 0}, {2622, 3936, 12103, 0, 0}},
+        // correct_only, discard
+        {{0, 0, 0, 206, 0}, {0, 0, 0, 718, 0}, {0, 0, 0, 16334, 0}},
+        {{0, 0, 0, 349, 94}, {3, 0, 0, 1241, 333}, {66, 0, 0, 28421, 7595}},
+        {{0, 0, 0, 381, 111}, {5, 0, 0, 1240, 334}, {116, 0, 0, 28410, 7636}},
+        {{1, 0, 0, 441, 170}, {2, 0, 0, 1542, 641}, {66, 0, 0, 34691, 14280}},
+        {{2, 0, 0, 435, 180}, {1, 0, 0, 1503, 605}, {62, 0, 0, 34656, 14120}},
+        {{0, 0, 0, 437, 171}, {8, 0, 0, 1540, 655}, {87, 0, 0, 34726, 14429}},
+        {{0, 0, 0, 352, 124}, {0, 0, 0, 1206, 420}, {23, 0, 0, 27432, 9447}},
+        // correct_only, apply-fix
+        {{0, 0, 0, 206, 0}, {0, 0, 0, 718, 0}, {0, 0, 0, 16334, 0}},
+        {{9, 0, 0, 206, 0}, {30, 0, 0, 718, 0}, {765, 0, 0, 16334, 0}},
+        {{9, 0, 0, 206, 0}, {36, 0, 0, 718, 0}, {827, 0, 0, 16334, 0}},
+        {{50, 0, 0, 206, 0}, {186, 0, 0, 718, 0}, {4107, 0, 0, 16334, 0}},
+        {{61, 0, 0, 206, 0}, {195, 0, 0, 718, 0}, {4247, 0, 0, 16334, 0}},
+        {{50, 0, 0, 206, 0}, {163, 0, 0, 718, 0}, {3991, 0, 0, 16334, 0}},
+        {{27, 0, 0, 206, 0}, {109, 0, 0, 718, 0}, {2123, 0, 0, 16334, 0}},
+        // verify_and_correct, discard
+        {{0, 0, 309, 206, 0}, {0, 0, 1077, 718, 0}, {0, 0, 24501, 16334, 0}},
+        {{0, 37, 541, 331, 70}, {0, 128, 1873, 1139, 247},
+         {0, 3025, 41917, 25407, 5318}},
+        {{0, 34, 554, 341, 76}, {0, 132, 1796, 1091, 214},
+         {0, 2944, 42329, 25767, 5451}},
+        {{1, 106, 733, 392, 132}, {1, 416, 2522, 1333, 414},
+         {37, 9122, 57267, 30414, 9564}},
+        {{0, 111, 730, 390, 126}, {0, 377, 2468, 1316, 416},
+         {46, 8849, 57371, 30576, 9779}},
+        {{1, 140, 739, 377, 119}, {4, 397, 2554, 1363, 435},
+         {46, 9392, 57814, 30591, 9664}},
+        {{0, 105, 633, 334, 91}, {1, 348, 2176, 1162, 307},
+         {7, 8022, 49911, 26570, 7152}},
+        // verify_and_correct, apply-fix
+        {{0, 0, 412, 309, 0}, {0, 0, 1436, 1077, 0}, {0, 0, 32668, 24501, 0}},
+        {{0, 26, 499, 370, 0}, {3, 121, 1705, 1225, 0},
+         {23, 2556, 39252, 28529, 0}},
+        {{0, 32, 475, 340, 0}, {0, 105, 1686, 1222, 0},
+         {19, 2590, 38776, 28019, 0}},
+        {{14, 105, 613, 405, 0}, {49, 371, 2146, 1416, 0},
+         {1180, 8564, 48543, 31812, 0}},
+        {{13, 107, 606, 396, 0}, {35, 390, 2158, 1409, 0},
+         {1136, 8488, 48664, 32009, 0}},
+        {{13, 124, 625, 398, 0}, {55, 374, 2144, 1411, 0},
+         {1185, 8804, 48460, 31489, 0}},
+        {{12, 108, 543, 332, 0}, {34, 360, 1879, 1160, 0},
+         {721, 8085, 42698, 26446, 0}},
+        // pi8, discard
+        {{0, 0, 309, 206, 0}, {0, 0, 1077, 718, 0}, {0, 0, 24501, 16334, 0}},
+        {{5, 25, 478, 298, 52}, {5, 95, 1551, 954, 143},
+         {237, 1978, 36411, 22611, 3655}},
+        {{3, 31, 464, 284, 46}, {16, 89, 1589, 984, 157},
+         {237, 2049, 36991, 22941, 3834}},
+        {{4, 128, 795, 422, 142}, {14, 403, 2680, 1448, 470},
+         {236, 9171, 61183, 32993, 10852}},
+        {{5, 111, 788, 432, 142}, {18, 367, 2706, 1475, 505},
+         {277, 9057, 61125, 32965, 10936}},
+        {{1, 119, 768, 415, 131}, {10, 380, 2755, 1506, 510},
+         {252, 9321, 62039, 33448, 11103}},
+        {{1, 101, 671, 357, 110}, {4, 321, 2310, 1252, 378},
+         {90, 8406, 52585, 27902, 8110}},
+        // pi8, apply-fix
+        {{0, 0, 412, 309, 0}, {0, 0, 1436, 1077, 0}, {0, 0, 32668, 24501, 0}},
+        {{3, 24, 470, 343, 0}, {11, 75, 1633, 1199, 0},
+         {207, 1934, 37541, 27440, 0}},
+        {{2, 23, 468, 342, 0}, {9, 79, 1636, 1198, 0},
+         {200, 1964, 37263, 27132, 0}},
+        {{19, 94, 625, 428, 0}, {74, 371, 2231, 1501, 0},
+         {1536, 8393, 50062, 33502, 0}},
+        {{21, 107, 641, 431, 0}, {74, 300, 2201, 1542, 0},
+         {1512, 8293, 50816, 34356, 0}},
+        {{24, 102, 619, 414, 0}, {72, 355, 2191, 1477, 0},
+         {1622, 8562, 50120, 33391, 0}},
+        {{5, 112, 561, 346, 0}, {41, 403, 1954, 1192, 0},
+         {1027, 8595, 43692, 26930, 0}},
+    };
+    ErrorParams errors;
+    errors.pGate = 2e-3;
+    errors.pMove = 1e-4;
+    const std::pair<int, int> strata[] = {{0, 0}, {1, 0}, {0, 1},
+                                          {2, 2}, {4, 0}, {0, 4},
+                                          {2, 2}};
+    Rng seeds(2026);
+    std::size_t row = 0;
+    for (const PlannedCircuit &c : kPlannedCircuits) {
+        for (CorrectionSemantics semantics : kBothSemantics) {
+            std::unique_ptr<BatchWorkerBase> workers[3];
+            for (int i = 0; i < 3; ++i)
+                workers[i] = makeBatchWorker(simd::Width::W64, errors,
+                                             kFig11Movement, semantics,
+                                             kPlannedWords[i]);
+            const NominalPath path =
+                workers[0]->probe(c.strategy, c.pi8, false);
+            for (std::size_t p = 0; p < std::size(strata); ++p) {
+                const bool half = p + 1 == std::size(strata);
+                const FaultPlan plan{
+                    half ? path.gateSites() / 2 : path.gateSites(),
+                    half ? path.moveSites() / 2 : path.moveSites(),
+                    strata[p].first, strata[p].second};
+                ASSERT_LT(row, std::size(kPinned));
+                for (int i = 0; i < 3; ++i) {
+                    const PrepEstimate got = plannedTallies(
+                        *workers[i], c, kPlannedWords[i], plan, seeds);
+                    const Tallies &want = kPinned[row][i];
+                    EXPECT_TRUE(got.failures == want.failures
+                                && got.discards == want.discards
+                                && got.verifyTrials == want.verifyTrials
+                                && got.correctionTrials
+                                    == want.correctionTrials
+                                && got.correctionDiscards
+                                    == want.correctionDiscards)
+                        << c.name << ' '
+                        << (semantics == CorrectionSemantics::ApplyFix
+                                ? "apply-fix"
+                                : "discard")
+                        << " plan (" << plan.gateFaults << ","
+                        << plan.moveFaults << ") of (" << plan.gateSites
+                        << "," << plan.moveSites << ") words "
+                        << kPlannedWords[i] << ": got {" << got.failures
+                        << ", " << got.discards << ", "
+                        << got.verifyTrials << ", "
+                        << got.correctionTrials << ", "
+                        << got.correctionDiscards << "}";
+                }
+                ++row;
+            }
+        }
+    }
+    EXPECT_EQ(row, std::size(kPinned));
+}
+
+ErrorParams
+noiseless()
+{
+    ErrorParams errors;
+    errors.pGate = 0;
+    errors.pMove = 0;
+    return errors;
+}
+
+TEST(PlannedBatch, ZeroFaultPlanWithoutNoiseWalksTheNominalPath)
+{
+    // No planned fault and no natural one: every trial walks the
+    // nominal path, so the tallies are the probe's times the trials,
+    // whatever the seed.
+    Rng seeds(7);
+    for (const PlannedCircuit &c : kPlannedCircuits) {
+        for (CorrectionSemantics semantics : kBothSemantics) {
+            for (int words : kPlannedWords) {
+                const auto worker =
+                    makeBatchWorker(simd::Width::W64, noiseless(),
+                                    kFig11Movement, semantics, words);
+                const NominalPath path =
+                    worker->probe(c.strategy, c.pi8, false);
+                const FaultPlan plan{path.gateSites(),
+                                     path.moveSites(), 0, 0};
+                const PrepEstimate got =
+                    plannedTallies(*worker, c, words, plan, seeds);
+                const std::uint64_t trials =
+                    static_cast<std::uint64_t>(128 * words - 25);
+                const std::string what = std::string(c.name) + ' '
+                    + (semantics == CorrectionSemantics::ApplyFix
+                           ? "apply-fix"
+                           : "discard")
+                    + " words " + std::to_string(words);
+                EXPECT_EQ(got.failures, 0u) << what;
+                EXPECT_EQ(got.discards, 0u) << what;
+                EXPECT_EQ(got.correctionDiscards, 0u) << what;
+                EXPECT_EQ(got.verifyTrials,
+                          trials * path.tally.verifyTrials)
+                    << what;
+                EXPECT_EQ(got.correctionTrials,
+                          trials * path.tally.correctionTrials)
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(PlannedBatch, OneFaultNeverFailsVerifyAndCorrect)
+{
+    // Verified and corrected preparation is fault-tolerant: a single
+    // fault, wherever a plan puts it, cannot leave a logical error.
+    // Without noise every fault is a planned one, so a trial that
+    // fails here met two, whatever the seed. Two planned faults do
+    // fail, which shows the faults land.
+    const auto failures = [](const MovementModel &movement,
+                             CorrectionSemantics semantics, int gate,
+                             int move, int batches) {
+        const auto worker = makeBatchWorker(
+            simd::Width::W64, noiseless(), movement, semantics, 64);
+        const NominalPath path = worker->probe(
+            ZeroPrepStrategy::VerifyAndCorrect, false, false);
+        const FaultPlan plan{path.gateSites(), path.moveSites(), gate,
+                             move};
+        PrepEstimate tally;
+        Rng seeds(static_cast<std::uint64_t>(31 * gate + move));
+        for (int b = 0; b < batches; ++b)
+            worker->runBatch(Rng(seeds()),
+                             ZeroPrepStrategy::VerifyAndCorrect, false,
+                             4096, plan, tally);
+        return tally.failures;
+    };
+    for (const MovementModel &movement :
+         {MovementModel{}, kFig11Movement}) {
+        for (CorrectionSemantics semantics : kBothSemantics) {
+            const std::string what =
+                (semantics == CorrectionSemantics::ApplyFix
+                     ? "apply-fix"
+                     : "discard")
+                + std::string(", movesPerCx ")
+                + std::to_string(movement.movesPerCx);
+            // 25 batches: 102,400 trials per plan.
+            EXPECT_EQ(failures(movement, semantics, 1, 0, 25), 0u)
+                << what << ", plan (1,0)";
+            EXPECT_EQ(failures(movement, semantics, 0, 1, 25), 0u)
+                << what << ", plan (0,1)";
+            EXPECT_GT(failures(movement, semantics, 2, 0, 5), 0u)
+                << what << ", plan (2,0)";
+        }
+    }
 }
 
 // ---------------------------------------------------------------

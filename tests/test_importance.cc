@@ -236,10 +236,10 @@ TEST(StratifiedPrepSampler, SiteCountsMatchNominalBasicCircuit)
 TEST(StratifiedPrepSampler, StrataMatchScalarOracle)
 {
     // Each stratum's conditional failure rate on the batch engine
-    // (per-trial fault subsets drawn up front, placed by bit-sliced
-    // countdowns) against the scalar oracle's online r-of-m
-    // schedule: the check that every trial gets exactly its planned
-    // faults. The MonteCarloStreams noise point, where strata fail
+    // (per-trial fault subsets drawn up front, placed by event index
+    // into the class sites each trial visits) against the scalar
+    // oracle's online r-of-m schedule: the check that every trial
+    // gets exactly its planned faults. The MonteCarloStreams noise point, where strata fail
     // often enough to tell.
     ErrorParams errors;
     errors.pGate = 2e-3;
